@@ -23,17 +23,13 @@ from physproj.constraints import (
     LtpSchema,
     fit_transform,
     generate_synthetic_ltp,
-    load_ltp_csv,
     normalize,
     write_ltp_csv,
 )
 from physproj.errors import PhysprojError, ProjectionError, TrainingDivergedError, ValidationError
 from physproj.nn import (
-    EarlyStopConfig,
     LtpResidualTerm,
-    PlateauConfig,
     SpringEnergyTerm,
-    TrainConfig,
     forward,
     load_network,
     save_network,
@@ -48,7 +44,7 @@ from physproj.pipeline.csvio import (
     write_spring_dataset_csv,
     write_trajectory_csv,
 )
-from physproj.pipeline.experiments import run_experiment
+from physproj.pipeline.experiments import load_ltp_data, ltp_train_config, run_experiment, spring_train_config
 from physproj.pipeline.metrics import split_dataset
 from physproj.projector import ProjectionSpec, project, project_batch
 from physproj.springmass import STATE_NAMES, SpringParams
@@ -61,18 +57,6 @@ def _spring_data(cfg):
     return springmass.generate_dataset(
         params, cfg.spring_e_max, cfg.spring_n_samples, cfg.spring_delta_t, cfg.spring_n_substeps, cfg.seed
     )
-
-
-def _ltp_data(cfg):
-    if cfg.ltp_dataset_csv is not None:
-        column_map = None
-        if cfg.ltp_column_map is not None:
-            import json
-
-            with open(cfg.ltp_column_map, encoding="utf-8") as fh:
-                column_map = json.load(fh)
-        return load_ltp_csv(cfg.ltp_dataset_csv, column_map)
-    return generate_synthetic_ltp(cfg.ltp_n_samples, cfg.seed)
 
 
 def cmd_gen_data(args, cfg) -> int:
@@ -96,33 +80,18 @@ def cmd_train(args, cfg) -> int:
         spec = fit_transform(train_set[0], STATE_NAMES, skew_threshold=np.inf)
         dims = (4, *cfg.spring_hidden, 4)
         lam = cfg.spring_lambda if args.physics else 0.0
-        tcfg = TrainConfig(
-            learning_rate=cfg.spring_lr,
-            max_epochs=cfg.spring_epochs,
-            batch_size=cfg.spring_batch,
-            lambda_physics=lam,
-            seed=cfg.seed + 2,
-        )
+        tcfg = spring_train_config(cfg, lam)
         physics = SpringEnergyTerm(SpringParams(), spec, weight=lam) if args.physics else None
         in_spec = spec
     else:
-        data = _ltp_data(cfg)
+        data = load_ltp_data(cfg, cfg.ltp_n_samples, cfg.seed)[0]
         train_set, val_set, _ = split_dataset(data, cfg.split_fractions, cfg.seed + 1)
         in_spec = fit_transform(train_set[0], INPUT_NAMES, skew_threshold=np.inf)
         spec = fit_transform(train_set[1], OUTPUT_NAMES, skew_threshold=cfg.ltp_skew_threshold)
         dims = (3, *cfg.ltp_hidden, 17)
         lam = cfg.ltp_lambda if args.physics else 0.0
         split = (lam / 3.0,) * 3 if args.physics else None
-        tcfg = TrainConfig(
-            learning_rate=cfg.ltp_lr,
-            max_epochs=cfg.ltp_max_epochs,
-            batch_size=cfg.ltp_batch,
-            lambda_physics=lam,
-            lambda_split=split,
-            early_stop=EarlyStopConfig(cfg.early_stop_alpha, cfg.early_stop_strip),
-            lr_plateau=PlateauConfig(cfg.plateau_patience, cfg.plateau_factor),
-            seed=cfg.seed + 2,
-        )
+        tcfg = ltp_train_config(cfg, cfg.seed + 2, lam, split)
         physics = LtpResidualTerm(LtpConstraints(LtpSchema(), spec), in_spec, split) if args.physics else None
 
     def norm_pair(pair):
@@ -158,26 +127,24 @@ def cmd_project(args, cfg) -> int:
         x_test, _ = test_set
         preds = forward(net, normalize(x_test, out_spec))
         params = SpringParams()
-        pspec = ProjectionSpec(tolerance=cfg.spring_projection_tol)
-        results = []
-        for x_row, y_row in zip(x_test, preds):
-            constraint = EnergyConstraint(params, springmass.energy(x_row, params), out_spec)
-            results.append(project(y_row, constraint, None, pspec))
+        # one constraint for the whole split, anchored per point at its input energy
+        constraint = EnergyConstraint(params, None, out_spec)
+        inputs = springmass.energy(x_test, params)[:, None]
+        tol = cfg.spring_projection_tol
         names = STATE_NAMES
     else:
-        import json as _json
-
         with open(os.path.join(os.path.dirname(os.path.abspath(args.model)), "input_transform.json"), encoding="utf-8") as fh:
             from physproj.constraints import TransformSpec
 
             in_spec = TransformSpec.from_json(fh.read())
-        data = _ltp_data(cfg)
+        data = load_ltp_data(cfg, cfg.ltp_n_samples, cfg.seed)[0]
         _, _, test_set = split_dataset(data, cfg.split_fractions, cfg.seed + 1)
-        x_test, _ = test_set
-        preds = forward(net, normalize(x_test, in_spec))
+        inputs, _ = test_set
+        preds = forward(net, normalize(inputs, in_spec))
         constraint = LtpConstraints(LtpSchema(), out_spec)
-        results = project_batch(preds, constraint, x_test, ProjectionSpec(tolerance=cfg.ltp_projection_tol))
+        tol = cfg.ltp_projection_tol
         names = OUTPUT_NAMES
+    results = project_batch(preds, constraint, inputs, ProjectionSpec(tolerance=tol))
     rows = [
         (i, r.status, r.iterations, r.kkt_norm, r.seconds, *r.projected)
         for i, r in enumerate(results)

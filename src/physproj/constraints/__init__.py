@@ -11,7 +11,7 @@ from physproj.constraints.ltp import (
     load_ltp_csv,
     write_ltp_csv,
 )
-from physproj.constraints.sets import ConstraintSet, EnergyConstraint, LtpConstraints, constraint_jacobian
+from physproj.constraints.sets import ConstraintSet, EnergyConstraint, LtpConstraints
 from physproj.constraints.transform import (
     TransformSpec,
     denormalize,
@@ -32,7 +32,6 @@ __all__ = [
     "LtpConstraints",
     "LtpSchema",
     "TransformSpec",
-    "constraint_jacobian",
     "denormalize",
     "denormalize_jacobian_diag",
     "fit_transform",

@@ -62,61 +62,101 @@ class ConstraintSet:
         raise NotImplementedError
 
     def lagrangian_hessian(self, x, p_norm, lam) -> np.ndarray:
-        """sum_k lam_k * Hessian of residual k at a single point, (dim, dim).
+        """sum_k lam_k * Hessian of residual k, (dim, dim) or batched (n, dim, dim).
 
         The projection solver needs this curvature for true Newton steps.
         Default implementation: central differences of the analytic
         Jacobian; subclasses override with exact expressions.
         """
-        p = np.asarray(p_norm, dtype=np.float64)
-        lam = np.asarray(lam, dtype=np.float64)
-        dim = p.size
+        p, single = _as_batch(p_norm)
+        x = self._batch_x(x, single)
+        lam = np.atleast_2d(np.asarray(lam, dtype=np.float64))
         h = 1e-6
-        out = np.zeros((dim, dim))
-        step = np.zeros(dim)
-        for j in range(dim):
+        out = np.zeros((*p.shape, p.shape[1]))
+        for j in range(p.shape[1]):
+            step = np.zeros(p.shape[1])
             step[j] = h
-            jac_plus = self.jacobian(x, p + step)
-            jac_minus = self.jacobian(x, p - step)
-            out[:, j] = (jac_plus - jac_minus).T @ lam / (2.0 * h)
-            step[j] = 0.0
-        return 0.5 * (out + out.T)
+            diff = self.jacobian(x, p + step) - self.jacobian(x, p - step)
+            out[:, :, j] = (diff.transpose(0, 2, 1) @ lam[:, :, None])[:, :, 0] / (2.0 * h)
+        out = 0.5 * (out + out.transpose(0, 2, 1))
+        return out[0] if single else out
+
+
+def _column_sum(y: np.ndarray, idx) -> np.ndarray:
+    """Row sums of the columns ``idx``, added left to right for any batch size
+    (``y[:, idx].sum(axis=1)`` adds a lone row pairwise, a batch column-wise)."""
+    total = y[:, idx[0]]
+    for i in idx[1:]:
+        total = total + y[:, i]
+    return total
+
+
+def _as_batch(p_norm) -> tuple[np.ndarray, bool]:
+    p = np.asarray(p_norm, dtype=np.float64)
+    return np.atleast_2d(p), p.ndim == 1
+
+
+def _chain_rule(p: np.ndarray, spec: TransformSpec, hess_phys: np.ndarray, grad_phys: np.ndarray) -> np.ndarray:
+    """Normalized-space Hessians D H D + diag(grad * T'') from physical-space
+    ones H, where D = T' and grad is the physical gradient of the residual."""
+    diag = denormalize_jacobian_diag(p, spec)
+    out = diag[:, :, None] * hess_phys * diag[:, None, :]
+    idx = np.arange(p.shape[1])
+    out[:, idx, idx] += grad_phys * denormalize_curvature_diag(p, spec)
+    return out
 
 
 class EnergyConstraint(ConstraintSet):
-    """Single residual: mechanical energy of the de-normalized state vs anchor."""
+    """Single residual: mechanical energy of the de-normalized state vs anchor.
+
+    The anchor is ``anchor_energy``, or per point the first column of the
+    constraint input ``x``, so one object serves a batch of trajectories.
+    """
 
     residual_dim = 1
 
-    def __init__(self, params, anchor_energy: float, state_spec: TransformSpec):
+    def __init__(self, params, anchor_energy: float | None, state_spec: TransformSpec):
         from physproj.springmass import SpringParams
 
-        if anchor_energy < 0.0:
+        if anchor_energy is not None and anchor_energy < 0.0:
             raise ValidationError("anchor energy must be non-negative")
         self.params: SpringParams = params
-        self.anchor = float(anchor_energy)
-        self.scale = max(self.anchor, 1.0)
+        self.anchor = None if anchor_energy is None else float(anchor_energy)
+        self.scale = None if anchor_energy is None else max(self.anchor, 1.0)
         self.output_spec = state_spec
+
+    def _anchor_scale(self, x):
+        """Anchor and residual scale max(anchor, 1 J), per point when x is given."""
+        if x is None:
+            if self.anchor is None:
+                raise ValidationError("energy constraint needs an anchor energy or per-point anchors in x")
+            return self.anchor, self.scale
+        anchor = np.asarray(x, dtype=np.float64)[:, 0]
+        if np.any(anchor < 0.0):
+            raise ValidationError("anchor energy must be non-negative")
+        return anchor, np.maximum(anchor, 1.0)
 
     def _residual(self, x, p: np.ndarray) -> np.ndarray:
         from physproj.springmass import energy
 
-        phys = denormalize(p, self.output_spec)
-        e = np.asarray(energy(phys, self.params))
-        return ((e - self.anchor) / self.scale)[:, None]
+        anchor, scale = self._anchor_scale(x)
+        e = np.asarray(energy(denormalize(p, self.output_spec), self.params))
+        return ((e - anchor) / scale)[:, None]
 
     def _jacobian(self, x, p: np.ndarray) -> np.ndarray:
         from physproj.springmass import energy_gradient
 
-        phys = denormalize(p, self.output_spec)
-        grad = energy_gradient(phys, self.params) / self.scale
+        _, scale = self._anchor_scale(x)
+        grad = energy_gradient(denormalize(p, self.output_spec), self.params) / np.reshape(scale, (-1, 1))
         diag = denormalize_jacobian_diag(p, self.output_spec)
         return (grad * diag)[:, None, :]
 
     def lagrangian_hessian(self, x, p_norm, lam) -> np.ndarray:
         from physproj.springmass import energy_gradient
 
-        p = np.asarray(p_norm, dtype=np.float64)
+        p, single = _as_batch(p_norm)
+        _, scale = self._anchor_scale(self._batch_x(x, single))
+        scale = np.reshape(scale, (-1, 1))
         k1, k2, m1, m2 = self.params.k1, self.params.k2, self.params.m1, self.params.m2
         hess_phys = np.array(
             [
@@ -125,12 +165,10 @@ class EnergyConstraint(ConstraintSet):
                 [-k2, 0.0, k2, 0.0],
                 [0.0, 0.0, 0.0, m2],
             ]
-        ) / self.scale
-        diag = denormalize_jacobian_diag(p, self.output_spec)
-        curv = denormalize_curvature_diag(p, self.output_spec)
-        grad_phys = energy_gradient(denormalize(p, self.output_spec), self.params) / self.scale
-        hess = diag[:, None] * hess_phys * diag[None, :] + np.diag(grad_phys * curv)
-        return float(np.asarray(lam).ravel()[0]) * hess
+        ) / scale[:, :, None]
+        grad_phys = energy_gradient(denormalize(p, self.output_spec), self.params) / scale
+        hess = np.atleast_2d(np.asarray(lam, dtype=np.float64))[:, :1, None] * _chain_rule(p, self.output_spec, hess_phys, grad_phys)
+        return hess[0] if single else hess
 
 
 class LtpConstraints(ConstraintSet):
@@ -173,10 +211,10 @@ class LtpConstraints(ConstraintSet):
         tg = y[:, self._tg]
         ne = y[:, self._ne]
         vd = y[:, self._vd]
-        r1 = (p_in - y[:, self._pressure_idx].sum(axis=1) * K_BOLTZMANN * tg) / p_in
+        r1 = (p_in - _column_sum(y, self._pressure_idx) * K_BOLTZMANN * tg) / p_in
         r2 = (i_in - ELEMENTARY_CHARGE * ne * vd * np.pi * radius**2) / i_in
         ne_scale = np.maximum(ne, NE_SCALE_FLOOR)
-        r3 = (ne - y[:, self._pos].sum(axis=1) + y[:, self._neg].sum(axis=1)) / ne_scale
+        r3 = (ne - _column_sum(y, self._pos) + _column_sum(y, self._neg)) / ne_scale
         return np.stack([r1, r2, r3], axis=-1)
 
     def _residual(self, x, p: np.ndarray) -> np.ndarray:
@@ -198,7 +236,7 @@ class LtpConstraints(ConstraintSet):
         jac = np.zeros((n, 3, dim))
         # pressure law
         jac[:, 0, self._pressure_idx] = (-K_BOLTZMANN * tg / p_in)[:, None]
-        jac[:, 0, self._tg] = -K_BOLTZMANN * y[:, self._pressure_idx].sum(axis=1) / p_in
+        jac[:, 0, self._tg] = -K_BOLTZMANN * _column_sum(y, self._pressure_idx) / p_in
         # current law
         area = np.pi * radius**2
         jac[:, 1, self._ne] = -ELEMENTARY_CHARGE * vd * area / i_in
@@ -207,7 +245,7 @@ class LtpConstraints(ConstraintSet):
         ne_scale = np.maximum(ne, NE_SCALE_FLOOR)
         jac[:, 2, self._pos] = (-1.0 / ne_scale)[:, None]
         jac[:, 2, self._neg] = (1.0 / ne_scale)[:, None]
-        raw3 = ne - y[:, self._pos].sum(axis=1) + y[:, self._neg].sum(axis=1)
+        raw3 = ne - _column_sum(y, self._pos) + _column_sum(y, self._neg)
         clamped = ne <= NE_SCALE_FLOOR
         jac[:, 2, self._ne] = np.where(clamped, 1.0 / ne_scale, (ne_scale - raw3) / ne_scale**2)
         return jac
@@ -220,43 +258,36 @@ class LtpConstraints(ConstraintSet):
         return jac[:, self.laws, :] * diag[:, None, :]
 
     def lagrangian_hessian(self, x, p_norm, lam) -> np.ndarray:
-        """Exact curvature of lam . g in normalized space, single point."""
-        p = np.asarray(p_norm, dtype=np.float64)
-        x_row = np.atleast_2d(np.asarray(x, dtype=np.float64))[0]
-        y = denormalize(p[None, :], self.output_spec)[0]
-        dim = p.size
-        lam_full = np.zeros(3)
-        lam_full[list(self.laws)] = np.asarray(lam, dtype=np.float64)
-        p_in, i_in, radius = x_row
-        ne = y[self._ne]
+        """Exact curvature of lam . g in normalized space, per point."""
+        p, single = _as_batch(p_norm)
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        y = denormalize(p, self.output_spec)
+        n, dim = p.shape
+        lam_full = np.zeros((n, 3))
+        lam_full[:, list(self.laws)] = np.atleast_2d(np.asarray(lam, dtype=np.float64))
+        p_in, i_in, radius = x[:, 0], x[:, 1], x[:, 2]
+        ne = y[:, self._ne]
 
-        hess = np.zeros((dim, dim))
+        hess = np.zeros((n, dim, dim))
         # pressure law: bilinear in each heavy density and Tg
-        cross = -K_BOLTZMANN / p_in * lam_full[0]
-        hess[self._pressure_idx, self._tg] += cross
-        hess[self._tg, self._pressure_idx] += cross
+        cross = (-K_BOLTZMANN / p_in * lam_full[:, 0])[:, None]
+        hess[:, self._pressure_idx, self._tg] += cross
+        hess[:, self._tg, self._pressure_idx] += cross
         # current law: bilinear in ne and vd
-        cross = -ELEMENTARY_CHARGE * np.pi * radius**2 / i_in * lam_full[1]
-        hess[self._ne, self._vd] += cross
-        hess[self._vd, self._ne] += cross
+        cross = -ELEMENTARY_CHARGE * np.pi * radius**2 / i_in * lam_full[:, 1]
+        hess[:, self._ne, self._vd] += cross
+        hess[:, self._vd, self._ne] += cross
         # quasi-neutrality: rational in ne unless the scale is clamped
-        if ne > NE_SCALE_FLOOR:
-            s_pos = y[self._pos].sum()
-            s_neg = y[self._neg].sum()
-            w3 = lam_full[2]
-            hess[self._ne, self._ne] += w3 * (-2.0 * (s_pos - s_neg) / ne**3)
-            hess[self._ne, self._pos] += w3 / ne**2
-            hess[self._pos, self._ne] += w3 / ne**2
-            hess[self._ne, self._neg] += -w3 / ne**2
-            hess[self._neg, self._ne] += -w3 / ne**2
+        rational = ne > NE_SCALE_FLOOR
+        ne = np.where(rational, ne, 1.0)  # clamped rows add zeros below
+        w3 = np.where(rational, lam_full[:, 2], 0.0)
+        charge = _column_sum(y, self._pos) - _column_sum(y, self._neg)
+        hess[:, self._ne, self._ne] += w3 * (-2.0 * charge / ne**3)
+        hess[:, self._ne, self._pos] += (w3 / ne**2)[:, None]
+        hess[:, self._pos, self._ne] += (w3 / ne**2)[:, None]
+        hess[:, self._ne, self._neg] += (-w3 / ne**2)[:, None]
+        hess[:, self._neg, self._ne] += (-w3 / ne**2)[:, None]
 
-        diag = denormalize_jacobian_diag(p, self.output_spec)
-        curv = denormalize_curvature_diag(p, self.output_spec)
-        grad_phys = self._phys_jacobian(x_row[None, :], y[None, :])[0]  # (3, dim)
-        chain_diag = (lam_full @ grad_phys) * curv
-        return diag[:, None] * hess * diag[None, :] + np.diag(chain_diag)
-
-
-def constraint_jacobian(constraint_set: ConstraintSet, input_x, normalized_output) -> np.ndarray:
-    """Analytic Jacobian of the scaled residuals, shape (residual_dim, output_dim)."""
-    return constraint_set.jacobian(input_x, normalized_output)
+        grad_phys = (lam_full[:, None, :] @ self._phys_jacobian(x, y))[:, 0, :]
+        out = _chain_rule(p, self.output_spec, hess, grad_phys)
+        return out[0] if single else out

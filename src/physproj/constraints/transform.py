@@ -54,9 +54,6 @@ class TransformSpec:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    def half_widths(self) -> np.ndarray:
-        return (self.maxs - self.mins) / 2.0
-
     def to_json(self) -> str:
         return json.dumps(
             {

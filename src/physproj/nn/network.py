@@ -59,9 +59,6 @@ class Network:
     def output_dim(self) -> int:
         return self.layer_dims[-1]
 
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
     def parameters(self) -> list[np.ndarray]:
         """Flat list [W0, b0, W1, b1, ...] in a fixed order."""
         out = []

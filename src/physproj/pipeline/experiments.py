@@ -88,6 +88,16 @@ class SpringContext:
     phase_seconds: dict
 
 
+def spring_train_config(cfg: ExperimentConfig, lam: float = 0.0) -> TrainConfig:
+    return TrainConfig(
+        learning_rate=cfg.spring_lr,
+        max_epochs=cfg.spring_epochs,
+        batch_size=cfg.spring_batch,
+        lambda_physics=lam,
+        seed=cfg.seed + 2,
+    )
+
+
 def _prepare_spring(cfg: ExperimentConfig) -> SpringContext:
     params = SpringParams()
     tick = time.perf_counter()
@@ -102,20 +112,13 @@ def _prepare_spring(cfg: ExperimentConfig) -> SpringContext:
         "val": (normalize(val_set[0], spec), normalize(val_set[1], spec)),
     }
     dims = (4, *cfg.spring_hidden, 4)
-    base_cfg = TrainConfig(
-        learning_rate=cfg.spring_lr,
-        max_epochs=cfg.spring_epochs,
-        batch_size=cfg.spring_batch,
-        seed=cfg.seed + 2,
-    )
     tick = time.perf_counter()
-    nn, _ = train(xavier_init(dims, seed=cfg.seed + 2), sets["train"], sets["val"], base_cfg)
+    nn, _ = train(xavier_init(dims, seed=cfg.seed + 2), sets["train"], sets["val"], spring_train_config(cfg))
     # the PINN shares initialization and shuffle stream with the plain NN so
     # the four-model comparison isolates the effect of the physics term
     lam = cfg.spring_lambda
-    pinn_cfg = replace(base_cfg, lambda_physics=lam)
     term = SpringEnergyTerm(params, spec, weight=lam)
-    pinn, _ = train(xavier_init(dims, seed=cfg.seed + 2), sets["train"], sets["val"], pinn_cfg, physics=term)
+    pinn, _ = train(xavier_init(dims, seed=cfg.seed + 2), sets["train"], sets["val"], spring_train_config(cfg, lam), physics=term)
     train_seconds = time.perf_counter() - tick
     return SpringContext(
         params=params,
@@ -127,38 +130,40 @@ def _prepare_spring(cfg: ExperimentConfig) -> SpringContext:
     )
 
 
-def _rollout_four(ctx: SpringContext, initial_state: np.ndarray, n_steps: int, tol: float) -> dict:
-    """Rollouts of NN, PINN, and their projected counterparts from one state.
+def _rollout_four(ctx: SpringContext, initial_states: np.ndarray, n_steps: int, tol: float) -> dict:
+    """Rollouts of NN, PINN, and their projected counterparts.
 
-    Projected entries may be a ProjectionError instead of a RolloutResult
-    when the solver fails mid-trajectory.
+    From a single state (4,), a projected entry is a ProjectionError when the
+    solver fails mid-trajectory; a batch (n, 4) runs in lockstep, each
+    trajectory on its own energy shell, and records failures per trajectory.
     """
-    anchor = springmass.energy(initial_state, ctx.params)
-    constraint = EnergyConstraint(ctx.params, anchor, ctx.spec)
+    anchors = springmass.energy(initial_states, ctx.params)
+    constraint = EnergyConstraint(ctx.params, None, ctx.spec)
     pspec = ProjectionSpec(tolerance=tol)
-
-    def projector(y):
-        return project(y, constraint, None, pspec)
+    if initial_states.ndim == 1:
+        projector = lambda y: project(y, constraint, [anchors], pspec)
+    else:
+        projector = lambda ys, active: project_batch(ys, constraint, anchors[active, None], pspec)
 
     out = {}
     for name, net in ctx.models.items():
         model_fn = lambda z, net=net: forward(net, z)
-        out[name] = springmass.rollout(model_fn, initial_state, n_steps, ctx.spec, params=ctx.params)
+        out[name] = springmass.rollout(model_fn, initial_states, n_steps, ctx.spec, params=ctx.params)
         try:
             out[name + "_projection"] = springmass.rollout(
-                model_fn, initial_state, n_steps, ctx.spec, projector=projector, params=ctx.params
+                model_fn, initial_states, n_steps, ctx.spec, projector=projector, params=ctx.params
             )
         except ProjectionError as exc:
             out[name + "_projection"] = exc
     return out
 
 
-def _trajectory_rmses(result, truth_norm: np.ndarray, spec, params, anchor: float) -> np.ndarray:
-    """Per-variable normalized RMSE (x1, v1, x2, v2) then energy RMSE in J."""
+def _trajectory_rmses(result, truth_norm: np.ndarray, spec, anchors) -> np.ndarray:
+    """Per-variable normalized RMSE (x1, v1, x2, v2) then energy RMSE in J, per trajectory."""
     pred_norm = normalize(result.states, spec)
     state_rmse = np.sqrt(np.mean((pred_norm[1:] - truth_norm[1:]) ** 2, axis=0))
-    energy_rmse = np.sqrt(np.mean((result.energies[1:] - anchor) ** 2))
-    return np.append(state_rmse, energy_rmse)
+    energy_rmse = np.sqrt(np.mean((result.energies[1:] - anchors) ** 2, axis=0))
+    return np.concatenate([state_rmse, energy_rmse[..., None]], axis=-1)
 
 
 def run_spring_single(cfg: ExperimentConfig) -> MetricsReport:
@@ -185,7 +190,7 @@ def run_spring_single(cfg: ExperimentConfig) -> MetricsReport:
         if isinstance(result, ProjectionError):
             raise result  # single-trajectory run has nothing to fall back on
         write_trajectory_csv(os.path.join(cfg.out_dir, f"trajectory_{name}.csv"), result.states, result.energies, ctx.delta_t)
-        rmses = _trajectory_rmses(result, truth_norm, ctx.spec, ctx.params, anchor)
+        rmses = _trajectory_rmses(result, truth_norm, ctx.spec, anchor)
         report.per_output_rmse[name] = dict(zip((*STATE_NAMES, "energy_J"), rmses))
         rows.append((name, *rmses))
     write_csv(
@@ -205,46 +210,36 @@ def run_spring_many(cfg: ExperimentConfig) -> MetricsReport:
     initial_states = springmass.sample_states(ctx.params, cfg.spring_e_max, cfg.spring_n_trajectories, rng)
 
     model_names = ("nn", "pinn", "nn_projection", "pinn_projection")
-    per_traj: dict = {name: [] for name in model_names}  # rows of 5 rmses or None
-    n_nonconverged = 0
     tick = time.perf_counter()
     truths = springmass.true_trajectory(initial_states, ctx.params, n_steps, ctx.delta_t, ctx.n_substeps)
-    for t, ic in enumerate(initial_states):
-        anchor = springmass.energy(ic, ctx.params)
-        truth_norm = normalize(truths[:, t, :], ctx.spec)
-        rollouts = _rollout_four(ctx, ic, n_steps, cfg.spring_projection_tol)
-        for name in model_names:
-            result = rollouts[name]
-            if isinstance(result, ProjectionError):
-                per_traj[name].append(None)
-                n_nonconverged += 1
-            else:
-                per_traj[name].append(_trajectory_rmses(result, truth_norm, ctx.spec, ctx.params, anchor))
+    truth_norm = normalize(truths, ctx.spec)
+    anchors = springmass.energy(initial_states, ctx.params)
+    rollouts = _rollout_four(ctx, initial_states, n_steps, cfg.spring_projection_tol)
+    rmses = {name: _trajectory_rmses(result, truth_norm, ctx.spec, anchors) for name, result in rollouts.items()}
+    done = {name: result.failed_step == 0 for name, result in rollouts.items()}  # False: projection failed
+    n_nonconverged = sum(int((~ok).sum()) for ok in done.values())
     rollout_seconds = time.perf_counter() - tick
 
     variables = (*STATE_NAMES, "energy_J")
     dist_rows = []
     for t in range(cfg.spring_n_trajectories):
         for name in model_names:
-            entry = per_traj[name][t]
-            if entry is None:
-                dist_rows.append((t, name, "failed", "nan"))
+            if done[name][t]:
+                dist_rows.extend((t, name, var, val) for var, val in zip(variables, rmses[name][t]))
             else:
-                dist_rows.extend((t, name, var, val) for var, val in zip(variables, entry))
+                dist_rows.append((t, name, "failed", "nan"))
     write_csv(os.path.join(cfg.out_dir, "trajectories.csv"), ["trajectory", "model", "variable", "rmse"], dist_rows)
 
     report = MetricsReport(n_nonconverged=n_nonconverged, phase_seconds=dict(ctx.phase_seconds))
     report.phase_seconds["rollout_seconds"] = rollout_seconds
     rate_rows = []
     for base, projected in (("nn", "nn_projection"), ("pinn", "pinn_projection")):
-        keep = [t for t in range(cfg.spring_n_trajectories) if per_traj[projected][t] is not None]
-        base_arr = np.array([per_traj[base][t][:4] for t in keep])
-        proj_arr = np.array([per_traj[projected][t][:4] for t in keep])
-        r_mean, r_all = improvement_rates(base_arr, proj_arr)
+        keep = done[projected]
+        r_mean, r_all = improvement_rates(rmses[base][keep, :4], rmses[projected][keep, :4])
         pair = f"{base}->projection"
         report.r_mean[pair] = r_mean
         report.r_all[pair] = r_all
-        rate_rows.append((pair, r_mean, r_all, len(keep)))
+        rate_rows.append((pair, r_mean, r_all, int(keep.sum())))
     write_csv(
         os.path.join(cfg.out_dir, "rates.csv"),
         ["pair", "r_mean_pct", "r_all_pct", "n_trajectories_used"],
@@ -253,7 +248,7 @@ def run_spring_many(cfg: ExperimentConfig) -> MetricsReport:
 
     summary_rows = []
     for name in model_names:
-        entries = np.array([e for e in per_traj[name] if e is not None])
+        entries = rmses[name][done[name]]
         means = entries.mean(axis=0)
         stds = entries.std(axis=0, ddof=0)
         report.per_output_rmse[name] = dict(zip(variables, means))
@@ -289,7 +284,7 @@ class LtpContext:
     phase_seconds: dict
 
 
-def _load_ltp_data(cfg: ExperimentConfig, n: int, seed: int):
+def load_ltp_data(cfg: ExperimentConfig, n: int, seed: int):
     if cfg.ltp_dataset_csv is not None:
         column_map = None
         if cfg.ltp_column_map is not None:
@@ -303,7 +298,7 @@ def _load_ltp_data(cfg: ExperimentConfig, n: int, seed: int):
 
 def _prepare_ltp(cfg: ExperimentConfig) -> LtpContext:
     tick = time.perf_counter()
-    (x, y), synthetic = _load_ltp_data(cfg, cfg.ltp_n_samples, cfg.seed)
+    (x, y), synthetic = load_ltp_data(cfg, cfg.ltp_n_samples, cfg.seed)
     gen_seconds = time.perf_counter() - tick
     train_set, val_set, test_set = split_dataset((x, y), cfg.split_fractions, cfg.seed + 1)
     in_spec = fit_transform(train_set[0], INPUT_NAMES, skew_threshold=np.inf)
@@ -323,7 +318,7 @@ def _prepare_ltp(cfg: ExperimentConfig) -> LtpContext:
     )
 
 
-def _ltp_train_config(cfg: ExperimentConfig, seed: int, lam: float = 0.0, split=None) -> TrainConfig:
+def ltp_train_config(cfg: ExperimentConfig, seed: int, lam: float = 0.0, split=None) -> TrainConfig:
     return TrainConfig(
         learning_rate=cfg.ltp_lr,
         max_epochs=cfg.ltp_max_epochs,
@@ -344,7 +339,7 @@ def _train_ltp_model(ctx: LtpContext, cfg: ExperimentConfig, seed: int, physics:
     if physics:
         constraint = LtpConstraints(ctx.schema, ctx.out_spec)
         term = LtpResidualTerm(constraint, ctx.in_spec, split)
-    tcfg = _ltp_train_config(cfg, seed, lam, split)
+    tcfg = ltp_train_config(cfg, seed, lam, split)
     if cfg.ltp_n_members > 1:
         ensemble = ensemble_train(
             dims, ctx.norm["train"], ctx.norm["val"], tcfg, cfg.ltp_n_members, physics=term, transform=ctx.out_spec
@@ -444,7 +439,10 @@ def run_ltp_compare(cfg: ExperimentConfig) -> MetricsReport:
     nn_rows, _ = _per_output_rmse_rows("nn", preds["nn"], yn_test, y_test, ctx.out_spec)
     ablation_rows.extend(("nn", output, value_norm) for _, output, value_norm, _ in nn_rows)
     for variant, laws in LAW_VARIANTS:
-        projected, converged, _ = _project_predictions(ctx, preds["nn"], x_test, cfg.ltp_projection_tol, laws)
+        if laws == (0, 1, 2):  # the full law set is the nn_projection model above
+            projected, converged = preds["nn_projection"], masks["nn_projection"]
+        else:
+            projected, converged, _ = _project_predictions(ctx, preds["nn"], x_test, cfg.ltp_projection_tol, laws)
         rows, _ = _per_output_rmse_rows(variant, projected, yn_test, y_test, ctx.out_spec, converged)
         ablation_rows.extend((variant, output, value_norm) for _, output, value_norm, _ in rows)
     write_csv(
@@ -574,15 +572,7 @@ def run_small_samples(cfg: ExperimentConfig) -> MetricsReport:
             rng = np.random.default_rng([cfg.seed, size, rep])
             idx = rng.choice(len(x_pool), size=size, replace=False)
             sub_norm = (normalize(x_pool[idx], ctx.in_spec), normalize(y_pool[idx], ctx.out_spec))
-            sub_ctx = LtpContext(
-                schema=ctx.schema,
-                in_spec=ctx.in_spec,
-                out_spec=ctx.out_spec,
-                splits=ctx.splits,
-                norm={"train": sub_norm, "val": ctx.norm["val"], "test": ctx.norm["test"]},
-                synthetic=ctx.synthetic,
-                phase_seconds={},
-            )
+            sub_ctx = replace(ctx, norm={**ctx.norm, "train": sub_norm}, phase_seconds={})
             tick = time.perf_counter()
             predict = _train_ltp_model(sub_ctx, cfg, cfg.seed + 1000 * size + rep, physics=False)
             pred = predict(xn_test)

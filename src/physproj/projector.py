@@ -1,4 +1,4 @@
-"""Nearest-point projection onto a constraint manifold.
+"""Nearest-point projection onto a constraint manifold, batched over points.
 
 Solves  minimize ||p - y||^2_W  subject to g(x, p) = 0  for a diagonal
 positive W, by damped Newton iteration on the first-order optimality system
@@ -15,8 +15,18 @@ the output space, and backtracks on the exact l1 penalty
 ||p - y||^2_W + mu * ||g||_1 with a second-order correction before giving
 up on a full step. A small multiple of the identity regularizes the
 lower-right block when the system is near singular and shrinks again as
-steps succeed. Problems here are tiny (<= 17 variables, <= 3 constraints),
-so dense linear algebra is plenty.
+steps succeed.
+
+The points of a batch run this iteration in lockstep, in blocks sized to
+bound memory. Each keeps its own iterate, multipliers, regularization,
+step length and status, and leaves the active set the moment it converges
+or fails; the linear algebra is stacked over the active points (one
+``solve``, ``svd`` and ``eigvalsh`` call per stage), and line-search trials
+are evaluated only on the points that need them. ``project`` is a batch of
+one. A constraint call that
+raises on a batch is repeated point by point, so a failing point never
+aborts the others. Problems here are tiny (<= 17 variables, <= 3
+constraints), so dense linear algebra is plenty.
 
 Starting from p0 = y means an already-feasible prediction is returned
 unchanged in zero iterations, and the solver finds the local solution on
@@ -41,6 +51,7 @@ _BACKTRACK = 0.5
 _MIN_ALPHA = 1e-12
 _MAX_DELTA = 1e6
 _STEP_CAP = 2.0  # outputs live on a [-1, 1]-ish scale; bound each Newton step
+_BLOCK_ENTRIES = 2**13  # entries of a block's stacked saddle-point systems (64 KB): bounds memory
 
 
 @dataclass(frozen=True)
@@ -50,7 +61,6 @@ class ProjectionSpec:
     weighting: np.ndarray | None = None  # per-output positive diagonal of W
     tolerance: float = 1e-8
     max_iterations: int = 100
-    damping: float = 0.0  # initial lower-right regularization
 
     def __post_init__(self):
         if self.tolerance <= 0.0:
@@ -93,105 +103,97 @@ def kkt_residual(p, lam, y, constraint_set, input_x, spec: ProjectionSpec) -> tu
     return float(np.abs(stationarity).max()), float(np.abs(g).max())
 
 
-def _merit(p, y, w, mu, constraint_set, input_x) -> float:
-    """Exact l1 penalty ||p - y||^2_W + mu * ||g||_1.
+def _rows(fn, shape, error, *args):
+    """``fn(*args)`` over a batch, and the mask of rows it raised ``error`` on.
 
-    A squared feasibility penalty is not exact: accepting steps whose
-    objective must legitimately grow (the projection can lie farther from y
-    than a nearby feasible iterate) would need mu ~ 1/||g||. The l1 form
-    accepts them for any finite mu above the multiplier norm.
+    After a raise the call is repeated row by row, so only the rows that
+    raise again are lost (as NaN). ``None`` arguments pass through. The result
+    is C-contiguous, so row reductions add in the same order for any batch.
     """
+    raised = np.zeros(len(args[-1]), dtype=bool)
+    if not raised.size:
+        return np.zeros((0, *shape)), raised
     try:
-        g = np.atleast_1d(constraint_set.residual(input_x, p))
-    except PhysprojError:
-        return np.inf
-    if not np.all(np.isfinite(g)):
-        return np.inf
-    return float((p - y) @ (w * (p - y)) + mu * np.abs(g).sum())
+        return np.ascontiguousarray(fn(*args)), raised
+    except error:
+        out = np.full((raised.size, *shape), np.nan)
+    for i in range(raised.size):
+        try:
+            out[i] = fn(*(a if a is None else a[i : i + 1] for a in args))[0]
+        except error:
+            raised[i] = True
+    return out, raised
 
 
-def _second_order_correction(p, dp, jac, constraint_set, input_x):
-    """Feasibility correction for the full step, using the current Jacobian."""
-    try:
-        g_trial = np.atleast_1d(constraint_set.residual(input_x, p + dp))
-    except PhysprojError:
-        return None
-    if not np.all(np.isfinite(g_trial)):
-        return None
-    gram = jac @ jac.T
-    try:
-        dq = -jac.T @ np.linalg.solve(gram, g_trial)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(dq)):
-        return None
-    return p + dp + dq
+def _solve(a, b):
+    """Stacked a x = b, with the mask of exactly singular systems."""
+    return _rows(lambda a_, b_: np.linalg.solve(a_, b_[..., None])[..., 0], b.shape[1:], np.linalg.LinAlgError, a, b)
 
 
-def _kkt_norm(p, lam, y, w, constraint_set, input_x) -> float:
-    try:
-        g = np.atleast_1d(constraint_set.residual(input_x, p))
-        jac = np.atleast_2d(constraint_set.jacobian(input_x, p))
-    except PhysprojError:
-        return np.inf
-    stationarity = 2.0 * w * (p - y) + jac.T @ lam
-    if not (np.all(np.isfinite(stationarity)) and np.all(np.isfinite(g))):
-        return np.inf
-    return max(float(np.abs(stationarity).max()), float(np.abs(g).max()))
+def _matvec(a, v):
+    return (a @ v[..., None])[..., 0]
 
 
-def _restore_feasibility(p, constraint_set, input_x, target: float, budget: int) -> tuple[np.ndarray, int]:
+def _capped(dp):
+    """Rows of ``dp`` scaled down onto the step cap, and their uncapped lengths."""
+    step_len = np.abs(dp).max(axis=1)
+    scale = np.divide(_STEP_CAP, step_len, out=np.ones_like(step_len), where=step_len > _STEP_CAP)
+    return dp * scale[:, None], step_len
+
+
+def _evaluate(fn, shape, xs, rows, *args, failed=None):
+    """Constraint call ``fn(x, *args)`` on the points ``rows``: the values and
+    the mask of points it did not raise on (the others are marked in ``failed``)."""
+    out, raised = _rows(fn, shape, PhysprojError, None if xs is None else xs[rows], *args)
+    if failed is not None:
+        failed[rows[raised]] = True
+    return out, ~raised
+
+
+def _restore_feasibility(p, act, xs, constraint_set, failed, target: float, budget: int) -> np.ndarray:
     """Levenberg-damped Gauss-Newton on ||g||^2 until near the manifold.
 
     Run before the optimality phase when the start point is far from
     feasible; minimizing the violation alone avoids the tug-of-war between
     distance and feasibility that stalls merit line searches out there.
+    Moves the points ``act`` of ``p`` in place, marks those whose constraint
+    calls raise in ``failed``, and returns the steps used.
     """
-    nu = 0.0
-    used = 0
-    while used < budget:
-        g = np.atleast_1d(constraint_set.residual(input_x, p))
-        if float(np.abs(g).max()) <= target:
-            break
-        jac = np.atleast_2d(constraint_set.jacobian(input_x, p))
+    m = constraint_set.residual_dim
+    nu = np.zeros(len(p))
+    used = np.zeros(len(p), dtype=int)
+    while act.size:
+        act = act[used[act] < budget]
+        g, ok = _evaluate(constraint_set.residual, (m,), xs, act, p[act], failed=failed)
+        ok &= np.abs(g).max(axis=1) > target
+        act, g = act[ok], g[ok]
+        jac, ok = _evaluate(constraint_set.jacobian, (m, p.shape[1]), xs, act, p[act], failed=failed)
+        act, g, jac = act[ok], g[ok], jac[ok]
         # row equilibration: violated laws can differ by many orders of
         # magnitude (scale clamps), which would make the Gram matrix singular
-        row_scale = 1.0 / np.maximum(np.linalg.norm(jac, axis=1), 1e-300)
-        jac_eq = jac * row_scale[:, None]
-        g_eq = g * row_scale
-        gram = jac_eq @ jac_eq.T
-        used += 1
-        try:
-            dp = -jac_eq.T @ np.linalg.solve(gram + nu * np.eye(gram.shape[0]), g_eq)
-        except np.linalg.LinAlgError:
-            nu = max(nu * 10.0, 1e-8)
-            continue
-        step_len = float(np.abs(dp).max())
-        if not np.isfinite(step_len) or step_len <= 1e-15:
-            break
-        if step_len > _STEP_CAP:
-            dp = dp * (_STEP_CAP / step_len)
-        psi0 = float(g @ g)
-        alpha = 1.0
-        moved = False
-        while alpha >= _MIN_ALPHA:
-            try:
-                g_trial = np.atleast_1d(constraint_set.residual(input_x, p + alpha * dp))
-            except PhysprojError:
-                g_trial = None
-            if g_trial is not None and np.all(np.isfinite(g_trial)) and float(g_trial @ g_trial) < psi0:
-                p = p + alpha * dp
-                moved = True
-                break
-            alpha *= _BACKTRACK
-        if not moved:
-            nu = max(nu * 10.0, 1e-8)
-            if nu > _MAX_DELTA:
-                break
-            continue
-        if alpha == 1.0:
-            nu *= 0.1
-    return p, used
+        row_scale = 1.0 / np.maximum(np.linalg.norm(jac, axis=2), 1e-300)
+        jac_eq = jac * row_scale[:, :, None]
+        used[act] += 1
+        sol, singular = _solve(jac_eq @ jac_eq.transpose(0, 2, 1) + nu[act, None, None] * np.eye(m), g * row_scale)
+        dp, step_len = _capped(-_matvec(jac_eq.transpose(0, 2, 1), sol))
+        live = ~singular & np.isfinite(step_len) & (step_len > 1e-15)
+        psi0 = np.sum(g * g, axis=1)
+        alpha = np.ones(len(act))
+        moved = np.zeros(len(act), dtype=bool)
+        pending = np.flatnonzero(live)
+        while pending.size:
+            trial = p[act[pending]] + alpha[pending, None] * dp[pending]
+            g_trial, ok = _evaluate(constraint_set.residual, (m,), xs, act[pending], trial)
+            ok &= np.all(np.isfinite(g_trial), axis=1) & (np.sum(g_trial * g_trial, axis=1) < psi0[pending])
+            p[act[pending[ok]]] = trial[ok]
+            moved[pending[ok]] = True
+            alpha[pending[~ok]] *= _BACKTRACK
+            pending = pending[~ok & (alpha[pending] >= _MIN_ALPHA)]
+        stuck = singular | (live & ~moved)
+        nu[act[stuck]] = np.maximum(nu[act[stuck]] * 10.0, 1e-8)
+        nu[act[moved & (alpha == 1.0)]] *= 0.1
+        act = act[singular | (stuck & (nu[act] <= _MAX_DELTA)) | moved]
+    return used
 
 
 def project(y, constraint_set, input_x=None, spec: ProjectionSpec = ProjectionSpec()) -> ProjectionResult:
@@ -201,50 +203,111 @@ def project(y, constraint_set, input_x=None, spec: ProjectionSpec = ProjectionSp
     norms both fall under ``spec.tolerance``. On failure the best iterate
     seen is returned, flagged with a non-converged status.
     """
-    start = time.perf_counter()
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or not np.all(np.isfinite(y)):
         raise ValidationError("y must be a finite vector")
-    dim = y.size
+    return project_batch(y[None, :], constraint_set, input_x, spec)[0]
+
+
+def project_batch(ys, constraint_set, inputs_x=None, spec: ProjectionSpec = ProjectionSpec()) -> list[ProjectionResult]:
+    """Independent projections in input order; failures never abort the batch.
+
+    Row i of ``inputs_x`` is the constraint input of point i. A point whose
+    own constraint calls raise, or whose y is not finite, comes back
+    unchanged with status ``singular_system``. Points are solved in lockstep
+    blocks sized so that memory does not grow with the batch. ``seconds`` of
+    every result is the batch time split evenly across its points.
+    """
+    start = time.perf_counter()
+    ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
+    xs = None if inputs_x is None else np.atleast_2d(np.asarray(inputs_x, dtype=np.float64))
+    if xs is not None and len(xs) != len(ys):
+        raise ValidationError("inputs_x length does not match ys")
+    size = max(1, _BLOCK_ENTRIES // (ys.shape[1] + constraint_set.residual_dim) ** 2)
+    blocks = [
+        _project_block(ys[lo : lo + size], None if xs is None else xs[lo : lo + size], constraint_set, spec)
+        for lo in range(0, len(ys), size)
+    ]
+    seconds = (time.perf_counter() - start) / max(len(ys), 1)
+    return [ProjectionResult(*row, seconds) for block in blocks for row in zip(*block)]
+
+
+def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
+    """Lockstep solve of one block: points, multipliers, iterations, KKT norms, statuses."""
+    n, dim = ys.shape
     m = constraint_set.residual_dim
     w = spec.diag(dim)
+    eye = np.eye(dim)
 
-    p = y.copy()
-    lam = np.zeros(m)
-    restore_steps = 0
-    g0 = np.atleast_1d(constraint_set.residual(input_x, p))
-    if float(np.abs(g0).max()) > max(1e-3, 10.0 * spec.tolerance):
-        p, restore_steps = _restore_feasibility(
-            p, constraint_set, input_x, max(1e-3, 10.0 * spec.tolerance), spec.max_iterations // 2
-        )
-    delta = max(spec.damping, 0.0)
-    best = (np.inf, p.copy(), lam.copy())
-    status = MAX_ITERATIONS
-    iterations = 0
-    kkt = np.inf
+    p = ys.copy()
+    lam = np.zeros((n, m))
+    best_kkt, best_p, best_lam = np.full(n, np.inf), p.copy(), lam.copy()  # what each point returns
+    delta = np.zeros(n)
+    status = np.full(n, MAX_ITERATIONS, dtype=object)
+    iterations = np.zeros(n, dtype=int)
+    broken = ~np.all(np.isfinite(ys), axis=1)
+
+    act = np.flatnonzero(~broken)
+    target = max(1e-3, 10.0 * spec.tolerance)
+    g0, ok = _evaluate(constraint_set.residual, (m,), xs, act, p[act], failed=broken)
+    far = act[ok & (np.abs(g0).max(axis=1) > target)]
+    restore_steps = _restore_feasibility(p, far, xs, constraint_set, broken, target, spec.max_iterations // 2)
+    best_p[:] = p
     newton_budget = spec.max_iterations - restore_steps
 
-    for iterations in range(newton_budget + 1):
-        g = np.atleast_1d(constraint_set.residual(input_x, p))
-        jac = np.atleast_2d(constraint_set.jacobian(input_x, p))
+    def leave(rows, why):
+        status[rows] = why
+        iterations[rows] = it + restore_steps[rows]
+
+    def merit(rows, trial, mu):
+        """Exact l1 penalty ||p - y||^2_W + mu * ||g||_1 at trial points, and g.
+
+        A squared feasibility penalty is not exact: accepting steps whose
+        objective must legitimately grow (the projection can lie farther from
+        y than a nearby feasible iterate) would need mu ~ 1/||g||; the l1 form
+        accepts them for any finite mu above the multiplier norm."""
+        g_trial, ok = _evaluate(constraint_set.residual, (m,), xs, rows, trial)
+        ok &= np.all(np.isfinite(g_trial), axis=1)
+        d = trial - ys[rows]
+        phi = np.sum(d * (w * d), axis=1) + mu * np.abs(g_trial).sum(axis=1)
+        return np.where(ok, phi, np.inf), np.where(ok[:, None], g_trial, np.nan)
+
+    act = np.flatnonzero(~broken)
+    it = 0
+    while act.size:
+        g, ok = _evaluate(constraint_set.residual, (m,), xs, act, p[act], failed=broken)
+        jac, ok_jac = _evaluate(constraint_set.jacobian, (m, dim), xs, act, p[act], failed=broken)
+        ok &= ok_jac & np.all(np.isfinite(g), axis=1) & np.all(np.isfinite(jac), axis=(1, 2))
+        leave(act[~ok], SINGULAR_SYSTEM)  # no-op for broken points, whose result is y
+        act, g, jac = act[ok], g[ok], jac[ok]
+
         # multipliers are always the least-squares estimate for the current
-        # point, so the dual never lags behind partial primal steps
-        lam = np.linalg.lstsq(jac.T, -2.0 * w * (p - y), rcond=None)[0]
-        stationarity = 2.0 * w * (p - y) + jac.T @ lam
-        kkt = max(float(np.abs(stationarity).max()), float(np.abs(g).max()))
-        if kkt < best[0]:
-            best = (kkt, p.copy(), lam.copy())
-        if kkt <= spec.tolerance:
-            status = CONVERGED
-            break
-        if iterations == newton_budget:
-            break
+        # point, so the dual never lags behind partial primal steps; the
+        # minimum-norm solution of J^T lam = -2 W (p - y) comes from the SVD
+        # of J, with lstsq's default cutoff for negligible singular values
+        u, svals, vt = np.linalg.svd(jac)
+        r = svals.shape[1]
+        grad_obj = 2.0 * w * (p[act] - ys[act])
+        keep = svals > np.finfo(np.float64).eps * max(dim, m) * svals[:, :1]
+        inv = np.divide(1.0, svals, out=np.zeros_like(svals), where=keep)
+        lam[act] = _matvec(u[:, :, :r], _matvec(vt[:, :r], -grad_obj) * inv)
+        stationarity = grad_obj + _matvec(jac.transpose(0, 2, 1), lam[act])
+        kkt = np.maximum(np.abs(stationarity).max(axis=1), np.abs(g).max(axis=1))
+        converged = kkt <= spec.tolerance
+        better = (kkt < best_kkt[act]) | converged  # a converged point returns its last iterate
+        rows = act[better]
+        best_kkt[rows], best_p[rows], best_lam[rows] = kkt[better], p[rows], lam[rows]
+        leave(act[converged], CONVERGED)
+        spent = ~converged & (it == newton_budget[act])
+        leave(act[spent], MAX_ITERATIONS)
+        go = ~converged & ~spent
+        act, g, jac, svals, vt, grad_obj = act[go], g[go], jac[go], svals[go], vt[go], grad_obj[go]
 
         # Lagrangian curvature for true Newton steps; harmless zeros at lam=0
-        hessian = np.diag(2.0 * w)
-        curvature = constraint_set.lagrangian_hessian(input_x, p, lam)
-        if np.all(np.isfinite(curvature)):
-            hessian = hessian + curvature
+        curvature, ok = _evaluate(constraint_set.lagrangian_hessian, (dim, dim), xs, act, p[act], lam[act], failed=broken)
+        act, g, jac, svals, vt, grad_obj, curvature = (a[ok] for a in (act, g, jac, svals, vt, grad_obj, curvature))
+        curvature[~np.all(np.isfinite(curvature), axis=(1, 2))] = 0.0
+        hessian = np.diag(2.0 * w) + curvature
         # convexify: the Hessian must be comfortably positive definite on the
         # tangent space of the linearized constraints, or the step aims at a
         # saddle. The shift grows with the indefiniteness so saddle regions
@@ -252,149 +315,102 @@ def project(y, constraint_set, input_x=None, spec: ProjectionSpec = ProjectionSp
         # the system near singular, with huge steps and garbage multipliers),
         # while healthy curvature near a minimizer keeps the pure Newton tail.
         if m < dim:
-            _, svals, vt = np.linalg.svd(jac)
-            rank = int(np.sum(svals > 1e-12 * max(float(svals[0]), 1.0))) if svals.size else 0
-            tangent = vt[rank:].T
-            if tangent.shape[1] > 0:
-                thresh = 0.01 * (1.0 + float(np.abs(np.diag(hessian)).max()))
-                min_eig = float(np.linalg.eigvalsh(tangent.T @ hessian @ tangent).min())
-                if min_eig < thresh:
-                    hessian = hessian + (thresh - min_eig + max(0.0, -min_eig)) * np.eye(dim)
+            rank = np.sum(svals > 1e-12 * np.maximum(svals[:, :1], 1.0), axis=1)
+            for rk in np.unique(rank):
+                rows = np.flatnonzero(rank == rk)
+                tangent, h = vt[rows, rk:], hessian[rows]
+                thresh = 0.01 * (1.0 + np.abs(np.diagonal(h, axis1=1, axis2=2)).max(axis=1))
+                min_eig = np.linalg.eigvalsh(tangent @ h @ tangent.transpose(0, 2, 1))[:, 0]
+                shift = np.where(min_eig < thresh, thresh - min_eig + np.maximum(0.0, -min_eig), 0.0)
+                hessian[rows] = h + shift[:, None, None] * eye
 
-        # assemble and solve the saddle-point system for (dp, lam_new)
-        sol = None
-        sigma = 1.0
+        # assemble and solve the saddle-point systems for (dp, lam_new)
+        k = len(act)
+        sol = np.full((k, dim + m), np.nan)
+        solved = np.zeros(k, dtype=bool)
+        sigma = np.ones(k)
+        pending = np.arange(k)
         for _ in range(40):
-            kkt_matrix = np.zeros((dim + m, dim + m))
-            kkt_matrix[:dim, :dim] = hessian + delta * np.eye(dim)
-            kkt_matrix[:dim, dim:] = jac.T
-            kkt_matrix[dim:, :dim] = jac
-            kkt_matrix[dim:, dim:] = -delta * np.eye(m)
-            rhs = np.concatenate([-2.0 * w * (p - y), -sigma * g])
-            try:
-                candidate = np.linalg.solve(kkt_matrix, rhs)
-            except np.linalg.LinAlgError:
-                candidate = None
-            if candidate is not None and np.all(np.isfinite(candidate)):
-                step_len = float(np.abs(candidate[:dim]).max())
-                if step_len > _STEP_CAP and sigma == 1.0:
-                    # far from the linearized manifold (small constraint
-                    # gradient): ask only for a partial feasibility gain so
-                    # the step stays on the scale of the output space
-                    sigma = _STEP_CAP / step_len
-                    continue
-                sol = candidate
+            if not pending.size:
                 break
-            delta = max(delta * 10.0, 1e-10)
-            if delta > _MAX_DELTA:
-                break
-        if sol is None:
-            status = SINGULAR_SYSTEM
-            break
+            d_reg = delta[act[pending], None, None]
+            kkt_matrix = np.block(
+                [[hessian[pending] + d_reg * eye, jac[pending].transpose(0, 2, 1)], [jac[pending], -d_reg * np.eye(m)]]
+            )
+            rhs = np.concatenate([-grad_obj[pending], -sigma[pending, None] * g[pending]], axis=1)
+            candidate, singular = _solve(kkt_matrix, rhs)
+            usable = ~singular & np.all(np.isfinite(candidate), axis=1)
+            step_len = np.abs(candidate[:, :dim]).max(axis=1)
+            # far from the linearized manifold (small constraint gradient):
+            # ask only for a partial feasibility gain so the step stays on
+            # the scale of the output space
+            partial = usable & (step_len > _STEP_CAP) & (sigma[pending] == 1.0)
+            sigma[pending[partial]] = _STEP_CAP / step_len[partial]
+            done = usable & ~partial
+            sol[pending[done]] = candidate[done]
+            solved[pending[done]] = True
+            bump = act[pending[~usable]]
+            delta[bump] = np.maximum(delta[bump] * 10.0, 1e-10)
+            pending = pending[partial | (~usable & (delta[act[pending]] <= _MAX_DELTA))]
+        leave(act[~solved], SINGULAR_SYSTEM)
+        act, g, jac, grad_obj, dp = act[solved], g[solved], jac[solved], grad_obj[solved], sol[solved, :dim]
+        p_a, k = p[act], len(act)
 
-        dp = sol[:dim]
-        step_len = float(np.abs(dp).max())
-        if step_len > _STEP_CAP:
-            # stationarity component can exceed the cap too; clipping keeps
-            # the direction (and its descent sign) on the output scale
-            dp = dp * (_STEP_CAP / step_len)
-        if float(np.abs(dp).max()) <= 1e-14 * (1.0 + float(np.abs(p).max())):
-            # no usable primal direction at this regularization
-            delta = max(delta * 10.0, 1e-10)
-            if delta > _MAX_DELTA:
-                status = SINGULAR_SYSTEM
-                break
-            continue
-
+        # stationarity component can exceed the cap too; clipping keeps the
+        # direction (and its descent sign) on the output scale
+        dp, _ = _capped(dp)
         # exact-penalty weight: a finite mu above the multiplier norm makes
         # the l1 merit accept every step the true problem wants; the
         # least-squares multiplier is the trustworthy estimate here
-        mu = 2.0 * float(np.abs(lam).max()) + 0.1
-        obj_slope = float(2.0 * (w * (p - y)) @ dp)
-        jd = jac @ dp
-        feas_slope = float(np.where(g == 0.0, np.abs(jd), np.sign(g) * jd).sum())
-        descent = obj_slope + mu * feas_slope
+        mu = 2.0 * np.abs(lam[act]).max(axis=1) + 0.1
+        jd = _matvec(jac, dp)
+        descent = np.sum(grad_obj * dp, axis=1) + mu * np.where(g == 0.0, np.abs(jd), np.sign(g) * jd).sum(axis=1)
+        d0 = p_a - ys[act]
+        bar0 = np.sum(d0 * (w * d0), axis=1) + mu * np.abs(g).sum(axis=1)  # merit at p
+        alpha = np.zeros(k)  # 0 marks a step the line search did not accept
+        new_p = p_a + dp
 
-        alpha = None
-        corrected = None
-        if descent <= -1e-16:
-            phi0 = _merit(p, y, w, mu, constraint_set, input_x)
-            if _merit(p + dp, y, w, mu, constraint_set, input_x) <= phi0 + _ARMIJO_C1 * descent:
-                alpha = 1.0
-            else:
-                # second-order correction: cancel the constraint curvature
-                # picked up over the full step before giving up on it
-                corrected = _second_order_correction(p, dp, jac, constraint_set, input_x)
-                if corrected is not None and _merit(corrected, y, w, mu, constraint_set, input_x) <= phi0 + _ARMIJO_C1 * descent:
-                    alpha = 1.0
-                else:
-                    corrected = None
-                    trial = _BACKTRACK
-                    while trial >= _MIN_ALPHA:
-                        if _merit(p + trial * dp, y, w, mu, constraint_set, input_x) <= phi0 + _ARMIJO_C1 * trial * descent:
-                            alpha = trial
-                            break
-                        trial *= _BACKTRACK
-        if alpha is None:
-            # merit test inconclusive (rounding scale); accept a plain Newton
-            # step whenever it reduces the KKT residual itself
-            kkt_trial = _kkt_norm(p + dp, sol[dim:], y, w, constraint_set, input_x)
-            if kkt_trial < kkt:
-                p = p + dp
-                delta *= 0.1
-                if delta < 1e-14:
-                    delta = 0.0
-                continue
-            delta = max(delta * 10.0, 1e-10)
-            if delta > _MAX_DELTA:
-                status = SINGULAR_SYSTEM
-                break
-            continue
+        # a step too small to matter means no usable primal direction at
+        # this regularization: it goes straight to the delta bump below
+        idle = np.abs(dp).max(axis=1) <= 1e-14 * (1.0 + np.abs(p_a).max(axis=1))
+        trying = np.flatnonzero(~idle & (descent <= -1e-16))
+        phi_full, g_full = merit(act[trying], new_p[trying], mu[trying])
+        ok = phi_full <= bar0[trying] + _ARMIJO_C1 * descent[trying]
+        alpha[trying[ok]] = 1.0
+        # second-order correction: cancel the constraint curvature picked up
+        # over the full step before giving up on it
+        soc = np.flatnonzero(~ok & np.all(np.isfinite(g_full), axis=1))
+        j_soc = jac[trying[soc]]
+        correction, singular = _solve(j_soc @ j_soc.transpose(0, 2, 1), g_full[soc])
+        dq = -_matvec(j_soc.transpose(0, 2, 1), correction)
+        valid = ~singular & np.all(np.isfinite(dq), axis=1)
+        soc = trying[soc[valid]]
+        corrected = new_p[soc] + dq[valid]
+        phi_soc, _ = merit(act[soc], corrected, mu[soc])
+        ok_soc = phi_soc <= bar0[soc] + _ARMIJO_C1 * descent[soc]
+        alpha[soc[ok_soc]], new_p[soc[ok_soc]] = 1.0, corrected[ok_soc]
+        trial = np.full(k, _BACKTRACK)
+        pending = trying[alpha[trying] == 0.0]
+        while pending.size:
+            step = p_a[pending] + trial[pending, None] * dp[pending]
+            phi, _ = merit(act[pending], step, mu[pending])
+            accept = phi <= bar0[pending] + _ARMIJO_C1 * trial[pending] * descent[pending]
+            alpha[pending[accept]], new_p[pending[accept]] = trial[pending[accept]], step[accept]
+            trial[pending[~accept]] *= _BACKTRACK
+            pending = pending[~accept & (trial[pending] >= _MIN_ALPHA)]
 
-        p = corrected if corrected is not None else p + alpha * dp
-        if alpha >= 0.5:
-            delta *= 0.1
-            if delta < 1e-14:
-                delta = 0.0
+        moved = alpha > 0.0
+        p[act[moved]] = new_p[moved]
+        shrink = act[alpha >= 0.5]
+        delta[shrink] *= 0.1
+        delta[shrink[delta[shrink] < 1e-14]] = 0.0
+        bump = act[~moved]
+        delta[bump] = np.maximum(delta[bump] * 10.0, 1e-10)
+        leave(bump[delta[bump] > _MAX_DELTA], SINGULAR_SYSTEM)
+        act = act[moved | (delta[act] <= _MAX_DELTA)]
+        it += 1
 
-    if status == CONVERGED:
-        projected, multipliers, kkt_norm = p, lam, kkt
-    else:
-        kkt_norm, projected, multipliers = best
-    return ProjectionResult(
-        projected=projected,
-        multipliers=multipliers,
-        iterations=iterations + restore_steps,
-        kkt_norm=float(kkt_norm),
-        status=status,
-        seconds=time.perf_counter() - start,
-    )
-
-
-def project_batch(ys, constraint_set, inputs_x=None, spec: ProjectionSpec = ProjectionSpec()) -> list[ProjectionResult]:
-    """Independent projections in input order; failures never abort the batch."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    n = ys.shape[0]
-    if inputs_x is None:
-        xs = [None] * n
-    else:
-        xs = np.atleast_2d(np.asarray(inputs_x, dtype=np.float64))
-        if len(xs) != n:
-            raise ValidationError("inputs_x length does not match ys")
-    results = []
-    for y, x in zip(ys, xs):
-        tick = time.perf_counter()
-        try:
-            results.append(project(y, constraint_set, x, spec))
-        except PhysprojError:
-            results.append(
-                ProjectionResult(
-                    projected=np.array(y, dtype=np.float64),
-                    multipliers=np.zeros(constraint_set.residual_dim),
-                    iterations=0,
-                    kkt_norm=np.inf,
-                    status=SINGULAR_SYSTEM,
-                    seconds=time.perf_counter() - tick,
-                )
-            )
-    return results
+    # a point whose own constraint calls raised comes back unchanged
+    best_p[broken], best_lam[broken], best_kkt[broken] = ys[broken], 0.0, np.inf
+    iterations[broken], status[broken] = 0, SINGULAR_SYSTEM
+    return best_p, best_lam, iterations.tolist(), best_kkt.tolist(), status

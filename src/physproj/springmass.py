@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from physproj.errors import ProjectionError, ValidationError
+from physproj.projector import CONVERGED
 
 STATE_NAMES = ("x1", "v1", "x2", "v2")
 
@@ -39,24 +40,6 @@ class SpringParams:
 
     def equilibrium(self) -> np.ndarray:
         return np.array([self.L1, 0.0, self.L1 + self.L2, 0.0])
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Named view of one state, convenient for configs and tests."""
-
-    x1: float
-    v1: float
-    x2: float
-    v2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.v1, self.x2, self.v2], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "StateVector":
-        x1, v1, x2, v2 = np.asarray(a, dtype=np.float64)
-        return cls(float(x1), float(v1), float(x2), float(v2))
 
 
 def rhs(state: np.ndarray, params: SpringParams) -> np.ndarray:
@@ -178,10 +161,18 @@ def generate_dataset(
 
 @dataclass
 class RolloutResult:
-    states: np.ndarray  # (n_steps + 1, 4) physical units, row 0 = initial
-    energies: np.ndarray  # (n_steps + 1,) in J
-    projection_iterations: np.ndarray | None = None  # per step, when a projector ran
+    """Predicted trajectories; a batch of n has a trailing trajectory axis.
+
+    Per trajectory, ``failed_step`` is the step of its first failed
+    projection (0 if none) and ``failed_status`` that projection's status;
+    the states after it are NaN.
+    """
+
+    states: np.ndarray  # (n_steps + 1, 4) or (n_steps + 1, n, 4), physical units, row 0 = initial
+    energies: np.ndarray  # (n_steps + 1,) or (n_steps + 1, n), in J
     seconds: float = 0.0
+    failed_step: np.ndarray | None = None
+    failed_status: np.ndarray | None = None
 
 
 def rollout(
@@ -194,40 +185,51 @@ def rollout(
 ) -> RolloutResult:
     """Autoregressive trajectory prediction with optional output projection.
 
-    ``model_fn`` maps a normalized state (4,) to the normalized next state.
-    When ``projector`` is given it is called as ``projector(y_norm)`` and must
-    return a ProjectionResult; its output (still normalized) replaces the raw
-    prediction before de-normalizing and feeding back. The projection anchor
-    is the trajectory's initial energy, so callers should construct the
-    projector closure around energy(initial_state).
+    A single state (4,) is rolled out alone: ``model_fn`` maps a normalized
+    state (4,) to the normalized next state, ``projector(y_norm)`` returns a
+    ProjectionResult, and a failed projection raises ProjectionError. A
+    batch (n, 4) is rolled out in lockstep: each step makes one
+    ``model_fn`` call on the (k, 4) states still running, and
+    ``projector(ys_norm, active)`` gets their predictions with their indices
+    into the batch and returns k ProjectionResults. A trajectory leaves the
+    batch at its first failed projection, which is recorded in the result.
+
+    The projection output (still normalized) replaces the raw prediction
+    before de-normalizing and feeding back; its anchor should be each
+    trajectory's initial energy.
     """
     from physproj.constraints.transform import denormalize, normalize  # local to avoid cycle
 
     start = time.perf_counter()
     state = np.asarray(initial_state, dtype=np.float64)
-    states = [state]
-    iters = [] if projector is not None else None
+    single = state.ndim == 1
+    states = np.full((n_steps + 1, *np.atleast_2d(state).shape), np.nan)
+    states[0] = state
+    failed_step = np.zeros(len(states[0]), dtype=int)
+    failed_status = np.full(len(states[0]), "", dtype=object)
+    active = np.arange(len(states[0]))
     for step in range(1, n_steps + 1):
-        y = np.asarray(model_fn(normalize(state, transform)), dtype=np.float64)
+        if not active.size:
+            break
+        z = normalize(states[step - 1, active], transform)
+        y = np.atleast_2d(np.asarray(model_fn(z[0] if single else z), dtype=np.float64))
         if projector is not None:
-            result = projector(y)
-            if result.status != "converged":
+            results = [projector(y[0])] if single else projector(y, active)
+            ok = np.array([r.status == CONVERGED for r in results])
+            if single and not ok[0]:
                 raise ProjectionError(
-                    f"projection failed at rollout step {step} with status '{result.status}'",
+                    f"projection failed at rollout step {step} with status '{results[0].status}'",
                     step=step,
-                    status=result.status,
+                    status=results[0].status,
                 )
-            iters.append(result.iterations)
-            y = result.projected
-        state = denormalize(y, transform)
-        states.append(state)
-    traj = np.array(states)
-    return RolloutResult(
-        states=traj,
-        energies=np.asarray(energy(traj, params)),
-        projection_iterations=None if iters is None else np.array(iters),
-        seconds=time.perf_counter() - start,
-    )
+            failed_step[active[~ok]] = step
+            failed_status[active[~ok]] = [results[i].status for i in np.flatnonzero(~ok)]
+            y = np.stack([r.projected for r in results])[ok]
+            active = active[ok]
+        states[step, active] = denormalize(y, transform)
+    if single:
+        states = states[:, 0]
+    return RolloutResult(states, np.asarray(energy(states, params)), time.perf_counter() - start, failed_step, failed_status)
 
 
 def true_trajectory(

@@ -10,7 +10,7 @@ from physproj.constraints import (
     LtpConstraints,
     LtpSchema,
     TransformSpec,
-    constraint_jacobian,
+    denormalize,
     fit_transform,
     generate_synthetic_ltp,
     load_ltp_csv,
@@ -237,13 +237,6 @@ def test_law_subsets_for_ablation():
         LtpConstraints(SCHEMA, spec, laws=(0, 0))
 
 
-def test_constraint_jacobian_helper():
-    x, y, spec = ltp_specs()
-    cs = LtpConstraints(SCHEMA, spec)
-    z = normalize(y[0], spec)
-    assert np.array_equal(constraint_jacobian(cs, x[0], z), cs.jacobian(x[0], z))
-
-
 def test_pressure_sum_electron_flag():
     x, y, spec = ltp_specs()
     with_e = LtpConstraints(SCHEMA, spec, include_electrons_in_pressure=True)
@@ -342,3 +335,62 @@ def test_ltp_csv_missing_column_raises(tmp_path):
     path.write_text("P,I\n1.0,2.0\n")
     with pytest.raises(ValidationError):
         load_ltp_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# batched Lagrangian Hessians
+
+
+def _assert_rows_match_single(cs, xs, zs, lams):
+    batch = cs.lagrangian_hessian(xs, zs, lams)
+    assert batch.shape == (len(zs), zs.shape[1], zs.shape[1])
+    for i in range(len(zs)):
+        single = cs.lagrangian_hessian(None if xs is None else xs[i], zs[i], lams[i])
+        assert single.shape == batch.shape[1:]
+        assert np.array_equal(single, batch[i])
+
+
+def test_batched_energy_hessian_matches_single_points():
+    spec = spring_spec()
+    rng = np.random.default_rng(11)
+    zs = rng.uniform(-1.1, 1.1, (8, 4))
+    lams = rng.normal(size=(8, 1))
+    _assert_rows_match_single(EnergyConstraint(PARAMS, 2.0, spec), None, zs, lams)
+    anchors = rng.uniform(0.1, 4.0, (8, 1))  # per-point anchors through x
+    _assert_rows_match_single(EnergyConstraint(PARAMS, None, spec), anchors, zs, lams)
+    for i in range(8):
+        fixed = EnergyConstraint(PARAMS, anchors[i, 0], spec)
+        assert np.array_equal(fixed.lagrangian_hessian(None, zs[i], lams[i]), EnergyConstraint(PARAMS, None, spec).lagrangian_hessian(anchors[i], zs[i], lams[i]))
+
+
+def test_batched_ltp_hessian_matches_single_points_including_clamped_scale():
+    from physproj.constraints.sets import NE_SCALE_FLOOR
+
+    x, y, spec = ltp_specs()
+    rng = np.random.default_rng(12)
+    phys = denormalize(normalize(y[:10], spec) + rng.normal(0.0, 0.02, (10, 17)), spec)
+    phys[6:8, SCHEMA.idx("ne")] = 0.5 * NE_SCALE_FLOOR  # the ne <= NE_SCALE_FLOOR branch
+    phys[8:, SCHEMA.idx("ne")] = -1e14
+    zs = normalize(phys, spec)
+    for laws in ((0, 1, 2), (1, 2)):
+        lams = rng.normal(size=(10, len(laws)))
+        _assert_rows_match_single(LtpConstraints(SCHEMA, spec, laws=laws), x[:10], zs, lams)
+
+
+def test_batched_fd_default_hessian_matches_single_points():
+    x, y, spec = ltp_specs()
+    cs = LtpConstraints(SCHEMA, spec)
+    rng = np.random.default_rng(13)
+    zs = normalize(y[:5], spec) + rng.normal(0.0, 0.05, (5, 17))
+    lams = rng.normal(size=(5, 3))
+    batch = super(LtpConstraints, cs).lagrangian_hessian(x[:5], zs, lams)
+    for i in range(5):
+        assert np.array_equal(super(LtpConstraints, cs).lagrangian_hessian(x[i], zs[i], lams[i]), batch[i])
+
+
+def test_energy_constraint_without_anchor_needs_per_point_anchors():
+    cs = EnergyConstraint(PARAMS, None, spring_spec())
+    with pytest.raises(ValidationError):
+        cs.residual(None, np.zeros(4))
+    with pytest.raises(ValidationError):
+        cs.residual(np.array([[-1.0]]), np.zeros((1, 4)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from physproj import springmass as sm
-from physproj.constraints import ConstraintSet, EnergyConstraint, fit_transform, normalize
+from physproj.constraints import ConstraintSet, EnergyConstraint, denormalize, fit_transform, normalize
 from physproj.errors import ValidationError
 from physproj.projector import (
     CONVERGED,
@@ -226,3 +226,76 @@ def test_converged_kkt_norm_below_tolerance():
             assert result.kkt_norm <= tol
             stat, feas = kkt_residual(result.projected, result.multipliers, y, cs, None, pspec)
             assert stat <= tol and feas <= tol
+
+
+def _assert_same_result(a, b):
+    assert a.status == b.status and a.iterations == b.iterations
+    assert np.array_equal(a.projected, b.projected)
+    assert np.array_equal(a.multipliers, b.multipliers)
+    assert a.kkt_norm == b.kkt_norm
+
+
+def test_project_equals_batch_row_bit_for_bit_on_energy_shell():
+    cs, _ = energy_constraint()
+    rng = np.random.default_rng(5)
+    ys = np.concatenate([rng.uniform(-1.2, 1.2, (30, 4)), rng.uniform(-4.0, 4.0, (10, 4))])
+    pspec = ProjectionSpec(tolerance=1e-8)
+    batch = project_batch(ys, cs, None, pspec)
+    for y, result in zip(ys, batch):
+        _assert_same_result(project(y, cs, None, pspec), result)
+
+
+def test_project_equals_batch_row_bit_for_bit_on_ltp_laws():
+    from physproj.constraints import OUTPUT_NAMES, LtpConstraints, LtpSchema, generate_synthetic_ltp
+    from physproj.constraints.sets import NE_SCALE_FLOOR
+
+    x, y = generate_synthetic_ltp(400, 0)
+    spec = fit_transform(y, OUTPUT_NAMES, skew_threshold=2.0)
+    rng = np.random.default_rng(6)
+    phys = denormalize(normalize(y[:24], spec) + rng.normal(0.0, 0.05, (24, 17)), spec)
+    phys[16:20, LtpSchema().idx("ne")] = 0.5 * NE_SCALE_FLOOR  # clamped quasi-neutrality scale
+    phys[20:, LtpSchema().idx("ne")] = -1e14
+    ys = normalize(phys, spec)
+    ys[:4] += rng.normal(0.0, 0.5, (4, 17))  # far-off starts that need restoration
+    pspec = ProjectionSpec(tolerance=1e-8)
+    for laws in ((0, 1, 2), (2,)):
+        cs = LtpConstraints(LtpSchema(), spec, laws=laws)
+        batch = project_batch(ys, cs, x[:24], pspec)
+        for i, result in enumerate(batch):
+            _assert_same_result(project(ys[i], cs, x[i], pspec), result)
+
+
+def test_batch_isolates_points_whose_constraint_raises_mid_solve():
+    class FragileCircle(Circle):
+        """Refuses points beyond x = 1.5; counts the batch sizes it refused."""
+
+        refused = []
+
+        def _residual(self, x, p):
+            if np.any(p[:, 0] > 1.5):
+                self.refused.append(len(p))
+                raise ValidationError("synthetic failure")
+            return super()._residual(x, p)
+
+    # the start near the centre takes a capped restoration step to x = 2.05,
+    # which raises inside a batch of three; the last start raises at once
+    ys = np.array([[0.3, 0.4], [0.05, 0.0], [0.0, 2.0], [1.6, 0.0]])
+    pspec = ProjectionSpec(tolerance=1e-10)
+    batch = project_batch(ys, FragileCircle(), None, pspec)
+    assert 3 in FragileCircle.refused
+    for y, result in zip(ys, batch):
+        _assert_same_result(project(y, FragileCircle(), None, pspec), result)
+    assert [r.status for r in batch] == [CONVERGED] * 3 + [SINGULAR_SYSTEM]
+    assert np.allclose(batch[1].projected, [1.0, 0.0], atol=1e-8)
+    assert np.array_equal(batch[3].projected, ys[3])
+
+
+def test_energy_anchors_per_point_match_one_constraint_per_point():
+    _, spec = energy_constraint()
+    rng = np.random.default_rng(7)
+    ys = rng.uniform(-1.0, 1.0, (12, 4))
+    anchors = rng.uniform(0.2, 4.5, 12)
+    pspec = ProjectionSpec(tolerance=1e-8)
+    batch = project_batch(ys, EnergyConstraint(PARAMS, None, spec), anchors[:, None], pspec)
+    for y, anchor, result in zip(ys, anchors, batch):
+        _assert_same_result(project(y, EnergyConstraint(PARAMS, anchor, spec), None, pspec), result)

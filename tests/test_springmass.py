@@ -197,3 +197,48 @@ def test_rollout_surfaces_projection_failure_step():
         sm.rollout(lambda z: z, PAPER_IC, 5, spec, projector=failing_projector, params=PARAMS)
     assert err.value.step == 1
     assert err.value.status == "max_iterations"
+
+
+def test_lockstep_rollout_equals_single_state_rollouts_including_a_failure():
+    from physproj.constraints import EnergyConstraint, denormalize
+    from physproj.errors import ValidationError
+    from physproj.projector import project, project_batch, ProjectionSpec
+
+    spec = _state_spec()
+    rng = np.random.default_rng(5)
+    states = sm.sample_states(PARAMS, 4.0, 6, rng)
+    anchors = sm.energy(states, PARAMS)
+
+    def drifting(z):  # exact dynamics, then a 2% error that leaves the energy shell
+        return normalize(1.02 * sm.integrate(denormalize(z, spec), PARAMS, 0.05, 10), spec)
+
+    # a wall in x1 between the two trajectories that reach farthest, so one run trips it mid-way
+    reach = np.sort(sm.true_trajectory(states, PARAMS, 12, 0.05, 10)[:, :, 0].max(axis=0))
+    wall = normalize(np.array([0.5 * (reach[-1] + reach[-2]), 0.0, 0.0, 0.0]), spec)[0]
+
+    class Walled(EnergyConstraint):
+        def _residual(self, x, p):
+            if np.any(p[:, 0] > wall):
+                raise ValidationError("beyond the wall")
+            return super()._residual(x, p)
+
+    constraint = Walled(PARAMS, None, spec)
+    pspec = ProjectionSpec(tolerance=1e-8)
+    batch = sm.rollout(
+        drifting, states, 12, spec, projector=lambda ys, active: project_batch(ys, constraint, anchors[active, None], pspec), params=PARAMS
+    )
+    assert batch.states.shape == (13, 6, 4) and batch.energies.shape == (13, 6)
+    for t in range(6):
+        projector = lambda y, t=t: project(y, constraint, [anchors[t]], pspec)
+        try:
+            single = sm.rollout(drifting, states[t], 12, spec, projector=projector, params=PARAMS)
+        except ProjectionError as exc:
+            assert (batch.failed_step[t], batch.failed_status[t]) == (exc.step, exc.status)
+            assert np.all(np.isnan(batch.states[exc.step :, t]))
+            continue
+        assert batch.failed_step[t] == 0
+        assert np.array_equal(batch.states[:, t], single.states)
+        assert np.array_equal(batch.energies[:, t], single.energies)
+    failed = np.flatnonzero(batch.failed_step)
+    assert len(failed) == 1 and batch.failed_step[failed[0]] > 1
+    assert batch.failed_status[failed[0]] == "singular_system"
