@@ -16,94 +16,57 @@ import numpy as np
 
 from physproj import springmass
 from physproj.constraints import (
-    INPUT_NAMES,
     OUTPUT_NAMES,
     EnergyConstraint,
     LtpConstraints,
     LtpSchema,
-    fit_transform,
-    generate_synthetic_ltp,
+    TransformSpec,
     normalize,
     write_ltp_csv,
 )
 from physproj.errors import PhysprojError, ProjectionError, TrainingDivergedError, ValidationError
-from physproj.nn import (
-    LtpResidualTerm,
-    SpringEnergyTerm,
-    forward,
-    load_network,
-    save_network,
-    train,
-    xavier_init,
-)
+from physproj.nn import forward, load_network, save_network
 from physproj.pipeline.config import EXPERIMENT_KINDS, load_config
-from physproj.pipeline.csvio import (
-    load_spring_dataset_csv,
-    write_csv,
-    write_manifest,
-    write_spring_dataset_csv,
-    write_trajectory_csv,
+from physproj.pipeline.csvio import write_csv, write_manifest, write_spring_dataset_csv, write_trajectory_csv
+from physproj.pipeline.experiments import (
+    load_ltp_data,
+    load_spring_data,
+    prepare_ltp,
+    prepare_spring,
+    run_experiment,
+    train_ltp_net,
+    train_spring_net,
 )
-from physproj.pipeline.experiments import load_ltp_data, ltp_train_config, run_experiment, spring_train_config
-from physproj.pipeline.metrics import split_dataset
 from physproj.projector import ProjectionSpec, project, project_batch
 from physproj.springmass import STATE_NAMES, SpringParams
 
 
-def _spring_data(cfg):
-    if cfg.spring_dataset_csv is not None:
-        return load_spring_dataset_csv(cfg.spring_dataset_csv)
-    params = SpringParams()
-    return springmass.generate_dataset(
-        params, cfg.spring_e_max, cfg.spring_n_samples, cfg.spring_delta_t, cfg.spring_n_substeps, cfg.seed
-    )
-
-
 def cmd_gen_data(args, cfg) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     write_manifest(cfg.out_dir, cfg.items())
     if args.system == "spring":
-        inputs, targets = _spring_data(cfg)
+        (inputs, targets), _ = load_spring_data(cfg)
         write_spring_dataset_csv(os.path.join(cfg.out_dir, "spring_dataset.csv"), inputs, targets)
     else:
-        inputs, outputs = generate_synthetic_ltp(cfg.ltp_n_samples, cfg.seed)
+        (inputs, outputs), _ = load_ltp_data(cfg)
         write_ltp_csv(os.path.join(cfg.out_dir, "ltp_dataset.csv"), inputs, outputs)
     return 0
 
 
 def cmd_train(args, cfg) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    if args.system == "ltp" and cfg.ltp_n_members > 1:
+        raise ValidationError(
+            f"a model file holds one network; 'train ltp' needs ltp_n_members=1, got {cfg.ltp_n_members}"
+        )
     write_manifest(cfg.out_dir, cfg.items())
     if args.system == "spring":
-        data = _spring_data(cfg)
-        train_set, val_set, _ = split_dataset(data, cfg.split_fractions, cfg.seed + 1)
-        spec = fit_transform(train_set[0], STATE_NAMES, skew_threshold=np.inf)
-        dims = (4, *cfg.spring_hidden, 4)
-        lam = cfg.spring_lambda if args.physics else 0.0
-        tcfg = spring_train_config(cfg, lam)
-        physics = SpringEnergyTerm(SpringParams(), spec, weight=lam) if args.physics else None
-        in_spec = spec
+        ctx = prepare_spring(cfg)
+        net, history = train_spring_net(ctx, cfg, args.physics)
     else:
-        data = load_ltp_data(cfg, cfg.ltp_n_samples, cfg.seed)[0]
-        train_set, val_set, _ = split_dataset(data, cfg.split_fractions, cfg.seed + 1)
-        in_spec = fit_transform(train_set[0], INPUT_NAMES, skew_threshold=np.inf)
-        spec = fit_transform(train_set[1], OUTPUT_NAMES, skew_threshold=cfg.ltp_skew_threshold)
-        dims = (3, *cfg.ltp_hidden, 17)
-        lam = cfg.ltp_lambda if args.physics else 0.0
-        split = (lam / 3.0,) * 3 if args.physics else None
-        tcfg = ltp_train_config(cfg, cfg.seed + 2, lam, split)
-        physics = LtpResidualTerm(LtpConstraints(LtpSchema(), spec), in_spec, split) if args.physics else None
-
-    def norm_pair(pair):
-        return (normalize(pair[0], in_spec), normalize(pair[1], spec))
-
-    net, history = train(
-        xavier_init(dims, seed=cfg.seed + 2), norm_pair(train_set), norm_pair(val_set), tcfg, physics=physics
-    )
-    save_network(os.path.join(cfg.out_dir, "model.txt"), net, transform=spec)
-    if args.system == "ltp":
+        ctx = prepare_ltp(cfg)
+        net, history = train_ltp_net(ctx, cfg, cfg.seed + 2, args.physics)
         with open(os.path.join(cfg.out_dir, "input_transform.json"), "w", encoding="utf-8") as fh:
-            fh.write(in_spec.to_json() + "\n")
+            fh.write(ctx.in_spec.to_json() + "\n")
+    save_network(os.path.join(cfg.out_dir, "model.txt"), net, transform=ctx.out_spec)
     write_csv(
         os.path.join(cfg.out_dir, "history.csv"),
         ["epoch", "train_loss", "val_loss", "data_loss", "physics_loss", "learning_rate", "epoch_seconds"],
@@ -116,15 +79,13 @@ def cmd_train(args, cfg) -> int:
 
 
 def cmd_project(args, cfg) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     write_manifest(cfg.out_dir, cfg.items())
     net, out_spec = load_network(args.model)
     if out_spec is None:
         raise ValidationError(f"model file {args.model} carries no transform spec")
+    # the test split is the experiments'; the transforms are the ones saved with the model
     if args.system == "spring":
-        data = _spring_data(cfg)
-        _, _, test_set = split_dataset(data, cfg.split_fractions, cfg.seed + 1)
-        x_test, _ = test_set
+        x_test = prepare_spring(cfg).splits["test"][0]
         preds = forward(net, normalize(x_test, out_spec))
         params = SpringParams()
         # one constraint for the whole split, anchored per point at its input energy
@@ -133,13 +94,13 @@ def cmd_project(args, cfg) -> int:
         tol = cfg.spring_projection_tol
         names = STATE_NAMES
     else:
-        with open(os.path.join(os.path.dirname(os.path.abspath(args.model)), "input_transform.json"), encoding="utf-8") as fh:
-            from physproj.constraints import TransformSpec
-
-            in_spec = TransformSpec.from_json(fh.read())
-        data = load_ltp_data(cfg, cfg.ltp_n_samples, cfg.seed)[0]
-        _, _, test_set = split_dataset(data, cfg.split_fractions, cfg.seed + 1)
-        inputs, _ = test_set
+        path = os.path.join(os.path.dirname(os.path.abspath(args.model)), "input_transform.json")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                in_spec = TransformSpec.from_json(fh.read())
+        except (OSError, KeyError, ValueError) as exc:
+            raise ValidationError(f"cannot read the input transform saved with the model, {path}: {exc}") from exc
+        inputs = prepare_ltp(cfg).splits["test"][0]
         preds = forward(net, normalize(inputs, in_spec))
         constraint = LtpConstraints(LtpSchema(), out_spec)
         tol = cfg.ltp_projection_tol
@@ -158,7 +119,6 @@ def cmd_project(args, cfg) -> int:
 
 
 def cmd_rollout(args, cfg) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     write_manifest(cfg.out_dir, cfg.items())
     net, spec = load_network(args.model)
     if spec is None:

@@ -178,7 +178,10 @@ def load_ltp_csv(path, column_map: dict | None = None) -> tuple[np.ndarray, np.n
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"malformed dataset csv {path}: {exc}") from exc
     columns = {name: i for i, name in enumerate(header)}
     column_map = column_map or {}
 

@@ -5,9 +5,6 @@ from physproj.nn.losses import (
     SpringEnergyTerm,
     mse,
     mse_gradient,
-    physics_loss_ltp,
-    physics_loss_springmass,
-    total_loss,
 )
 from physproj.nn.network import (
     MAGIC_HEADER,
@@ -54,12 +51,9 @@ __all__ = [
     "load_network",
     "mse",
     "mse_gradient",
-    "physics_loss_ltp",
-    "physics_loss_springmass",
     "plateau_lr",
     "pq_alpha_should_stop",
     "save_network",
-    "total_loss",
     "train",
     "xavier_init",
 ]

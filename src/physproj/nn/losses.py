@@ -1,10 +1,10 @@
-"""Loss functions: data MSE, physics penalties, and their combination.
+"""Loss functions: data MSE and the physics penalties.
 
-The free functions mirror the formulas used for reporting; the *Term classes
-additionally provide gradients with respect to the normalized network output
-so the training loop can backpropagate through the physics penalty. A term's
-``loss_and_output_grad`` returns the already-weighted contribution, and the
-trainer forms  total = (1 - lambda_physics) * data_mse + physics_term.
+The *Term classes return a physics penalty together with its gradient with
+respect to the normalized network output, so the training loop can
+backpropagate through it. A term's ``loss_and_output_grad`` returns the
+already-weighted contribution, and the trainer forms
+total = (1 - lambda_physics) * data_mse + physics_term.
 """
 
 from __future__ import annotations
@@ -29,48 +29,6 @@ def mse_gradient(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     if p.shape != t.shape:
         raise ValidationError(f"shape mismatch in mse_gradient: {p.shape} vs {t.shape}")
     return 2.0 * (p - t) / p.size
-
-
-def total_loss(data_loss: float, physics_loss: float, lambda_physics: float) -> float:
-    """Convex combination (1 - lambda) * data + lambda * physics."""
-    if not 0.0 <= lambda_physics <= 1.0:
-        raise ValidationError("lambda_physics must lie in [0, 1]")
-    return (1.0 - lambda_physics) * data_loss + lambda_physics * physics_loss
-
-
-def physics_loss_springmass(input_batch: np.ndarray, output_batch: np.ndarray, energy_fn) -> float:
-    """MSE between energies of the predicted and the input states (J^2).
-
-    Batches are in normalized space; ``energy_fn`` maps a normalized batch to
-    per-sample energies in physical units.
-    """
-    e_in = np.asarray(energy_fn(input_batch), dtype=np.float64)
-    e_out = np.asarray(energy_fn(output_batch), dtype=np.float64)
-    return float(np.mean((e_out - e_in) ** 2))
-
-
-def physics_loss_ltp(
-    input_batch: np.ndarray,
-    output_batch: np.ndarray,
-    constraint_set,
-    lambdas: tuple[float, float, float],
-    input_transform=None,
-) -> float:
-    """Weighted sum of per-law scaled-residual MSEs.
-
-    Residuals come from ``constraint_set`` evaluated on de-normalized
-    outputs; each law's MSE is weighted by its lambda and summed. Inputs are
-    physical (P, I, R) rows unless ``input_transform`` is given to
-    de-normalize them first.
-    """
-    x = np.atleast_2d(np.asarray(input_batch, dtype=np.float64))
-    if input_transform is not None:
-        from physproj.constraints.transform import denormalize
-
-        x = denormalize(x, input_transform)
-    residuals = constraint_set.residual(x, np.atleast_2d(output_batch))
-    per_law_mse = np.mean(residuals**2, axis=0)
-    return float(np.dot(np.asarray(lambdas, dtype=np.float64), per_law_mse))
 
 
 class SpringEnergyTerm:

@@ -185,32 +185,37 @@ def save_network(path, net: Network, transform=None) -> None:
 
 
 def load_network(path):
-    """Inverse of :func:`save_network`; returns (Network, TransformSpec or None)."""
+    """Inverse of :func:`save_network`; returns (Network, TransformSpec or None).
+
+    A missing, unreadable, truncated or unparsable file raises ValidationError.
+    """
     from physproj.constraints.transform import TransformSpec
 
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read model file {path}: {exc}") from exc
     if not lines or lines[0] != MAGIC_HEADER:
         raise ValidationError(f"{path} is not a {MAGIC_HEADER} file")
-    dims = tuple(int(d) for d in lines[1].split(" ", 1)[1].split(","))
-    _, kind, slope = lines[2].split(" ")
-    transform_payload = lines[3].split(" ", 1)[1]
-    transform = None if transform_payload == "none" else TransformSpec.from_json(transform_payload)
-    weights = []
-    biases = []
-    row = 4
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        wvals = np.array([float(v) for v in lines[row].split(" ")[1:]])
-        bvals = np.array([float(v) for v in lines[row + 1].split(" ")[1:]])
-        if wvals.size != fan_in * fan_out or bvals.size != fan_out:
-            raise ValidationError(f"layer size mismatch at line {row} of {path}")
-        weights.append(wvals.reshape(fan_out, fan_in))
-        biases.append(bvals)
-        row += 2
-    net = Network(
-        layer_dims=dims,
-        weights=weights,
-        biases=biases,
-        activation=Activation(kind=kind, slope=float(slope)),
-    )
+    try:
+        dims = tuple(int(d) for d in lines[1].split(" ", 1)[1].split(","))
+        _, kind, slope = lines[2].split(" ")
+        transform_payload = lines[3].split(" ", 1)[1]
+        transform = None if transform_payload == "none" else TransformSpec.from_json(transform_payload)
+        weights = []
+        biases = []
+        row = 4
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            wvals = np.array([float(v) for v in lines[row].split(" ")[1:]])
+            bvals = np.array([float(v) for v in lines[row + 1].split(" ")[1:]])
+            if wvals.size != fan_in * fan_out or bvals.size != fan_out:
+                raise ValidationError(f"layer size mismatch at line {row} of {path}")
+            weights.append(wvals.reshape(fan_out, fan_in))
+            biases.append(bvals)
+            row += 2
+        activation = Activation(kind=kind, slope=float(slope))
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from exc
+    net = Network(layer_dims=dims, weights=weights, biases=biases, activation=activation)
     return net, transform

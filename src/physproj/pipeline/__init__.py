@@ -1,16 +1,7 @@
 """Experiment orchestration: configs, metrics, runners, CSV artifacts."""
 
 from physproj.pipeline.config import EXPERIMENT_KINDS, ExperimentConfig, load_config
-from physproj.pipeline.experiments import (
-    MetricsReport,
-    run_ablation_arch,
-    run_experiment,
-    run_ltp_compare,
-    run_small_samples,
-    run_spring_many,
-    run_spring_single,
-    run_timing,
-)
+from physproj.pipeline.experiments import MetricsReport, run_experiment
 from physproj.pipeline.metrics import improvement_rates, rmse, rmse_variation_rate, split_dataset
 
 __all__ = [
@@ -21,12 +12,6 @@ __all__ = [
     "load_config",
     "rmse",
     "rmse_variation_rate",
-    "run_ablation_arch",
     "run_experiment",
-    "run_ltp_compare",
-    "run_small_samples",
-    "run_spring_many",
-    "run_spring_single",
-    "run_timing",
     "split_dataset",
 ]

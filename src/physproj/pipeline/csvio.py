@@ -12,6 +12,8 @@ import os
 
 import numpy as np
 
+from physproj.errors import ValidationError
+
 
 def fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
@@ -48,7 +50,12 @@ def write_spring_dataset_csv(path, inputs: np.ndarray, targets: np.ndarray) -> N
 
 
 def load_spring_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"malformed dataset csv {path}: {exc}") from exc
+    if data.shape[1] != 8:
+        raise ValidationError(f"dataset csv {path} has {data.shape[1]} columns, expected 8")
     return data[:, :4], data[:, 4:]
 
 

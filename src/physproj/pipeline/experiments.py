@@ -1,10 +1,13 @@
-"""The six experiments: model comparisons, sweeps, and timing.
+"""The six experiments, and the builders every physproj command trains through.
 
-Each run_* function takes a validated ExperimentConfig, writes CSV artifacts
-plus a manifest.txt into config.out_dir, and returns a MetricsReport. All
-randomness flows from config.seed through fixed offsets (dataset, split,
-per-model training, initial conditions, resamples), so reruns with the same
-config produce byte-identical CSVs apart from *_seconds columns.
+``run_experiment`` takes an ExperimentConfig, writes manifest.txt plus the
+experiment's CSV artifacts into config.out_dir, and returns a MetricsReport.
+``prepare_spring``/``prepare_ltp`` turn a config into data, splits and
+feature transforms, and ``train_spring_net``/``train_ltp_net`` train one
+network on them; the CLI calls the same functions. All randomness flows
+from config.seed through fixed offsets (dataset, split, per-model training,
+initial conditions, resamples), so reruns with the same config produce
+byte-identical CSVs apart from *_seconds columns.
 """
 
 from __future__ import annotations
@@ -44,11 +47,13 @@ from physproj.nn import (
     xavier_init,
 )
 from physproj.pipeline.config import ExperimentConfig
-from physproj.pipeline.csvio import write_csv, write_manifest, write_trajectory_csv
+from physproj.pipeline.csvio import load_spring_dataset_csv, write_csv, write_manifest, write_trajectory_csv
 from physproj.pipeline.metrics import improvement_rates, rmse, rmse_variation_rate, split_dataset
 from physproj.projector import CONVERGED, ProjectionSpec, project, project_batch
 from physproj.springmass import STATE_NAMES, SpringParams
 
+PARAMS = SpringParams()
+SCHEMA = LtpSchema()
 FOCUS_OUTPUTS = ("O2_X", "O2_plus", "ne")
 LAW_VARIANTS = (
     ("all", (0, 1, 2)),
@@ -75,70 +80,159 @@ class MetricsReport:
 
 
 # ---------------------------------------------------------------------------
-# spring-mass experiments
+# data, splits, transforms and training, shared with the CLI
 
 
 @dataclass
-class SpringContext:
-    params: SpringParams
-    spec: TransformSpec
-    models: dict  # name -> Network
-    delta_t: float
-    n_substeps: int
+class DataContext:
+    """A dataset split with cfg.seed + 1, and transforms fit on its training split.
+
+    Spring-mass inputs and outputs are both states and share one transform,
+    so there ``in_spec`` is ``out_spec``.
+    """
+
+    in_spec: TransformSpec
+    out_spec: TransformSpec
+    splits: dict  # 'train'/'val'/'test' -> (X_phys, Y_phys)
+    norm: dict  # same keys -> (X_norm, Y_norm)
+    synthetic: bool  # generated rather than loaded from a dataset CSV
     phase_seconds: dict
 
 
-def spring_train_config(cfg: ExperimentConfig, lam: float = 0.0) -> TrainConfig:
-    return TrainConfig(
+def load_spring_data(cfg: ExperimentConfig):
+    """((inputs, next states), synthetic) from spring_dataset_csv, or generated."""
+    if cfg.spring_dataset_csv is not None:
+        return load_spring_dataset_csv(cfg.spring_dataset_csv), False
+    data = springmass.generate_dataset(
+        PARAMS, cfg.spring_e_max, cfg.spring_n_samples, cfg.spring_delta_t, cfg.spring_n_substeps, cfg.seed
+    )
+    return data, True
+
+
+def load_ltp_data(cfg: ExperimentConfig):
+    """((inputs, outputs), synthetic) from ltp_dataset_csv, or generated."""
+    if cfg.ltp_dataset_csv is not None:
+        column_map = None
+        if cfg.ltp_column_map is not None:
+            import json
+
+            with open(cfg.ltp_column_map, encoding="utf-8") as fh:
+                column_map = json.load(fh)
+        return load_ltp_csv(cfg.ltp_dataset_csv, column_map), False
+    return generate_synthetic_ltp(cfg.ltp_n_samples, cfg.seed), True
+
+
+def _data_context(cfg: ExperimentConfig, load, fit) -> DataContext:
+    """``load(cfg)`` the data, split it, and ``fit(train_set) -> (in_spec, out_spec)``."""
+    tick = time.perf_counter()
+    data, synthetic = load(cfg)
+    gen_seconds = time.perf_counter() - tick
+    train_set, val_set, test_set = split_dataset(data, cfg.split_fractions, cfg.seed + 1)
+    in_spec, out_spec = fit(train_set)
+    splits = {"train": train_set, "val": val_set, "test": test_set}
+    norm = {key: (normalize(x, in_spec), normalize(y, out_spec)) for key, (x, y) in splits.items()}
+    return DataContext(in_spec, out_spec, splits, norm, synthetic, {"data_generation_seconds": gen_seconds})
+
+
+def prepare_spring(cfg: ExperimentConfig) -> DataContext:
+    """Spring-mass data; one min-max transform, fit on the training inputs, scales all states."""
+
+    def fit(train_set):
+        spec = fit_transform(train_set[0], STATE_NAMES, skew_threshold=np.inf)
+        return spec, spec
+
+    return _data_context(cfg, load_spring_data, fit)
+
+
+def prepare_ltp(cfg: ExperimentConfig) -> DataContext:
+    """Plasma data; outputs skewed beyond ltp_skew_threshold are log-scaled."""
+
+    def fit(train_set):
+        return (
+            fit_transform(train_set[0], INPUT_NAMES, skew_threshold=np.inf),
+            fit_transform(train_set[1], OUTPUT_NAMES, skew_threshold=cfg.ltp_skew_threshold),
+        )
+
+    return _data_context(cfg, load_ltp_data, fit)
+
+
+def train_spring_net(ctx: DataContext, cfg: ExperimentConfig, physics: bool):
+    """Train the spring-mass NN, or with ``physics`` the PINN; returns (net, history).
+
+    Both start from the same initialization and shuffle stream, so the
+    four-model comparison isolates the effect of the physics term.
+    """
+    lam = cfg.spring_lambda if physics else 0.0
+    term = SpringEnergyTerm(PARAMS, ctx.out_spec, weight=lam) if physics else None
+    tcfg = TrainConfig(
         learning_rate=cfg.spring_lr,
         max_epochs=cfg.spring_epochs,
         batch_size=cfg.spring_batch,
         lambda_physics=lam,
         seed=cfg.seed + 2,
     )
+    net = xavier_init((4, *cfg.spring_hidden, 4), seed=cfg.seed + 2)
+    return train(net, ctx.norm["train"], ctx.norm["val"], tcfg, physics=term)
 
 
-def _prepare_spring(cfg: ExperimentConfig) -> SpringContext:
-    params = SpringParams()
-    tick = time.perf_counter()
-    data = springmass.generate_dataset(
-        params, cfg.spring_e_max, cfg.spring_n_samples, cfg.spring_delta_t, cfg.spring_n_substeps, cfg.seed
+def _ltp_recipe(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics: bool):
+    """Layer sizes, TrainConfig and physics term (or None) of one LTP network."""
+    lam = cfg.ltp_lambda if physics else 0.0
+    split = (lam / 3.0, lam / 3.0, lam / 3.0) if physics else None
+    term = LtpResidualTerm(LtpConstraints(SCHEMA, ctx.out_spec), ctx.in_spec, split) if physics else None
+    tcfg = TrainConfig(
+        learning_rate=cfg.ltp_lr,
+        max_epochs=cfg.ltp_max_epochs,
+        batch_size=cfg.ltp_batch,
+        lambda_physics=lam,
+        lambda_split=split,
+        early_stop=EarlyStopConfig(cfg.early_stop_alpha, cfg.early_stop_strip),
+        lr_plateau=PlateauConfig(cfg.plateau_patience, cfg.plateau_factor),
+        seed=seed,
     )
-    gen_seconds = time.perf_counter() - tick
-    train_set, val_set, _ = split_dataset(data, cfg.split_fractions, cfg.seed + 1)
-    spec = fit_transform(train_set[0], STATE_NAMES, skew_threshold=np.inf)
-    sets = {
-        "train": (normalize(train_set[0], spec), normalize(train_set[1], spec)),
-        "val": (normalize(val_set[0], spec), normalize(val_set[1], spec)),
-    }
-    dims = (4, *cfg.spring_hidden, 4)
+    return (3, *cfg.ltp_hidden, 17), tcfg, term
+
+
+def train_ltp_net(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics: bool):
+    """Train one LTP network (the PINN with ``physics``); returns (net, history)."""
+    dims, tcfg, term = _ltp_recipe(ctx, cfg, seed, physics)
+    return train(xavier_init(dims, seed=seed), ctx.norm["train"], ctx.norm["val"], tcfg, physics=term)
+
+
+def _train_ltp_model(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics: bool):
+    """Predictor on normalized inputs: one network, or the mean of cfg.ltp_n_members."""
+    if cfg.ltp_n_members > 1:
+        dims, tcfg, term = _ltp_recipe(ctx, cfg, seed, physics)
+        ensemble = ensemble_train(
+            dims, ctx.norm["train"], ctx.norm["val"], tcfg, cfg.ltp_n_members, physics=term, transform=ctx.out_spec
+        )
+        return lambda z: ensemble_predict(ensemble, z)[0]
+    net, _ = train_ltp_net(ctx, cfg, seed, physics)
+    return lambda z: forward(net, z)
+
+
+# ---------------------------------------------------------------------------
+# spring-mass experiments
+
+
+def _spring_models(cfg: ExperimentConfig):
+    """The data context and the trained {"nn", "pinn"} networks."""
+    ctx = prepare_spring(cfg)
     tick = time.perf_counter()
-    nn, _ = train(xavier_init(dims, seed=cfg.seed + 2), sets["train"], sets["val"], spring_train_config(cfg))
-    # the PINN shares initialization and shuffle stream with the plain NN so
-    # the four-model comparison isolates the effect of the physics term
-    lam = cfg.spring_lambda
-    term = SpringEnergyTerm(params, spec, weight=lam)
-    pinn, _ = train(xavier_init(dims, seed=cfg.seed + 2), sets["train"], sets["val"], spring_train_config(cfg, lam), physics=term)
-    train_seconds = time.perf_counter() - tick
-    return SpringContext(
-        params=params,
-        spec=spec,
-        models={"nn": nn, "pinn": pinn},
-        delta_t=cfg.spring_delta_t,
-        n_substeps=cfg.spring_n_substeps,
-        phase_seconds={"data_generation_seconds": gen_seconds, "training_seconds": train_seconds},
-    )
+    models = {"nn": train_spring_net(ctx, cfg, physics=False)[0], "pinn": train_spring_net(ctx, cfg, physics=True)[0]}
+    ctx.phase_seconds["training_seconds"] = time.perf_counter() - tick
+    return ctx, models
 
 
-def _rollout_four(ctx: SpringContext, initial_states: np.ndarray, n_steps: int, tol: float) -> dict:
+def _rollout_four(ctx: DataContext, models: dict, initial_states: np.ndarray, n_steps: int, tol: float) -> dict:
     """Rollouts of NN, PINN, and their projected counterparts.
 
     From a single state (4,), a projected entry is a ProjectionError when the
     solver fails mid-trajectory; a batch (n, 4) runs in lockstep, each
     trajectory on its own energy shell, and records failures per trajectory.
     """
-    anchors = springmass.energy(initial_states, ctx.params)
-    constraint = EnergyConstraint(ctx.params, None, ctx.spec)
+    anchors = springmass.energy(initial_states, PARAMS)
+    constraint = EnergyConstraint(PARAMS, None, ctx.out_spec)
     pspec = ProjectionSpec(tolerance=tol)
     if initial_states.ndim == 1:
         projector = lambda y: project(y, constraint, [anchors], pspec)
@@ -146,12 +240,12 @@ def _rollout_four(ctx: SpringContext, initial_states: np.ndarray, n_steps: int, 
         projector = lambda ys, active: project_batch(ys, constraint, anchors[active, None], pspec)
 
     out = {}
-    for name, net in ctx.models.items():
+    for name, net in models.items():
         model_fn = lambda z, net=net: forward(net, z)
-        out[name] = springmass.rollout(model_fn, initial_states, n_steps, ctx.spec, params=ctx.params)
+        out[name] = springmass.rollout(model_fn, initial_states, n_steps, ctx.out_spec, params=PARAMS)
         try:
             out[name + "_projection"] = springmass.rollout(
-                model_fn, initial_states, n_steps, ctx.spec, projector=projector, params=ctx.params
+                model_fn, initial_states, n_steps, ctx.out_spec, projector=projector, params=PARAMS
             )
         except ProjectionError as exc:
             out[name + "_projection"] = exc
@@ -167,30 +261,28 @@ def _trajectory_rmses(result, truth_norm: np.ndarray, spec, anchors) -> np.ndarr
 
 
 def run_spring_single(cfg: ExperimentConfig) -> MetricsReport:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_manifest(cfg.out_dir, cfg.items())
-    ctx = _prepare_spring(cfg)
+    ctx, models = _spring_models(cfg)
     ic = np.asarray(cfg.spring_initial_state, dtype=np.float64)
-    anchor = springmass.energy(ic, ctx.params)
+    anchor = springmass.energy(ic, PARAMS)
     n_steps = cfg.spring_steps_single
 
-    truth = springmass.true_trajectory(ic, ctx.params, n_steps, ctx.delta_t, ctx.n_substeps)
-    truth_norm = normalize(truth, ctx.spec)
+    truth = springmass.true_trajectory(ic, PARAMS, n_steps, cfg.spring_delta_t, cfg.spring_n_substeps)
+    truth_norm = normalize(truth, ctx.out_spec)
     write_trajectory_csv(
         os.path.join(cfg.out_dir, "trajectory_truth.csv"),
         truth,
-        np.asarray(springmass.energy(truth, ctx.params)),
-        ctx.delta_t,
+        np.asarray(springmass.energy(truth, PARAMS)),
+        cfg.spring_delta_t,
     )
 
-    rollouts = _rollout_four(ctx, ic, n_steps, cfg.spring_projection_tol)
+    rollouts = _rollout_four(ctx, models, ic, n_steps, cfg.spring_projection_tol)
     report = MetricsReport(phase_seconds=dict(ctx.phase_seconds))
     rows = []
     for name, result in rollouts.items():
         if isinstance(result, ProjectionError):
             raise result  # single-trajectory run has nothing to fall back on
-        write_trajectory_csv(os.path.join(cfg.out_dir, f"trajectory_{name}.csv"), result.states, result.energies, ctx.delta_t)
-        rmses = _trajectory_rmses(result, truth_norm, ctx.spec, anchor)
+        write_trajectory_csv(os.path.join(cfg.out_dir, f"trajectory_{name}.csv"), result.states, result.energies, cfg.spring_delta_t)
+        rmses = _trajectory_rmses(result, truth_norm, ctx.out_spec, anchor)
         report.per_output_rmse[name] = dict(zip((*STATE_NAMES, "energy_J"), rmses))
         rows.append((name, *rmses))
     write_csv(
@@ -202,20 +294,18 @@ def run_spring_single(cfg: ExperimentConfig) -> MetricsReport:
 
 
 def run_spring_many(cfg: ExperimentConfig) -> MetricsReport:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_manifest(cfg.out_dir, cfg.items())
-    ctx = _prepare_spring(cfg)
+    ctx, models = _spring_models(cfg)
     n_steps = cfg.spring_steps_many
     rng = np.random.default_rng(cfg.seed + 4)
-    initial_states = springmass.sample_states(ctx.params, cfg.spring_e_max, cfg.spring_n_trajectories, rng)
+    initial_states = springmass.sample_states(PARAMS, cfg.spring_e_max, cfg.spring_n_trajectories, rng)
 
     model_names = ("nn", "pinn", "nn_projection", "pinn_projection")
     tick = time.perf_counter()
-    truths = springmass.true_trajectory(initial_states, ctx.params, n_steps, ctx.delta_t, ctx.n_substeps)
-    truth_norm = normalize(truths, ctx.spec)
-    anchors = springmass.energy(initial_states, ctx.params)
-    rollouts = _rollout_four(ctx, initial_states, n_steps, cfg.spring_projection_tol)
-    rmses = {name: _trajectory_rmses(result, truth_norm, ctx.spec, anchors) for name, result in rollouts.items()}
+    truths = springmass.true_trajectory(initial_states, PARAMS, n_steps, cfg.spring_delta_t, cfg.spring_n_substeps)
+    truth_norm = normalize(truths, ctx.out_spec)
+    anchors = springmass.energy(initial_states, PARAMS)
+    rollouts = _rollout_four(ctx, models, initial_states, n_steps, cfg.spring_projection_tol)
+    rmses = {name: _trajectory_rmses(result, truth_norm, ctx.out_spec, anchors) for name, result in rollouts.items()}
     done = {name: result.failed_step == 0 for name, result in rollouts.items()}  # False: projection failed
     n_nonconverged = sum(int((~ok).sum()) for ok in done.values())
     rollout_seconds = time.perf_counter() - tick
@@ -273,84 +363,8 @@ def run_spring_many(cfg: ExperimentConfig) -> MetricsReport:
 # low-temperature plasma experiments
 
 
-@dataclass
-class LtpContext:
-    schema: LtpSchema
-    in_spec: TransformSpec
-    out_spec: TransformSpec
-    splits: dict  # 'train'/'val'/'test' -> (X_phys, Y_phys)
-    norm: dict  # same keys -> (X_norm, Y_norm)
-    synthetic: bool
-    phase_seconds: dict
-
-
-def load_ltp_data(cfg: ExperimentConfig, n: int, seed: int):
-    if cfg.ltp_dataset_csv is not None:
-        column_map = None
-        if cfg.ltp_column_map is not None:
-            import json
-
-            with open(cfg.ltp_column_map, encoding="utf-8") as fh:
-                column_map = json.load(fh)
-        return load_ltp_csv(cfg.ltp_dataset_csv, column_map), False
-    return generate_synthetic_ltp(n, seed), True
-
-
-def _prepare_ltp(cfg: ExperimentConfig) -> LtpContext:
-    tick = time.perf_counter()
-    (x, y), synthetic = load_ltp_data(cfg, cfg.ltp_n_samples, cfg.seed)
-    gen_seconds = time.perf_counter() - tick
-    train_set, val_set, test_set = split_dataset((x, y), cfg.split_fractions, cfg.seed + 1)
-    in_spec = fit_transform(train_set[0], INPUT_NAMES, skew_threshold=np.inf)
-    out_spec = fit_transform(train_set[1], OUTPUT_NAMES, skew_threshold=cfg.ltp_skew_threshold)
-    splits = {"train": train_set, "val": val_set, "test": test_set}
-    norm = {
-        key: (normalize(x_, in_spec), normalize(y_, out_spec)) for key, (x_, y_) in splits.items()
-    }
-    return LtpContext(
-        schema=LtpSchema(),
-        in_spec=in_spec,
-        out_spec=out_spec,
-        splits=splits,
-        norm=norm,
-        synthetic=synthetic,
-        phase_seconds={"data_generation_seconds": gen_seconds},
-    )
-
-
-def ltp_train_config(cfg: ExperimentConfig, seed: int, lam: float = 0.0, split=None) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=cfg.ltp_lr,
-        max_epochs=cfg.ltp_max_epochs,
-        batch_size=cfg.ltp_batch,
-        lambda_physics=lam,
-        lambda_split=split,
-        early_stop=EarlyStopConfig(cfg.early_stop_alpha, cfg.early_stop_strip),
-        lr_plateau=PlateauConfig(cfg.plateau_patience, cfg.plateau_factor),
-        seed=seed,
-    )
-
-
-def _train_ltp_model(ctx: LtpContext, cfg: ExperimentConfig, seed: int, physics: bool):
-    dims = (3, *cfg.ltp_hidden, 17)
-    lam = cfg.ltp_lambda if physics else 0.0
-    split = (lam / 3.0, lam / 3.0, lam / 3.0) if physics else None
-    term = None
-    if physics:
-        constraint = LtpConstraints(ctx.schema, ctx.out_spec)
-        term = LtpResidualTerm(constraint, ctx.in_spec, split)
-    tcfg = ltp_train_config(cfg, seed, lam, split)
-    if cfg.ltp_n_members > 1:
-        ensemble = ensemble_train(
-            dims, ctx.norm["train"], ctx.norm["val"], tcfg, cfg.ltp_n_members, physics=term, transform=ctx.out_spec
-        )
-        return lambda z: ensemble_predict(ensemble, z)[0]
-    net, _ = train(xavier_init(dims, seed=seed), ctx.norm["train"], ctx.norm["val"], tcfg, physics=term)
-    return lambda z: forward(net, z)
-
-
-def _project_predictions(ctx: LtpContext, preds: np.ndarray, x_phys: np.ndarray, tol: float, laws=(0, 1, 2)):
-    constraint = LtpConstraints(ctx.schema, ctx.out_spec, laws=laws)
+def _project_predictions(ctx: DataContext, preds: np.ndarray, x_phys: np.ndarray, tol: float, laws=(0, 1, 2)):
+    constraint = LtpConstraints(SCHEMA, ctx.out_spec, laws=laws)
     results = project_batch(preds, constraint, x_phys, ProjectionSpec(tolerance=tol))
     projected = np.stack([r.projected for r in results])
     converged = np.array([r.status == CONVERGED for r in results])
@@ -370,9 +384,7 @@ def _per_output_rmse_rows(model: str, pred_norm, y_norm, y_phys, out_spec, mask=
 
 
 def run_ltp_compare(cfg: ExperimentConfig) -> MetricsReport:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_manifest(cfg.out_dir, cfg.items())
-    ctx = _prepare_ltp(cfg)
+    ctx = prepare_ltp(cfg)
     x_test, y_test = ctx.splits["test"]
     xn_test, yn_test = ctx.norm["test"]
 
@@ -411,7 +423,7 @@ def run_ltp_compare(cfg: ExperimentConfig) -> MetricsReport:
 
     rmse_rows = []
     constraint_rows = []
-    all_laws = LtpConstraints(ctx.schema, ctx.out_spec)
+    all_laws = LtpConstraints(SCHEMA, ctx.out_spec)
     for name in ("nn", "pinn", "nn_projection", "pinn_projection"):
         mask = masks.get(name)
         rows, by_output = _per_output_rmse_rows(name, preds[name], yn_test, y_test, ctx.out_spec, mask)
@@ -465,9 +477,9 @@ def _trend_inputs(cfg: ExperimentConfig) -> np.ndarray:
     return grid
 
 
-def _trend_rows(ctx: LtpContext, cfg: ExperimentConfig, predict_fn):
+def _trend_rows(ctx: DataContext, cfg: ExperimentConfig, predict_fn):
     grid = _trend_inputs(cfg)
-    ne_idx = ctx.schema.idx("ne")
+    ne_idx = SCHEMA.idx("ne")
     pred = predict_fn(normalize(grid, ctx.in_spec))
     projected, converged, _ = _project_predictions(ctx, pred, grid, cfg.ltp_projection_tol)
     truth = synthetic_outputs(grid)[:, ne_idx]
@@ -479,14 +491,19 @@ def _trend_rows(ctx: LtpContext, cfg: ExperimentConfig, predict_fn):
     ]
 
 
-def run_ablation_arch(cfg: ExperimentConfig) -> MetricsReport:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_manifest(cfg.out_dir, cfg.items())
-    ctx = _prepare_ltp(cfg)
-    x_test, y_test = ctx.splits["test"]
+def _score(ctx: DataContext, cfg: ExperimentConfig, predict):
+    """Mean-17 and focus-3 normalized test RMSEs before and after projection, and the non-converged count."""
     xn_test, yn_test = ctx.norm["test"]
-    focus = [ctx.schema.idx(name) for name in FOCUS_OUTPUTS]
+    pred = predict(xn_test)
+    projected, converged, _ = _project_predictions(ctx, pred, ctx.splits["test"][0], cfg.ltp_projection_tol)
+    nn_rmse = rmse(pred, yn_test, per_output=True)
+    proj_rmse = rmse(projected[converged], yn_test[converged], per_output=True)
+    focus = [SCHEMA.idx(name) for name in FOCUS_OUTPUTS]
+    return (nn_rmse.mean(), proj_rmse.mean(), nn_rmse[focus].mean(), proj_rmse[focus].mean()), int((~converged).sum())
 
+
+def run_ablation_arch(cfg: ExperimentConfig) -> MetricsReport:
+    ctx = prepare_ltp(cfg)
     report = MetricsReport(phase_seconds=dict(ctx.phase_seconds))
     rows = []
     for i, width in enumerate(cfg.architectures):
@@ -496,13 +513,9 @@ def run_ablation_arch(cfg: ExperimentConfig) -> MetricsReport:
         arch_cfg = replace(cfg, ltp_hidden=(width, width))
         try:
             predict = _train_ltp_model(ctx, arch_cfg, cfg.seed + 100 + i, physics=False)
-            pred = predict(xn_test)
-            projected, converged, _ = _project_predictions(ctx, pred, x_test, cfg.ltp_projection_tol)
+            (mean_nn, mean_proj, focus_nn, focus_proj), n_failed = _score(ctx, cfg, predict)
             seconds = time.perf_counter() - tick
-            nn_rmse = rmse(pred, yn_test, per_output=True)
-            proj_rmse = rmse(projected[converged], yn_test[converged], per_output=True)
-            mean_nn, mean_proj = nn_rmse.mean(), proj_rmse.mean()
-            focus_nn, focus_proj = nn_rmse[focus].mean(), proj_rmse[focus].mean()
+            variation = rmse_variation_rate(mean_nn, mean_proj)
             rows.append(
                 (
                     width,
@@ -510,16 +523,16 @@ def run_ablation_arch(cfg: ExperimentConfig) -> MetricsReport:
                     "ok",
                     mean_nn,
                     mean_proj,
-                    rmse_variation_rate(mean_nn, mean_proj),
+                    variation,
                     focus_nn,
                     focus_proj,
                     rmse_variation_rate(focus_nn, focus_proj),
-                    int((~converged).sum()),
+                    n_failed,
                     seconds,
                 )
             )
-            report.variation_pct[str(width)] = rmse_variation_rate(mean_nn, mean_proj)
-            report.n_nonconverged += int((~converged).sum())
+            report.variation_pct[str(width)] = variation
+            report.n_nonconverged += n_failed
             if ctx.synthetic and width in cfg.trend_architectures:
                 write_csv(
                     os.path.join(cfg.out_dir, f"trend_arch_{width}.csv"),
@@ -549,14 +562,9 @@ def run_ablation_arch(cfg: ExperimentConfig) -> MetricsReport:
 
 
 def run_small_samples(cfg: ExperimentConfig) -> MetricsReport:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_manifest(cfg.out_dir, cfg.items())
     pool_cfg = replace(cfg, ltp_n_samples=cfg.pool_size)
-    ctx = _prepare_ltp(pool_cfg)  # transforms fit on the pool's training split
+    ctx = prepare_ltp(pool_cfg)  # transforms fit on the pool's training split
     x_pool, y_pool = ctx.splits["train"]
-    x_test, y_test = ctx.splits["test"]
-    xn_test, yn_test = ctx.norm["test"]
-    focus = [ctx.schema.idx(name) for name in FOCUS_OUTPUTS]
 
     report = MetricsReport(phase_seconds=dict(ctx.phase_seconds))
     replicate_rows = []
@@ -575,14 +583,11 @@ def run_small_samples(cfg: ExperimentConfig) -> MetricsReport:
             sub_ctx = replace(ctx, norm={**ctx.norm, "train": sub_norm}, phase_seconds={})
             tick = time.perf_counter()
             predict = _train_ltp_model(sub_ctx, cfg, cfg.seed + 1000 * size + rep, physics=False)
-            pred = predict(xn_test)
-            projected, converged, _ = _project_predictions(ctx, pred, x_test, cfg.ltp_projection_tol)
+            scores, n_failed = _score(ctx, cfg, predict)
             seconds_total += time.perf_counter() - tick
-            nonconv_total += int((~converged).sum())
-            nn_rmse = rmse(pred, yn_test, per_output=True)
-            proj_rmse = rmse(projected[converged], yn_test[converged], per_output=True)
-            per_rep.append((nn_rmse.mean(), proj_rmse.mean(), nn_rmse[focus].mean(), proj_rmse[focus].mean()))
-            replicate_rows.append((size, rep, "ok", per_rep[-1][0], per_rep[-1][1]))
+            nonconv_total += n_failed
+            per_rep.append(scores)
+            replicate_rows.append((size, rep, "ok", scores[0], scores[1]))
             if ctx.synthetic and size in cfg.trend_sizes and rep == 0:
                 write_csv(
                     os.path.join(cfg.out_dir, f"trend_size_{size}.csv"),
@@ -631,9 +636,7 @@ def run_small_samples(cfg: ExperimentConfig) -> MetricsReport:
 
 
 def run_timing(cfg: ExperimentConfig) -> MetricsReport:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_manifest(cfg.out_dir, cfg.items())
-    ctx = _prepare_ltp(cfg)
+    ctx = prepare_ltp(cfg)
     xn_test = ctx.norm["test"][0]
 
     tick = time.perf_counter()
@@ -690,5 +693,7 @@ RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
+    """Validate ``cfg``, echo it to manifest.txt in cfg.out_dir, and run cfg.kind."""
     cfg.validate()
+    write_manifest(cfg.out_dir, cfg.items())
     return RUNNERS[cfg.kind](cfg)

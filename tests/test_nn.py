@@ -22,12 +22,9 @@ from physproj.nn import (
     load_network,
     mse,
     mse_gradient,
-    physics_loss_ltp,
-    physics_loss_springmass,
     plateau_lr,
     pq_alpha_should_stop,
     save_network,
-    total_loss,
     train,
     xavier_init,
 )
@@ -121,14 +118,6 @@ def test_mse_values():
     assert mse(np.array([1.0, 3.0]), np.array([0.0, 1.0])) == pytest.approx(2.5)
     with pytest.raises(ValidationError):
         mse(np.zeros(2), np.zeros(3))
-
-
-def test_total_loss():
-    assert total_loss(0.7, 123.0, 0.0) == 0.7
-    assert total_loss(0.7, 123.0, 1.0) == 123.0
-    assert total_loss(0.02, 0.5, 0.005) == pytest.approx(0.0224)
-    with pytest.raises(ValidationError):
-        total_loss(1.0, 1.0, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -247,34 +236,27 @@ def _spring_setup():
 
 def test_physics_loss_springmass_identity_is_zero():
     params, spec = _spring_setup()
-
-    def energy_fn(batch_norm):
-        from physproj.constraints import denormalize
-
-        return sm.energy(denormalize(np.atleast_2d(batch_norm), spec), params)
-
+    term = SpringEnergyTerm(params, spec, weight=1.0)
     batch = normalize(sm.sample_states(params, 5.0, 10, np.random.default_rng(1)), spec)
-    assert physics_loss_springmass(batch, batch, energy_fn) == 0.0
+    assert term.loss_and_output_grad(batch, batch)[0] == 0.0
 
 
 def test_physics_loss_springmass_single_sample():
-    # energies 3.5 J in, 3.0 J out -> squared gap 0.25
-    calls = iter([np.array([3.5]), np.array([3.0])])
-    loss = physics_loss_springmass(np.zeros((1, 4)), np.zeros((1, 4)), lambda _: next(calls))
+    # energies 3.5 J in, 3.0 J out (kinetic only, springs at rest length) -> squared gap 0.25
+    params, spec = _spring_setup()
+    term = SpringEnergyTerm(params, spec, weight=1.0)
+    state_in = np.array([[0.5, np.sqrt(7.0), 1.0, 0.0]])
+    state_out = np.array([[0.5, np.sqrt(6.0), 1.0, 0.0]])
+    loss, _ = term.loss_and_output_grad(normalize(state_in, spec), normalize(state_out, spec))
     assert loss == pytest.approx(0.25)
 
 
 def test_physics_loss_springmass_rk4_next_state_conserves():
     params, spec = _spring_setup()
+    term = SpringEnergyTerm(params, spec, weight=1.0)
     ic = np.array([[-0.16, -2.18, 0.09, -0.16]])
     nxt = sm.integrate(ic, params, 0.05, 50)
-
-    def energy_fn(batch_norm):
-        from physproj.constraints import denormalize
-
-        return sm.energy(denormalize(np.atleast_2d(batch_norm), spec), params)
-
-    loss = physics_loss_springmass(normalize(ic, spec), normalize(nxt, spec), energy_fn)
+    loss, _ = term.loss_and_output_grad(normalize(ic, spec), normalize(nxt, spec))
     assert loss < 1e-9
 
 
@@ -303,20 +285,22 @@ def _ltp_setup(n=200, seed=0):
 
 
 def test_physics_loss_ltp_zero_on_consistent_data():
-    x, y, _, out_spec, cs = _ltp_setup()
-    loss = physics_loss_ltp(x[:20], normalize(y[:20], out_spec), cs, (0.005, 0.005, 0.005))
+    x, y, in_spec, out_spec, cs = _ltp_setup()
+    term = LtpResidualTerm(cs, in_spec, (0.005, 0.005, 0.005))
+    loss, _ = term.loss_and_output_grad(normalize(x[:20], in_spec), normalize(y[:20], out_spec))
     assert loss < 1e-25
 
 
 def test_physics_loss_ltp_zero_lambdas():
-    x, y, _, out_spec, cs = _ltp_setup()
+    x, y, in_spec, out_spec, cs = _ltp_setup()
+    term = LtpResidualTerm(cs, in_spec, (0.0, 0.0, 0.0))
     bad = normalize(y[:10], out_spec) + 0.3
-    assert physics_loss_ltp(x[:10], bad, cs, (0.0, 0.0, 0.0)) == 0.0
+    assert term.loss_and_output_grad(normalize(x[:10], in_spec), bad)[0] == 0.0
 
 
 def test_physics_loss_ltp_weighted_sum_arithmetic():
     # perturb O2_X so the scaled pressure residual is exactly 0.1
-    x, y, _, out_spec, cs = _ltp_setup()
+    x, y, in_spec, out_spec, cs = _ltp_setup()
     schema = LtpSchema()
     sample = y[0].copy()
     from physproj.constraints import K_BOLTZMANN
@@ -327,7 +311,8 @@ def test_physics_loss_ltp_weighted_sum_arithmetic():
     z = normalize(sample[None, :], out_spec)
     r = cs.residual(x[:1], z)[0]
     assert abs(r[0] - 0.1) < 1e-9 and abs(r[1]) < 1e-12 and abs(r[2]) < 1e-9
-    loss = physics_loss_ltp(x[:1], z, cs, (0.005, 0.0, 0.0))
+    term = LtpResidualTerm(cs, in_spec, (0.005, 0.0, 0.0))
+    loss, _ = term.loss_and_output_grad(normalize(x[:1], in_spec), z)
     assert loss == pytest.approx(5e-5, rel=1e-6)
 
 
@@ -467,6 +452,8 @@ def test_train_divergence_detected():
 def test_train_validates_lambda_split():
     with pytest.raises(ValidationError):
         TrainConfig(lambda_physics=0.015, lambda_split=(0.005, 0.005, 0.004))
+    with pytest.raises(ValidationError):
+        TrainConfig(lambda_physics=1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from physproj.cli import main as cli_main
 from physproj.errors import ValidationError
+from physproj.nn import load_network, save_network, xavier_init
 from physproj.pipeline import ExperimentConfig, load_config, run_experiment
+from physproj.pipeline.experiments import load_spring_data, prepare_ltp, train_ltp_net
 from physproj.pipeline.csvio import load_spring_dataset_csv, write_spring_dataset_csv
 from physproj.pipeline.metrics import improvement_rates, rmse, rmse_variation_rate, split_dataset
 
@@ -139,6 +142,8 @@ def test_config_validation_errors():
         ExperimentConfig(architectures=()).validate()
     with pytest.raises(ValidationError):
         ExperimentConfig(split_fractions=(0.5, 0.2, 0.2)).validate()
+    with pytest.raises(ValidationError):
+        ExperimentConfig(ltp_n_members=0).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +331,17 @@ def test_cli_validation_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"bogus_key": 1}))
     assert cli_main(["experiment", "timing", "--config", str(bad)]) == 1
+    # dataset CSVs with a non-numeric cell or a missing column
+    spring_csv = tmp_path / "spring.csv"
+    spring_csv.write_text("x1,v1,x2,v2,x1_next,v1_next,x2_next,v2_next\n1,2,3,abc,5,6,7,8\n")
+    cfg = _write_cfg(tmp_path, {"spring_dataset_csv": str(spring_csv)})
+    assert cli_main(["experiment", "spring-single", "--config", cfg, "--out-dir", str(tmp_path / "s")]) == 1
+    spring_csv.write_text("x1,v1,x2,v2,x1_next,v1_next,x2_next\n1,2,3,4,5,6,7\n")
+    assert cli_main(["gen-data", "spring", "--config", cfg, "--out-dir", str(tmp_path / "s")]) == 1
+    ltp_csv = tmp_path / "ltp.csv"
+    ltp_csv.write_text("P,I,R\n1,abc,3\n")
+    cfg = _write_cfg(tmp_path, {"ltp_dataset_csv": str(ltp_csv)})
+    assert cli_main(["experiment", "timing", "--config", cfg, "--out-dir", str(tmp_path / "l")]) == 1
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):
@@ -336,3 +352,76 @@ def test_cli_numerical_failure_exit_code(tmp_path):
     ds.write_text(header + "\n" + "\n".join(rows) + "\n")
     cfg = _write_cfg(tmp_path, {"spring_dataset_csv": str(ds)})
     assert cli_main(["train", "spring", "--config", cfg, "--out-dir", str(tmp_path / "m")]) == 2
+    # the experiments load the same dataset as 'train'
+    assert cli_main(["experiment", "spring-single", "--config", cfg, "--out-dir", str(tmp_path / "e")]) == 2
+
+
+def test_spring_experiment_reads_generated_dataset_csv(tmp_path):
+    cfg_path = _write_cfg(tmp_path)
+    assert cli_main(["gen-data", "spring", "--config", cfg_path, "--out-dir", str(tmp_path / "gs")]) == 0
+    generated = replace(load_config(cfg_path), kind="spring-single", out_dir=str(tmp_path / "generated"))
+    loaded = replace(generated, out_dir=str(tmp_path / "loaded"), spring_dataset_csv=str(tmp_path / "gs" / "spring_dataset.csv"))
+    (x_gen, y_gen), synthetic = load_spring_data(generated)
+    (x_csv, y_csv), from_csv = load_spring_data(loaded)
+    assert synthetic and not from_csv
+    assert np.array_equal(x_gen, x_csv) and np.array_equal(y_gen, y_csv)
+
+    run_experiment(generated)
+    run_experiment(loaded)
+    names = sorted(n for n in os.listdir(generated.out_dir) if n.endswith(".csv"))
+    assert names == sorted(n for n in os.listdir(loaded.out_dir) if n.endswith(".csv"))
+    for name in names:
+        assert _strip_time_columns(tmp_path / "loaded" / name) == _strip_time_columns(tmp_path / "generated" / name), name
+
+
+def test_cli_train_ltp_saves_the_experiments_network(tmp_path):
+    cfg_path = _write_cfg(tmp_path)
+    out = tmp_path / "ml"
+    assert cli_main(["train", "ltp", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    cfg = load_config(cfg_path)
+    ctx = prepare_ltp(cfg)
+    net, _ = train_ltp_net(ctx, cfg, cfg.seed + 2, physics=False)
+    save_network(str(tmp_path / "direct.txt"), net, transform=ctx.out_spec)
+    assert (out / "model.txt").read_bytes() == (tmp_path / "direct.txt").read_bytes()
+
+
+def test_cli_train_ltp_rejects_ensembles(tmp_path):
+    cfg = _write_cfg(tmp_path, {"ltp_n_members": 3})
+    assert cli_main(["train", "ltp", "--config", cfg, "--out-dir", str(tmp_path / "m")]) == 1
+    assert not os.path.exists(tmp_path / "m" / "model.txt")
+
+
+def _model_file(tmp_path, case):
+    from physproj import springmass as sm
+    from physproj.constraints import fit_transform
+
+    path = tmp_path / "model.txt"
+    if case == "missing":
+        return str(path)
+    inputs, _ = sm.generate_dataset(sm.SpringParams(), 5.0, 50, 0.05, 10, seed=0)
+    save_network(str(path), xavier_init((4, 3, 4), seed=0), transform=fit_transform(inputs, sm.STATE_NAMES))
+    lines = path.read_text().splitlines()
+    if case == "truncated":
+        lines = lines[:2]
+    else:  # unparsable weight
+        lines[4] = lines[4].replace(" ", " x", 1)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["project", "spring"], ["rollout"]], ids=["project", "rollout"])
+@pytest.mark.parametrize("case", ["missing", "truncated", "unparsable"])
+def test_cli_malformed_model_exit_code(tmp_path, command, case):
+    model = _model_file(tmp_path, case)
+    with pytest.raises(ValidationError):
+        load_network(model)
+    args = [*command, "--model", model, "--config", _write_cfg(tmp_path), "--out-dir", str(tmp_path / "o")]
+    assert cli_main(args) == 1
+
+
+def test_cli_project_ltp_without_input_transform_exit_code(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    assert cli_main(["train", "ltp", "--config", cfg, "--out-dir", str(tmp_path / "ml")]) == 0
+    os.remove(tmp_path / "ml" / "input_transform.json")
+    model = str(tmp_path / "ml" / "model.txt")
+    assert cli_main(["project", "ltp", "--model", model, "--config", cfg, "--out-dir", str(tmp_path / "pl")]) == 1
