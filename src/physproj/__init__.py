@@ -9,6 +9,7 @@ quasi-neutrality for the oxygen glow discharge).
 from physproj.projector import (
     CONVERGED,
     MAX_ITERATIONS,
+    NONFINITE_INPUT,
     SINGULAR_SYSTEM,
     ProjectionResult,
     ProjectionSpec,
@@ -22,6 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CONVERGED",
     "MAX_ITERATIONS",
+    "NONFINITE_INPUT",
     "SINGULAR_SYSTEM",
     "ProjectionResult",
     "ProjectionSpec",

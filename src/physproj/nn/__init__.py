@@ -21,12 +21,9 @@ from physproj.nn.optimizer import AdamState, adam_step
 from physproj.nn.schedule import plateau_lr, pq_alpha_should_stop
 from physproj.nn.training import (
     EarlyStopConfig,
-    Ensemble,
     PlateauConfig,
     TrainConfig,
     TrainHistory,
-    ensemble_predict,
-    ensemble_train,
     train,
 )
 
@@ -35,7 +32,6 @@ __all__ = [
     "Activation",
     "AdamState",
     "EarlyStopConfig",
-    "Ensemble",
     "LtpResidualTerm",
     "Network",
     "PlateauConfig",
@@ -44,8 +40,6 @@ __all__ = [
     "TrainHistory",
     "adam_step",
     "backward",
-    "ensemble_predict",
-    "ensemble_train",
     "forward",
     "forward_cached",
     "load_network",

@@ -1,8 +1,10 @@
 """Dense feed-forward networks with hand-rolled backpropagation.
 
-Everything is float64 numpy. A Network is a plain container of weight
-matrices and bias vectors; forward/backward are free functions so training
-code can stay explicit about what is cached and when parameters change.
+Everything is float64 numpy. A Network keeps all of its parameters in one
+contiguous vector ``theta``; its weight matrices and bias vectors are views
+into it, so an optimizer can update every parameter with a few vector
+operations. forward/backward are free functions so training code can stay
+explicit about what is cached and when parameters change.
 """
 
 from __future__ import annotations
@@ -40,12 +42,27 @@ class Activation:
 
 @dataclass
 class Network:
-    """Layer dimensions plus per-layer weights W (out x in) and biases b."""
+    """Layer dimensions plus per-layer weights W (out x in) and biases b.
+
+    The given weights and biases are copied into ``theta``, laid out as
+    [W0 row-major, b0, W1, b1, ...]; ``weights`` and ``biases`` become views
+    of it.
+    """
 
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activation: Activation = field(default_factory=Activation)
+    theta: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        params = [np.asarray(p, dtype=np.float64) for pair in zip(self.weights, self.biases) for p in pair]
+        self.theta = np.concatenate([p.ravel() for p in params])
+        views, start = [], 0
+        for p in params:
+            views.append(self.theta[start : start + p.size].reshape(p.shape))
+            start += p.size
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def n_layers(self) -> int:
@@ -60,23 +77,15 @@ class Network:
         return self.layer_dims[-1]
 
     def parameters(self) -> list[np.ndarray]:
-        """Flat list [W0, b0, W1, b1, ...] in a fixed order."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """Views [W0, b0, W1, b1, ...] of ``theta``, in its order."""
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def with_parameters(self, params: list[np.ndarray]) -> "Network":
-        weights = [np.array(params[2 * i]) for i in range(self.n_layers)]
-        biases = [np.array(params[2 * i + 1]) for i in range(self.n_layers)]
-        return replace(self, weights=weights, biases=biases)
+        """A network with its own copy of ``params``, laid out as parameters()."""
+        return replace(self, weights=params[0::2], biases=params[1::2])
 
     def copy(self) -> "Network":
         return self.with_parameters(self.parameters())
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(p)) for p in self.parameters())
 
 
 def _check_layer_dims(layer_dims) -> tuple[int, ...]:

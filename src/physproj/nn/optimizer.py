@@ -1,8 +1,8 @@
-"""Adam with bias correction, operating on flat parameter lists."""
+"""Adam with bias correction, updating one flat parameter vector in place."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,46 +11,42 @@ from physproj.errors import TrainingDivergedError, ValidationError
 
 @dataclass
 class AdamState:
-    """First/second moment estimates plus the step counter."""
+    """First/second moment vectors, shaped like the parameters, plus the step counter."""
 
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def initialize(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params], t=0)
+    def initialize(cls, theta: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
 def adam_step(
-    params: list[np.ndarray],
+    theta: np.ndarray,
     grads: list[np.ndarray],
     state: AdamState,
     learning_rate: float,
     betas: tuple[float, float] = (0.9, 0.999),
     epsilon: float = 1e-8,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update; returns new parameters and the advanced state.
+) -> None:
+    """One Adam update of ``theta`` and ``state``, both in place.
 
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) with the standard
-    1/(1-beta^t) bias corrections. Inputs are not mutated.
+    ``grads`` holds one gradient per parameter, in the order and layout of
+    ``theta`` (Network.parameters()). theta <- theta - lr * m_hat /
+    (sqrt(v_hat) + eps) with the standard 1/(1-beta^t) bias corrections.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValidationError("params, grads and Adam state lengths disagree")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError("non-finite gradient passed to adam_step")
+    g = np.concatenate([np.ravel(d) for d in grads])
+    if g.shape != theta.shape or state.m.shape != theta.shape:
+        raise ValidationError("params, grads and Adam state sizes disagree")
+    if not np.all(np.isfinite(g)):
+        raise TrainingDivergedError("non-finite gradient passed to adam_step")
     b1, b2 = betas
-    t = state.t + 1
-    new_m = []
-    new_v = []
-    new_params = []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g**2
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        new_m.append(m)
-        new_v.append(v)
-        new_params.append(p - learning_rate * m_hat / (np.sqrt(v_hat) + epsilon))
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+    state.t += 1
+    state.m *= b1
+    state.m += (1.0 - b1) * g
+    state.v *= b2
+    state.v += (1.0 - b2) * g**2
+    m_hat = state.m / (1.0 - b1**state.t)
+    v_hat = state.v / (1.0 - b2**state.t)
+    theta -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)

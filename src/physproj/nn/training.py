@@ -10,13 +10,13 @@ returned model worse than its initialization).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from physproj.errors import TrainingDivergedError, ValidationError
 from physproj.nn.losses import mse, mse_gradient
-from physproj.nn.network import Network, backward, forward, forward_cached, xavier_init
+from physproj.nn.network import Network, backward, forward, forward_cached
 from physproj.nn.optimizer import AdamState, adam_step
 from physproj.nn.schedule import plateau_lr, pq_alpha_should_stop
 
@@ -42,7 +42,6 @@ class TrainConfig:
     max_epochs: int = 60
     batch_size: int = 64  # <= 0 means full batch
     lambda_physics: float = 0.0
-    lambda_split: tuple[float, float, float] | None = None
     early_stop: EarlyStopConfig | None = None
     lr_plateau: PlateauConfig | None = None
     seed: int = 0
@@ -50,9 +49,6 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.lambda_physics <= 1.0:
             raise ValidationError("lambda_physics must lie in [0, 1]")
-        if self.lambda_split is not None:
-            if abs(sum(self.lambda_split) - self.lambda_physics) > 1e-12:
-                raise ValidationError("lambda_split must sum to lambda_physics")
         if self.learning_rate <= 0.0:
             raise ValidationError("learning_rate must be positive")
         b1, b2 = self.adam_betas
@@ -114,9 +110,8 @@ def train(
     n = x_train.shape[0]
     batch = n if config.batch_size <= 0 else min(config.batch_size, n)
 
-    params = net.parameters()
-    state = AdamState.initialize(params)
-    work = net.with_parameters(params)
+    work = net.copy()
+    state = AdamState.initialize(work.theta)
 
     best_net = net.copy()
     if val_set is not None and len(val_set[0]) > 0:
@@ -149,8 +144,7 @@ def train(
             if not np.isfinite(total):
                 raise TrainingDivergedError(f"non-finite training loss ({total})")
             grads = backward(work, cache, out_grad)
-            params, state = adam_step(params, grads, state, lr, config.adam_betas, config.adam_epsilon)
-            work = work.with_parameters(params)
+            adam_step(work.theta, grads, state, lr, config.adam_betas, config.adam_epsilon)
             epoch_data += data
             epoch_phys += phys
             epoch_total += total
@@ -196,49 +190,7 @@ def train(
         ):
             break
 
-    if not best_net.all_finite():
+    if not np.isfinite(best_net.theta).all():
         raise TrainingDivergedError("non-finite parameters after training")
     return best_net, history
 
-
-@dataclass
-class Ensemble:
-    """Independently seeded networks sharing one architecture and transform."""
-
-    members: list[Network]
-    transform: object | None = None
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValidationError("ensemble needs at least one member")
-        dims = self.members[0].layer_dims
-        if any(m.layer_dims != dims for m in self.members):
-            raise ValidationError("ensemble members must share layer_dims")
-
-
-def ensemble_train(
-    layer_dims,
-    train_set,
-    val_set,
-    config: TrainConfig,
-    n_members: int,
-    activation=None,
-    physics=None,
-    transform=None,
-) -> Ensemble:
-    """Train ``n_members`` networks with seeds config.seed + 0..n-1."""
-    if n_members < 1:
-        raise ValidationError("n_members must be >= 1")
-    members = []
-    for i in range(n_members):
-        seed = config.seed + i
-        net = xavier_init(layer_dims, activation=activation, seed=seed)
-        trained, _ = train(net, train_set, val_set, replace(config, seed=seed), physics=physics)
-        members.append(trained)
-    return Ensemble(members=members, transform=transform)
-
-
-def ensemble_predict(ensemble: Ensemble, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Element-wise mean and population standard deviation over members."""
-    outputs = np.stack([forward(m, x) for m in ensemble.members])
-    return outputs.mean(axis=0), outputs.std(axis=0, ddof=0)

@@ -94,9 +94,23 @@ class ExperimentConfig:
             raise ValidationError(f"dataset csv not found: {self.spring_dataset_csv}")
         if self.ltp_column_map is not None and not os.path.exists(self.ltp_column_map):
             raise ValidationError(f"column map not found: {self.ltp_column_map}")
-        for name in ("spring_n_samples", "ltp_n_samples", "ltp_n_members", "n_resamples", "spring_n_trajectories"):
+        for name in (
+            "spring_n_samples",
+            "ltp_n_samples",
+            "ltp_n_members",
+            "n_resamples",
+            "spring_n_trajectories",
+            "spring_steps_single",
+            "spring_steps_many",
+        ):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
+        for name in ("spring_epochs", "ltp_max_epochs"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
+        for name in ("spring_projection_tol", "ltp_projection_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ValidationError(f"{name} must be positive")
         if not 0.0 <= self.spring_lambda <= 1.0 or not 0.0 <= self.ltp_lambda <= 1.0:
             raise ValidationError("physics weights must lie in [0, 1]")
         return self

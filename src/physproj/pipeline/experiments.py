@@ -40,8 +40,6 @@ from physproj.nn import (
     PlateauConfig,
     SpringEnergyTerm,
     TrainConfig,
-    ensemble_predict,
-    ensemble_train,
     forward,
     train,
     xavier_init,
@@ -175,40 +173,30 @@ def train_spring_net(ctx: DataContext, cfg: ExperimentConfig, physics: bool):
     return train(net, ctx.norm["train"], ctx.norm["val"], tcfg, physics=term)
 
 
-def _ltp_recipe(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics: bool):
-    """Layer sizes, TrainConfig and physics term (or None) of one LTP network."""
+def train_ltp_net(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics: bool):
+    """Train one LTP network (the PINN with ``physics``); returns (net, history).
+
+    ``seed`` seeds both the initialization and the shuffle stream.
+    """
     lam = cfg.ltp_lambda if physics else 0.0
-    split = (lam / 3.0, lam / 3.0, lam / 3.0) if physics else None
-    term = LtpResidualTerm(LtpConstraints(SCHEMA, ctx.out_spec), ctx.in_spec, split) if physics else None
+    term = LtpResidualTerm(LtpConstraints(SCHEMA, ctx.out_spec), ctx.in_spec, (lam / 3.0,) * 3) if physics else None
     tcfg = TrainConfig(
         learning_rate=cfg.ltp_lr,
         max_epochs=cfg.ltp_max_epochs,
         batch_size=cfg.ltp_batch,
         lambda_physics=lam,
-        lambda_split=split,
         early_stop=EarlyStopConfig(cfg.early_stop_alpha, cfg.early_stop_strip),
         lr_plateau=PlateauConfig(cfg.plateau_patience, cfg.plateau_factor),
         seed=seed,
     )
-    return (3, *cfg.ltp_hidden, 17), tcfg, term
-
-
-def train_ltp_net(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics: bool):
-    """Train one LTP network (the PINN with ``physics``); returns (net, history)."""
-    dims, tcfg, term = _ltp_recipe(ctx, cfg, seed, physics)
-    return train(xavier_init(dims, seed=seed), ctx.norm["train"], ctx.norm["val"], tcfg, physics=term)
+    net = xavier_init((3, *cfg.ltp_hidden, 17), seed=seed)
+    return train(net, ctx.norm["train"], ctx.norm["val"], tcfg, physics=term)
 
 
 def _train_ltp_model(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics: bool):
-    """Predictor on normalized inputs: one network, or the mean of cfg.ltp_n_members."""
-    if cfg.ltp_n_members > 1:
-        dims, tcfg, term = _ltp_recipe(ctx, cfg, seed, physics)
-        ensemble = ensemble_train(
-            dims, ctx.norm["train"], ctx.norm["val"], tcfg, cfg.ltp_n_members, physics=term, transform=ctx.out_spec
-        )
-        return lambda z: ensemble_predict(ensemble, z)[0]
-    net, _ = train_ltp_net(ctx, cfg, seed, physics)
-    return lambda z: forward(net, z)
+    """Predictor on normalized inputs: the mean of cfg.ltp_n_members networks seeded seed, seed + 1, ..."""
+    nets = [train_ltp_net(ctx, cfg, seed + i, physics)[0] for i in range(cfg.ltp_n_members)]
+    return lambda z: np.stack([forward(net, z) for net in nets]).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

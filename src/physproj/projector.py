@@ -45,6 +45,7 @@ from physproj.errors import PhysprojError, ValidationError
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
 SINGULAR_SYSTEM = "singular_system"
+NONFINITE_INPUT = "nonfinite_input"
 
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
@@ -213,10 +214,11 @@ def project_batch(ys, constraint_set, inputs_x=None, spec: ProjectionSpec = Proj
     """Independent projections in input order; failures never abort the batch.
 
     Row i of ``inputs_x`` is the constraint input of point i. A point whose
-    own constraint calls raise, or whose y is not finite, comes back
-    unchanged with status ``singular_system``. Points are solved in lockstep
-    blocks sized so that memory does not grow with the batch. ``seconds`` of
-    every result is the batch time split evenly across its points.
+    y is not finite comes back unchanged with status ``nonfinite_input``,
+    one whose own constraint calls raise with ``singular_system``. Points
+    are solved in lockstep blocks sized so that memory does not grow with
+    the batch. ``seconds`` of every result is the batch time split evenly
+    across its points.
     """
     start = time.perf_counter()
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
@@ -245,7 +247,8 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
     delta = np.zeros(n)
     status = np.full(n, MAX_ITERATIONS, dtype=object)
     iterations = np.zeros(n, dtype=int)
-    broken = ~np.all(np.isfinite(ys), axis=1)
+    nonfinite = ~np.all(np.isfinite(ys), axis=1)
+    broken = nonfinite.copy()
 
     act = np.flatnonzero(~broken)
     target = max(1e-3, 10.0 * spec.tolerance)
@@ -410,7 +413,8 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
         act = act[moved | (delta[act] <= _MAX_DELTA)]
         it += 1
 
-    # a point whose own constraint calls raised comes back unchanged
+    # a point whose y is not finite, or whose own constraint calls raised, comes back unchanged
     best_p[broken], best_lam[broken], best_kkt[broken] = ys[broken], 0.0, np.inf
     iterations[broken], status[broken] = 0, SINGULAR_SYSTEM
+    status[nonfinite] = NONFINITE_INPUT
     return best_p, best_lam, iterations.tolist(), best_kkt.tolist(), status

@@ -8,15 +8,12 @@ from physproj.errors import TrainingDivergedError, ValidationError
 from physproj.nn import (
     Activation,
     AdamState,
-    Ensemble,
     LtpResidualTerm,
     Network,
     SpringEnergyTerm,
     TrainConfig,
     adam_step,
     backward,
-    ensemble_predict,
-    ensemble_train,
     forward,
     forward_cached,
     load_network,
@@ -194,33 +191,33 @@ def test_backward_rejects_stale_cache():
 
 
 def test_adam_zero_gradient_keeps_params():
-    params = [np.array([1.0, -2.0]), np.array([[0.5]])]
-    state = AdamState.initialize(params)
-    new_params, new_state = adam_step(params, [np.zeros(2), np.zeros((1, 1))], state, 0.01)
-    assert all(np.array_equal(a, b) for a, b in zip(params, new_params))
-    assert new_state.t == 1
+    theta = np.array([1.0, -2.0, 0.5])
+    state = AdamState.initialize(theta)
+    adam_step(theta, [np.zeros(2), np.zeros((1, 1))], state, 0.01)
+    assert np.array_equal(theta, [1.0, -2.0, 0.5])
+    assert state.t == 1
 
 
 def test_adam_first_step_bias_corrected():
-    params = [np.array([0.0])]
-    state = AdamState.initialize(params)
-    new_params, _ = adam_step(params, [np.array([1.0])], state, 0.001)
-    assert abs(new_params[0][0] + 0.001) < 1e-5
+    theta = np.array([0.0])
+    adam_step(theta, [np.array([1.0])], AdamState.initialize(theta), 0.001)
+    assert abs(theta[0] + 0.001) < 1e-5
 
 
 def test_adam_deterministic():
-    params = [np.array([0.3, -0.7])]
+    a, b = np.array([0.3, -0.7]), np.array([0.3, -0.7])
     grads = [np.array([0.1, 0.2])]
-    a, sa = adam_step(params, grads, AdamState.initialize(params), 0.01)
-    b, sb = adam_step(params, grads, AdamState.initialize(params), 0.01)
-    assert np.array_equal(a[0], b[0])
-    assert np.array_equal(sa.m[0], sb.m[0])
+    sa, sb = AdamState.initialize(a), AdamState.initialize(b)
+    adam_step(a, grads, sa, 0.01)
+    adam_step(b, grads, sb, 0.01)
+    assert np.array_equal(a, b)
+    assert np.array_equal(sa.m, sb.m)
 
 
 def test_adam_rejects_nonfinite_gradients():
-    params = [np.array([0.0])]
+    theta = np.array([0.0])
     with pytest.raises(TrainingDivergedError):
-        adam_step(params, [np.array([np.nan])], AdamState.initialize(params), 0.01)
+        adam_step(theta, [np.array([np.nan])], AdamState.initialize(theta), 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -451,66 +448,30 @@ def test_train_divergence_detected():
 
 def test_train_validates_lambda_split():
     with pytest.raises(ValidationError):
-        TrainConfig(lambda_physics=0.015, lambda_split=(0.005, 0.005, 0.004))
-    with pytest.raises(ValidationError):
         TrainConfig(lambda_physics=1.5)
 
 
-# ---------------------------------------------------------------------------
-# ensembles
+def test_parameters_are_views_of_one_vector_and_training_leaves_input_alone():
+    net = xavier_init([2, 3, 1], seed=4)
+    assert net.theta.size == 2 * 3 + 3 + 3 * 1 + 1
+    for p in net.parameters():
+        assert np.shares_memory(p, net.theta)
+    net.parameters()[2][0, 1] = 7.0  # W1 follows W0 and b0 in theta
+    assert net.theta[2 * 3 + 3 + 1] == 7.0
 
+    for other in (net.copy(), net.with_parameters(net.parameters())):
+        assert np.array_equal(other.theta, net.theta)
+        assert not np.shares_memory(other.theta, net.theta)
+        other.theta[:] = 0.0
+        assert net.theta[2 * 3 + 3 + 1] == 7.0
 
-def test_ensemble_single_member_matches_train():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(40, 2))
-    y = rng.normal(size=(40, 1))
-    cfg = TrainConfig(learning_rate=1e-3, max_epochs=3, seed=11)
-    ens = ensemble_train([2, 3, 1], (x[:30], y[:30]), (x[30:], y[30:]), cfg, n_members=1)
-    solo, _ = train(xavier_init([2, 3, 1], seed=11), (x[:30], y[:30]), (x[30:], y[30:]), cfg)
-    for a, b in zip(ens.members[0].parameters(), solo.parameters()):
-        assert np.array_equal(a, b)
-    mean, std = ensemble_predict(ens, x[:5])
-    assert np.allclose(mean, forward(solo, x[:5]))
-    assert np.all(std == 0.0)
-
-
-def test_ensemble_members_distinct_and_deterministic():
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(30, 2))
-    y = rng.normal(size=(30, 1))
-    cfg = TrainConfig(learning_rate=1e-3, max_epochs=2, seed=1)
-    ens1 = ensemble_train([2, 3, 1], (x[:25], y[:25]), (x[25:], y[25:]), cfg, n_members=3)
-    ens2 = ensemble_train([2, 3, 1], (x[:25], y[:25]), (x[25:], y[25:]), cfg, n_members=3)
-    assert not np.array_equal(ens1.members[0].weights[0], ens1.members[1].weights[0])
-    for m1, m2 in zip(ens1.members, ens2.members):
-        for a, b in zip(m1.parameters(), m2.parameters()):
-            assert np.array_equal(a, b)
-
-
-def test_ensemble_predict_two_fixed_members():
-    def constant_net(value):
-        return Network(layer_dims=(1, 1), weights=[np.zeros((1, 1))], biases=[np.array([value])])
-
-    ens = Ensemble(members=[constant_net(1.0), constant_net(3.0)])
-    mean, std = ensemble_predict(ens, np.array([[0.0]]))
-    assert mean[0, 0] == 2.0 and std[0, 0] == 1.0
-
-
-def test_ensemble_mean_within_member_envelope():
-    members = [xavier_init([3, 5, 2], seed=s) for s in range(30)]
-    for a, b in zip(members, members[1:]):
-        assert not np.array_equal(a.weights[0], b.weights[0])
-    ens = Ensemble(members=members)
-    x = np.random.default_rng(0).normal(size=(6, 3))
-    mean, _ = ensemble_predict(ens, x)
-    outputs = np.stack([forward(m, x) for m in members])
-    assert np.all(mean >= outputs.min(axis=0) - 1e-12)
-    assert np.all(mean <= outputs.max(axis=0) + 1e-12)
-
-
-def test_ensemble_requires_matching_dims():
-    with pytest.raises(ValidationError):
-        Ensemble(members=[xavier_init([2, 2], seed=0), xavier_init([2, 3, 2], seed=0)])
+    before = net.theta.copy()
+    rng = np.random.default_rng(2)
+    x, y = rng.normal(size=(20, 2)), rng.normal(size=(20, 1))
+    trained, history = train(net, (x, y), None, TrainConfig(learning_rate=1e-2, max_epochs=2, batch_size=8))
+    assert history.n_epochs() == 2
+    assert np.array_equal(net.theta, before)
+    assert not np.array_equal(trained.theta, before)
 
 
 # ---------------------------------------------------------------------------

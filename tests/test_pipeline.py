@@ -7,9 +7,9 @@ import pytest
 
 from physproj.cli import main as cli_main
 from physproj.errors import ValidationError
-from physproj.nn import load_network, save_network, xavier_init
+from physproj.nn import forward, load_network, save_network, xavier_init
 from physproj.pipeline import ExperimentConfig, load_config, run_experiment
-from physproj.pipeline.experiments import load_spring_data, prepare_ltp, train_ltp_net
+from physproj.pipeline.experiments import _train_ltp_model, load_spring_data, prepare_ltp, train_ltp_net
 from physproj.pipeline.csvio import load_spring_dataset_csv, write_spring_dataset_csv
 from physproj.pipeline.metrics import improvement_rates, rmse, rmse_variation_rate, split_dataset
 
@@ -144,6 +144,16 @@ def test_config_validation_errors():
         ExperimentConfig(split_fractions=(0.5, 0.2, 0.2)).validate()
     with pytest.raises(ValidationError):
         ExperimentConfig(ltp_n_members=0).validate()
+    for key, value in (
+        ("spring_epochs", -3),
+        ("ltp_max_epochs", -1),
+        ("spring_steps_single", 0),
+        ("spring_steps_many", 0),
+        ("spring_projection_tol", 0.0),
+        ("ltp_projection_tol", -1e-8),
+    ):
+        with pytest.raises(ValidationError, match=key):
+            ExperimentConfig(**{key: value}).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +259,25 @@ def test_ltp_compare_with_ensemble(tmp_path):
     assert set(report.per_output_rmse) == {"nn", "pinn", "nn_projection", "pinn_projection"}
     for law_rmse in report.constraint_rmse["nn_projection"].values():
         assert law_rmse <= 1e-7
+
+
+def test_ltp_model_of_one_member_is_the_trained_network():
+    cfg = ExperimentConfig(kind="ltp-compare", **TINY_LTP)
+    ctx = prepare_ltp(cfg)
+    z = ctx.norm["test"][0]
+    net, _ = train_ltp_net(ctx, cfg, 11, physics=True)
+    assert np.array_equal(_train_ltp_model(ctx, cfg, 11, physics=True)(z), forward(net, z))
+
+
+def test_ltp_model_of_two_members_is_their_mean():
+    cfg = ExperimentConfig(kind="ltp-compare", **{**TINY_LTP, "ltp_n_members": 2})
+    ctx = prepare_ltp(cfg)
+    z = ctx.norm["test"][0]
+    a, _ = train_ltp_net(ctx, cfg, 11, physics=False)
+    b, _ = train_ltp_net(ctx, cfg, 12, physics=False)
+    assert not np.array_equal(a.theta, b.theta)
+    expected = np.stack([forward(a, z), forward(b, z)]).mean(axis=0)
+    assert np.array_equal(_train_ltp_model(ctx, cfg, 11, physics=False)(z), expected)
 
 
 def test_timing_artifacts(tmp_path):

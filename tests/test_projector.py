@@ -6,6 +6,7 @@ from physproj.constraints import ConstraintSet, EnergyConstraint, denormalize, f
 from physproj.errors import ValidationError
 from physproj.projector import (
     CONVERGED,
+    NONFINITE_INPUT,
     SINGULAR_SYSTEM,
     ProjectionSpec,
     kkt_residual,
@@ -192,12 +193,14 @@ def test_batch_isolates_per_item_failures():
                 raise ValidationError("synthetic failure")
             return super()._residual(x, p)
 
-    ys = np.array([[0.7], [11.0], [0.2]])
+    ys = np.array([[0.7], [11.0], [0.2], [np.nan]])
     results = project_batch(ys, Fragile(), None, ProjectionSpec(tolerance=1e-10))
     assert results[0].status == CONVERGED
     assert results[1].status == SINGULAR_SYSTEM
     assert results[2].status == CONVERGED
     assert results[1].projected[0] == 11.0  # untouched input returned
+    assert results[3].status == NONFINITE_INPUT
+    assert np.isnan(results[3].projected[0]) and results[3].iterations == 0
 
 
 def test_singular_constraint_reports_status():
