@@ -37,7 +37,7 @@ from physproj.pipeline.experiments import (
     train_ltp_net,
     train_spring_net,
 )
-from physproj.projector import ProjectionSpec, project, project_batch
+from physproj.projector import ProjectionSpec, project_batch
 from physproj.springmass import STATE_NAMES, SpringParams
 
 
@@ -124,16 +124,20 @@ def cmd_rollout(args, cfg) -> int:
     if spec is None:
         raise ValidationError(f"model file {args.model} carries no transform spec")
     params = SpringParams()
-    ic = np.asarray(cfg.spring_initial_state, dtype=np.float64)
+    ic = np.asarray(cfg.spring_initial_state, dtype=np.float64)[None]
     projector = None
     if args.project:
-        constraint = EnergyConstraint(params, springmass.energy(ic, params), spec)
+        constraint = EnergyConstraint(params, None, spec)
+        anchors = springmass.energy(ic, params)[:, None]
         pspec = ProjectionSpec(tolerance=cfg.spring_projection_tol)
-        projector = lambda y: project(y, constraint, None, pspec)
+        projector = lambda ys, active: project_batch(ys, constraint, anchors[active], pspec)
     result = springmass.rollout(
         lambda z: forward(net, z), ic, cfg.spring_steps_single, spec, projector=projector, params=params
     )
-    write_trajectory_csv(os.path.join(cfg.out_dir, "trajectory.csv"), result.states, result.energies, cfg.spring_delta_t)
+    result.raise_failure()
+    write_trajectory_csv(
+        os.path.join(cfg.out_dir, "trajectory.csv"), result.states[:, 0], result.energies[:, 0], cfg.spring_delta_t
+    )
     return 0
 
 

@@ -176,14 +176,21 @@ def load_ltp_csv(path, column_map: dict | None = None) -> tuple[np.ndarray, np.n
     Missing map entries fall back to the schema name with scale 1, so files
     written by :func:`write_ltp_csv` load with no map at all.
     """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ValidationError(f"malformed dataset csv {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"malformed dataset csv {path}: {exc}") from exc
+    if not len(data) or data.shape[1] != len(header):
+        raise ValidationError(f"dataset csv {path} needs rows of {len(header)} values under its header, got {data.shape}")
+    column_map = {} if column_map is None else column_map
+    if not isinstance(column_map, dict) or not all(
+        isinstance(e, dict) and isinstance(e.get("column", ""), str) and type(e.get("scale", 1.0)) in (int, float)
+        for e in column_map.values()
+    ):
+        raise ValidationError('column map must be an object of {"column": name, "scale": number} objects')
     columns = {name: i for i, name in enumerate(header)}
-    column_map = column_map or {}
 
     def pull(name: str) -> np.ndarray:
         entry = column_map.get(name, {})

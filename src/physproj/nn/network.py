@@ -72,10 +72,6 @@ class Network:
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.layer_dims[-1]
-
     def parameters(self) -> list[np.ndarray]:
         """Views [W0, b0, W1, b1, ...] of ``theta``, in its order."""
         return [p for pair in zip(self.weights, self.biases) for p in pair]
@@ -208,7 +204,7 @@ def load_network(path):
     if not lines or lines[0] != MAGIC_HEADER:
         raise ValidationError(f"{path} is not a {MAGIC_HEADER} file")
     try:
-        dims = tuple(int(d) for d in lines[1].split(" ", 1)[1].split(","))
+        dims = _check_layer_dims(lines[1].split(" ", 1)[1].split(","))
         _, kind, slope = lines[2].split(" ")
         transform_payload = lines[3].split(" ", 1)[1]
         transform = None if transform_payload == "none" else TransformSpec.from_json(transform_payload)

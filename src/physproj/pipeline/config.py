@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from physproj.errors import ValidationError
 
@@ -84,6 +84,10 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.kind not in EXPERIMENT_KINDS:
             raise ValidationError(f"unknown experiment kind '{self.kind}'; choose from {EXPERIMENT_KINDS}")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
+        if len(self.split_fractions) != 3 or len(self.spring_initial_state) != 4:
+            raise ValidationError("split_fractions needs 3 values and spring_initial_state 4")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValidationError("split_fractions must sum to 1")
         if not self.architectures or not self.sizes:
@@ -125,11 +129,32 @@ class ExperimentConfig:
         return out
 
 
+def _expected_type(default) -> str:
+    """What a JSON value must be to stand for a field with this default."""
+    if default is None:
+        return "a string or null"
+    if isinstance(default, tuple):
+        return "a list of " + {int: "integers", float: "numbers"}[type(default[0])]
+    return {int: "an integer", float: "a number", str: "a string"}[type(default)]
+
+
+def _fits(value, default) -> bool:
+    """Ints are not bools, floats accept ints, tuples hold numbers, None-default fields take a string or null."""
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Build a config from defaults, an optional JSON file, and CLI overrides.
 
     The JSON file is a flat object whose keys are ExperimentConfig field
-    names; list values become tuples. Unknown keys are rejected.
+    names; list values become tuples. Unknown keys and values of another
+    type than the field's default are rejected.
     """
     values: dict = {}
     if path is not None:
@@ -142,13 +167,13 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(values, dict):
             raise ValidationError("config file must hold a JSON object")
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(values) - known
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    unknown = (set(values) | set(overrides)) - set(defaults)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in list(values.items()):
-        if isinstance(value, list):
-            values[key] = tuple(value)
+    for key, value in [*values.items(), *overrides.items()]:  # an overridden file value is checked too
+        if not _fits(value, defaults[key]):
+            raise ValidationError(f"config key '{key}' must be {_expected_type(defaults[key])}, got {value!r}")
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in {**values, **overrides}.items()}
     return ExperimentConfig(**values).validate()

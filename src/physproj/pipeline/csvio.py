@@ -52,7 +52,7 @@ def write_spring_dataset_csv(path, inputs: np.ndarray, targets: np.ndarray) -> N
 def load_spring_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"malformed dataset csv {path}: {exc}") from exc
     if data.shape[1] != 8:
         raise ValidationError(f"dataset csv {path} has {data.shape[1]} columns, expected 8")

@@ -33,7 +33,7 @@ from physproj.constraints import (
     normalize,
 )
 from physproj.constraints.ltp import TORR_TO_PA, synthetic_outputs
-from physproj.errors import PhysprojError, ProjectionError
+from physproj.errors import PhysprojError, ValidationError
 from physproj.nn import (
     EarlyStopConfig,
     LtpResidualTerm,
@@ -47,7 +47,7 @@ from physproj.nn import (
 from physproj.pipeline.config import ExperimentConfig
 from physproj.pipeline.csvio import load_spring_dataset_csv, write_csv, write_manifest, write_trajectory_csv
 from physproj.pipeline.metrics import improvement_rates, rmse, rmse_variation_rate, split_dataset
-from physproj.projector import CONVERGED, ProjectionSpec, project, project_batch
+from physproj.projector import CONVERGED, ProjectionSpec, project_batch
 from physproj.springmass import STATE_NAMES, SpringParams
 
 PARAMS = SpringParams()
@@ -72,7 +72,6 @@ class MetricsReport:
     constraint_rmse: dict = field(default_factory=dict)  # model -> {law: rmse}
     r_mean: dict = field(default_factory=dict)  # model pair -> percent
     r_all: dict = field(default_factory=dict)
-    variation_pct: dict = field(default_factory=dict)
     n_nonconverged: int = 0
     phase_seconds: dict = field(default_factory=dict)
 
@@ -114,8 +113,11 @@ def load_ltp_data(cfg: ExperimentConfig):
         if cfg.ltp_column_map is not None:
             import json
 
-            with open(cfg.ltp_column_map, encoding="utf-8") as fh:
-                column_map = json.load(fh)
+            try:
+                with open(cfg.ltp_column_map, encoding="utf-8") as fh:
+                    column_map = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise ValidationError(f"cannot read column map {cfg.ltp_column_map}: {exc}") from exc
         return load_ltp_csv(cfg.ltp_dataset_csv, column_map), False
     return generate_synthetic_ltp(cfg.ltp_n_samples, cfg.seed), True
 
@@ -213,38 +215,31 @@ def _spring_models(cfg: ExperimentConfig):
 
 
 def _rollout_four(ctx: DataContext, models: dict, initial_states: np.ndarray, n_steps: int, tol: float) -> dict:
-    """Rollouts of NN, PINN, and their projected counterparts.
+    """Lockstep rollouts of NN, PINN, and their projected counterparts.
 
-    From a single state (4,), a projected entry is a ProjectionError when the
-    solver fails mid-trajectory; a batch (n, 4) runs in lockstep, each
-    trajectory on its own energy shell, and records failures per trajectory.
+    Each trajectory is projected onto its own energy shell; failures are
+    recorded per trajectory.
     """
     anchors = springmass.energy(initial_states, PARAMS)
     constraint = EnergyConstraint(PARAMS, None, ctx.out_spec)
     pspec = ProjectionSpec(tolerance=tol)
-    if initial_states.ndim == 1:
-        projector = lambda y: project(y, constraint, [anchors], pspec)
-    else:
-        projector = lambda ys, active: project_batch(ys, constraint, anchors[active, None], pspec)
+    projector = lambda ys, active: project_batch(ys, constraint, anchors[active, None], pspec)
 
     out = {}
     for name, net in models.items():
         model_fn = lambda z, net=net: forward(net, z)
         out[name] = springmass.rollout(model_fn, initial_states, n_steps, ctx.out_spec, params=PARAMS)
-        try:
-            out[name + "_projection"] = springmass.rollout(
-                model_fn, initial_states, n_steps, ctx.out_spec, projector=projector, params=PARAMS
-            )
-        except ProjectionError as exc:
-            out[name + "_projection"] = exc
+        out[name + "_projection"] = springmass.rollout(
+            model_fn, initial_states, n_steps, ctx.out_spec, projector=projector, params=PARAMS
+        )
     return out
 
 
-def _trajectory_rmses(result, truth_norm: np.ndarray, spec, anchors) -> np.ndarray:
+def _trajectory_rmses(states, energies, truth_norm: np.ndarray, spec, anchors) -> np.ndarray:
     """Per-variable normalized RMSE (x1, v1, x2, v2) then energy RMSE in J, per trajectory."""
-    pred_norm = normalize(result.states, spec)
+    pred_norm = normalize(states, spec)
     state_rmse = np.sqrt(np.mean((pred_norm[1:] - truth_norm[1:]) ** 2, axis=0))
-    energy_rmse = np.sqrt(np.mean((result.energies[1:] - anchors) ** 2, axis=0))
+    energy_rmse = np.sqrt(np.mean((energies[1:] - anchors) ** 2, axis=0))
     return np.concatenate([state_rmse, energy_rmse[..., None]], axis=-1)
 
 
@@ -263,14 +258,14 @@ def run_spring_single(cfg: ExperimentConfig) -> MetricsReport:
         cfg.spring_delta_t,
     )
 
-    rollouts = _rollout_four(ctx, models, ic, n_steps, cfg.spring_projection_tol)
+    rollouts = _rollout_four(ctx, models, ic[None], n_steps, cfg.spring_projection_tol)
     report = MetricsReport(phase_seconds=dict(ctx.phase_seconds))
     rows = []
     for name, result in rollouts.items():
-        if isinstance(result, ProjectionError):
-            raise result  # single-trajectory run has nothing to fall back on
-        write_trajectory_csv(os.path.join(cfg.out_dir, f"trajectory_{name}.csv"), result.states, result.energies, cfg.spring_delta_t)
-        rmses = _trajectory_rmses(result, truth_norm, ctx.out_spec, anchor)
+        result.raise_failure()  # single-trajectory run has nothing to fall back on
+        states, energies = result.states[:, 0], result.energies[:, 0]
+        write_trajectory_csv(os.path.join(cfg.out_dir, f"trajectory_{name}.csv"), states, energies, cfg.spring_delta_t)
+        rmses = _trajectory_rmses(states, energies, truth_norm, ctx.out_spec, anchor)
         report.per_output_rmse[name] = dict(zip((*STATE_NAMES, "energy_J"), rmses))
         rows.append((name, *rmses))
     write_csv(
@@ -293,7 +288,7 @@ def run_spring_many(cfg: ExperimentConfig) -> MetricsReport:
     truth_norm = normalize(truths, ctx.out_spec)
     anchors = springmass.energy(initial_states, PARAMS)
     rollouts = _rollout_four(ctx, models, initial_states, n_steps, cfg.spring_projection_tol)
-    rmses = {name: _trajectory_rmses(result, truth_norm, ctx.out_spec, anchors) for name, result in rollouts.items()}
+    rmses = {name: _trajectory_rmses(r.states, r.energies, truth_norm, ctx.out_spec, anchors) for name, r in rollouts.items()}
     done = {name: result.failed_step == 0 for name, result in rollouts.items()}  # False: projection failed
     n_nonconverged = sum(int((~ok).sum()) for ok in done.values())
     rollout_seconds = time.perf_counter() - tick
@@ -503,7 +498,6 @@ def run_ablation_arch(cfg: ExperimentConfig) -> MetricsReport:
             predict = _train_ltp_model(ctx, arch_cfg, cfg.seed + 100 + i, physics=False)
             (mean_nn, mean_proj, focus_nn, focus_proj), n_failed = _score(ctx, cfg, predict)
             seconds = time.perf_counter() - tick
-            variation = rmse_variation_rate(mean_nn, mean_proj)
             rows.append(
                 (
                     width,
@@ -511,7 +505,7 @@ def run_ablation_arch(cfg: ExperimentConfig) -> MetricsReport:
                     "ok",
                     mean_nn,
                     mean_proj,
-                    variation,
+                    rmse_variation_rate(mean_nn, mean_proj),
                     focus_nn,
                     focus_proj,
                     rmse_variation_rate(focus_nn, focus_proj),
@@ -519,7 +513,6 @@ def run_ablation_arch(cfg: ExperimentConfig) -> MetricsReport:
                     seconds,
                 )
             )
-            report.variation_pct[str(width)] = variation
             report.n_nonconverged += n_failed
             if ctx.synthetic and width in cfg.trend_architectures:
                 write_csv(
@@ -597,7 +590,6 @@ def run_small_samples(cfg: ExperimentConfig) -> MetricsReport:
                 seconds_total,
             )
         )
-        report.variation_pct[str(size)] = rmse_variation_rate(means[0], means[1])
         report.n_nonconverged += nonconv_total
     write_csv(
         os.path.join(cfg.out_dir, "resamples.csv"),

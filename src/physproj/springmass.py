@@ -6,7 +6,8 @@ mechanical energy is conserved and serves as the physical constraint for the
 surrogate models built on top of this module.
 
 State vectors are laid out as [x1, v1, x2, v2]; every function here accepts
-either a single state (4,) or a batch (n, 4).
+either a single state (4,) or a batch (n, 4), except ``rollout``, which
+takes a batch only.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ def sample_states(params: SpringParams, e_max: float, n: int, rng: np.random.Gen
     whole energy budget alone, so the admissible region is fully covered and
     the acceptance probability stays bounded away from zero.
     """
-    if e_max <= 0.0:
-        raise ValidationError("e_max must be positive")
+    if not 0.0 < e_max < np.inf:
+        raise ValidationError("e_max must be positive and finite")
     q1_max = np.sqrt(2.0 * e_max / params.k1)
     q2_max = np.sqrt(2.0 * e_max / params.k2)
     v1_max = np.sqrt(2.0 * e_max / params.m1)
@@ -161,38 +162,41 @@ def generate_dataset(
 
 @dataclass
 class RolloutResult:
-    """Predicted trajectories; a batch of n has a trailing trajectory axis.
+    """Predicted trajectories of a batch of n initial states.
 
     Per trajectory, ``failed_step`` is the step of its first failed
     projection (0 if none) and ``failed_status`` that projection's status;
     the states after it are NaN.
     """
 
-    states: np.ndarray  # (n_steps + 1, 4) or (n_steps + 1, n, 4), physical units, row 0 = initial
-    energies: np.ndarray  # (n_steps + 1,) or (n_steps + 1, n), in J
-    seconds: float = 0.0
-    failed_step: np.ndarray | None = None
-    failed_status: np.ndarray | None = None
+    states: np.ndarray  # (n_steps + 1, n, 4), physical units, row 0 = initial
+    energies: np.ndarray  # (n_steps + 1, n), in J
+    seconds: float
+    failed_step: np.ndarray  # (n,) int
+    failed_status: np.ndarray  # (n,) str, "" if none
+
+    def raise_failure(self) -> None:
+        """Raise ProjectionError naming the step and status of the first trajectory that failed, if any."""
+        for step, status in zip(self.failed_step.tolist(), self.failed_status):
+            if step:
+                raise ProjectionError(f"projection failed at rollout step {step} with status '{status}'", step=step, status=status)
 
 
 def rollout(
     model_fn,
-    initial_state: np.ndarray,
+    initial_states: np.ndarray,
     n_steps: int,
     transform,
     projector=None,
     params: SpringParams = SpringParams(),
 ) -> RolloutResult:
-    """Autoregressive trajectory prediction with optional output projection.
+    """Autoregressive prediction of n trajectories in lockstep, with optional output projection.
 
-    A single state (4,) is rolled out alone: ``model_fn`` maps a normalized
-    state (4,) to the normalized next state, ``projector(y_norm)`` returns a
-    ProjectionResult, and a failed projection raises ProjectionError. A
-    batch (n, 4) is rolled out in lockstep: each step makes one
-    ``model_fn`` call on the (k, 4) states still running, and
-    ``projector(ys_norm, active)`` gets their predictions with their indices
-    into the batch and returns k ProjectionResults. A trajectory leaves the
-    batch at its first failed projection, which is recorded in the result.
+    ``initial_states`` is (n, 4). Each step makes one ``model_fn`` call on
+    the normalized (k, 4) states still running, and ``projector(ys_norm,
+    active)`` gets their predictions with their indices into the batch and
+    returns k ProjectionResults. A trajectory leaves the batch at its first
+    failed projection, which is recorded in the result.
 
     The projection output (still normalized) replaces the raw prediction
     before de-normalizing and feeding back; its anchor should be each
@@ -201,35 +205,27 @@ def rollout(
     from physproj.constraints.transform import denormalize, normalize  # local to avoid cycle
 
     start = time.perf_counter()
-    state = np.asarray(initial_state, dtype=np.float64)
-    single = state.ndim == 1
-    states = np.full((n_steps + 1, *np.atleast_2d(state).shape), np.nan)
+    state = np.asarray(initial_states, dtype=np.float64)
+    if state.ndim != 2 or state.shape[1] != 4:
+        raise ValidationError(f"initial states must have shape (n, 4), got {state.shape}")
+    states = np.full((n_steps + 1, *state.shape), np.nan)
     states[0] = state
-    failed_step = np.zeros(len(states[0]), dtype=int)
-    failed_status = np.full(len(states[0]), "", dtype=object)
-    active = np.arange(len(states[0]))
+    failed_step = np.zeros(len(state), dtype=int)
+    failed_status = np.full(len(state), "", dtype=object)
+    active = np.arange(len(state))
     for step in range(1, n_steps + 1):
         if not active.size:
             break
-        z = normalize(states[step - 1, active], transform)
-        y = np.atleast_2d(np.asarray(model_fn(z[0] if single else z), dtype=np.float64))
+        y = np.asarray(model_fn(normalize(states[step - 1, active], transform)), dtype=np.float64)
         if projector is not None:
-            results = [projector(y[0])] if single else projector(y, active)
+            results = projector(y, active)
             ok = np.array([r.status == CONVERGED for r in results])
-            if single and not ok[0]:
-                raise ProjectionError(
-                    f"projection failed at rollout step {step} with status '{results[0].status}'",
-                    step=step,
-                    status=results[0].status,
-                )
             failed_step[active[~ok]] = step
             failed_status[active[~ok]] = [results[i].status for i in np.flatnonzero(~ok)]
             y = np.stack([r.projected for r in results])[ok]
             active = active[ok]
         states[step, active] = denormalize(y, transform)
-    if single:
-        states = states[:, 0]
-    return RolloutResult(states, np.asarray(energy(states, params)), time.perf_counter() - start, failed_step, failed_status)
+    return RolloutResult(states, energy(states, params), time.perf_counter() - start, failed_step, failed_status)
 
 
 def true_trajectory(

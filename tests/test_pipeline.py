@@ -156,6 +156,41 @@ def test_config_validation_errors():
             ExperimentConfig(**{key: value}).validate()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", "a"),
+        ("seed", None),
+        ("seed", True),
+        ("seed", -1),
+        ("spring_epochs", 2.0),
+        ("spring_projection_tol", "x"),
+        ("spring_lr", False),
+        ("split_fractions", None),
+        ("split_fractions", [1.0]),
+        ("spring_initial_state", [0.1, 0.2]),
+        ("spring_hidden", [8, "8"]),
+        ("spring_hidden", [8.5]),
+        ("out_dir", 5),
+        ("ltp_dataset_csv", 3),
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ValidationError, match=key):
+        load_config(path)
+    assert cli_main(["gen-data", "spring", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_accepts_ints_for_floats_and_null_for_optional_paths(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"spring_lr": 1, "split_fractions": [1, 0, 0], "ltp_dataset_csv": None}))
+    cfg = load_config(path)
+    assert cfg.spring_lr == 1 and cfg.split_fractions == (1, 0, 0) and cfg.ltp_dataset_csv is None
+
+
 # ---------------------------------------------------------------------------
 # experiments (tiny scale)
 
@@ -373,6 +408,40 @@ def test_cli_validation_exit_code(tmp_path):
     assert cli_main(["experiment", "timing", "--config", cfg, "--out-dir", str(tmp_path / "l")]) == 1
 
 
+@pytest.mark.filterwarnings("ignore:loadtxt")  # the CSV without data rows
+@pytest.mark.parametrize(
+    "case, column_map",
+    [("no_rows", None), ("map_list", [1]), ("map_of_number", {"P": 3}), ("map_text_scale", {"P": {"scale": "x"}})],
+)
+def test_malformed_ltp_csv_or_column_map_exit_code(tmp_path, capsys, case, column_map):
+    from physproj.constraints import generate_synthetic_ltp, load_ltp_csv, write_ltp_csv
+
+    csv = tmp_path / "ltp.csv"
+    write_ltp_csv(csv, *generate_synthetic_ltp(20, 0))
+    if case == "no_rows":
+        csv.write_text(csv.read_text().splitlines()[0] + "\n")
+    extra = {"ltp_dataset_csv": str(csv)}
+    if column_map is not None:
+        (tmp_path / "map.json").write_text(json.dumps(column_map))
+        extra["ltp_column_map"] = str(tmp_path / "map.json")
+    with pytest.raises(ValidationError):
+        load_ltp_csv(csv, column_map)
+    cfg = _write_cfg(tmp_path, extra)
+    capsys.readouterr()
+    assert cli_main(["gen-data", "ltp-synthetic", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_projected_rollout_failure_exit_code(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {"spring_projection_tol": 1e-300})  # no step can converge
+    assert cli_main(["train", "spring", "--config", cfg, "--out-dir", str(tmp_path / "ms")]) == 0
+    model = str(tmp_path / "ms" / "model.txt")
+    capsys.readouterr()
+    assert cli_main(["rollout", "--model", model, "--project", "--config", cfg, "--out-dir", str(tmp_path / "r")]) == 2
+    assert "projection failed at rollout step" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "r" / "trajectory.csv")
+
+
 def test_cli_numerical_failure_exit_code(tmp_path):
     # a dataset with non-finite values makes training diverge -> exit code 2
     ds = tmp_path / "broken.csv"
@@ -432,6 +501,8 @@ def _model_file(tmp_path, case):
     lines = path.read_text().splitlines()
     if case == "truncated":
         lines = lines[:2]
+    elif case == "single_width":
+        lines[1] = "layer_dims 4"
     else:  # unparsable weight
         lines[4] = lines[4].replace(" ", " x", 1)
     path.write_text("\n".join(lines) + "\n")
@@ -439,7 +510,7 @@ def _model_file(tmp_path, case):
 
 
 @pytest.mark.parametrize("command", [["project", "spring"], ["rollout"]], ids=["project", "rollout"])
-@pytest.mark.parametrize("case", ["missing", "truncated", "unparsable"])
+@pytest.mark.parametrize("case", ["missing", "truncated", "unparsable", "single_width"])
 def test_cli_malformed_model_exit_code(tmp_path, command, case):
     model = _model_file(tmp_path, case)
     with pytest.raises(ValidationError):

@@ -1,18 +1,25 @@
-"""Property tests: solver invariants on random spheres and hyperplane sets, and
-bit-exact model files for random architectures.
+"""Property tests: solver invariants on random spheres and hyperplane sets,
+bit-exact model files for random architectures, and loaders that meet
+malformed model files, dataset CSVs, column maps and configs with
+ValidationError alone.
 
 Examples are derandomized so every run checks the same cases.
 """
 
+import dataclasses
+import json
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from physproj.constraints import ConstraintSet
+from physproj.constraints import INPUT_NAMES, OUTPUT_NAMES, ConstraintSet, fit_transform, load_ltp_csv
+from physproj.errors import ValidationError
 from physproj.nn import load_network, save_network, xavier_init
+from physproj.pipeline import ExperimentConfig, load_config
 from physproj.projector import CONVERGED, ProjectionSpec, kkt_residual, project
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -107,3 +114,71 @@ def test_saved_network_reloads_bit_for_bit(net):
         loaded, transform = load_network(path)
     assert transform is None and loaded.layer_dims == net.layer_dims
     assert loaded.theta.tobytes() == net.theta.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# loaders on malformed input: a result or ValidationError, never another exception
+
+JUNK = st.text(alphabet="0123456789-+.,eE xnaif{}[]\":truelsN", max_size=40)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _loads_or_rejects(load, *args):
+    try:
+        load(*args)
+    except ValidationError:
+        pass
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=4), st.data())
+def test_malformed_model_file_is_rejected_with_validation_error(dims, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.txt")
+        save_network(path, xavier_init(dims), transform=fit_transform(np.eye(dims[-1] + 1)[:, :-1], list("abcd")[: dims[-1]]))
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        row = data.draw(st.integers(1, len(lines) - 1), label="line")  # the header stays, so parsing is reached
+        edit = data.draw(st.sampled_from(["replace", "value", "cut"]), label="edit")
+        junk = data.draw(JUNK, label="text")
+        if edit == "replace":
+            lines[row] = junk
+        elif edit == "value":
+            lines[row] = lines[row].split(" ", 1)[0] + " " + junk
+        else:
+            lines = lines[:row]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        _loads_or_rejects(load_network, path)
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")  # a CSV without data rows
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.sampled_from([*INPUT_NAMES, *OUTPUT_NAMES, "x", ""]), max_size=24),
+    st.lists(st.lists(st.sampled_from(["1", "-2.5", "1e3", "nan", "", "a"]), max_size=24), max_size=3),
+    st.none() | JSON_VALUES,
+)
+def test_malformed_ltp_csv_and_column_map_are_rejected_with_validation_error(header, rows, column_map):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ltp.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(",".join(cells) for cells in [header, *rows]) + "\n")
+        _loads_or_rejects(load_ltp_csv, path, column_map)
+
+
+CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
+@PROPERTY_SETTINGS
+@given(st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES, max_size=4))
+def test_malformed_config_is_rejected_with_validation_error(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(values, fh)
+        _loads_or_rejects(load_config, path)

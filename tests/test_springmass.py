@@ -108,6 +108,12 @@ def test_sample_states_respect_energy_threshold():
     assert np.all(sm.energy(states, PARAMS) < 5.0)
 
 
+@pytest.mark.parametrize("e_max", [0.0, -1.0, np.inf, np.nan])
+def test_sample_states_rejects_energy_budgets_that_are_not_positive_and_finite(e_max):
+    with pytest.raises(ValidationError, match="e_max"):
+        sm.sample_states(PARAMS, e_max, 5, np.random.default_rng(0))
+
+
 def test_sampling_acceptance_rate():
     # box-to-ellipsoid volume ratio is pi^2/32 ~ 0.308 for any parameters
     rng = np.random.default_rng(4)
@@ -156,17 +162,25 @@ def test_rollout_with_exact_model_tracks_ground_truth():
     def oracle(z):
         return normalize(sm.integrate(denormalize(z, spec), PARAMS, 0.05, 50), spec)
 
-    result = sm.rollout(oracle, PAPER_IC, 20, spec, params=PARAMS)
+    result = sm.rollout(oracle, PAPER_IC[None], 20, spec, params=PARAMS)
     truth = sm.true_trajectory(PAPER_IC, PARAMS, 20, 0.05, 50)
-    assert np.allclose(result.states, truth, atol=1e-9)
-    assert result.states.shape == (21, 4)
-    assert result.energies.shape == (21,)
+    assert result.states.shape == (21, 1, 4)
+    assert result.energies.shape == (21, 1)
+    assert np.allclose(result.states[:, 0], truth, atol=1e-9)
+    assert result.failed_step.tolist() == [0] and result.failed_status.tolist() == [""]
+    result.raise_failure()  # nothing failed, so nothing is raised
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (1, 1, 4)])
+def test_rollout_takes_only_a_batch_of_states(shape):
+    with pytest.raises(ValidationError, match=r"\(n, 4\)"):
+        sm.rollout(lambda z: z, np.zeros(shape), 3, _state_spec(), params=PARAMS)
 
 
 def test_rollout_with_projector_pins_energy():
     from physproj.constraints import EnergyConstraint
     from physproj.nn import forward, xavier_init
-    from physproj.projector import ProjectionSpec, project
+    from physproj.projector import ProjectionSpec, project_batch
 
     spec = _state_spec()
     net = xavier_init([4, 8, 8, 4], seed=0)  # untrained: wild predictions
@@ -175,14 +189,15 @@ def test_rollout_with_projector_pins_energy():
     pspec = ProjectionSpec(tolerance=1e-6)
     result = sm.rollout(
         lambda z: forward(net, z),
-        PAPER_IC,
+        PAPER_IC[None],
         30,
         spec,
-        projector=lambda y: project(y, constraint, None, pspec),
+        projector=lambda ys, active: project_batch(ys, constraint, None, pspec),
         params=PARAMS,
     )
     scale = max(anchor, 1.0)
-    assert np.max(np.abs(result.energies[1:] - anchor)) <= 1e-6 * scale
+    assert result.failed_step[0] == 0
+    assert np.max(np.abs(result.energies[1:, 0] - anchor)) <= 1e-6 * scale
 
 
 def test_rollout_surfaces_projection_failure_step():
@@ -190,19 +205,23 @@ def test_rollout_surfaces_projection_failure_step():
 
     spec = _state_spec()
 
-    def failing_projector(y):
-        return ProjectionResult(projected=y, multipliers=np.zeros(1), iterations=0, kkt_norm=np.inf, status="max_iterations")
+    def failing_projector(ys, active):
+        return [
+            ProjectionResult(projected=y, multipliers=np.zeros(1), iterations=0, kkt_norm=np.inf, status="max_iterations")
+            for y in ys
+        ]
 
-    with pytest.raises(ProjectionError) as err:
-        sm.rollout(lambda z: z, PAPER_IC, 5, spec, projector=failing_projector, params=PARAMS)
+    result = sm.rollout(lambda z: z, PAPER_IC[None], 5, spec, projector=failing_projector, params=PARAMS)
+    assert np.all(np.isnan(result.states[1:]))
+    with pytest.raises(ProjectionError, match="projection failed at rollout step 1 with status 'max_iterations'") as err:
+        result.raise_failure()
     assert err.value.step == 1
     assert err.value.status == "max_iterations"
 
 
 def test_lockstep_rollout_equals_single_state_rollouts_including_a_failure():
     from physproj.constraints import EnergyConstraint, denormalize
-    from physproj.errors import ValidationError
-    from physproj.projector import project, project_batch, ProjectionSpec
+    from physproj.projector import project_batch, ProjectionSpec
 
     spec = _state_spec()
     rng = np.random.default_rng(5)
@@ -224,21 +243,22 @@ def test_lockstep_rollout_equals_single_state_rollouts_including_a_failure():
 
     constraint = Walled(PARAMS, None, spec)
     pspec = ProjectionSpec(tolerance=1e-8)
-    batch = sm.rollout(
-        drifting, states, 12, spec, projector=lambda ys, active: project_batch(ys, constraint, anchors[active, None], pspec), params=PARAMS
-    )
+
+    def run(batch_states, batch_anchors):
+        projector = lambda ys, active: project_batch(ys, constraint, batch_anchors[active, None], pspec)
+        return sm.rollout(drifting, batch_states, 12, spec, projector=projector, params=PARAMS)
+
+    batch = run(states, anchors)
     assert batch.states.shape == (13, 6, 4) and batch.energies.shape == (13, 6)
     for t in range(6):
-        projector = lambda y, t=t: project(y, constraint, [anchors[t]], pspec)
-        try:
-            single = sm.rollout(drifting, states[t], 12, spec, projector=projector, params=PARAMS)
-        except ProjectionError as exc:
-            assert (batch.failed_step[t], batch.failed_status[t]) == (exc.step, exc.status)
-            assert np.all(np.isnan(batch.states[exc.step :, t]))
-            continue
-        assert batch.failed_step[t] == 0
-        assert np.array_equal(batch.states[:, t], single.states)
-        assert np.array_equal(batch.energies[:, t], single.energies)
+        alone = run(states[t : t + 1], anchors[t : t + 1])
+        assert (alone.failed_step[0], alone.failed_status[0]) == (batch.failed_step[t], batch.failed_status[t])
+        assert alone.states[:, 0].tobytes() == batch.states[:, t].tobytes()
+        assert alone.energies[:, 0].tobytes() == batch.energies[:, t].tobytes()
     failed = np.flatnonzero(batch.failed_step)
     assert len(failed) == 1 and batch.failed_step[failed[0]] > 1
     assert batch.failed_status[failed[0]] == "singular_system"
+    assert np.all(np.isnan(batch.states[batch.failed_step[failed[0]] :, failed[0]]))
+    with pytest.raises(ProjectionError) as err:
+        run(states[failed], anchors[failed]).raise_failure()
+    assert (err.value.step, err.value.status) == (batch.failed_step[failed[0]], "singular_system")
