@@ -182,7 +182,7 @@ def load_ltp_csv(path, column_map: dict | None = None) -> tuple[np.ndarray, np.n
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"malformed dataset csv {path}: {exc}") from exc
-    if not len(data) or data.shape[1] != len(header):
+    if not len(data) or data.shape[1] < len(header):
         raise ValidationError(f"dataset csv {path} needs rows of {len(header)} values under its header, got {data.shape}")
     column_map = {} if column_map is None else column_map
     if not isinstance(column_map, dict) or not all(

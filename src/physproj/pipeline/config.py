@@ -129,15 +129,6 @@ class ExperimentConfig:
         return out
 
 
-def _expected_type(default) -> str:
-    """What a JSON value must be to stand for a field with this default."""
-    if default is None:
-        return "a string or null"
-    if isinstance(default, tuple):
-        return "a list of " + {int: "integers", float: "numbers"}[type(default[0])]
-    return {int: "an integer", float: "a number", str: "a string"}[type(default)]
-
-
 def _fits(value, default) -> bool:
     """Ints are not bools, floats accept ints, tuples hold numbers, None-default fields take a string or null."""
     if default is None:
@@ -174,6 +165,6 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     for key, value in [*values.items(), *overrides.items()]:  # an overridden file value is checked too
         if not _fits(value, defaults[key]):
-            raise ValidationError(f"config key '{key}' must be {_expected_type(defaults[key])}, got {value!r}")
+            raise ValidationError(f"config key '{key}' must have the type of its default {defaults[key]!r}, got {value!r}")
     values = {k: tuple(v) if isinstance(v, list) else v for k, v in {**values, **overrides}.items()}
     return ExperimentConfig(**values).validate()

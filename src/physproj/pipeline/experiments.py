@@ -47,7 +47,8 @@ from physproj.nn import (
 from physproj.pipeline.config import ExperimentConfig
 from physproj.pipeline.csvio import load_spring_dataset_csv, write_csv, write_manifest, write_trajectory_csv
 from physproj.pipeline.metrics import improvement_rates, rmse, rmse_variation_rate, split_dataset
-from physproj.projector import CONVERGED, ProjectionSpec, project_batch
+# project is not called here; bench/tracing.py wraps experiments.project by name
+from physproj.projector import CONVERGED, ProjectionSpec, project, project_batch  # noqa: F401
 from physproj.springmass import STATE_NAMES, SpringParams
 
 PARAMS = SpringParams()

@@ -337,6 +337,21 @@ def test_ltp_csv_missing_column_raises(tmp_path):
         load_ltp_csv(path)
 
 
+def test_ltp_csv_rows_wider_than_header_load_and_narrower_rows_raise(tmp_path):
+    x, y = generate_synthetic_ltp(5, 2)
+    path = tmp_path / "data.csv"
+    write_ltp_csv(path, x, y)
+    header, *rows = path.read_text().splitlines()
+    wide = tmp_path / "wide.csv"  # an unnamed trailing column, as some exporters write
+    wide.write_text("\n".join([header, *(row + ",0" for row in rows)]) + "\n")
+    x2, y2 = load_ltp_csv(wide)
+    assert np.array_equal(x, x2) and np.array_equal(y, y2)
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("\n".join([header, *(row.rsplit(",", 1)[0] for row in rows)]) + "\n")
+    with pytest.raises(ValidationError, match="needs rows of"):
+        load_ltp_csv(narrow)
+
+
 # ---------------------------------------------------------------------------
 # batched Lagrangian Hessians
 

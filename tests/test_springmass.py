@@ -219,6 +219,27 @@ def test_rollout_surfaces_projection_failure_step():
     assert err.value.status == "max_iterations"
 
 
+def test_rollout_reports_a_nonfinite_prediction_as_nonfinite_input():
+    from physproj.constraints import EnergyConstraint
+    from physproj.projector import ProjectionSpec, project_batch
+
+    spec = _state_spec()
+    constraint = EnergyConstraint(PARAMS, None, spec)
+    anchors = sm.energy(PAPER_IC[None], PARAMS)[:, None]
+    result = sm.rollout(
+        lambda z: np.full_like(z, np.nan),
+        PAPER_IC[None],
+        5,
+        spec,
+        projector=lambda ys, active: project_batch(ys, constraint, anchors[active], ProjectionSpec()),
+        params=PARAMS,
+    )
+    with pytest.raises(ProjectionError, match="rollout step 1 with status 'nonfinite_input'") as err:
+        result.raise_failure()
+    assert err.value.step == 1
+    assert err.value.status == "nonfinite_input"
+
+
 def test_lockstep_rollout_equals_single_state_rollouts_including_a_failure():
     from physproj.constraints import EnergyConstraint, denormalize
     from physproj.projector import project_batch, ProjectionSpec
