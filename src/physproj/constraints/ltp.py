@@ -11,6 +11,7 @@ constraint residuals on generated data are zero to rounding.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,12 +178,15 @@ def load_ltp_csv(path, column_map: dict | None = None) -> tuple[np.ndarray, np.n
     written by :func:`write_ltp_csv` load with no map at all.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             header = fh.readline().strip().split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"malformed dataset csv {path}: {exc}") from exc
-    if not len(data) or data.shape[1] < len(header):
+    if not len(data):
+        raise ValidationError(f"dataset csv {path} has no data rows")
+    if data.shape[1] < len(header):
         raise ValidationError(f"dataset csv {path} needs rows of {len(header)} values under its header, got {data.shape}")
     column_map = {} if column_map is None else column_map
     if not isinstance(column_map, dict) or not all(

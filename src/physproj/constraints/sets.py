@@ -4,7 +4,7 @@ Residuals are evaluated on de-normalized (physical) outputs and then
 nondimensionalized: the pressure and current laws divide by their input
 values, the quasi-neutrality law by the predicted electron density, and the
 energy law by max(anchor, 1 J). That keeps mixed-unit residuals comparable
-under the identity weighting used by the projection solver. All Jacobians
+under the identity metric of the projection solver. All Jacobians
 are analytic, including the ln(10) * 10^u factor on log-scaled outputs, and
 are verified against finite differences in the test suite.
 """

@@ -8,6 +8,9 @@ import numpy as np
 
 from physproj.errors import TrainingDivergedError, ValidationError
 
+_BETA1, _BETA2 = 0.9, 0.999  # moment decay rates
+_EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -22,14 +25,7 @@ class AdamState:
         return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
-def adam_step(
-    theta: np.ndarray,
-    grads: list[np.ndarray],
-    state: AdamState,
-    learning_rate: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    epsilon: float = 1e-8,
-) -> None:
+def adam_step(theta: np.ndarray, grads: list[np.ndarray], state: AdamState, learning_rate: float) -> None:
     """One Adam update of ``theta`` and ``state``, both in place.
 
     ``grads`` holds one gradient per parameter, in the order and layout of
@@ -41,12 +37,11 @@ def adam_step(
         raise ValidationError("params, grads and Adam state sizes disagree")
     if not np.all(np.isfinite(g)):
         raise TrainingDivergedError("non-finite gradient passed to adam_step")
-    b1, b2 = betas
     state.t += 1
-    state.m *= b1
-    state.m += (1.0 - b1) * g
-    state.v *= b2
-    state.v += (1.0 - b2) * g**2
-    m_hat = state.m / (1.0 - b1**state.t)
-    v_hat = state.v / (1.0 - b2**state.t)
-    theta -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+    state.m *= _BETA1
+    state.m += (1.0 - _BETA1) * g
+    state.v *= _BETA2
+    state.v += (1.0 - _BETA2) * g**2
+    m_hat = state.m / (1.0 - _BETA1**state.t)
+    v_hat = state.v / (1.0 - _BETA2**state.t)
+    theta -= learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)

@@ -12,6 +12,8 @@ import numpy as np
 
 from physproj.errors import TrainingDivergedError
 
+_PLATEAU_REL_THRESHOLD = 1e-4  # smallest relative gain that counts as progress
+
 
 def pq_alpha_should_stop(
     train_losses,
@@ -47,17 +49,11 @@ def pq_alpha_should_stop(
     return gl / progress > alpha
 
 
-def plateau_lr(
-    val_losses,
-    patience: int,
-    factor: float,
-    current_lr: float,
-    rel_threshold: float = 1e-4,
-) -> float:
+def plateau_lr(val_losses, patience: int, factor: float, current_lr: float) -> float:
     """Cut the learning rate when validation loss stalls.
 
     If none of the last ``patience`` epochs improved on the best loss seen
-    before them by more than ``rel_threshold`` (relative), returns
+    before them by more than ``_PLATEAU_REL_THRESHOLD`` (relative), returns
     current_lr * factor; otherwise current_lr unchanged.
     """
     va = np.asarray(val_losses, dtype=np.float64)
@@ -65,7 +61,7 @@ def plateau_lr(
         return current_lr
     best_before = va[:-patience].min()
     recent = va[-patience:]
-    improved = recent < best_before - rel_threshold * abs(best_before)
+    improved = recent < best_before - _PLATEAU_REL_THRESHOLD * abs(best_before)
     if improved.any():
         return current_lr
     return current_lr * factor

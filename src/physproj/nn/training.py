@@ -31,14 +31,11 @@ class EarlyStopConfig:
 class PlateauConfig:
     patience: int = 10
     factor: float = 0.1
-    rel_threshold: float = 1e-4
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_epsilon: float = 1e-8
     max_epochs: int = 60
     batch_size: int = 64  # <= 0 means full batch
     lambda_physics: float = 0.0
@@ -51,9 +48,6 @@ class TrainConfig:
             raise ValidationError("lambda_physics must lie in [0, 1]")
         if self.learning_rate <= 0.0:
             raise ValidationError("learning_rate must be positive")
-        b1, b2 = self.adam_betas
-        if not (0.0 < b1 < 1.0 and 0.0 < b2 < 1.0):
-            raise ValidationError("adam_betas must lie in (0, 1)")
 
 
 @dataclass
@@ -144,7 +138,7 @@ def train(
             if not np.isfinite(total):
                 raise TrainingDivergedError(f"non-finite training loss ({total})")
             grads = backward(work, cache, out_grad)
-            adam_step(work.theta, grads, state, lr, config.adam_betas, config.adam_epsilon)
+            adam_step(work.theta, grads, state, lr)
             epoch_data += data
             epoch_phys += phys
             epoch_total += total
@@ -171,13 +165,7 @@ def train(
         if config.lr_plateau is not None:
             epochs_since_lr_drop += 1
             window = history.val_loss[-epochs_since_lr_drop:]
-            new_lr = plateau_lr(
-                window,
-                config.lr_plateau.patience,
-                config.lr_plateau.factor,
-                lr,
-                config.lr_plateau.rel_threshold,
-            )
+            new_lr = plateau_lr(window, config.lr_plateau.patience, config.lr_plateau.factor, lr)
             if new_lr != lr:
                 lr = new_lr
                 epochs_since_lr_drop = 0

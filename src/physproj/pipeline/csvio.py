@@ -9,6 +9,7 @@ clock measurements and are the only ones allowed to differ between reruns.
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 
@@ -51,9 +52,13 @@ def write_spring_dataset_csv(path, inputs: np.ndarray, targets: np.ndarray) -> N
 
 def load_spring_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"malformed dataset csv {path}: {exc}") from exc
+    if not len(data):
+        raise ValidationError(f"dataset csv {path} has no data rows")
     if data.shape[1] != 8:
         raise ValidationError(f"dataset csv {path} has {data.shape[1]} columns, expected 8")
     return data[:, :4], data[:, 4:]

@@ -1,9 +1,9 @@
 """Nearest-point projection onto a constraint manifold, batched over points.
 
-Solves  minimize ||p - y||^2_W  subject to g(x, p) = 0  for a diagonal
-positive W, by damped Newton iteration on the first-order optimality system
+Solves  minimize ||p - y||^2  subject to g(x, p) = 0  by damped Newton
+iteration on the first-order optimality system
 
-    2 W (p - y) + J(p)^T lam = 0,      g(x, p) = 0.
+    2 (p - y) + J(p)^T lam = 0,      g(x, p) = 0.
 
 Starting points that violate the constraints badly first go through a
 Gauss-Newton feasibility-restoration phase on ||g||^2 alone. The Newton
@@ -12,10 +12,12 @@ assembles the saddle-point system with the exact Lagrangian curvature
 (convexified on the constraint tangent space when indefinite, so saddle
 regions yield damped, well-sized steps), caps step lengths on the scale of
 the output space, and backtracks on the exact l1 penalty
-||p - y||^2_W + mu * ||g||_1 with a second-order correction before giving
-up on a full step. A small multiple of the identity regularizes the
-lower-right block when the system is near singular and shrinks again as
-steps succeed.
+||p - y||^2 + mu * ||g||_1 with a second-order correction before giving
+up on a full step. A small multiple ``delta`` of the identity regularizes
+the saddle-point system. It is raised in one place: at the end of an
+iteration that did not move the point (a singular system gives a zero
+step), and the point ends ``singular_system`` once ``delta`` exceeds
+``_MAX_DELTA``. It shrinks again as steps succeed.
 
 The points of a batch run this iteration in lockstep, in blocks sized to
 bound memory. Each keeps its own iterate, multipliers, regularization,
@@ -23,10 +25,9 @@ step length and status, and leaves the active set the moment it converges
 or fails; the linear algebra is stacked over the active points (one
 ``solve``, ``svd`` and ``eigvalsh`` call per stage), and line-search trials
 are evaluated only on the points that need them. ``project`` is a batch of
-one. A constraint call that
-raises on a batch is repeated point by point, so a failing point never
-aborts the others. Problems here are tiny (<= 17 variables, <= 3
-constraints), so dense linear algebra is plenty.
+one. A constraint call that raises on a batch is repeated point by point,
+so a failing point never aborts the others. Problems here are tiny
+(<= 17 variables, <= 3 constraints), so dense linear algebra is plenty.
 
 Starting from p0 = y means an already-feasible prediction is returned
 unchanged in zero iterations, and the solver finds the local solution on
@@ -57,9 +58,8 @@ _BLOCK_ENTRIES = 2**13  # entries of a block's stacked saddle-point systems (64 
 
 @dataclass(frozen=True)
 class ProjectionSpec:
-    """Solver settings; ``weighting=None`` means the identity metric."""
+    """Solver settings."""
 
-    weighting: np.ndarray | None = None  # per-output positive diagonal of W
     tolerance: float = 1e-8
     max_iterations: int = 100
 
@@ -68,18 +68,6 @@ class ProjectionSpec:
             raise ValidationError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
-        if self.weighting is not None:
-            w = np.asarray(self.weighting, dtype=np.float64)
-            if w.ndim != 1 or np.any(w <= 0.0):
-                raise ValidationError("weighting must be a strictly positive diagonal")
-            object.__setattr__(self, "weighting", w)
-
-    def diag(self, dim: int) -> np.ndarray:
-        if self.weighting is None:
-            return np.ones(dim)
-        if self.weighting.size != dim:
-            raise ValidationError(f"weighting has size {self.weighting.size}, expected {dim}")
-        return self.weighting
 
 
 @dataclass
@@ -97,10 +85,9 @@ def kkt_residual(p, lam, y, constraint_set, input_x, spec: ProjectionSpec) -> tu
     p = np.asarray(p, dtype=np.float64)
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
-    w = spec.diag(p.size)
     g = np.atleast_1d(constraint_set.residual(input_x, p))
     jac = np.atleast_2d(constraint_set.jacobian(input_x, p))
-    stationarity = 2.0 * w * (p - y) + jac.T @ lam
+    stationarity = 2.0 * (p - y) + jac.T @ lam
     return float(np.abs(stationarity).max()), float(np.abs(g).max())
 
 
@@ -131,6 +118,14 @@ def _solve(a, b):
     return _rows(lambda a_, b_: np.linalg.solve(a_, b_[..., None])[..., 0], b.shape[1:], np.linalg.LinAlgError, a, b)
 
 
+def _newton_step(kkt_matrix, rhs_p, rhs_g):
+    """Primal parts of the stacked saddle-point solutions; a row whose system
+    is singular, or whose solution is not finite, gets a zero step."""
+    sol, singular = _solve(kkt_matrix, np.concatenate([rhs_p, rhs_g], axis=1))
+    sol[singular | ~np.all(np.isfinite(sol), axis=1)] = 0.0
+    return sol[:, : rhs_p.shape[1]]
+
+
 def _matvec(a, v):
     return (a @ v[..., None])[..., 0]
 
@@ -152,16 +147,17 @@ def _evaluate(fn, shape, xs, rows, *args, failed=None):
 
 
 def _restore_feasibility(p, act, xs, constraint_set, failed, target: float, budget: int) -> np.ndarray:
-    """Levenberg-damped Gauss-Newton on ||g||^2 until near the manifold.
+    """Gauss-Newton with backtracking on ||g||^2 until near the manifold.
 
     Run before the optimality phase when the start point is far from
     feasible; minimizing the violation alone avoids the tug-of-war between
     distance and feasibility that stalls merit line searches out there.
     Moves the points ``act`` of ``p`` in place, marks those whose constraint
-    calls raise in ``failed``, and returns the steps used.
+    calls raise in ``failed``, and returns the steps used. A point whose
+    Gram system is singular, or whose line search finds no decrease, stops
+    here; the regularized Newton phase takes it over.
     """
     m = constraint_set.residual_dim
-    nu = np.zeros(len(p))
     used = np.zeros(len(p), dtype=int)
     while act.size:
         act = act[used[act] < budget]
@@ -175,7 +171,7 @@ def _restore_feasibility(p, act, xs, constraint_set, failed, target: float, budg
         row_scale = 1.0 / np.maximum(np.linalg.norm(jac, axis=2), 1e-300)
         jac_eq = jac * row_scale[:, :, None]
         used[act] += 1
-        sol, singular = _solve(jac_eq @ jac_eq.transpose(0, 2, 1) + nu[act, None, None] * np.eye(m), g * row_scale)
+        sol, singular = _solve(jac_eq @ jac_eq.transpose(0, 2, 1), g * row_scale)
         dp, step_len = _capped(-_matvec(jac_eq.transpose(0, 2, 1), sol))
         live = ~singular & np.isfinite(step_len) & (step_len > 1e-15)
         psi0 = np.sum(g * g, axis=1)
@@ -190,10 +186,7 @@ def _restore_feasibility(p, act, xs, constraint_set, failed, target: float, budg
             moved[pending[ok]] = True
             alpha[pending[~ok]] *= _BACKTRACK
             pending = pending[~ok & (alpha[pending] >= _MIN_ALPHA)]
-        stuck = singular | (live & ~moved)
-        nu[act[stuck]] = np.maximum(nu[act[stuck]] * 10.0, 1e-8)
-        nu[act[moved & (alpha == 1.0)]] *= 0.1
-        act = act[singular | (stuck & (nu[act] <= _MAX_DELTA)) | moved]
+        act = act[moved]
     return used
 
 
@@ -238,7 +231,6 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
     """Lockstep solve of one block: points, multipliers, iterations, KKT norms, statuses."""
     n, dim = ys.shape
     m = constraint_set.residual_dim
-    w = spec.diag(dim)
     eye = np.eye(dim)
 
     p = ys.copy()
@@ -263,7 +255,7 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
         iterations[rows] = it + restore_steps[rows]
 
     def merit(rows, trial, mu):
-        """Exact l1 penalty ||p - y||^2_W + mu * ||g||_1 at trial points, and g.
+        """Exact l1 penalty ||p - y||^2 + mu * ||g||_1 at trial points, and g.
 
         A squared feasibility penalty is not exact: accepting steps whose
         objective must legitimately grow (the projection can lie farther from
@@ -272,7 +264,7 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
         g_trial, ok = _evaluate(constraint_set.residual, (m,), xs, rows, trial)
         ok &= np.all(np.isfinite(g_trial), axis=1)
         d = trial - ys[rows]
-        phi = np.sum(d * (w * d), axis=1) + mu * np.abs(g_trial).sum(axis=1)
+        phi = np.sum(d * d, axis=1) + mu * np.abs(g_trial).sum(axis=1)
         return np.where(ok, phi, np.inf), np.where(ok[:, None], g_trial, np.nan)
 
     act = np.flatnonzero(~broken)
@@ -286,11 +278,11 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
 
         # multipliers are always the least-squares estimate for the current
         # point, so the dual never lags behind partial primal steps; the
-        # minimum-norm solution of J^T lam = -2 W (p - y) comes from the SVD
+        # minimum-norm solution of J^T lam = -2 (p - y) comes from the SVD
         # of J, with lstsq's default cutoff for negligible singular values
         u, svals, vt = np.linalg.svd(jac)
         r = svals.shape[1]
-        grad_obj = 2.0 * w * (p[act] - ys[act])
+        grad_obj = 2.0 * (p[act] - ys[act])
         keep = svals > np.finfo(np.float64).eps * max(dim, m) * svals[:, :1]
         inv = np.divide(1.0, svals, out=np.zeros_like(svals), where=keep)
         lam[act] = _matvec(u[:, :, :r], _matvec(vt[:, :r], -grad_obj) * inv)
@@ -310,7 +302,7 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
         curvature, ok = _evaluate(constraint_set.lagrangian_hessian, (dim, dim), xs, act, p[act], lam[act], failed=broken)
         act, g, jac, svals, vt, grad_obj, curvature = (a[ok] for a in (act, g, jac, svals, vt, grad_obj, curvature))
         curvature[~np.all(np.isfinite(curvature), axis=(1, 2))] = 0.0
-        hessian = np.diag(2.0 * w) + curvature
+        hessian = 2.0 * eye + curvature
         # convexify: the Hessian must be comfortably positive definite on the
         # tangent space of the linearized constraints, or the step aims at a
         # saddle. The shift grows with the indefiniteness so saddle regions
@@ -327,36 +319,17 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
                 shift = np.where(min_eig < thresh, thresh - min_eig + np.maximum(0.0, -min_eig), 0.0)
                 hessian[rows] = h + shift[:, None, None] * eye
 
-        # assemble and solve the saddle-point systems for (dp, lam_new)
-        k = len(act)
-        sol = np.full((k, dim + m), np.nan)
-        solved = np.zeros(k, dtype=bool)
-        sigma = np.ones(k)
-        pending = np.arange(k)
-        for _ in range(40):
-            if not pending.size:
-                break
-            d_reg = delta[act[pending], None, None]
-            kkt_matrix = np.block(
-                [[hessian[pending] + d_reg * eye, jac[pending].transpose(0, 2, 1)], [jac[pending], -d_reg * np.eye(m)]]
-            )
-            rhs = np.concatenate([-grad_obj[pending], -sigma[pending, None] * g[pending]], axis=1)
-            candidate, singular = _solve(kkt_matrix, rhs)
-            usable = ~singular & np.all(np.isfinite(candidate), axis=1)
-            step_len = np.abs(candidate[:, :dim]).max(axis=1)
-            # far from the linearized manifold (small constraint gradient):
-            # ask only for a partial feasibility gain so the step stays on
-            # the scale of the output space
-            partial = usable & (step_len > _STEP_CAP) & (sigma[pending] == 1.0)
-            sigma[pending[partial]] = _STEP_CAP / step_len[partial]
-            done = usable & ~partial
-            sol[pending[done]] = candidate[done]
-            solved[pending[done]] = True
-            bump = act[pending[~usable]]
-            delta[bump] = np.maximum(delta[bump] * 10.0, 1e-10)
-            pending = pending[partial | (~usable & (delta[act[pending]] <= _MAX_DELTA))]
-        leave(act[~solved], SINGULAR_SYSTEM)
-        act, g, jac, grad_obj, dp = act[solved], g[solved], jac[solved], grad_obj[solved], sol[solved, :dim]
+        # assemble and solve the saddle-point systems for the steps dp
+        d_reg = delta[act, None, None]
+        kkt_matrix = np.block([[hessian + d_reg * eye, jac.transpose(0, 2, 1)], [jac, -d_reg * np.eye(m)]])
+        dp = _newton_step(kkt_matrix, -grad_obj, -g)
+        # far from the linearized manifold (small constraint gradient):
+        # ask only for a partial feasibility gain so the step stays on
+        # the scale of the output space
+        step_len = np.abs(dp).max(axis=1)
+        partial = np.flatnonzero(step_len > _STEP_CAP)
+        sigma = _STEP_CAP / step_len[partial]
+        dp[partial] = _newton_step(kkt_matrix[partial], -grad_obj[partial], -sigma[:, None] * g[partial])
         p_a, k = p[act], len(act)
 
         # stationarity component can exceed the cap too; clipping keeps the
@@ -369,7 +342,7 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
         jd = _matvec(jac, dp)
         descent = np.sum(grad_obj * dp, axis=1) + mu * np.where(g == 0.0, np.abs(jd), np.sign(g) * jd).sum(axis=1)
         d0 = p_a - ys[act]
-        bar0 = np.sum(d0 * (w * d0), axis=1) + mu * np.abs(g).sum(axis=1)  # merit at p
+        bar0 = np.sum(d0 * d0, axis=1) + mu * np.abs(g).sum(axis=1)  # merit at p
         alpha = np.zeros(k)  # 0 marks a step the line search did not accept
         new_p = p_a + dp
 

@@ -12,7 +12,6 @@ takes a batch only.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +170,6 @@ class RolloutResult:
 
     states: np.ndarray  # (n_steps + 1, n, 4), physical units, row 0 = initial
     energies: np.ndarray  # (n_steps + 1, n), in J
-    seconds: float
     failed_step: np.ndarray  # (n,) int
     failed_status: np.ndarray  # (n,) str, "" if none
 
@@ -204,7 +202,6 @@ def rollout(
     """
     from physproj.constraints.transform import denormalize, normalize  # local to avoid cycle
 
-    start = time.perf_counter()
     state = np.asarray(initial_states, dtype=np.float64)
     if state.ndim != 2 or state.shape[1] != 4:
         raise ValidationError(f"initial states must have shape (n, 4), got {state.shape}")
@@ -225,7 +222,7 @@ def rollout(
             y = np.stack([r.projected for r in results])[ok]
             active = active[ok]
         states[step, active] = denormalize(y, transform)
-    return RolloutResult(states, energy(states, params), time.perf_counter() - start, failed_step, failed_status)
+    return RolloutResult(states, energy(states, params), failed_step, failed_status)
 
 
 def true_trajectory(

@@ -390,17 +390,22 @@ def test_cli_experiment_and_manifest(tmp_path):
     assert "kind=timing" in manifest
 
 
+@pytest.mark.filterwarnings("error::UserWarning")  # no numpy warning above the error line
 def test_cli_validation_exit_code(tmp_path):
     assert cli_main(["experiment", "timing", "--config", "/nonexistent.json"]) == 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"bogus_key": 1}))
     assert cli_main(["experiment", "timing", "--config", str(bad)]) == 1
-    # dataset CSVs with a non-numeric cell or a missing column
+    # dataset CSVs with a non-numeric cell, a missing column or no data rows
     spring_csv = tmp_path / "spring.csv"
     spring_csv.write_text("x1,v1,x2,v2,x1_next,v1_next,x2_next,v2_next\n1,2,3,abc,5,6,7,8\n")
     cfg = _write_cfg(tmp_path, {"spring_dataset_csv": str(spring_csv)})
     assert cli_main(["experiment", "spring-single", "--config", cfg, "--out-dir", str(tmp_path / "s")]) == 1
     spring_csv.write_text("x1,v1,x2,v2,x1_next,v1_next,x2_next\n1,2,3,4,5,6,7\n")
+    assert cli_main(["gen-data", "spring", "--config", cfg, "--out-dir", str(tmp_path / "s")]) == 1
+    spring_csv.write_text("x1,v1,x2,v2,x1_next,v1_next,x2_next,v2_next\n")
+    with pytest.raises(ValidationError, match="no data rows"):
+        load_spring_dataset_csv(spring_csv)
     assert cli_main(["gen-data", "spring", "--config", cfg, "--out-dir", str(tmp_path / "s")]) == 1
     ltp_csv = tmp_path / "ltp.csv"
     ltp_csv.write_text("P,I,R\n1,abc,3\n")
@@ -408,7 +413,7 @@ def test_cli_validation_exit_code(tmp_path):
     assert cli_main(["experiment", "timing", "--config", cfg, "--out-dir", str(tmp_path / "l")]) == 1
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")  # the CSV without data rows
+@pytest.mark.filterwarnings("error::UserWarning")  # no numpy warning above the error line
 @pytest.mark.parametrize(
     "case, column_map",
     [("no_rows", None), ("map_list", [1]), ("map_of_number", {"P": 3}), ("map_text_scale", {"P": {"scale": "x"}})],
@@ -424,7 +429,7 @@ def test_malformed_ltp_csv_or_column_map_exit_code(tmp_path, capsys, case, colum
     if column_map is not None:
         (tmp_path / "map.json").write_text(json.dumps(column_map))
         extra["ltp_column_map"] = str(tmp_path / "map.json")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="no data rows" if case == "no_rows" else None):
         load_ltp_csv(csv, column_map)
     cfg = _write_cfg(tmp_path, extra)
     capsys.readouterr()
@@ -525,3 +530,19 @@ def test_cli_project_ltp_without_input_transform_exit_code(tmp_path):
     os.remove(tmp_path / "ml" / "input_transform.json")
     model = str(tmp_path / "ml" / "model.txt")
     assert cli_main(["project", "ltp", "--model", model, "--config", cfg, "--out-dir", str(tmp_path / "pl")]) == 1
+
+
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+    """bench/tracing.py wraps package functions by name; a removed name breaks every traced run."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    import tracing
+
+    from physproj.pipeline import experiments
+
+    original = experiments.project_batch
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert experiments.project_batch is original

@@ -156,7 +156,7 @@ def test_malformed_model_file_is_rejected_with_validation_error(dims, data):
         _loads_or_rejects(load_network, path)
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")  # a CSV without data rows
+@pytest.mark.filterwarnings("error::UserWarning")  # no numpy warning on a CSV without data rows
 @PROPERTY_SETTINGS
 @given(
     st.lists(st.sampled_from([*INPUT_NAMES, *OUTPUT_NAMES, "x", ""]), max_size=24),
