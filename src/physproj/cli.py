@@ -34,6 +34,7 @@ from physproj.pipeline.experiments import (
     prepare_ltp,
     prepare_spring,
     run_experiment,
+    timed,
     train_ltp_net,
     train_spring_net,
 )
@@ -105,9 +106,12 @@ def cmd_project(args, cfg) -> int:
         constraint = LtpConstraints(LtpSchema(), out_spec)
         tol = cfg.ltp_projection_tol
         names = OUTPUT_NAMES
-    results = project_batch(preds, constraint, inputs, ProjectionSpec(tolerance=tol))
+    seconds = {}
+    with timed(seconds, "projection_seconds"):
+        results = project_batch(preds, constraint, inputs, ProjectionSpec(tolerance=tol))
+    item_seconds = seconds["projection_seconds"] / max(len(results), 1)
     rows = [
-        (i, r.status, r.iterations, r.kkt_norm, r.seconds, *r.projected)
+        (i, r.status, r.iterations, r.kkt_norm, item_seconds, *r.projected)
         for i, r in enumerate(results)
     ]
     write_csv(

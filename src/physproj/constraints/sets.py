@@ -28,9 +28,10 @@ NE_SCALE_FLOOR = 1e6  # m^-3, lower clamp for the quasi-neutrality scale
 class ConstraintSet:
     """Vector residual with analytic Jacobian, batched over samples.
 
-    ``residual(x, p)`` and ``jacobian(x, p)`` accept a single sample
-    (p of shape (dim,), x a vector or None) or batches (leading axis n).
-    Subclasses implement the batched ``_residual``/``_jacobian``.
+    ``residual(x, p)``, ``jacobian(x, p)`` and ``lagrangian_hessian(x, p,
+    lam)`` accept a single sample (p of shape (dim,), x a vector or None)
+    or batches (leading axis n). Subclasses implement the batched
+    ``_residual``/``_jacobian`` and may override ``_lagrangian_hessian``.
     """
 
     residual_dim: int = 0
@@ -65,21 +66,24 @@ class ConstraintSet:
         """sum_k lam_k * Hessian of residual k, (dim, dim) or batched (n, dim, dim).
 
         The projection solver needs this curvature for true Newton steps.
-        Default implementation: central differences of the analytic
-        Jacobian; subclasses override with exact expressions.
         """
-        p, single = _as_batch(p_norm)
-        x = self._batch_x(x, single)
+        p = np.asarray(p_norm, dtype=np.float64)
+        single = p.ndim == 1
         lam = np.atleast_2d(np.asarray(lam, dtype=np.float64))
+        hess = self._lagrangian_hessian(self._batch_x(x, single), np.atleast_2d(p), lam)
+        return hess[0] if single else hess
+
+    def _lagrangian_hessian(self, x, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """Central differences of the analytic Jacobian; subclasses override
+        with exact expressions."""
         h = 1e-6
         out = np.zeros((*p.shape, p.shape[1]))
         for j in range(p.shape[1]):
             step = np.zeros(p.shape[1])
             step[j] = h
-            diff = self.jacobian(x, p + step) - self.jacobian(x, p - step)
+            diff = self._jacobian(x, p + step) - self._jacobian(x, p - step)
             out[:, :, j] = (diff.transpose(0, 2, 1) @ lam[:, :, None])[:, :, 0] / (2.0 * h)
-        out = 0.5 * (out + out.transpose(0, 2, 1))
-        return out[0] if single else out
+        return 0.5 * (out + out.transpose(0, 2, 1))
 
 
 def _column_sum(y: np.ndarray, idx) -> np.ndarray:
@@ -89,11 +93,6 @@ def _column_sum(y: np.ndarray, idx) -> np.ndarray:
     for i in idx[1:]:
         total = total + y[:, i]
     return total
-
-
-def _as_batch(p_norm) -> tuple[np.ndarray, bool]:
-    p = np.asarray(p_norm, dtype=np.float64)
-    return np.atleast_2d(p), p.ndim == 1
 
 
 def _chain_rule(p: np.ndarray, spec: TransformSpec, hess_phys: np.ndarray, grad_phys: np.ndarray) -> np.ndarray:
@@ -151,11 +150,10 @@ class EnergyConstraint(ConstraintSet):
         diag = denormalize_jacobian_diag(p, self.output_spec)
         return (grad * diag)[:, None, :]
 
-    def lagrangian_hessian(self, x, p_norm, lam) -> np.ndarray:
+    def _lagrangian_hessian(self, x, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
         from physproj.springmass import energy_gradient
 
-        p, single = _as_batch(p_norm)
-        _, scale = self._anchor_scale(self._batch_x(x, single))
+        _, scale = self._anchor_scale(x)
         scale = np.reshape(scale, (-1, 1))
         k1, k2, m1, m2 = self.params.k1, self.params.k2, self.params.m1, self.params.m2
         hess_phys = np.array(
@@ -167,8 +165,7 @@ class EnergyConstraint(ConstraintSet):
             ]
         ) / scale[:, :, None]
         grad_phys = energy_gradient(denormalize(p, self.output_spec), self.params) / scale
-        hess = np.atleast_2d(np.asarray(lam, dtype=np.float64))[:, :1, None] * _chain_rule(p, self.output_spec, hess_phys, grad_phys)
-        return hess[0] if single else hess
+        return lam[:, :1, None] * _chain_rule(p, self.output_spec, hess_phys, grad_phys)
 
 
 class LtpConstraints(ConstraintSet):
@@ -257,14 +254,13 @@ class LtpConstraints(ConstraintSet):
         diag = denormalize_jacobian_diag(p, self.output_spec)
         return jac[:, self.laws, :] * diag[:, None, :]
 
-    def lagrangian_hessian(self, x, p_norm, lam) -> np.ndarray:
+    def _lagrangian_hessian(self, x, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Exact curvature of lam . g in normalized space, per point."""
-        p, single = _as_batch(p_norm)
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = np.atleast_2d(x)
         y = denormalize(p, self.output_spec)
         n, dim = p.shape
         lam_full = np.zeros((n, 3))
-        lam_full[:, list(self.laws)] = np.atleast_2d(np.asarray(lam, dtype=np.float64))
+        lam_full[:, list(self.laws)] = lam
         p_in, i_in, radius = x[:, 0], x[:, 1], x[:, 2]
         ne = y[:, self._ne]
 
@@ -289,5 +285,4 @@ class LtpConstraints(ConstraintSet):
         hess[:, self._neg, self._ne] += (-w3 / ne**2)[:, None]
 
         grad_phys = (lam_full[:, None, :] @ self._phys_jacobian(x, y))[:, 0, :]
-        out = _chain_rule(p, self.output_spec, hess, grad_phys)
-        return out[0] if single else out
+        return _chain_rule(p, self.output_spec, hess, grad_phys)

@@ -106,6 +106,9 @@ class ExperimentConfig:
             "spring_n_trajectories",
             "spring_steps_single",
             "spring_steps_many",
+            "trend_n_points",
+            "plateau_patience",
+            "early_stop_strip",
         ):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
@@ -117,6 +120,8 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} must be positive")
         if not 0.0 <= self.spring_lambda <= 1.0 or not 0.0 <= self.ltp_lambda <= 1.0:
             raise ValidationError("physics weights must lie in [0, 1]")
+        if not 0.0 < self.plateau_factor <= 1.0:
+            raise ValidationError("plateau_factor must lie in (0, 1]")
         return self
 
     def items(self) -> dict:

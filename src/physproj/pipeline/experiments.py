@@ -7,13 +7,15 @@ feature transforms, and ``train_spring_net``/``train_ltp_net`` train one
 network on them; the CLI calls the same functions. All randomness flows
 from config.seed through fixed offsets (dataset, split, per-model training,
 initial conditions, resamples), so reruns with the same config produce
-byte-identical CSVs apart from *_seconds columns.
+byte-identical CSVs apart from *_seconds columns. Every *_seconds value
+is measured by ``timed``.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -77,6 +79,16 @@ class MetricsReport:
     phase_seconds: dict = field(default_factory=dict)
 
 
+@contextmanager
+def timed(seconds: dict, key: str):
+    """Add the wall time of the ``with`` block to ``seconds[key]``, also when it raises."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[key] = seconds.get(key, 0.0) + time.perf_counter() - start
+
+
 # ---------------------------------------------------------------------------
 # data, splits, transforms and training, shared with the CLI
 
@@ -94,7 +106,6 @@ class DataContext:
     splits: dict  # 'train'/'val'/'test' -> (X_phys, Y_phys)
     norm: dict  # same keys -> (X_norm, Y_norm)
     synthetic: bool  # generated rather than loaded from a dataset CSV
-    phase_seconds: dict
 
 
 def load_spring_data(cfg: ExperimentConfig):
@@ -125,14 +136,12 @@ def load_ltp_data(cfg: ExperimentConfig):
 
 def _data_context(cfg: ExperimentConfig, load, fit) -> DataContext:
     """``load(cfg)`` the data, split it, and ``fit(train_set) -> (in_spec, out_spec)``."""
-    tick = time.perf_counter()
     data, synthetic = load(cfg)
-    gen_seconds = time.perf_counter() - tick
     train_set, val_set, test_set = split_dataset(data, cfg.split_fractions, cfg.seed + 1)
     in_spec, out_spec = fit(train_set)
     splits = {"train": train_set, "val": val_set, "test": test_set}
     norm = {key: (normalize(x, in_spec), normalize(y, out_spec)) for key, (x, y) in splits.items()}
-    return DataContext(in_spec, out_spec, splits, norm, synthetic, {"data_generation_seconds": gen_seconds})
+    return DataContext(in_spec, out_spec, splits, norm, synthetic)
 
 
 def prepare_spring(cfg: ExperimentConfig) -> DataContext:
@@ -206,12 +215,12 @@ def _train_ltp_model(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics
 # spring-mass experiments
 
 
-def _spring_models(cfg: ExperimentConfig):
-    """The data context and the trained {"nn", "pinn"} networks."""
-    ctx = prepare_spring(cfg)
-    tick = time.perf_counter()
-    models = {"nn": train_spring_net(ctx, cfg, physics=False)[0], "pinn": train_spring_net(ctx, cfg, physics=True)[0]}
-    ctx.phase_seconds["training_seconds"] = time.perf_counter() - tick
+def _spring_models(cfg: ExperimentConfig, seconds: dict):
+    """The data context and the trained {"nn", "pinn"} networks, each phase timed into ``seconds``."""
+    with timed(seconds, "data_generation_seconds"):
+        ctx = prepare_spring(cfg)
+    with timed(seconds, "training_seconds"):
+        models = {"nn": train_spring_net(ctx, cfg, physics=False)[0], "pinn": train_spring_net(ctx, cfg, physics=True)[0]}
     return ctx, models
 
 
@@ -245,7 +254,8 @@ def _trajectory_rmses(states, energies, truth_norm: np.ndarray, spec, anchors) -
 
 
 def run_spring_single(cfg: ExperimentConfig) -> MetricsReport:
-    ctx, models = _spring_models(cfg)
+    report = MetricsReport()
+    ctx, models = _spring_models(cfg, report.phase_seconds)
     ic = np.asarray(cfg.spring_initial_state, dtype=np.float64)
     anchor = springmass.energy(ic, PARAMS)
     n_steps = cfg.spring_steps_single
@@ -260,7 +270,6 @@ def run_spring_single(cfg: ExperimentConfig) -> MetricsReport:
     )
 
     rollouts = _rollout_four(ctx, models, ic[None], n_steps, cfg.spring_projection_tol)
-    report = MetricsReport(phase_seconds=dict(ctx.phase_seconds))
     rows = []
     for name, result in rollouts.items():
         result.raise_failure()  # single-trajectory run has nothing to fall back on
@@ -278,21 +287,21 @@ def run_spring_single(cfg: ExperimentConfig) -> MetricsReport:
 
 
 def run_spring_many(cfg: ExperimentConfig) -> MetricsReport:
-    ctx, models = _spring_models(cfg)
+    report = MetricsReport()
+    ctx, models = _spring_models(cfg, report.phase_seconds)
     n_steps = cfg.spring_steps_many
     rng = np.random.default_rng(cfg.seed + 4)
     initial_states = springmass.sample_states(PARAMS, cfg.spring_e_max, cfg.spring_n_trajectories, rng)
 
     model_names = ("nn", "pinn", "nn_projection", "pinn_projection")
-    tick = time.perf_counter()
-    truths = springmass.true_trajectory(initial_states, PARAMS, n_steps, cfg.spring_delta_t, cfg.spring_n_substeps)
-    truth_norm = normalize(truths, ctx.out_spec)
-    anchors = springmass.energy(initial_states, PARAMS)
-    rollouts = _rollout_four(ctx, models, initial_states, n_steps, cfg.spring_projection_tol)
-    rmses = {name: _trajectory_rmses(r.states, r.energies, truth_norm, ctx.out_spec, anchors) for name, r in rollouts.items()}
-    done = {name: result.failed_step == 0 for name, result in rollouts.items()}  # False: projection failed
-    n_nonconverged = sum(int((~ok).sum()) for ok in done.values())
-    rollout_seconds = time.perf_counter() - tick
+    with timed(report.phase_seconds, "rollout_seconds"):
+        truths = springmass.true_trajectory(initial_states, PARAMS, n_steps, cfg.spring_delta_t, cfg.spring_n_substeps)
+        truth_norm = normalize(truths, ctx.out_spec)
+        anchors = springmass.energy(initial_states, PARAMS)
+        rollouts = _rollout_four(ctx, models, initial_states, n_steps, cfg.spring_projection_tol)
+        rmses = {name: _trajectory_rmses(r.states, r.energies, truth_norm, ctx.out_spec, anchors) for name, r in rollouts.items()}
+        done = {name: result.failed_step == 0 for name, result in rollouts.items()}  # False: projection failed
+    report.n_nonconverged = sum(int((~ok).sum()) for ok in done.values())
 
     variables = (*STATE_NAMES, "energy_J")
     dist_rows = []
@@ -304,8 +313,6 @@ def run_spring_many(cfg: ExperimentConfig) -> MetricsReport:
                 dist_rows.append((t, name, "failed", "nan"))
     write_csv(os.path.join(cfg.out_dir, "trajectories.csv"), ["trajectory", "model", "variable", "rmse"], dist_rows)
 
-    report = MetricsReport(n_nonconverged=n_nonconverged, phase_seconds=dict(ctx.phase_seconds))
-    report.phase_seconds["rollout_seconds"] = rollout_seconds
     rate_rows = []
     for base, projected in (("nn", "nn_projection"), ("pinn", "pinn_projection")):
         keep = done[projected]
@@ -338,7 +345,7 @@ def run_spring_many(cfg: ExperimentConfig) -> MetricsReport:
     write_csv(
         os.path.join(cfg.out_dir, "nonconverged.csv"),
         ["n_nonconverged_projections"],
-        [(n_nonconverged,)],
+        [(report.n_nonconverged,)],
     )
     return report
 
@@ -368,42 +375,41 @@ def _per_output_rmse_rows(model: str, pred_norm, y_norm, y_phys, out_spec, mask=
 
 
 def run_ltp_compare(cfg: ExperimentConfig) -> MetricsReport:
-    ctx = prepare_ltp(cfg)
+    report = MetricsReport()
+    seconds = report.phase_seconds
+    with timed(seconds, "data_generation_seconds"):
+        ctx = prepare_ltp(cfg)
     x_test, y_test = ctx.splits["test"]
     xn_test, yn_test = ctx.norm["test"]
 
-    tick = time.perf_counter()
-    # shared seed: the PINN differs from the NN only through its loss
-    predictors = {
-        "nn": _train_ltp_model(ctx, cfg, cfg.seed + 2, physics=False),
-        "pinn": _train_ltp_model(ctx, cfg, cfg.seed + 2, physics=True),
-    }
-    train_seconds = time.perf_counter() - tick
+    with timed(seconds, "training_seconds"):
+        # shared seed: the PINN differs from the NN only through its loss
+        predictors = {
+            "nn": _train_ltp_model(ctx, cfg, cfg.seed + 2, physics=False),
+            "pinn": _train_ltp_model(ctx, cfg, cfg.seed + 2, physics=True),
+        }
 
     preds = {name: fn(xn_test) for name, fn in predictors.items()}
     status_rows = []
     masks = {}
-    n_nonconverged = 0
-    tick = time.perf_counter()
-    for name in ("nn", "pinn"):
-        projected, converged, results = _project_predictions(ctx, preds[name], x_test, cfg.ltp_projection_tol)
-        preds[name + "_projection"] = projected
-        masks[name + "_projection"] = converged
-        n_nonconverged += int((~converged).sum())
-        status_rows.extend(
-            (name + "_projection", i, r.status, r.iterations, r.kkt_norm, r.seconds)
-            for i, r in enumerate(results)
-        )
-    projection_seconds = time.perf_counter() - tick
+    batch_seconds = {}
+    with timed(seconds, "projection_seconds"):
+        for name in ("nn", "pinn"):
+            with timed(batch_seconds, name):
+                projected, converged, results = _project_predictions(ctx, preds[name], x_test, cfg.ltp_projection_tol)
+            preds[name + "_projection"] = projected
+            masks[name + "_projection"] = converged
+            report.n_nonconverged += int((~converged).sum())
+            item_seconds = batch_seconds[name] / max(len(results), 1)
+            status_rows.extend(
+                (name + "_projection", i, r.status, r.iterations, r.kkt_norm, item_seconds)
+                for i, r in enumerate(results)
+            )
     write_csv(
         os.path.join(cfg.out_dir, "projection_status.csv"),
         ["model", "index", "status", "iterations", "kkt_norm", "item_seconds"],
         status_rows,
     )
-
-    report = MetricsReport(n_nonconverged=n_nonconverged, phase_seconds=dict(ctx.phase_seconds))
-    report.phase_seconds["training_seconds"] = train_seconds
-    report.phase_seconds["projection_seconds"] = projection_seconds
 
     rmse_rows = []
     constraint_rows = []
@@ -487,18 +493,19 @@ def _score(ctx: DataContext, cfg: ExperimentConfig, predict):
 
 
 def run_ablation_arch(cfg: ExperimentConfig) -> MetricsReport:
-    ctx = prepare_ltp(cfg)
-    report = MetricsReport(phase_seconds=dict(ctx.phase_seconds))
+    report = MetricsReport()
+    with timed(report.phase_seconds, "data_generation_seconds"):
+        ctx = prepare_ltp(cfg)
     rows = []
     for i, width in enumerate(cfg.architectures):
         dims = (3, width, width, 17)
         n_params = sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
-        tick = time.perf_counter()
         arch_cfg = replace(cfg, ltp_hidden=(width, width))
+        seconds = {}
         try:
-            predict = _train_ltp_model(ctx, arch_cfg, cfg.seed + 100 + i, physics=False)
-            (mean_nn, mean_proj, focus_nn, focus_proj), n_failed = _score(ctx, cfg, predict)
-            seconds = time.perf_counter() - tick
+            with timed(seconds, "train_seconds"):
+                predict = _train_ltp_model(ctx, arch_cfg, cfg.seed + 100 + i, physics=False)
+                (mean_nn, mean_proj, focus_nn, focus_proj), n_failed = _score(ctx, cfg, predict)
             rows.append(
                 (
                     width,
@@ -511,7 +518,7 @@ def run_ablation_arch(cfg: ExperimentConfig) -> MetricsReport:
                     focus_proj,
                     rmse_variation_rate(focus_nn, focus_proj),
                     n_failed,
-                    seconds,
+                    seconds["train_seconds"],
                 )
             )
             report.n_nonconverged += n_failed
@@ -522,7 +529,7 @@ def run_ablation_arch(cfg: ExperimentConfig) -> MetricsReport:
                     _trend_rows(ctx, arch_cfg, predict),
                 )
         except PhysprojError as exc:
-            rows.append((width, n_params, f"failed:{type(exc).__name__}", *(["nan"] * 7), time.perf_counter() - tick))
+            rows.append((width, n_params, f"failed:{type(exc).__name__}", *(["nan"] * 7), seconds["train_seconds"]))
     write_csv(
         os.path.join(cfg.out_dir, "sweep.csv"),
         [
@@ -544,11 +551,11 @@ def run_ablation_arch(cfg: ExperimentConfig) -> MetricsReport:
 
 
 def run_small_samples(cfg: ExperimentConfig) -> MetricsReport:
-    pool_cfg = replace(cfg, ltp_n_samples=cfg.pool_size)
-    ctx = prepare_ltp(pool_cfg)  # transforms fit on the pool's training split
+    report = MetricsReport()
+    with timed(report.phase_seconds, "data_generation_seconds"):
+        ctx = prepare_ltp(replace(cfg, ltp_n_samples=cfg.pool_size))  # transforms fit on the pool's training split
     x_pool, y_pool = ctx.splits["train"]
 
-    report = MetricsReport(phase_seconds=dict(ctx.phase_seconds))
     replicate_rows = []
     sweep_rows = []
     for size in cfg.sizes:
@@ -556,17 +563,16 @@ def run_small_samples(cfg: ExperimentConfig) -> MetricsReport:
             replicate_rows.append((size, "all", "failed:pool_too_small", "nan", "nan"))
             continue
         per_rep = []
-        seconds_total = 0.0
+        seconds = {}
         nonconv_total = 0
         for rep in range(cfg.n_resamples):
             rng = np.random.default_rng([cfg.seed, size, rep])
             idx = rng.choice(len(x_pool), size=size, replace=False)
             sub_norm = (normalize(x_pool[idx], ctx.in_spec), normalize(y_pool[idx], ctx.out_spec))
-            sub_ctx = replace(ctx, norm={**ctx.norm, "train": sub_norm}, phase_seconds={})
-            tick = time.perf_counter()
-            predict = _train_ltp_model(sub_ctx, cfg, cfg.seed + 1000 * size + rep, physics=False)
-            scores, n_failed = _score(ctx, cfg, predict)
-            seconds_total += time.perf_counter() - tick
+            sub_ctx = replace(ctx, norm={**ctx.norm, "train": sub_norm})
+            with timed(seconds, "train_seconds"):
+                predict = _train_ltp_model(sub_ctx, cfg, cfg.seed + 1000 * size + rep, physics=False)
+                scores, n_failed = _score(ctx, cfg, predict)
             nonconv_total += n_failed
             per_rep.append(scores)
             replicate_rows.append((size, rep, "ok", scores[0], scores[1]))
@@ -588,7 +594,7 @@ def run_small_samples(cfg: ExperimentConfig) -> MetricsReport:
                 means[3],
                 rmse_variation_rate(means[2], means[3]),
                 nonconv_total,
-                seconds_total,
+                seconds["train_seconds"],
             )
         )
         report.n_nonconverged += nonconv_total
@@ -617,43 +623,36 @@ def run_small_samples(cfg: ExperimentConfig) -> MetricsReport:
 
 
 def run_timing(cfg: ExperimentConfig) -> MetricsReport:
-    ctx = prepare_ltp(cfg)
+    report = MetricsReport()
+    seconds = report.phase_seconds
+    with timed(seconds, "data_generation_seconds"):
+        ctx = prepare_ltp(cfg)
     xn_test = ctx.norm["test"][0]
 
-    tick = time.perf_counter()
-    predict = _train_ltp_model(ctx, cfg, cfg.seed + 2, physics=False)
-    train_seconds = time.perf_counter() - tick
+    with timed(seconds, "training_seconds"):
+        predict = _train_ltp_model(ctx, cfg, cfg.seed + 2, physics=False)
 
-    tick = time.perf_counter()
-    _ = predict(xn_test)
-    inference_seconds = time.perf_counter() - tick
+    with timed(seconds, "inference_seconds"):
+        _ = predict(xn_test)
 
     extra = generate_synthetic_ltp(cfg.timing_n_test, cfg.seed + 60)[0] if ctx.synthetic else ctx.splits["test"][0]
     preds = predict(normalize(extra, ctx.in_spec))
-    tick = time.perf_counter()
-    _, converged, _ = _project_predictions(ctx, preds, extra, cfg.ltp_projection_tol)
-    projection_seconds = time.perf_counter() - tick
+    with timed(seconds, "projection_seconds"):
+        _, converged, _ = _project_predictions(ctx, preds, extra, cfg.ltp_projection_tol)
+    report.n_nonconverged = int((~converged).sum())
 
-    base = ctx.phase_seconds["data_generation_seconds"] + train_seconds + inference_seconds
-    overhead_pct = 100.0 * projection_seconds / base if base > 0 else float("inf")
-    report = MetricsReport(
-        n_nonconverged=int((~converged).sum()),
-        phase_seconds={
-            **ctx.phase_seconds,
-            "training_seconds": train_seconds,
-            "inference_seconds": inference_seconds,
-            "projection_seconds": projection_seconds,
-        },
-    )
+    base = seconds["data_generation_seconds"] + seconds["training_seconds"] + seconds["inference_seconds"]
+    overhead_pct = 100.0 * seconds["projection_seconds"] / base if base > 0 else float("inf")
+    n_points = {
+        "data_generation": cfg.ltp_n_samples,
+        "training": len(ctx.norm["train"][0]),
+        "inference": len(xn_test),
+        "projection": len(extra),
+    }
     write_csv(
         os.path.join(cfg.out_dir, "timing.csv"),
         ["phase", "n_points", "phase_seconds"],
-        [
-            ("data_generation", cfg.ltp_n_samples, ctx.phase_seconds["data_generation_seconds"]),
-            ("training", len(ctx.norm["train"][0]), train_seconds),
-            ("inference", len(xn_test), inference_seconds),
-            ("projection", len(extra), projection_seconds),
-        ],
+        [(phase, n, seconds[phase + "_seconds"]) for phase, n in n_points.items()],
     )
     write_csv(
         os.path.join(cfg.out_dir, "overhead.csv"),

@@ -36,7 +36,6 @@ y's side of the manifold; no global search is attempted.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,6 @@ class ProjectionResult:
     iterations: int
     kkt_norm: float
     status: str
-    seconds: float = 0.0
 
 
 def kkt_residual(p, lam, y, constraint_set, input_x, spec: ProjectionSpec) -> tuple[float, float]:
@@ -116,14 +114,6 @@ def _rows(fn, shape, error, *args):
 def _solve(a, b):
     """Stacked a x = b, with the mask of exactly singular systems."""
     return _rows(lambda a_, b_: np.linalg.solve(a_, b_[..., None])[..., 0], b.shape[1:], np.linalg.LinAlgError, a, b)
-
-
-def _newton_step(kkt_matrix, rhs_p, rhs_g):
-    """Primal parts of the stacked saddle-point solutions; a row whose system
-    is singular, or whose solution is not finite, gets a zero step."""
-    sol, singular = _solve(kkt_matrix, np.concatenate([rhs_p, rhs_g], axis=1))
-    sol[singular | ~np.all(np.isfinite(sol), axis=1)] = 0.0
-    return sol[:, : rhs_p.shape[1]]
 
 
 def _matvec(a, v):
@@ -210,10 +200,8 @@ def project_batch(ys, constraint_set, inputs_x=None, spec: ProjectionSpec = Proj
     y is not finite comes back unchanged with status ``nonfinite_input``,
     one whose own constraint calls raise with ``singular_system``. Points
     are solved in lockstep blocks sized so that memory does not grow with
-    the batch. ``seconds`` of every result is the batch time split evenly
-    across its points.
+    the batch.
     """
-    start = time.perf_counter()
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
     xs = None if inputs_x is None else np.atleast_2d(np.asarray(inputs_x, dtype=np.float64))
     if xs is not None and len(xs) != len(ys):
@@ -223,8 +211,7 @@ def project_batch(ys, constraint_set, inputs_x=None, spec: ProjectionSpec = Proj
         _project_block(ys[lo : lo + size], None if xs is None else xs[lo : lo + size], constraint_set, spec)
         for lo in range(0, len(ys), size)
     ]
-    seconds = (time.perf_counter() - start) / max(len(ys), 1)
-    return [ProjectionResult(*row, seconds) for block in blocks for row in zip(*block)]
+    return [ProjectionResult(*row) for block in blocks for row in zip(*block)]
 
 
 def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
@@ -322,19 +309,14 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
         # assemble and solve the saddle-point systems for the steps dp
         d_reg = delta[act, None, None]
         kkt_matrix = np.block([[hessian + d_reg * eye, jac.transpose(0, 2, 1)], [jac, -d_reg * np.eye(m)]])
-        dp = _newton_step(kkt_matrix, -grad_obj, -g)
-        # far from the linearized manifold (small constraint gradient):
-        # ask only for a partial feasibility gain so the step stays on
-        # the scale of the output space
-        step_len = np.abs(dp).max(axis=1)
-        partial = np.flatnonzero(step_len > _STEP_CAP)
-        sigma = _STEP_CAP / step_len[partial]
-        dp[partial] = _newton_step(kkt_matrix[partial], -grad_obj[partial], -sigma[:, None] * g[partial])
+        sol, singular = _solve(kkt_matrix, np.concatenate([-grad_obj, -g], axis=1))
+        # a singular system, or a solution that is not finite, gives a zero step
+        sol[singular | ~np.all(np.isfinite(sol), axis=1)] = 0.0
+        # a step beyond the cap (far from the linearized manifold) is clipped
+        # onto it, which keeps its direction and descent sign
+        dp, _ = _capped(sol[:, :dim])
         p_a, k = p[act], len(act)
 
-        # stationarity component can exceed the cap too; clipping keeps the
-        # direction (and its descent sign) on the output scale
-        dp, _ = _capped(dp)
         # exact-penalty weight: a finite mu above the multiplier norm makes
         # the l1 merit accept every step the true problem wants; the
         # least-squares multiplier is the trustworthy estimate here

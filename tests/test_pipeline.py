@@ -151,6 +151,16 @@ def test_config_validation_errors():
         ("spring_steps_many", 0),
         ("spring_projection_tol", 0.0),
         ("ltp_projection_tol", -1e-8),
+        ("trend_n_points", 0),
+        ("trend_n_points", -1),
+        ("plateau_patience", 0),
+        ("plateau_patience", -2),
+        ("early_stop_strip", 0),
+        ("early_stop_strip", -1),
+        ("plateau_factor", 0.0),
+        ("plateau_factor", -1.0),
+        ("plateau_factor", 1.5),
+        ("plateau_factor", float("nan")),
     ):
         with pytest.raises(ValidationError, match=key):
             ExperimentConfig(**{key: value}).validate()
@@ -206,7 +216,8 @@ def _strip_time_columns(path):
     return "\n".join(lines)
 
 
-def _run_twice_and_compare(kind, extra, tmp_path):
+def _run_twice_and_compare(kind, extra, tmp_path, phases):
+    """Run ``kind`` twice into one directory; its report times exactly ``phases``."""
     out = tmp_path / kind
     cfg = ExperimentConfig(kind=kind, out_dir=str(out), **extra)
     run_experiment(cfg)
@@ -215,14 +226,16 @@ def _run_twice_and_compare(kind, extra, tmp_path):
         for name in sorted(os.listdir(out))
         if name.endswith(".csv")
     }
-    run_experiment(cfg)  # same directory: out_dir identical in the manifest
+    report = run_experiment(cfg)  # same directory: out_dir identical in the manifest
     for name, before in first.items():
         assert _strip_time_columns(out / name) == before, f"{kind}/{name} not reproducible"
+    assert report.phase_seconds.keys() == {phase + "_seconds" for phase in phases}
+    assert all(seconds >= 0.0 for seconds in report.phase_seconds.values())
     return out
 
 
 def test_spring_single_artifacts_and_determinism(tmp_path):
-    out = _run_twice_and_compare("spring-single", TINY_SPRING, tmp_path)
+    out = _run_twice_and_compare("spring-single", TINY_SPRING, tmp_path, ("data_generation", "training"))
     files = set(os.listdir(out))
     assert {"manifest.txt", "rmse_summary.csv", "trajectory_truth.csv", "trajectory_nn.csv"} <= files
     with open(out / "rmse_summary.csv") as fh:
@@ -234,7 +247,7 @@ def test_spring_single_artifacts_and_determinism(tmp_path):
 
 
 def test_spring_many_artifacts(tmp_path):
-    out = _run_twice_and_compare("spring-many", TINY_SPRING, tmp_path)
+    out = _run_twice_and_compare("spring-many", TINY_SPRING, tmp_path, ("data_generation", "training", "rollout"))
     with open(out / "trajectories.csv") as fh:
         rows = fh.read().strip().splitlines()
     # header + trajectories x models x (4 states + energy)
@@ -246,7 +259,7 @@ def test_spring_many_artifacts(tmp_path):
 
 
 def test_ltp_compare_artifacts(tmp_path):
-    out = _run_twice_and_compare("ltp-compare", TINY_LTP, tmp_path)
+    out = _run_twice_and_compare("ltp-compare", TINY_LTP, tmp_path, ("data_generation", "training", "projection"))
     with open(out / "per_output_rmse.csv") as fh:
         rows = fh.read().strip().splitlines()
     assert len(rows) == 1 + 4 * 17
@@ -257,11 +270,17 @@ def test_ltp_compare_artifacts(tmp_path):
     with open(out / "constraint_rmse.csv") as fh:
         rows = fh.read().strip().splitlines()
     assert len(rows) == 1 + 4 * 3
+    with open(out / "projection_status.csv") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh]
+    assert len(rows) == 2 * 15  # nn and pinn over the test split
+    i_seconds = header.index("item_seconds")
+    assert all(float(row[i_seconds]) >= 0.0 for row in rows)
 
 
 def test_ablation_arch_sweep(tmp_path):
     extra = {**TINY_LTP, "architectures": (2, 8), "trend_architectures": (8,)}
-    out = _run_twice_and_compare("ablation-arch", extra, tmp_path)
+    out = _run_twice_and_compare("ablation-arch", extra, tmp_path, ("data_generation",))
     with open(out / "sweep.csv") as fh:
         header = fh.readline().strip().split(",")
         rows = fh.read().strip().splitlines()
@@ -277,7 +296,7 @@ def test_ablation_arch_sweep(tmp_path):
 
 def test_small_samples_sweep(tmp_path):
     extra = {**TINY_LTP, "pool_size": 200, "sizes": (20, 40), "n_resamples": 2, "trend_sizes": (40,)}
-    out = _run_twice_and_compare("small-samples", extra, tmp_path)
+    out = _run_twice_and_compare("small-samples", extra, tmp_path, ("data_generation",))
     with open(out / "resamples.csv") as fh:
         rows = fh.read().strip().splitlines()
     assert len(rows) == 1 + 2 * 2
@@ -320,9 +339,12 @@ def test_timing_artifacts(tmp_path):
     out = tmp_path / "timing"
     cfg = ExperimentConfig(kind="timing", out_dir=str(out), **extra)
     report = run_experiment(cfg)
-    assert {"data_generation_seconds", "training_seconds", "inference_seconds", "projection_seconds"} <= set(
-        report.phase_seconds
-    )
+    assert report.phase_seconds.keys() == {
+        "data_generation_seconds",
+        "training_seconds",
+        "inference_seconds",
+        "projection_seconds",
+    }
     with open(out / "timing.csv") as fh:
         rows = fh.read().strip().splitlines()
     assert rows[0] == "phase,n_points,phase_seconds"
