@@ -20,7 +20,7 @@ MAGIC_HEADER = "PHYSPROJ-NET-v1"
 
 @dataclass(frozen=True)
 class Activation:
-    """Hidden-layer nonlinearity: 'leaky_relu' with a slope, or 'identity'."""
+    """Hidden-layer nonlinearity: 'leaky_relu' with a slope in (0, 1], or 'identity'."""
 
     kind: str = "leaky_relu"
     slope: float = 0.01
@@ -28,11 +28,14 @@ class Activation:
     def __post_init__(self):
         if self.kind not in ("leaky_relu", "identity"):
             raise ValidationError(f"unknown activation '{self.kind}'")
+        # apply() relies on it: outside (0, 1], max(z, slope * z) is not the leaky ReLU
+        if self.kind == "leaky_relu" and not 0.0 < self.slope <= 1.0:
+            raise ValidationError(f"leaky_relu slope must lie in (0, 1], got {self.slope}")
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "identity":
             return z
-        return np.where(z > 0.0, z, self.slope * z)
+        return np.maximum(z, self.slope * z)
 
     def derivative(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "identity":
@@ -46,7 +49,8 @@ class Network:
 
     The given weights and biases are copied into ``theta``, laid out as
     [W0 row-major, b0, W1, b1, ...]; ``weights`` and ``biases`` become views
-    of it.
+    of it. A network pickles as its constructor arguments, so an unpickled
+    one is laid out the same way.
     """
 
     layer_dims: tuple[int, ...]
@@ -63,6 +67,9 @@ class Network:
             views.append(self.theta[start : start + p.size].reshape(p.shape))
             start += p.size
         self.weights, self.biases = views[0::2], views[1::2]
+
+    def __reduce__(self):
+        return Network, (self.layer_dims, self.weights, self.biases, self.activation)
 
     @property
     def n_layers(self) -> int:

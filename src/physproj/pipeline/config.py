@@ -122,6 +122,10 @@ class ExperimentConfig:
             raise ValidationError("physics weights must lie in [0, 1]")
         if not 0.0 < self.plateau_factor <= 1.0:
             raise ValidationError("plateau_factor must lie in (0, 1]")
+        if not self.early_stop_alpha >= 0.0:  # a negative alpha stops every training after one strip
+            raise ValidationError("early_stop_alpha must be >= 0")
+        if not self.trend_current > 0.0:
+            raise ValidationError("trend_current must be positive")
         return self
 
     def items(self) -> dict:

@@ -8,7 +8,8 @@ network on them; the CLI calls the same functions. All randomness flows
 from config.seed through fixed offsets (dataset, split, per-model training,
 initial conditions, resamples), so reruns with the same config produce
 byte-identical CSVs apart from *_seconds columns. Every *_seconds value
-is measured by ``timed``.
+is measured by ``timed``. Trainings that share nothing run side by side in
+worker processes through ``run_parallel``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -87,6 +89,69 @@ def timed(seconds: dict, key: str):
         yield
     finally:
         seconds[key] = seconds.get(key, 0.0) + time.perf_counter() - start
+
+
+def run_parallel(tasks: list):
+    """The results of ``tasks``, zero-argument callables that share nothing, in task order.
+
+    They run in one worker process per usable CPU, at most one per task.
+    Workers are forked, so they inherit ``tasks`` with every closure and
+    array they hold; only results and exceptions are pickled back. A task's
+    exception re-raises here with its type, message and attributes, and a
+    worker that dies (killed by the system, say) raises PhysprojError. With
+    one worker the tasks run inline. A task must not call run_parallel.
+    """
+    n_workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    if n_workers <= 1:
+        return [task() for task in tasks]
+    # imported here, not at module import, where they would add ~10 ms to every command's start-up
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    try:
+        with ProcessPoolExecutor(n_workers, mp_context=fork, initializer=_start_worker, initargs=(tasks,)) as pool:
+            return list(pool.map(_run_inherited_task, range(len(tasks))))
+    except BrokenProcessPool as exc:
+        raise PhysprojError(f"a worker process died: {exc}") from exc
+
+
+_inherited_tasks: list = []  # set only in run_parallel's workers, to the task list they were forked with
+
+# OpenBLAS's thread-count setter, as named in plain, 64-bit-integer and numpy's scipy-openblas builds
+OPENBLAS_SET_NUM_THREADS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _start_worker(tasks: list) -> None:
+    """Keep the task list, and limit every OpenBLAS loaded in this worker to one thread.
+
+    The workers already fill the usable CPUs. With their own BLAS threads on
+    top, each worker's threads spin waiting for cores the others hold: on a
+    2-core machine, criterion 8 took 44 s in one process, 102 s in two
+    workers with two OpenBLAS threads each and 20 s with one. Other BLAS
+    libraries are left as they are.
+    """
+    import ctypes
+
+    global _inherited_tasks
+    _inherited_tasks = tasks
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in os.path.basename(line.split()[-1])}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in OPENBLAS_SET_NUM_THREADS:
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+                break
+
+
+def _run_inherited_task(index: int):
+    return _inherited_tasks[index]()
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +270,14 @@ def train_ltp_net(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics: b
     return train(net, ctx.norm["train"], ctx.norm["val"], tcfg, physics=term)
 
 
-def _train_ltp_model(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics: bool):
-    """Predictor on normalized inputs: the mean of cfg.ltp_n_members networks seeded seed, seed + 1, ..."""
-    nets = [train_ltp_net(ctx, cfg, seed + i, physics)[0] for i in range(cfg.ltp_n_members)]
+def _ensemble(nets: list):
+    """Predictor on normalized inputs: the mean output of ``nets``."""
     return lambda z: np.stack([forward(net, z) for net in nets]).mean(axis=0)
+
+
+def _train_ltp_model(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics: bool):
+    """The ensemble of cfg.ltp_n_members networks seeded seed, seed + 1, ..."""
+    return _ensemble([train_ltp_net(ctx, cfg, seed + i, physics)[0] for i in range(cfg.ltp_n_members)])
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +289,8 @@ def _spring_models(cfg: ExperimentConfig, seconds: dict):
     with timed(seconds, "data_generation_seconds"):
         ctx = prepare_spring(cfg)
     with timed(seconds, "training_seconds"):
-        models = {"nn": train_spring_net(ctx, cfg, physics=False)[0], "pinn": train_spring_net(ctx, cfg, physics=True)[0]}
-    return ctx, models
+        (nn, _), (pinn, _) = run_parallel([partial(train_spring_net, ctx, cfg, physics) for physics in (False, True)])
+    return ctx, {"nn": nn, "pinn": pinn}
 
 
 def _rollout_four(ctx: DataContext, models: dict, initial_states: np.ndarray, n_steps: int, tol: float) -> dict:
@@ -383,11 +452,11 @@ def run_ltp_compare(cfg: ExperimentConfig) -> MetricsReport:
     xn_test, yn_test = ctx.norm["test"]
 
     with timed(seconds, "training_seconds"):
-        # shared seed: the PINN differs from the NN only through its loss
-        predictors = {
-            "nn": _train_ltp_model(ctx, cfg, cfg.seed + 2, physics=False),
-            "pinn": _train_ltp_model(ctx, cfg, cfg.seed + 2, physics=True),
-        }
+        # shared seeds: the PINN members differ from the NN members only through their loss
+        seeds = range(cfg.seed + 2, cfg.seed + 2 + cfg.ltp_n_members)
+        tasks = [partial(train_ltp_net, ctx, cfg, seed, physics) for physics in (False, True) for seed in seeds]
+        nets = [net for net, _ in run_parallel(tasks)]
+        predictors = {"nn": _ensemble(nets[: len(seeds)]), "pinn": _ensemble(nets[len(seeds) :])}
 
     preds = {name: fn(xn_test) for name, fn in predictors.items()}
     status_rows = []
@@ -492,44 +561,53 @@ def _score(ctx: DataContext, cfg: ExperimentConfig, predict):
     return (nn_rmse.mean(), proj_rmse.mean(), nn_rmse[focus].mean(), proj_rmse[focus].mean()), int((~converged).sum())
 
 
+def _architecture_task(ctx: DataContext, cfg: ExperimentConfig, i: int, width: int):
+    """sweep.csv row of the i-th hidden width, its trend slice or None, and its non-converged count.
+
+    A PhysprojError makes the row ``failed:<error>`` and drops the slice and count.
+    """
+    dims = (3, width, width, 17)
+    n_params = sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+    arch_cfg = replace(cfg, ltp_hidden=(width, width))
+    seconds = {}
+    try:
+        with timed(seconds, "train_seconds"):
+            predict = _train_ltp_model(ctx, arch_cfg, cfg.seed + 100 + i, physics=False)
+            (mean_nn, mean_proj, focus_nn, focus_proj), n_failed = _score(ctx, cfg, predict)
+        trend = _trend_rows(ctx, arch_cfg, predict) if ctx.synthetic and width in cfg.trend_architectures else None
+    except PhysprojError as exc:
+        return (width, n_params, f"failed:{type(exc).__name__}", *(["nan"] * 7), seconds["train_seconds"]), None, 0
+    row = (
+        width,
+        n_params,
+        "ok",
+        mean_nn,
+        mean_proj,
+        rmse_variation_rate(mean_nn, mean_proj),
+        focus_nn,
+        focus_proj,
+        rmse_variation_rate(focus_nn, focus_proj),
+        n_failed,
+        seconds["train_seconds"],
+    )
+    return row, trend, n_failed
+
+
 def run_ablation_arch(cfg: ExperimentConfig) -> MetricsReport:
     report = MetricsReport()
     with timed(report.phase_seconds, "data_generation_seconds"):
         ctx = prepare_ltp(cfg)
+    results = run_parallel([partial(_architecture_task, ctx, cfg, i, width) for i, width in enumerate(cfg.architectures)])
     rows = []
-    for i, width in enumerate(cfg.architectures):
-        dims = (3, width, width, 17)
-        n_params = sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
-        arch_cfg = replace(cfg, ltp_hidden=(width, width))
-        seconds = {}
-        try:
-            with timed(seconds, "train_seconds"):
-                predict = _train_ltp_model(ctx, arch_cfg, cfg.seed + 100 + i, physics=False)
-                (mean_nn, mean_proj, focus_nn, focus_proj), n_failed = _score(ctx, cfg, predict)
-            rows.append(
-                (
-                    width,
-                    n_params,
-                    "ok",
-                    mean_nn,
-                    mean_proj,
-                    rmse_variation_rate(mean_nn, mean_proj),
-                    focus_nn,
-                    focus_proj,
-                    rmse_variation_rate(focus_nn, focus_proj),
-                    n_failed,
-                    seconds["train_seconds"],
-                )
+    for width, (row, trend, n_failed) in zip(cfg.architectures, results):
+        if trend is not None:
+            write_csv(
+                os.path.join(cfg.out_dir, f"trend_arch_{width}.csv"),
+                ["P_pa", "ne_true", "ne_nn", "ne_projection", "converged"],
+                trend,
             )
-            report.n_nonconverged += n_failed
-            if ctx.synthetic and width in cfg.trend_architectures:
-                write_csv(
-                    os.path.join(cfg.out_dir, f"trend_arch_{width}.csv"),
-                    ["P_pa", "ne_true", "ne_nn", "ne_projection", "converged"],
-                    _trend_rows(ctx, arch_cfg, predict),
-                )
-        except PhysprojError as exc:
-            rows.append((width, n_params, f"failed:{type(exc).__name__}", *(["nan"] * 7), seconds["train_seconds"]))
+        rows.append(row)
+        report.n_nonconverged += n_failed
     write_csv(
         os.path.join(cfg.out_dir, "sweep.csv"),
         [
@@ -550,37 +628,49 @@ def run_ablation_arch(cfg: ExperimentConfig) -> MetricsReport:
     return report
 
 
+def _resample_task(ctx: DataContext, cfg: ExperimentConfig, size: int, rep: int):
+    """Scores, non-converged count, train_seconds and trend slice (or None) of one resample of ``size`` points."""
+    x_pool, y_pool = ctx.splits["train"]
+    rng = np.random.default_rng([cfg.seed, size, rep])
+    idx = rng.choice(len(x_pool), size=size, replace=False)
+    sub_norm = (normalize(x_pool[idx], ctx.in_spec), normalize(y_pool[idx], ctx.out_spec))
+    sub_ctx = replace(ctx, norm={**ctx.norm, "train": sub_norm})
+    seconds = {}
+    with timed(seconds, "train_seconds"):
+        predict = _train_ltp_model(sub_ctx, cfg, cfg.seed + 1000 * size + rep, physics=False)
+        scores, n_failed = _score(ctx, cfg, predict)
+    trend = _trend_rows(ctx, cfg, predict) if ctx.synthetic and size in cfg.trend_sizes and rep == 0 else None
+    return scores, n_failed, seconds["train_seconds"], trend
+
+
 def run_small_samples(cfg: ExperimentConfig) -> MetricsReport:
     report = MetricsReport()
     with timed(report.phase_seconds, "data_generation_seconds"):
         ctx = prepare_ltp(replace(cfg, ltp_n_samples=cfg.pool_size))  # transforms fit on the pool's training split
-    x_pool, y_pool = ctx.splits["train"]
+    n_pool = len(ctx.splits["train"][0])
+    jobs = [(size, rep) for size in cfg.sizes if size <= n_pool for rep in range(cfg.n_resamples)]
+    results = dict(zip(jobs, run_parallel([partial(_resample_task, ctx, cfg, size, rep) for size, rep in jobs])))
 
     replicate_rows = []
     sweep_rows = []
     for size in cfg.sizes:
-        if size > len(x_pool):
+        if size > n_pool:
             replicate_rows.append((size, "all", "failed:pool_too_small", "nan", "nan"))
             continue
         per_rep = []
-        seconds = {}
+        train_seconds = 0.0
         nonconv_total = 0
         for rep in range(cfg.n_resamples):
-            rng = np.random.default_rng([cfg.seed, size, rep])
-            idx = rng.choice(len(x_pool), size=size, replace=False)
-            sub_norm = (normalize(x_pool[idx], ctx.in_spec), normalize(y_pool[idx], ctx.out_spec))
-            sub_ctx = replace(ctx, norm={**ctx.norm, "train": sub_norm})
-            with timed(seconds, "train_seconds"):
-                predict = _train_ltp_model(sub_ctx, cfg, cfg.seed + 1000 * size + rep, physics=False)
-                scores, n_failed = _score(ctx, cfg, predict)
+            scores, n_failed, seconds, trend = results[size, rep]
+            train_seconds += seconds
             nonconv_total += n_failed
             per_rep.append(scores)
             replicate_rows.append((size, rep, "ok", scores[0], scores[1]))
-            if ctx.synthetic and size in cfg.trend_sizes and rep == 0:
+            if trend is not None:
                 write_csv(
                     os.path.join(cfg.out_dir, f"trend_size_{size}.csv"),
                     ["P_pa", "ne_true", "ne_nn", "ne_projection", "converged"],
-                    _trend_rows(ctx, cfg, predict),
+                    trend,
                 )
         means = np.array(per_rep).mean(axis=0)
         sweep_rows.append(
@@ -594,7 +684,7 @@ def run_small_samples(cfg: ExperimentConfig) -> MetricsReport:
                 means[3],
                 rmse_variation_rate(means[2], means[3]),
                 nonconv_total,
-                seconds["train_seconds"],
+                train_seconds,
             )
         )
         report.n_nonconverged += nonconv_total

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -472,6 +474,19 @@ def test_parameters_are_views_of_one_vector_and_training_leaves_input_alone():
     assert history.n_epochs() == 2
     assert np.array_equal(net.theta, before)
     assert not np.array_equal(trained.theta, before)
+
+
+def test_pickled_network_keeps_theta_and_its_views():
+    net = xavier_init([3, 7, 5, 2], activation=Activation("leaky_relu", 0.3), seed=6)
+    net.theta[:] = np.random.default_rng(1).normal(size=net.theta.size)
+    net.theta[[0, 1, 2]] = (-0.0, np.nextafter(0.0, 1.0), 1e300)
+    loaded = pickle.loads(pickle.dumps(net))
+    assert loaded.theta.tobytes() == net.theta.tobytes()
+    assert loaded.layer_dims == net.layer_dims and loaded.activation == net.activation
+    for p in loaded.parameters():
+        assert p.base is loaded.theta
+    loaded.theta[:] = 0.0
+    assert all(not p.any() for p in loaded.parameters())
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
+import ctypes
 import json
 import os
+import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from physproj.cli import main as cli_main
-from physproj.errors import ValidationError
+from physproj.errors import PhysprojError, ProjectionError, ValidationError
 from physproj.nn import forward, load_network, save_network, xavier_init
-from physproj.pipeline import ExperimentConfig, load_config, run_experiment
-from physproj.pipeline.experiments import _train_ltp_model, load_spring_data, prepare_ltp, train_ltp_net
+from physproj.pipeline import ExperimentConfig, experiments, load_config, run_experiment
+from physproj.pipeline.experiments import _train_ltp_model, load_spring_data, prepare_ltp, run_parallel, train_ltp_net
 from physproj.pipeline.csvio import load_spring_dataset_csv, write_spring_dataset_csv
 from physproj.pipeline.metrics import improvement_rates, rmse, rmse_variation_rate, split_dataset
 
@@ -161,6 +163,10 @@ def test_config_validation_errors():
         ("plateau_factor", -1.0),
         ("plateau_factor", 1.5),
         ("plateau_factor", float("nan")),
+        ("trend_current", 0.0),
+        ("trend_current", -0.03),
+        ("early_stop_alpha", -1.0),
+        ("early_stop_alpha", float("nan")),
     ):
         with pytest.raises(ValidationError, match=key):
             ExperimentConfig(**{key: value}).validate()
@@ -294,6 +300,20 @@ def test_ablation_arch_sweep(tmp_path):
     assert os.path.exists(out / "trend_arch_8.csv")
 
 
+def test_ablation_arch_trend_failure_leaves_one_failed_row(tmp_path, monkeypatch):
+    def failing_trend(*args):
+        raise ValidationError("trend slice failed")
+
+    monkeypatch.setattr(experiments, "_trend_rows", failing_trend)
+    out = tmp_path / "arch"
+    extra = {**TINY_LTP, "architectures": (2, 8), "trend_architectures": (8,)}
+    run_experiment(ExperimentConfig(kind="ablation-arch", out_dir=str(out), **extra))
+    with open(out / "sweep.csv") as fh:
+        rows = [line.split(",")[:3] for line in fh.read().strip().splitlines()[1:]]
+    assert rows == [["2", "65", "ok"], ["8", "257", "failed:ValidationError"]]
+    assert not os.path.exists(out / "trend_arch_8.csv")
+
+
 def test_small_samples_sweep(tmp_path):
     extra = {**TINY_LTP, "pool_size": 200, "sizes": (20, 40), "n_resamples": 2, "trend_sizes": (40,)}
     out = _run_twice_and_compare("small-samples", extra, tmp_path, ("data_generation",))
@@ -332,6 +352,83 @@ def test_ltp_model_of_two_members_is_their_mean():
     assert not np.array_equal(a.theta, b.theta)
     expected = np.stack([forward(a, z), forward(b, z)]).mean(axis=0)
     assert np.array_equal(_train_ltp_model(ctx, cfg, 11, physics=False)(z), expected)
+
+
+def _force_cpus(monkeypatch, n):
+    """Make run_parallel see ``n`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_run_parallel_forks_workers_and_reraises_task_errors(monkeypatch):
+    _force_cpus(monkeypatch, 2)
+    local = np.arange(3.0)  # inherited by the workers: a lambda cannot be pickled
+    results = run_parallel([lambda: (os.getpid(), local.sum()), lambda: (os.getpid(), 2.0 * local.sum())])
+    assert [value for _, value in results] == [3.0, 6.0]
+    assert os.getpid() not in {pid for pid, _ in results}
+
+    def fail():
+        raise ProjectionError("projection failed at rollout step 3", step=3, status="max_iterations")
+
+    with pytest.raises(ProjectionError, match="rollout step 3") as info:
+        run_parallel([lambda: 1, fail, lambda: 2])
+    assert (info.value.step, info.value.status) == (3, "max_iterations")
+
+    def time_out(signum, frame):
+        raise TimeoutError("run_parallel waited on a dead worker")
+
+    previous = signal.signal(signal.SIGALRM, time_out)
+    signal.alarm(60)
+    try:
+        with pytest.raises(PhysprojError, match="worker process died"):
+            run_parallel([lambda: 1, lambda: os._exit(1)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    _force_cpus(monkeypatch, 1)
+    assert run_parallel([os.getpid, os.getpid]) == [os.getpid()] * 2
+
+
+def _openblas_threads():
+    """Thread count of each OpenBLAS library loaded into this process."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in os.path.basename(line.split()[-1])})
+    names = [name.replace("set_", "get_") for name in experiments.OPENBLAS_SET_NUM_THREADS]
+    return [getattr(lib, next(n for n in names if hasattr(lib, n)))() for lib in map(ctypes.CDLL, paths)]
+
+
+def test_run_parallel_workers_run_openblas_on_one_thread(monkeypatch):
+    before = _openblas_threads()
+    if not before:
+        pytest.skip("numpy loaded no OpenBLAS")
+    _force_cpus(monkeypatch, 2)
+    assert run_parallel([_openblas_threads, _openblas_threads]) == [[1] * len(before)] * 2
+    assert _openblas_threads() == before
+
+
+@pytest.mark.parametrize("kind", ["spring-single", "spring-many", "ltp-compare", "ablation-arch", "small-samples", "timing"])
+def test_one_and_two_workers_write_identical_csvs(tmp_path, monkeypatch, kind):
+    if kind.startswith("spring"):
+        extra = TINY_SPRING
+    else:
+        extra = {
+            **TINY_LTP,
+            "ltp_n_members": 2,
+            "architectures": (2, 8, 3),
+            "trend_architectures": (8,),
+            "pool_size": 200,
+            "sizes": (20, 40),
+            "n_resamples": 2,
+            "trend_sizes": (40,),
+            "timing_n_test": 20,
+        }
+    outputs = {}
+    for n_cpus in (1, 2):
+        _force_cpus(monkeypatch, n_cpus)
+        out = tmp_path / f"cpus{n_cpus}"
+        run_experiment(ExperimentConfig(kind=kind, out_dir=str(out), **extra))
+        outputs[n_cpus] = {name: _strip_time_columns(out / name) for name in os.listdir(out) if name.endswith(".csv")}
+    assert outputs[1] and outputs[2] == outputs[1]
 
 
 def test_timing_artifacts(tmp_path):
@@ -469,8 +566,9 @@ def test_cli_projected_rollout_failure_exit_code(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "r" / "trajectory.csv")
 
 
-def test_cli_numerical_failure_exit_code(tmp_path):
+def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     # a dataset with non-finite values makes training diverge -> exit code 2
+    _force_cpus(monkeypatch, 2)  # the experiment trains in workers; their error keeps its type
     ds = tmp_path / "broken.csv"
     header = "x1,v1,x2,v2,x1_next,v1_next,x2_next,v2_next"
     rows = [",".join(["nan"] * 8) for _ in range(50)]
@@ -530,6 +628,8 @@ def _model_file(tmp_path, case):
         lines = lines[:2]
     elif case == "single_width":
         lines[1] = "layer_dims 4"
+    elif case == "zero_slope":  # max(z, 0 * z) is NaN at z = +inf
+        lines[2] = "activation leaky_relu 0.0"
     else:  # unparsable weight
         lines[4] = lines[4].replace(" ", " x", 1)
     path.write_text("\n".join(lines) + "\n")
@@ -537,7 +637,7 @@ def _model_file(tmp_path, case):
 
 
 @pytest.mark.parametrize("command", [["project", "spring"], ["rollout"]], ids=["project", "rollout"])
-@pytest.mark.parametrize("case", ["missing", "truncated", "unparsable", "single_width"])
+@pytest.mark.parametrize("case", ["missing", "truncated", "unparsable", "single_width", "zero_slope"])
 def test_cli_malformed_model_exit_code(tmp_path, command, case):
     model = _model_file(tmp_path, case)
     with pytest.raises(ValidationError):

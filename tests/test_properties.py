@@ -1,5 +1,6 @@
 """Property tests: solver invariants on random spheres and hyperplane sets,
-bit-exact model files for random architectures, and loaders that meet
+bit-exact model files for random architectures, the leaky ReLU against its
+np.where form on special values, and loaders that meet
 malformed model files, dataset CSVs, column maps and configs with
 ValidationError alone.
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from physproj.constraints import INPUT_NAMES, OUTPUT_NAMES, ConstraintSet, fit_transform, load_ltp_csv
 from physproj.errors import ValidationError
-from physproj.nn import load_network, save_network, xavier_init
+from physproj.nn import Activation, load_network, save_network, xavier_init
 from physproj.pipeline import ExperimentConfig, load_config
 from physproj.projector import CONVERGED, ProjectionSpec, kkt_residual, project
 
@@ -114,6 +115,27 @@ def test_saved_network_reloads_bit_for_bit(net):
         loaded, transform = load_network(path)
     assert transform is None and loaded.layer_dims == net.layer_dims
     assert loaded.theta.tobytes() == net.theta.tobytes()
+
+
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1.8e308, -1.8e308])
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([1.0, 5e-324, 0.01]),
+    st.lists(st.floats() | SPECIAL_FLOATS, min_size=1, max_size=40),
+)
+def test_leaky_relu_equals_its_where_form_bit_for_bit(slope, values):
+    z = np.array(values)
+    expected = np.where(z > 0.0, z, slope * z)
+    assert Activation("leaky_relu", slope).apply(z).tobytes() == expected.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.floats().filter(lambda s: not 0.0 < s <= 1.0) | st.sampled_from([0.0, -0.0, 1.0000000000000002, np.nan]))
+def test_leaky_relu_rejects_a_slope_outside_the_unit_interval(slope):
+    with pytest.raises(ValidationError, match="slope"):
+        Activation("leaky_relu", slope)
 
 
 # ---------------------------------------------------------------------------
