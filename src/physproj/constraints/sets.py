@@ -18,7 +18,7 @@ from physproj.constraints.transform import (
     TransformSpec,
     denormalize,
     denormalize_curvature_diag,
-    denormalize_jacobian_diag,
+    jacobian_diag_from_physical,
 )
 from physproj.errors import ValidationError
 
@@ -28,10 +28,10 @@ NE_SCALE_FLOOR = 1e6  # m^-3, lower clamp for the quasi-neutrality scale
 class ConstraintSet:
     """Vector residual with analytic Jacobian, batched over samples.
 
-    ``residual(x, p)``, ``jacobian(x, p)`` and ``lagrangian_hessian(x, p,
-    lam)`` accept a single sample (p of shape (dim,), x a vector or None)
-    or batches (leading axis n). Subclasses implement the batched
-    ``_residual``/``_jacobian`` and may override ``_lagrangian_hessian``.
+    Every public method accepts a single sample (p of shape (dim,), x a
+    vector or None) or batches (leading axis n). Subclasses implement the
+    batched ``_residual``/``_jacobian`` and may override ``_lagrangian_hessian``
+    and, to share work between the two, ``residual_and_jacobian``.
     """
 
     residual_dim: int = 0
@@ -48,6 +48,10 @@ class ConstraintSet:
         single = p.ndim == 1
         j = self._jacobian(self._batch_x(x, single), np.atleast_2d(p))
         return j[0] if single else j
+
+    def residual_and_jacobian(self, x, p_norm) -> tuple[np.ndarray, np.ndarray]:
+        """(residual(x, p), jacobian(x, p)); a subclass may override it to share work."""
+        return self.residual(x, p_norm), self.jacobian(x, p_norm)
 
     @staticmethod
     def _batch_x(x, single: bool):
@@ -95,10 +99,10 @@ def _column_sum(y: np.ndarray, idx) -> np.ndarray:
     return total
 
 
-def _chain_rule(p: np.ndarray, spec: TransformSpec, hess_phys: np.ndarray, grad_phys: np.ndarray) -> np.ndarray:
-    """Normalized-space Hessians D H D + diag(grad * T'') from physical-space
-    ones H, where D = T' and grad is the physical gradient of the residual."""
-    diag = denormalize_jacobian_diag(p, spec)
+def _chain_rule(p: np.ndarray, y: np.ndarray, spec: TransformSpec, hess_phys: np.ndarray, grad_phys: np.ndarray) -> np.ndarray:
+    """Normalized-space Hessians D H D + diag(grad * T'') at ``p`` (de-normalized: ``y``) from
+    physical-space ones H, where D = T' and grad is the physical gradient of the residual."""
+    diag = jacobian_diag_from_physical(y, spec)
     out = diag[:, :, None] * hess_phys * diag[:, None, :]
     idx = np.arange(p.shape[1])
     out[:, idx, idx] += grad_phys * denormalize_curvature_diag(p, spec)
@@ -146,9 +150,9 @@ class EnergyConstraint(ConstraintSet):
         from physproj.springmass import energy_gradient
 
         _, scale = self._anchor_scale(x)
-        grad = energy_gradient(denormalize(p, self.output_spec), self.params) / np.reshape(scale, (-1, 1))
-        diag = denormalize_jacobian_diag(p, self.output_spec)
-        return (grad * diag)[:, None, :]
+        phys = denormalize(p, self.output_spec)
+        grad = energy_gradient(phys, self.params) / np.reshape(scale, (-1, 1))
+        return (grad * jacobian_diag_from_physical(phys, self.output_spec))[:, None, :]
 
     def _lagrangian_hessian(self, x, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
         from physproj.springmass import energy_gradient
@@ -164,8 +168,9 @@ class EnergyConstraint(ConstraintSet):
                 [0.0, 0.0, 0.0, m2],
             ]
         ) / scale[:, :, None]
-        grad_phys = energy_gradient(denormalize(p, self.output_spec), self.params) / scale
-        return lam[:, :1, None] * _chain_rule(p, self.output_spec, hess_phys, grad_phys)
+        phys = denormalize(p, self.output_spec)
+        grad_phys = energy_gradient(phys, self.params) / scale
+        return lam[:, :1, None] * _chain_rule(p, phys, self.output_spec, hess_phys, grad_phys)
 
 
 class LtpConstraints(ConstraintSet):
@@ -214,13 +219,14 @@ class LtpConstraints(ConstraintSet):
         r3 = (ne - _column_sum(y, self._pos) + _column_sum(y, self._neg)) / ne_scale
         return np.stack([r1, r2, r3], axis=-1)
 
-    def _residual(self, x, p: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _check_x(x) -> np.ndarray:
         if x is None:
             raise ValidationError("LTP constraints need the (P, I, R) input vector")
-        y = denormalize(p, self.output_spec)
-        if not np.all(np.isfinite(y)):
-            raise ValidationError("non-finite de-normalized output")
-        return self._full_residual(np.atleast_2d(x), y)[:, self.laws]
+        return np.atleast_2d(x)
+
+    def _residual(self, x, p: np.ndarray) -> np.ndarray:
+        return self._full_residual(self._check_x(x), denormalize(p, self.output_spec))[:, self.laws]
 
     def _phys_jacobian(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """All three law gradients w.r.t. the physical outputs, (n, 3, dim)."""
@@ -248,11 +254,18 @@ class LtpConstraints(ConstraintSet):
         return jac
 
     def _jacobian(self, x, p: np.ndarray) -> np.ndarray:
-        if x is None:
-            raise ValidationError("LTP constraints need the (P, I, R) input vector")
-        jac = self._phys_jacobian(np.atleast_2d(x), denormalize(p, self.output_spec))
-        diag = denormalize_jacobian_diag(p, self.output_spec)
-        return jac[:, self.laws, :] * diag[:, None, :]
+        return self._scaled_jacobian(self._check_x(x), denormalize(p, self.output_spec))
+
+    def _scaled_jacobian(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        diag = jacobian_diag_from_physical(y, self.output_spec)
+        return self._phys_jacobian(x, y)[:, self.laws, :] * diag[:, None, :]
+
+    def residual_and_jacobian(self, x, p_norm) -> tuple[np.ndarray, np.ndarray]:
+        """Both for the same points, from one de-normalization of the outputs."""
+        p = np.asarray(p_norm, dtype=np.float64)
+        x, y = self._check_x(self._batch_x(x, p.ndim == 1)), denormalize(np.atleast_2d(p), self.output_spec)
+        r, j = self._full_residual(x, y)[:, self.laws], self._scaled_jacobian(x, y)
+        return (r[0], j[0]) if p.ndim == 1 else (r, j)
 
     def _lagrangian_hessian(self, x, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Exact curvature of lam . g in normalized space, per point."""
@@ -285,4 +298,4 @@ class LtpConstraints(ConstraintSet):
         hess[:, self._neg, self._ne] += (-w3 / ne**2)[:, None]
 
         grad_phys = (lam_full[:, None, :] @ self._phys_jacobian(x, y))[:, 0, :]
-        return _chain_rule(p, self.output_spec, hess, grad_phys)
+        return _chain_rule(p, y, self.output_spec, hess, grad_phys)

@@ -113,13 +113,13 @@ def denormalize_jacobian_diag(z: np.ndarray, spec: TransformSpec) -> np.ndarray:
     Linear features contribute (max - min)/2; log-flagged ones pick up the
     extra d(10^u)/du = ln(10) * 10^u factor.
     """
-    z = np.asarray(z, dtype=np.float64)
+    return jacobian_diag_from_physical(denormalize(z, spec), spec)
+
+
+def jacobian_diag_from_physical(phys: np.ndarray, spec: TransformSpec) -> np.ndarray:
+    """:func:`denormalize_jacobian_diag` at the point that de-normalizes to ``phys`` (there 10^u is phys)."""
     half = (spec.maxs - spec.mins) / 2.0
-    diag = np.broadcast_to(half, z.shape).copy()
-    if spec.log_flags.any():
-        u = (z[..., spec.log_flags] + 1.0) * half[spec.log_flags] + spec.mins[spec.log_flags]
-        diag[..., spec.log_flags] = half[spec.log_flags] * LN10 * np.power(10.0, u)
-    return diag
+    return np.where(spec.log_flags, half * LN10 * phys, half)
 
 
 def denormalize_curvature_diag(z: np.ndarray, spec: TransformSpec) -> np.ndarray:

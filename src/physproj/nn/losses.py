@@ -2,8 +2,9 @@
 
 The *Term classes return a physics penalty together with its gradient with
 respect to the normalized network output, so the training loop can
-backpropagate through it. A term's ``loss_and_output_grad`` returns the
-already-weighted contribution, and the trainer forms
+backpropagate through it. The trainer calls a term's ``inputs(x_norm)`` once
+per dataset and passes a batch's rows of it to ``loss_and_output_grad(inputs,
+y_norm)``, which returns the already-weighted contribution; the trainer forms
 total = (1 - lambda_physics) * data_mse + physics_term.
 """
 
@@ -46,17 +47,20 @@ class SpringEnergyTerm:
         phys = denormalize(np.atleast_2d(batch_norm), self.transform)
         return phys, np.asarray(energy(phys, self.params))
 
-    def loss_and_output_grad(self, x_norm: np.ndarray, y_norm: np.ndarray) -> tuple[float, np.ndarray]:
-        from physproj.constraints.transform import denormalize_jacobian_diag
+    def inputs(self, x_norm: np.ndarray) -> np.ndarray:
+        """The mechanical energies of the input states, one per sample."""
+        return self._energies(x_norm)[1]
+
+    def loss_and_output_grad(self, e_in: np.ndarray, y_norm: np.ndarray) -> tuple[float, np.ndarray]:
+        from physproj.constraints.transform import jacobian_diag_from_physical
         from physproj.springmass import energy_gradient
 
-        _, e_in = self._energies(x_norm)
         y_phys, e_out = self._energies(y_norm)
         diff = e_out - e_in
         loss = self.weight * float(np.mean(diff**2))
         # dE/dy_norm = dE/dy_phys * d(denorm)/dz, chain rule per sample
         de_dphys = energy_gradient(y_phys, self.params)
-        diag = denormalize_jacobian_diag(np.atleast_2d(y_norm), self.transform)
+        diag = jacobian_diag_from_physical(y_phys, self.transform)
         grad = self.weight * (2.0 / diff.size) * diff[:, None] * de_dphys * diag
         return loss, grad
 
@@ -69,13 +73,14 @@ class LtpResidualTerm:
         self.input_transform = input_transform
         self.lambdas = np.asarray(lambdas, dtype=np.float64)
 
-    def loss_and_output_grad(self, x_norm: np.ndarray, y_norm: np.ndarray) -> tuple[float, np.ndarray]:
+    def inputs(self, x_norm: np.ndarray) -> np.ndarray:
+        """The physical (P, I, R) inputs, one row per sample."""
         from physproj.constraints.transform import denormalize
 
-        x_phys = denormalize(np.atleast_2d(x_norm), self.input_transform)
-        y = np.atleast_2d(y_norm)
-        r = self.constraint_set.residual(x_phys, y)  # (n, 3)
-        jac = self.constraint_set.jacobian(x_phys, y)  # (n, 3, d)
+        return denormalize(np.atleast_2d(x_norm), self.input_transform)
+
+    def loss_and_output_grad(self, x_phys: np.ndarray, y_norm: np.ndarray) -> tuple[float, np.ndarray]:
+        r, jac = self.constraint_set.residual_and_jacobian(x_phys, np.atleast_2d(y_norm))  # (n, 3), (n, 3, d)
         n = r.shape[0]
         loss = float(np.dot(self.lambdas, np.mean(r**2, axis=0)))
         grad = (2.0 / n) * np.einsum("k,nk,nkd->nd", self.lambdas, r, jac)

@@ -10,6 +10,7 @@ explicit about what is cached and when parameters change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -37,10 +38,11 @@ class Activation:
             return z
         return np.maximum(z, self.slope * z)
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
+    def backprop(self, delta: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """``delta`` times the derivative at ``z``; max(z > 0, slope) is 1 or the slope, without a branch."""
         if self.kind == "identity":
-            return np.ones_like(z)
-        return np.where(z > 0.0, 1.0, self.slope)
+            return delta
+        return delta * np.maximum(z > 0.0, self.slope)
 
 
 @dataclass
@@ -61,11 +63,9 @@ class Network:
 
     def __post_init__(self):
         params = [np.asarray(p, dtype=np.float64) for pair in zip(self.weights, self.biases) for p in pair]
+        self.weights, self.biases = params[0::2], params[1::2]  # views() reads their shapes
         self.theta = np.concatenate([p.ravel() for p in params])
-        views, start = [], 0
-        for p in params:
-            views.append(self.theta[start : start + p.size].reshape(p.shape))
-            start += p.size
+        views = self.views(self.theta)
         self.weights, self.biases = views[0::2], views[1::2]
 
     def __reduce__(self):
@@ -82,6 +82,12 @@ class Network:
     def parameters(self) -> list[np.ndarray]:
         """Views [W0, b0, W1, b1, ...] of ``theta``, in its order."""
         return [p for pair in zip(self.weights, self.biases) for p in pair]
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of a vector laid out like ``theta``, shaped like parameters()."""
+        params = self.parameters()
+        ends = accumulate(p.size for p in params)
+        return [flat[end - p.size : end].reshape(p.shape) for p, end in zip(params, ends)]
 
     def with_parameters(self, params: list[np.ndarray]) -> "Network":
         """A network with its own copy of ``params``, laid out as parameters()."""
@@ -121,9 +127,8 @@ def xavier_init(layer_dims, activation: Activation | None = None, seed: int = 0)
 
 @dataclass
 class ForwardCache:
-    """Pre-activations and post-activations kept for the backward pass."""
+    """Pre-activations and post-activations (the inputs first) kept for the backward pass."""
 
-    inputs: np.ndarray
     pre_activations: list[np.ndarray]
     hidden: list[np.ndarray]
     output: np.ndarray
@@ -148,31 +153,32 @@ def forward_cached(net: Network, x: np.ndarray) -> ForwardCache:
         if i < net.n_layers - 1:
             hidden.append(a)
     out = a[0] if squeeze else a
-    return ForwardCache(inputs=hidden[0], pre_activations=pre, hidden=hidden, output=out)
+    return ForwardCache(pre_activations=pre, hidden=hidden, output=out)
 
 
 def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list[np.ndarray]:
     """Gradients of a scalar loss w.r.t. every parameter, [dW0, db0, dW1, ...].
 
     ``output_grad`` is dLoss/dOutput for the same batch the cache was built
-    from; shapes are checked so a stale cache fails loudly.
+    from; shapes are checked so a stale cache fails loudly. They are
+    ``net.views`` of one new vector laid out like ``theta``, ``grads[0].base``.
     """
     g = np.atleast_2d(np.asarray(output_grad, dtype=np.float64))
     if (
         len(cache.pre_activations) != net.n_layers
-        or cache.inputs.shape[1] != net.input_dim
+        or cache.hidden[0].shape[1] != net.input_dim
         or any(z.shape[1] != d for z, d in zip(cache.pre_activations, net.layer_dims[1:]))
     ):
         raise ValidationError("forward cache does not match this network")
     if g.shape != np.atleast_2d(cache.output).shape:
         raise ValidationError("output_grad shape does not match the cached forward pass")
-    grads: list[np.ndarray] = [None] * (2 * net.n_layers)  # type: ignore[list-item]
+    grads = net.views(np.empty_like(net.theta))
     delta = g
     for i in range(net.n_layers - 1, -1, -1):
         if i < net.n_layers - 1:
-            delta = delta * net.activation.derivative(cache.pre_activations[i])
-        grads[2 * i] = delta.T @ cache.hidden[i]
-        grads[2 * i + 1] = delta.sum(axis=0)
+            delta = net.activation.backprop(delta, cache.pre_activations[i])
+        np.matmul(delta.T, cache.hidden[i], out=grads[2 * i])
+        delta.sum(axis=0, out=grads[2 * i + 1])
         if i > 0:
             delta = delta @ net.weights[i]
     return grads

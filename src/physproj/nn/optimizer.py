@@ -25,23 +25,25 @@ class AdamState:
         return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
-def adam_step(theta: np.ndarray, grads: list[np.ndarray], state: AdamState, learning_rate: float) -> None:
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, learning_rate: float) -> None:
     """One Adam update of ``theta`` and ``state``, both in place.
 
-    ``grads`` holds one gradient per parameter, in the order and layout of
-    ``theta`` (Network.parameters()). theta <- theta - lr * m_hat /
-    (sqrt(v_hat) + eps) with the standard 1/(1-beta^t) bias corrections.
+    ``grad`` is the gradient laid out like ``theta`` (the vector under
+    backward()'s views). theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
+    with the standard 1/(1-beta^t) bias corrections, in that order.
     """
-    g = np.concatenate([np.ravel(d) for d in grads])
-    if g.shape != theta.shape or state.m.shape != theta.shape:
+    if grad.shape != theta.shape or state.m.shape != theta.shape:
         raise ValidationError("params, grads and Adam state sizes disagree")
-    if not np.all(np.isfinite(g)):
+    if not np.all(np.isfinite(grad)):
         raise TrainingDivergedError("non-finite gradient passed to adam_step")
     state.t += 1
+    scratch = np.empty_like(grad)
     state.m *= _BETA1
-    state.m += (1.0 - _BETA1) * g
+    state.m += np.multiply(grad, 1.0 - _BETA1, out=scratch)
     state.v *= _BETA2
-    state.v += (1.0 - _BETA2) * g**2
-    m_hat = state.m / (1.0 - _BETA1**state.t)
-    v_hat = state.v / (1.0 - _BETA2**state.t)
-    theta -= learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
+    state.v += np.multiply(np.square(grad, out=scratch), 1.0 - _BETA2, out=scratch)
+    denom = np.sqrt(np.divide(state.v, 1.0 - _BETA2**state.t, out=scratch), out=scratch)  # sqrt(v_hat)
+    denom += _EPSILON
+    step = np.divide(state.m, 1.0 - _BETA1**state.t)  # m_hat
+    step *= learning_rate
+    theta -= np.divide(step, denom, out=step)

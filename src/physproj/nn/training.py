@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from physproj.errors import TrainingDivergedError, ValidationError
-from physproj.nn.losses import mse, mse_gradient
+from physproj.nn.losses import mse
 from physproj.nn.network import Network, backward, forward, forward_cached
 from physproj.nn.optimizer import AdamState, adam_step
 from physproj.nn.schedule import plateau_lr, pq_alpha_should_stop
@@ -46,8 +46,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.lambda_physics <= 1.0:
             raise ValidationError("lambda_physics must lie in [0, 1]")
-        if self.learning_rate <= 0.0:
-            raise ValidationError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValidationError("learning_rate must be positive and finite")
 
 
 @dataclass
@@ -63,14 +63,13 @@ class TrainHistory:
         return len(self.train_loss)
 
 
-def _evaluate(net: Network, x: np.ndarray, y: np.ndarray, physics, lam: float) -> tuple[float, float, float]:
-    """(total, data, physics) losses on a dataset, without gradients."""
+def _evaluate(net: Network, x: np.ndarray, y: np.ndarray, physics, feats, lam: float) -> float:
+    """Total loss on a dataset whose physics inputs are ``feats``, without gradients."""
     pred = forward(net, x)
     data = mse(pred, y)
     if physics is None:
-        return data, data, 0.0
-    phys, _ = physics.loss_and_output_grad(x, pred)
-    return (1.0 - lam) * data + phys, data, phys
+        return data
+    return (1.0 - lam) * data + physics.loss_and_output_grad(feats, pred)[0]
 
 
 def train(
@@ -82,17 +81,19 @@ def train(
 ) -> tuple[Network, TrainHistory]:
     """Fit the network; returns (best-validation checkpoint, history).
 
-    ``physics`` is an optional term with loss_and_output_grad(x, y_pred);
-    when present the objective is (1 - lambda) * data_mse + physics term,
-    otherwise plain MSE. Early stopping and plateau scheduling need a
-    validation set.
+    ``physics`` is an optional term (nn.losses): ``inputs(x)`` runs once on
+    the training and once on the validation set, and each batch passes its
+    rows of those to ``loss_and_output_grad(inputs, y_pred)``. With a term the
+    objective is (1 - lambda) * data_mse + physics term, otherwise plain
+    MSE. Early stopping and plateau scheduling need a validation set.
     """
     x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train_set)
     if x_train.shape[0] == 0:
         raise ValidationError("empty training set")
-    if x_train.shape[0] != y_train.shape[0]:
-        raise ValidationError("training inputs and targets disagree in length")
-    if (config.early_stop or config.lr_plateau) and (val_set is None or len(val_set[0]) == 0):
+    if y_train.shape != (x_train.shape[0], net.layer_dims[-1]):
+        raise ValidationError(f"targets {y_train.shape} do not fit {x_train.shape[0]} inputs and {net.layer_dims[-1]} outputs")
+    has_val = val_set is not None and len(val_set[0]) > 0
+    if (config.early_stop or config.lr_plateau) and not has_val:
         raise ValidationError("early stopping / plateau scheduling require a validation set")
 
     history = TrainHistory()
@@ -107,11 +108,10 @@ def train(
     work = net.copy()
     state = AdamState.initialize(work.theta)
 
+    feats = physics.inputs(x_train) if physics is not None else None
+    val_feats = physics.inputs(val_set[0]) if physics is not None and has_val else None
     best_net = net.copy()
-    if val_set is not None and len(val_set[0]) > 0:
-        best_val = _evaluate(net, val_set[0], val_set[1], physics, lam)[0]
-    else:
-        best_val = np.inf
+    best_val = _evaluate(net, val_set[0], val_set[1], physics, val_feats, lam) if has_val else np.inf
 
     lr = config.learning_rate
     epochs_since_lr_drop = 0
@@ -125,20 +125,20 @@ def train(
         n_batches = 0
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            xb, yb = x_train[idx], y_train[idx]
-            cache = forward_cached(work, xb)
-            pred = cache.output
-            data = mse(pred, yb)
-            out_grad = (1.0 - lam) * mse_gradient(pred, yb) if physics is not None else mse_gradient(pred, yb)
+            cache = forward_cached(work, x_train[idx])
+            diff = cache.output - y_train[idx]
+            data = float(np.mean(diff**2))
+            out_grad = 2.0 * diff / diff.size  # mse_gradient
             phys = 0.0
             if physics is not None:
-                phys, phys_grad = physics.loss_and_output_grad(xb, pred)
-                out_grad = out_grad + phys_grad
+                out_grad *= 1.0 - lam
+                phys, phys_grad = physics.loss_and_output_grad(feats[idx], cache.output)
+                out_grad += phys_grad
             total = (1.0 - lam) * data + phys if physics is not None else data
             if not np.isfinite(total):
                 raise TrainingDivergedError(f"non-finite training loss ({total})")
             grads = backward(work, cache, out_grad)
-            adam_step(work.theta, grads, state, lr)
+            adam_step(work.theta, grads[0].base, state, lr)
             epoch_data += data
             epoch_phys += phys
             epoch_total += total
@@ -149,8 +149,8 @@ def train(
         history.physics_loss.append(epoch_phys / n_batches)
         history.learning_rate.append(lr)
 
-        if val_set is not None and len(val_set[0]) > 0:
-            val_total = _evaluate(work, val_set[0], val_set[1], physics, lam)[0]
+        if has_val:
+            val_total = _evaluate(work, val_set[0], val_set[1], physics, val_feats, lam)
             if not np.isfinite(val_total):
                 raise TrainingDivergedError("non-finite validation loss")
         else:

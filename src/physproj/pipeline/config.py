@@ -118,6 +118,9 @@ class ExperimentConfig:
         for name in ("spring_projection_tol", "ltp_projection_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValidationError(f"{name} must be positive")
+        for name in ("spring_lr", "ltp_lr"):
+            if not 0.0 < getattr(self, name) < float("inf"):
+                raise ValidationError(f"{name} must be positive and finite")
         if not 0.0 <= self.spring_lambda <= 1.0 or not 0.0 <= self.ltp_lambda <= 1.0:
             raise ValidationError("physics weights must lie in [0, 1]")
         if not 0.0 < self.plateau_factor <= 1.0:

@@ -248,6 +248,24 @@ def test_law_subsets_for_ablation():
         LtpConstraints(SCHEMA, spec, laws=(0, 0))
 
 
+@pytest.mark.parametrize("laws", [(0, 1, 2), (2,), (0, 2)])
+def test_residual_and_jacobian_equal_the_separate_calls_bit_for_bit(laws):
+    x, y, spec = ltp_specs()
+    z = normalize(y[:50], spec) + np.random.default_rng(5).normal(0.0, 0.05, (50, 17))
+    states = sm.sample_states(PARAMS, 5.0, 50, np.random.default_rng(6))
+    energy_cs = EnergyConstraint(PARAMS, None, spring_spec())  # the base class's two calls
+    anchors = sm.energy(states, PARAMS)[:, None] + 0.1
+    cases = [
+        (LtpConstraints(SCHEMA, spec, laws=laws), x[:50], z),
+        (energy_cs, anchors, normalize(states, energy_cs.output_spec)),
+    ]
+    for cs, inputs, points in cases:
+        for xs, ps in ((inputs, points), (inputs[3], points[3])):  # a batch and a single point
+            r, j = cs.residual_and_jacobian(xs, ps)
+            assert r.tobytes() == cs.residual(xs, ps).tobytes()
+            assert j.tobytes() == cs.jacobian(xs, ps).tobytes()
+
+
 def test_pressure_sum_electron_flag():
     x, y, spec = ltp_specs()
     with_e = LtpConstraints(SCHEMA, spec, include_electrons_in_pressure=True)

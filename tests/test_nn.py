@@ -10,10 +10,13 @@ from physproj.errors import TrainingDivergedError, ValidationError
 from physproj.nn import (
     Activation,
     AdamState,
+    EarlyStopConfig,
     LtpResidualTerm,
     Network,
+    PlateauConfig,
     SpringEnergyTerm,
     TrainConfig,
+    TrainHistory,
     adam_step,
     backward,
     forward,
@@ -195,23 +198,23 @@ def test_backward_rejects_stale_cache():
 def test_adam_zero_gradient_keeps_params():
     theta = np.array([1.0, -2.0, 0.5])
     state = AdamState.initialize(theta)
-    adam_step(theta, [np.zeros(2), np.zeros((1, 1))], state, 0.01)
+    adam_step(theta, np.zeros(3), state, 0.01)
     assert np.array_equal(theta, [1.0, -2.0, 0.5])
     assert state.t == 1
 
 
 def test_adam_first_step_bias_corrected():
     theta = np.array([0.0])
-    adam_step(theta, [np.array([1.0])], AdamState.initialize(theta), 0.001)
+    adam_step(theta, np.array([1.0]), AdamState.initialize(theta), 0.001)
     assert abs(theta[0] + 0.001) < 1e-5
 
 
 def test_adam_deterministic():
     a, b = np.array([0.3, -0.7]), np.array([0.3, -0.7])
-    grads = [np.array([0.1, 0.2])]
+    grad = np.array([0.1, 0.2])
     sa, sb = AdamState.initialize(a), AdamState.initialize(b)
-    adam_step(a, grads, sa, 0.01)
-    adam_step(b, grads, sb, 0.01)
+    adam_step(a, grad, sa, 0.01)
+    adam_step(b, grad, sb, 0.01)
     assert np.array_equal(a, b)
     assert np.array_equal(sa.m, sb.m)
 
@@ -219,7 +222,7 @@ def test_adam_deterministic():
 def test_adam_rejects_nonfinite_gradients():
     theta = np.array([0.0])
     with pytest.raises(TrainingDivergedError):
-        adam_step(theta, [np.array([np.nan])], AdamState.initialize(theta), 0.01)
+        adam_step(theta, np.array([np.nan]), AdamState.initialize(theta), 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +240,7 @@ def test_physics_loss_springmass_identity_is_zero():
     params, spec = _spring_setup()
     term = SpringEnergyTerm(params, spec, weight=1.0)
     batch = normalize(sm.sample_states(params, 5.0, 10, np.random.default_rng(1)), spec)
-    assert term.loss_and_output_grad(batch, batch)[0] == 0.0
+    assert term.loss_and_output_grad(term.inputs(batch), batch)[0] == 0.0
 
 
 def test_physics_loss_springmass_single_sample():
@@ -246,7 +249,7 @@ def test_physics_loss_springmass_single_sample():
     term = SpringEnergyTerm(params, spec, weight=1.0)
     state_in = np.array([[0.5, np.sqrt(7.0), 1.0, 0.0]])
     state_out = np.array([[0.5, np.sqrt(6.0), 1.0, 0.0]])
-    loss, _ = term.loss_and_output_grad(normalize(state_in, spec), normalize(state_out, spec))
+    loss, _ = term.loss_and_output_grad(term.inputs(normalize(state_in, spec)), normalize(state_out, spec))
     assert loss == pytest.approx(0.25)
 
 
@@ -255,7 +258,7 @@ def test_physics_loss_springmass_rk4_next_state_conserves():
     term = SpringEnergyTerm(params, spec, weight=1.0)
     ic = np.array([[-0.16, -2.18, 0.09, -0.16]])
     nxt = sm.integrate(ic, params, 0.05, 50)
-    loss, _ = term.loss_and_output_grad(normalize(ic, spec), normalize(nxt, spec))
+    loss, _ = term.loss_and_output_grad(term.inputs(normalize(ic, spec)), normalize(nxt, spec))
     assert loss < 1e-9
 
 
@@ -263,16 +266,16 @@ def test_spring_energy_term_gradient_matches_fd():
     params, spec = _spring_setup()
     term = SpringEnergyTerm(params, spec, weight=0.4)
     rng = np.random.default_rng(3)
-    x = rng.uniform(-0.8, 0.8, size=(5, 4))
+    e_in = term.inputs(rng.uniform(-0.8, 0.8, size=(5, 4)))
     y = rng.uniform(-0.8, 0.8, size=(5, 4))
-    _, grad = term.loss_and_output_grad(x, y)
+    _, grad = term.loss_and_output_grad(e_in, y)
     h = 1e-6
     for i in range(5):
         for j in range(4):
             yp, ym = y.copy(), y.copy()
             yp[i, j] += h
             ym[i, j] -= h
-            fd = (term.loss_and_output_grad(x, yp)[0] - term.loss_and_output_grad(x, ym)[0]) / (2 * h)
+            fd = (term.loss_and_output_grad(e_in, yp)[0] - term.loss_and_output_grad(e_in, ym)[0]) / (2 * h)
             assert abs(grad[i, j] - fd) < 1e-5 * max(1.0, abs(fd))
 
 
@@ -286,7 +289,7 @@ def _ltp_setup(n=200, seed=0):
 def test_physics_loss_ltp_zero_on_consistent_data():
     x, y, in_spec, out_spec, cs = _ltp_setup()
     term = LtpResidualTerm(cs, in_spec, (0.005, 0.005, 0.005))
-    loss, _ = term.loss_and_output_grad(normalize(x[:20], in_spec), normalize(y[:20], out_spec))
+    loss, _ = term.loss_and_output_grad(term.inputs(normalize(x[:20], in_spec)), normalize(y[:20], out_spec))
     assert loss < 1e-25
 
 
@@ -294,7 +297,7 @@ def test_physics_loss_ltp_zero_lambdas():
     x, y, in_spec, out_spec, cs = _ltp_setup()
     term = LtpResidualTerm(cs, in_spec, (0.0, 0.0, 0.0))
     bad = normalize(y[:10], out_spec) + 0.3
-    assert term.loss_and_output_grad(normalize(x[:10], in_spec), bad)[0] == 0.0
+    assert term.loss_and_output_grad(term.inputs(normalize(x[:10], in_spec)), bad)[0] == 0.0
 
 
 def test_physics_loss_ltp_weighted_sum_arithmetic():
@@ -311,7 +314,7 @@ def test_physics_loss_ltp_weighted_sum_arithmetic():
     r = cs.residual(x[:1], z)[0]
     assert abs(r[0] - 0.1) < 1e-9 and abs(r[1]) < 1e-12 and abs(r[2]) < 1e-9
     term = LtpResidualTerm(cs, in_spec, (0.005, 0.0, 0.0))
-    loss, _ = term.loss_and_output_grad(normalize(x[:1], in_spec), z)
+    loss, _ = term.loss_and_output_grad(term.inputs(normalize(x[:1], in_spec)), z)
     assert loss == pytest.approx(5e-5, rel=1e-6)
 
 
@@ -319,9 +322,9 @@ def test_ltp_residual_term_gradient_matches_fd():
     x, y, in_spec, out_spec, cs = _ltp_setup()
     term = LtpResidualTerm(cs, in_spec, (0.005, 0.005, 0.005))
     rng = np.random.default_rng(4)
-    xn = normalize(x[:4], in_spec)
+    x_phys = term.inputs(normalize(x[:4], in_spec))
     yn = normalize(y[:4], out_spec) + rng.normal(0, 0.05, size=(4, 17))
-    _, grad = term.loss_and_output_grad(xn, yn)
+    _, grad = term.loss_and_output_grad(x_phys, yn)
     h = 1e-6
     rel_err = 0.0
     for i in range(4):
@@ -329,10 +332,23 @@ def test_ltp_residual_term_gradient_matches_fd():
             yp, ym = yn.copy(), yn.copy()
             yp[i, j] += h
             ym[i, j] -= h
-            fd = (term.loss_and_output_grad(xn, yp)[0] - term.loss_and_output_grad(xn, ym)[0]) / (2 * h)
+            fd = (term.loss_and_output_grad(x_phys, yp)[0] - term.loss_and_output_grad(x_phys, ym)[0]) / (2 * h)
             denom = max(abs(grad[i, j]), abs(fd), 1e-7)
             rel_err = max(rel_err, abs(grad[i, j] - fd) / denom)
     assert rel_err < 1e-5
+
+
+def test_overflowing_log_flagged_output_is_rejected():
+    # denormalize raises on a non-finite result; the constraint calls and the PINN term rely on it
+    x, y, in_spec, out_spec, cs = _ltp_setup()
+    term = LtpResidualTerm(cs, in_spec, (0.005, 0.005, 0.005))
+    assert out_spec.log_flags.any()
+    z = normalize(y[:3], out_spec)
+    z[1, np.flatnonzero(out_spec.log_flags)[0]] = 1e6
+    x_phys = term.inputs(normalize(x[:3], in_spec))
+    for call in (cs.residual, cs.jacobian, cs.residual_and_jacobian, term.loss_and_output_grad):
+        with pytest.raises(ValidationError, match="overflowed"):
+            call(x_phys, z)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +467,109 @@ def test_train_divergence_detected():
 def test_train_validates_lambda_split():
     with pytest.raises(ValidationError):
         TrainConfig(lambda_physics=1.5)
+    for lr in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValidationError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
+
+def _seed_train(net, train_set, val_set, config, physics):
+    """The training loop as first written, for the bit-for-bit comparison:
+    physics inputs recomputed per batch, mse and mse_gradient, the
+    per-parameter backward list and Adam on their np.concatenate."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    lam = config.lambda_physics
+    x, y = train_set
+    n = len(x)
+    batch = n if config.batch_size <= 0 else min(config.batch_size, n)
+    rng = np.random.default_rng(config.seed)
+    work = net.copy()
+    m, v, t = np.zeros_like(work.theta), np.zeros_like(work.theta), 0
+
+    def evaluate(model):
+        pred = forward(model, val_set[0])
+        data = mse(pred, val_set[1])
+        if physics is None:
+            return data
+        return (1.0 - lam) * data + physics.loss_and_output_grad(physics.inputs(val_set[0]), pred)[0]
+
+    history = TrainHistory()
+    best, best_val = net.copy(), evaluate(net) if val_set is not None else np.inf
+    lr, since_drop = config.learning_rate, 0
+    for _ in range(config.max_epochs):
+        order = rng.permutation(n)
+        sums = [0.0, 0.0, 0.0]  # data, physics, total
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            cache = forward_cached(work, x[idx])
+            data = mse(cache.output, y[idx])
+            out_grad = mse_gradient(cache.output, y[idx])
+            phys = 0.0
+            if physics is not None:
+                out_grad = (1.0 - lam) * out_grad
+                phys, phys_grad = physics.loss_and_output_grad(physics.inputs(x[idx]), cache.output)
+                out_grad = out_grad + phys_grad
+            total = (1.0 - lam) * data + phys if physics is not None else data
+            g = np.concatenate([np.ravel(d) for d in backward(work, cache, out_grad)])
+            t += 1
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g**2
+            m_hat = m / (1.0 - beta1**t)
+            v_hat = v / (1.0 - beta2**t)
+            work.theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            sums = [sums[0] + data, sums[1] + phys, sums[2] + total]
+        n_batches = len(range(0, n, batch))
+        history.train_loss.append(sums[2] / n_batches)
+        history.data_loss.append(sums[0] / n_batches)
+        history.physics_loss.append(sums[1] / n_batches)
+        history.learning_rate.append(lr)
+        history.val_loss.append(evaluate(work) if val_set is not None else history.train_loss[-1])
+        if history.val_loss[-1] < best_val:
+            best, best_val = work.copy(), history.val_loss[-1]
+        if config.lr_plateau is not None:
+            since_drop += 1
+            plateau = config.lr_plateau
+            new_lr = plateau_lr(history.val_loss[-since_drop:], plateau.patience, plateau.factor, lr)
+            if new_lr != lr:
+                lr, since_drop = new_lr, 0
+        stop = config.early_stop
+        if stop is not None and pq_alpha_should_stop(
+            history.train_loss, history.val_loss, stop.alpha, stop.strip_length
+        ):
+            break
+    return best, history
+
+
+def _seed_train_cases():
+    rng = np.random.default_rng(8)
+    x, y = rng.normal(size=(70, 3)), rng.normal(size=(70, 2))
+    yield "plain", xavier_init([3, 8, 2], seed=1), (x[:50], y[:50]), None, TrainConfig(1e-2, 4, 16, seed=2), None
+
+    params, spec = _spring_setup()
+    states, nxt = sm.generate_dataset(params, 5.0, 120, 0.05, 10, seed=1)
+    xs, ys = normalize(states, spec), normalize(nxt, spec)
+    term = SpringEnergyTerm(params, spec, weight=0.3)
+    cfg = TrainConfig(1e-3, 3, 32, lambda_physics=0.3, seed=4)
+    yield "spring", xavier_init([4, 10, 4], seed=3), (xs[:100], ys[:100]), (xs[100:], ys[100:]), cfg, term
+
+    x, y, in_spec, out_spec, cs = _ltp_setup()
+    xn, yn = normalize(x, in_spec), normalize(y, out_spec)
+    term = LtpResidualTerm(cs, in_spec, (0.005, 0.005, 0.005))
+    cfg = TrainConfig(3e-3, 40, 32, 0.015, EarlyStopConfig(2.0, 3), PlateauConfig(1, 0.5), seed=6)
+    yield "ltp", xavier_init([3, 12, 17], seed=5), (xn[:160], yn[:160]), (xn[160:], yn[160:]), cfg, term
+
+
+@pytest.mark.parametrize("case", list(_seed_train_cases()), ids=lambda case: case[0])
+def test_train_matches_the_seed_loop_bit_for_bit(case):
+    _, net, train_set, val_set, cfg, term = case
+    trained, history = train(net, train_set, val_set, cfg, physics=term)
+    expected, expected_history = _seed_train(net, train_set, val_set, cfg, term)
+    assert np.array_equal(trained.theta, expected.theta)
+    for name in ("train_loss", "val_loss", "data_loss", "physics_loss", "learning_rate"):
+        assert np.array_equal(getattr(history, name), getattr(expected_history, name)), name
+    if cfg.early_stop is not None:  # both schedules took effect
+        assert history.n_epochs() < cfg.max_epochs and len(set(history.learning_rate)) > 1
 
 
 def test_parameters_are_views_of_one_vector_and_training_leaves_input_alone():

@@ -167,6 +167,7 @@ def test_config_validation_errors():
         ("trend_current", -0.03),
         ("early_stop_alpha", -1.0),
         ("early_stop_alpha", float("nan")),
+        *((key, value) for key in ("spring_lr", "ltp_lr") for value in (float("nan"), float("inf"), 0.0, -1.0)),
     ):
         with pytest.raises(ValidationError, match=key):
             ExperimentConfig(**{key: value}).validate()

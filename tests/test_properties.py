@@ -1,6 +1,7 @@
 """Property tests: solver invariants on random spheres and hyperplane sets,
 bit-exact model files for random architectures, the leaky ReLU against its
-np.where form on special values, and loaders that meet
+np.where form on special values, backward's flat gradient against its
+per-layer formula, and loaders that meet
 malformed model files, dataset CSVs, column maps and configs with
 ValidationError alone.
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from physproj.constraints import INPUT_NAMES, OUTPUT_NAMES, ConstraintSet, fit_transform, load_ltp_csv
 from physproj.errors import ValidationError
-from physproj.nn import Activation, load_network, save_network, xavier_init
+from physproj.nn import Activation, backward, forward_cached, load_network, save_network, xavier_init
 from physproj.pipeline import ExperimentConfig, load_config
 from physproj.projector import CONVERGED, ProjectionSpec, kkt_residual, project
 
@@ -129,6 +130,42 @@ def test_leaky_relu_equals_its_where_form_bit_for_bit(slope, values):
     z = np.array(values)
     expected = np.where(z > 0.0, z, slope * z)
     assert Activation("leaky_relu", slope).apply(z).tobytes() == expected.tobytes()
+    delta = z[::-1]  # the backward pass: delta times the derivative, 1 or the slope
+    expected = delta * np.where(z > 0.0, 1.0, slope)
+    assert Activation("leaky_relu", slope).backprop(delta, z).tobytes() == expected.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.integers(1, 8), min_size=2, max_size=5),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(
+        [Activation(), Activation("leaky_relu", 0.3), Activation("leaky_relu", 1.0), Activation("identity")]
+    ),
+)
+def test_backward_writes_views_of_one_vector_equal_to_the_per_layer_formula(dims, batch, seed, activation):
+    rng = np.random.default_rng(seed)
+    net = xavier_init(dims, activation=activation)
+    net.theta[:] = rng.normal(size=net.theta.size)
+    cache = forward_cached(net, rng.normal(size=(batch, dims[0])))
+    output_grad = rng.normal(size=(batch, dims[-1]))
+    grads = backward(net, cache, output_grad)
+    flat = grads[0].base
+    assert flat.shape == net.theta.shape and all(g.base is flat for g in grads)
+    assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+    assert np.concatenate([g.ravel() for g in grads]).tobytes() == flat.tobytes()
+
+    expected, delta = [None] * (2 * net.n_layers), output_grad  # the derivative-times-delta form
+    for i in range(net.n_layers - 1, -1, -1):
+        if i < net.n_layers - 1:
+            z = cache.pre_activations[i]
+            derivative = np.ones_like(z) if activation.kind == "identity" else np.where(z > 0.0, 1.0, activation.slope)
+            delta = delta * derivative
+        expected[2 * i], expected[2 * i + 1] = delta.T @ cache.hidden[i], delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ net.weights[i]
+    assert flat.tobytes() == np.concatenate([e.ravel() for e in expected]).tobytes()
 
 
 @PROPERTY_SETTINGS

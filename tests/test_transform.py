@@ -81,6 +81,21 @@ def test_jacobian_diag_matches_finite_differences():
             assert abs(diag[j] - fd) <= 1e-6 * max(abs(fd), 1.0)
 
 
+def test_jacobian_diag_equals_its_power_form_bit_for_bit():
+    # the diagonal is computed from the de-normalized values; 10^u there is the same power
+    rng = np.random.default_rng(7)
+    y = rng.lognormal(0.0, 6.0, size=(400, 5)) * np.array([1.0, 1e16, 1e-3, 1e22, 300.0])
+    y[:, 0] = rng.normal(size=400)  # signed: stays linear
+    spec = fit_transform(y, ("a", "b", "c", "d", "e"), skew_threshold=0.5)
+    assert spec.log_flags.any() and not spec.log_flags.all()
+    z = rng.uniform(-1.3, 1.3, size=(400, 5))
+    half, flags = (spec.maxs - spec.mins) / 2.0, spec.log_flags
+    expected = np.broadcast_to(half, z.shape).copy()
+    u = (z[:, flags] + 1.0) * half[flags] + spec.mins[flags]
+    expected[:, flags] = half[flags] * np.log(10.0) * np.power(10.0, u)
+    assert denormalize_jacobian_diag(z, spec).tobytes() == expected.tobytes()
+
+
 def test_curvature_diag_matches_finite_differences():
     spec = spec_mixed()
     rng = np.random.default_rng(3)
