@@ -31,34 +31,40 @@ class ConstraintSet:
     Every public method accepts a single sample (p of shape (dim,), x a
     vector or None) or batches (leading axis n). Subclasses implement the
     batched ``_residual``/``_jacobian`` and may override ``_lagrangian_hessian``
-    and, to share work between the two, ``residual_and_jacobian``.
+    and, to share work between the two, ``_residual_and_jacobian``.
     """
 
     residual_dim: int = 0
     output_spec: TransformSpec | None = None
 
     def residual(self, x, p_norm) -> np.ndarray:
-        p = np.asarray(p_norm, dtype=np.float64)
-        single = p.ndim == 1
-        r = self._residual(self._batch_x(x, single), np.atleast_2d(p))
-        return r[0] if single else r
+        return self._batched(self._residual, x, p_norm)
 
     def jacobian(self, x, p_norm) -> np.ndarray:
-        p = np.asarray(p_norm, dtype=np.float64)
-        single = p.ndim == 1
-        j = self._jacobian(self._batch_x(x, single), np.atleast_2d(p))
-        return j[0] if single else j
+        return self._batched(self._jacobian, x, p_norm)
 
     def residual_and_jacobian(self, x, p_norm) -> tuple[np.ndarray, np.ndarray]:
-        """(residual(x, p), jacobian(x, p)); a subclass may override it to share work."""
-        return self.residual(x, p_norm), self.jacobian(x, p_norm)
+        """(residual(x, p), jacobian(x, p)), bit for bit; a subclass that can
+        share work between the two overrides ``_residual_and_jacobian``."""
+        return self._batched(self._residual_and_jacobian, x, p_norm)
+
+    def lagrangian_hessian(self, x, p_norm, lam) -> np.ndarray:
+        """sum_k lam_k * Hessian of residual k, (dim, dim) or batched (n, dim, dim):
+        the curvature of the projection solver's Newton steps."""
+        return self._batched(self._lagrangian_hessian, x, p_norm, np.atleast_2d(np.asarray(lam, dtype=np.float64)))
 
     @staticmethod
-    def _batch_x(x, single: bool):
-        if x is None:
-            return None
-        x = np.asarray(x, dtype=np.float64)
-        return np.atleast_2d(x) if single else x
+    def _batched(fn, x, p_norm, *args):
+        """``fn(x, p, *args)`` on the batch form of one sample or a batch; one sample's results are unwrapped."""
+        p = np.asarray(p_norm, dtype=np.float64)
+        single = p.ndim == 1
+        if x is not None:
+            x = np.asarray(x, dtype=np.float64)
+            x = np.atleast_2d(x) if single else x
+        out = fn(x, np.atleast_2d(p), *args)
+        if not single:
+            return out
+        return tuple(a[0] for a in out) if isinstance(out, tuple) else out[0]
 
     def _residual(self, x, p: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -66,16 +72,8 @@ class ConstraintSet:
     def _jacobian(self, x, p: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def lagrangian_hessian(self, x, p_norm, lam) -> np.ndarray:
-        """sum_k lam_k * Hessian of residual k, (dim, dim) or batched (n, dim, dim).
-
-        The projection solver needs this curvature for true Newton steps.
-        """
-        p = np.asarray(p_norm, dtype=np.float64)
-        single = p.ndim == 1
-        lam = np.atleast_2d(np.asarray(lam, dtype=np.float64))
-        hess = self._lagrangian_hessian(self._batch_x(x, single), np.atleast_2d(p), lam)
-        return hess[0] if single else hess
+    def _residual_and_jacobian(self, x, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._residual(x, p), self._jacobian(x, p)
 
     def _lagrangian_hessian(self, x, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Central differences of the analytic Jacobian; subclasses override
@@ -83,8 +81,7 @@ class ConstraintSet:
         h = 1e-6
         out = np.zeros((*p.shape, p.shape[1]))
         for j in range(p.shape[1]):
-            step = np.zeros(p.shape[1])
-            step[j] = h
+            step = h * np.eye(p.shape[1])[j]
             diff = self._jacobian(x, p + step) - self._jacobian(x, p - step)
             out[:, :, j] = (diff.transpose(0, 2, 1) @ lam[:, :, None])[:, :, 0] / (2.0 * h)
         return 0.5 * (out + out.transpose(0, 2, 1))
@@ -103,13 +100,29 @@ def _chain_rule(p: np.ndarray, y: np.ndarray, spec: TransformSpec, hess_phys: np
     """Normalized-space Hessians D H D + diag(grad * T'') at ``p`` (de-normalized: ``y``) from
     physical-space ones H, where D = T' and grad is the physical gradient of the residual."""
     diag = jacobian_diag_from_physical(y, spec)
-    out = diag[:, :, None] * hess_phys * diag[:, None, :]
+    out = diag[:, :, None] * hess_phys
+    out *= diag[:, None, :]
     idx = np.arange(p.shape[1])
     out[:, idx, idx] += grad_phys * denormalize_curvature_diag(p, spec)
     return out
 
 
-class EnergyConstraint(ConstraintSet):
+class _PhysicalLaws(ConstraintSet):
+    """Laws on the de-normalized outputs y: a subclass gives ``_phys_residual(x, y)``
+    and ``_scaled_jacobian(x, y)`` (w.r.t. the normalized outputs); each call de-normalizes once."""
+
+    def _residual(self, x, p: np.ndarray) -> np.ndarray:
+        return self._phys_residual(x, denormalize(p, self.output_spec))
+
+    def _jacobian(self, x, p: np.ndarray) -> np.ndarray:
+        return self._scaled_jacobian(x, denormalize(p, self.output_spec))
+
+    def _residual_and_jacobian(self, x, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = denormalize(p, self.output_spec)
+        return self._phys_residual(x, y), self._scaled_jacobian(x, y)
+
+
+class EnergyConstraint(_PhysicalLaws):
     """Single residual: mechanical energy of the de-normalized state vs anchor.
 
     The anchor is ``anchor_energy``, or per point the first column of the
@@ -139,41 +152,34 @@ class EnergyConstraint(ConstraintSet):
             raise ValidationError("anchor energy must be non-negative")
         return anchor, np.maximum(anchor, 1.0)
 
-    def _residual(self, x, p: np.ndarray) -> np.ndarray:
+    def _phys_residual(self, x, phys: np.ndarray) -> np.ndarray:
         from physproj.springmass import energy
 
         anchor, scale = self._anchor_scale(x)
-        e = np.asarray(energy(denormalize(p, self.output_spec), self.params))
-        return ((e - anchor) / scale)[:, None]
+        return ((np.asarray(energy(phys, self.params)) - anchor) / scale)[:, None]
 
-    def _jacobian(self, x, p: np.ndarray) -> np.ndarray:
+    def _scaled_jacobian(self, x, phys: np.ndarray) -> np.ndarray:
         from physproj.springmass import energy_gradient
 
         _, scale = self._anchor_scale(x)
-        phys = denormalize(p, self.output_spec)
         grad = energy_gradient(phys, self.params) / np.reshape(scale, (-1, 1))
         return (grad * jacobian_diag_from_physical(phys, self.output_spec))[:, None, :]
 
     def _lagrangian_hessian(self, x, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
         from physproj.springmass import energy_gradient
 
-        _, scale = self._anchor_scale(x)
-        scale = np.reshape(scale, (-1, 1))
+        scale = np.reshape(self._anchor_scale(x)[1], (-1, 1))
         k1, k2, m1, m2 = self.params.k1, self.params.k2, self.params.m1, self.params.m2
-        hess_phys = np.array(
-            [
-                [k1 + k2, 0.0, -k2, 0.0],
-                [0.0, m1, 0.0, 0.0],
-                [-k2, 0.0, k2, 0.0],
-                [0.0, 0.0, 0.0, m2],
-            ]
-        ) / scale[:, :, None]
+        hess_phys = np.array([[k1 + k2, 0.0, -k2, 0.0],
+                              [0.0, m1, 0.0, 0.0],
+                              [-k2, 0.0, k2, 0.0],
+                              [0.0, 0.0, 0.0, m2]]) / scale[:, :, None]
         phys = denormalize(p, self.output_spec)
         grad_phys = energy_gradient(phys, self.params) / scale
         return lam[:, :1, None] * _chain_rule(p, phys, self.output_spec, hess_phys, grad_phys)
 
 
-class LtpConstraints(ConstraintSet):
+class LtpConstraints(_PhysicalLaws):
     """Pressure balance, discharge current, and quasi-neutrality residuals.
 
     ``laws`` selects a subset (by index: 0 pressure, 1 current, 2
@@ -195,7 +201,6 @@ class LtpConstraints(ConstraintSet):
             raise ValidationError(f"laws must be a non-empty subset of (0, 1, 2), got {laws}")
         if tuple(output_spec.names) != tuple(schema.output_names):
             raise ValidationError("output transform layout does not match the schema")
-        self.schema = schema
         self.output_spec = output_spec
         self.laws = tuple(laws)
         self.residual_dim = len(self.laws)
@@ -208,7 +213,8 @@ class LtpConstraints(ConstraintSet):
         self._tg = schema.idx("Tg")
         self._vd = schema.idx("vd")
 
-    def _full_residual(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _phys_residual(self, x, y: np.ndarray) -> np.ndarray:
+        x = self._check_x(x)
         p_in, i_in, radius = x[:, 0], x[:, 1], x[:, 2]
         tg = y[:, self._tg]
         ne = y[:, self._ne]
@@ -217,16 +223,13 @@ class LtpConstraints(ConstraintSet):
         r2 = (i_in - ELEMENTARY_CHARGE * ne * vd * np.pi * radius**2) / i_in
         ne_scale = np.maximum(ne, NE_SCALE_FLOOR)
         r3 = (ne - _column_sum(y, self._pos) + _column_sum(y, self._neg)) / ne_scale
-        return np.stack([r1, r2, r3], axis=-1)
+        return np.stack([r1, r2, r3], axis=-1)[:, self.laws]
 
     @staticmethod
     def _check_x(x) -> np.ndarray:
         if x is None:
             raise ValidationError("LTP constraints need the (P, I, R) input vector")
         return np.atleast_2d(x)
-
-    def _residual(self, x, p: np.ndarray) -> np.ndarray:
-        return self._full_residual(self._check_x(x), denormalize(p, self.output_spec))[:, self.laws]
 
     def _phys_jacobian(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """All three law gradients w.r.t. the physical outputs, (n, 3, dim)."""
@@ -253,19 +256,9 @@ class LtpConstraints(ConstraintSet):
         jac[:, 2, self._ne] = np.where(clamped, 1.0 / ne_scale, (ne_scale - raw3) / ne_scale**2)
         return jac
 
-    def _jacobian(self, x, p: np.ndarray) -> np.ndarray:
-        return self._scaled_jacobian(self._check_x(x), denormalize(p, self.output_spec))
-
-    def _scaled_jacobian(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _scaled_jacobian(self, x, y: np.ndarray) -> np.ndarray:
         diag = jacobian_diag_from_physical(y, self.output_spec)
-        return self._phys_jacobian(x, y)[:, self.laws, :] * diag[:, None, :]
-
-    def residual_and_jacobian(self, x, p_norm) -> tuple[np.ndarray, np.ndarray]:
-        """Both for the same points, from one de-normalization of the outputs."""
-        p = np.asarray(p_norm, dtype=np.float64)
-        x, y = self._check_x(self._batch_x(x, p.ndim == 1)), denormalize(np.atleast_2d(p), self.output_spec)
-        r, j = self._full_residual(x, y)[:, self.laws], self._scaled_jacobian(x, y)
-        return (r[0], j[0]) if p.ndim == 1 else (r, j)
+        return self._phys_jacobian(self._check_x(x), y)[:, self.laws, :] * diag[:, None, :]
 
     def _lagrangian_hessian(self, x, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Exact curvature of lam . g in normalized space, per point."""

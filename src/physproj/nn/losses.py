@@ -5,7 +5,8 @@ respect to the normalized network output, so the training loop can
 backpropagate through it. The trainer calls a term's ``inputs(x_norm)`` once
 per dataset and passes a batch's rows of it to ``loss_and_output_grad(inputs,
 y_norm)``, which returns the already-weighted contribution; the trainer forms
-total = (1 - lambda_physics) * data_mse + physics_term.
+total = (1 - lambda_physics) * data_mse + physics_term. ``loss(inputs,
+y_norm)`` is the same contribution without the gradient, for validation.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ class SpringEnergyTerm:
         """The mechanical energies of the input states, one per sample."""
         return self._energies(x_norm)[1]
 
+    def loss(self, e_in: np.ndarray, y_norm: np.ndarray) -> float:
+        return self.weight * float(np.mean((self._energies(y_norm)[1] - e_in) ** 2))
+
     def loss_and_output_grad(self, e_in: np.ndarray, y_norm: np.ndarray) -> tuple[float, np.ndarray]:
         from physproj.constraints.transform import jacobian_diag_from_physical
         from physproj.springmass import energy_gradient
@@ -79,9 +83,13 @@ class LtpResidualTerm:
 
         return denormalize(np.atleast_2d(x_norm), self.input_transform)
 
+    def loss(self, x_phys: np.ndarray, y_norm: np.ndarray) -> float:
+        return self._weighted(self.constraint_set.residual(x_phys, np.atleast_2d(y_norm)))
+
     def loss_and_output_grad(self, x_phys: np.ndarray, y_norm: np.ndarray) -> tuple[float, np.ndarray]:
         r, jac = self.constraint_set.residual_and_jacobian(x_phys, np.atleast_2d(y_norm))  # (n, 3), (n, 3, d)
-        n = r.shape[0]
-        loss = float(np.dot(self.lambdas, np.mean(r**2, axis=0)))
-        grad = (2.0 / n) * np.einsum("k,nk,nkd->nd", self.lambdas, r, jac)
-        return loss, grad
+        grad = (2.0 / r.shape[0]) * np.einsum("k,nk,nkd->nd", self.lambdas, r, jac)
+        return self._weighted(r), grad
+
+    def _weighted(self, r: np.ndarray) -> float:
+        return float(np.dot(self.lambdas, np.mean(r**2, axis=0)))

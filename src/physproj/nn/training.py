@@ -69,7 +69,7 @@ def _evaluate(net: Network, x: np.ndarray, y: np.ndarray, physics, feats, lam: f
     data = mse(pred, y)
     if physics is None:
         return data
-    return (1.0 - lam) * data + physics.loss_and_output_grad(feats, pred)[0]
+    return (1.0 - lam) * data + physics.loss(feats, pred)
 
 
 def train(
@@ -83,8 +83,8 @@ def train(
 
     ``physics`` is an optional term (nn.losses): ``inputs(x)`` runs once on
     the training and once on the validation set, and each batch passes its
-    rows of those to ``loss_and_output_grad(inputs, y_pred)``. With a term the
-    objective is (1 - lambda) * data_mse + physics term, otherwise plain
+    rows of those to ``loss_and_output_grad(inputs, y_pred)``; the validation
+    loss needs only ``loss(inputs, y_pred)``. With a term the objective is (1 - lambda) * data_mse + physics term, otherwise plain
     MSE. Early stopping and plateau scheduling need a validation set.
     """
     x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train_set)

@@ -8,26 +8,25 @@ iteration on the first-order optimality system
 Starting points that violate the constraints badly first go through a
 Gauss-Newton feasibility-restoration phase on ||g||^2 alone. The Newton
 phase then re-estimates the multipliers by least squares at every iterate,
-assembles the saddle-point system with the exact Lagrangian curvature
-(convexified on the constraint tangent space when indefinite, so saddle
-regions yield damped, well-sized steps), caps step lengths on the scale of
-the output space, and backtracks on the exact l1 penalty
-||p - y||^2 + mu * ||g||_1 with a second-order correction before giving
-up on a full step. A small multiple ``delta`` of the identity regularizes
-the saddle-point system. It is raised in one place: at the end of an
-iteration that did not move the point (a singular system gives a zero
-step), and the point ends ``singular_system`` once ``delta`` exceeds
-``_MAX_DELTA``. It shrinks again as steps succeed.
+solves the saddle-point system with the exact Lagrangian curvature
+(convexified on the constraint tangent space when indefinite), caps step
+lengths, and backtracks on the exact l1 penalty ||p - y||^2 + mu * ||g||_1,
+with a second-order correction before giving up on a full step. A small
+multiple ``delta`` of the identity regularizes the system: it grows tenfold
+after an iteration that did not move the point (a singular system gives a
+zero step) until the point ends ``singular_system`` above ``_MAX_DELTA``,
+and shrinks again as steps succeed.
 
-The points of a batch run this iteration in lockstep, in blocks sized to
-bound memory. Each keeps its own iterate, multipliers, regularization,
-step length and status, and leaves the active set the moment it converges
-or fails; the linear algebra is stacked over the active points (one
-``solve``, ``svd`` and ``eigvalsh`` call per stage), and line-search trials
-are evaluated only on the points that need them. ``project`` is a batch of
-one. A constraint call that raises on a batch is repeated point by point,
-so a failing point never aborts the others. Problems here are tiny
-(<= 17 variables, <= 3 constraints), so dense linear algebra is plenty.
+The points of a batch iterate in lockstep, in blocks whose temporaries fit a
+memory budget in bytes (a 300-point batch of 17-dimensional points is one
+block). Each keeps its own iterate, multipliers, regularization and status,
+and leaves the active set the moment it converges or fails; the linear
+algebra is stacked over the active points. Each iterate is evaluated once:
+its residual comes from the line-search trial that found it, its Jacobian
+from one call when it is accepted, and the start's both from one
+``residual_and_jacobian`` call. A constraint call that raises on a batch is
+repeated point by point, so a failing point never aborts the others.
+Problems are tiny (<= 17 variables, <= 3 constraints): dense algebra is plenty.
 
 Starting from p0 = y means an already-feasible prediction is returned
 unchanged in zero iterations, and the solver finds the local solution on
@@ -37,6 +36,7 @@ y's side of the manifold; no global search is attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,7 +52,8 @@ _BACKTRACK = 0.5
 _MIN_ALPHA = 1e-12
 _MAX_DELTA = 1e6
 _STEP_CAP = 2.0  # outputs live on a [-1, 1]-ish scale; bound each Newton step
-_BLOCK_ENTRIES = 2**13  # entries of a block's stacked saddle-point systems (64 KB): bounds memory
+_BLOCK_BYTES = 2**22  # a block's temporaries: bounds memory, and holds a 300-point LTP batch whole
+_POINT_MATRICES = 4  # a point's temporaries in saddle-point matrices (tracemalloc: 13.0 KB per LTP point)
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,11 @@ class ProjectionSpec:
     max_iterations: int = 100
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
+        if not self.tolerance > 0.0:  # NaN too: no point could ever converge
             raise ValidationError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
+        # a fractional budget is never reached exactly, so its solves would never end
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+            raise ValidationError("max_iterations must be an integer >= 1")
 
 
 @dataclass
@@ -80,35 +82,33 @@ class ProjectionResult:
 
 def kkt_residual(p, lam, y, constraint_set, input_x, spec: ProjectionSpec) -> tuple[float, float]:
     """Infinity norms of (stationarity, feasibility) at (p, lam)."""
-    p = np.asarray(p, dtype=np.float64)
-    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64)
-    g = np.atleast_1d(constraint_set.residual(input_x, p))
-    jac = np.atleast_2d(constraint_set.jacobian(input_x, p))
-    stationarity = 2.0 * (p - y) + jac.T @ lam
+    p, lam, y = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (p, lam, y))
+    g, jac = constraint_set.residual_and_jacobian(input_x, p)
+    stationarity = 2.0 * (p - y) + np.atleast_2d(jac).T @ lam
     return float(np.abs(stationarity).max()), float(np.abs(g).max())
 
 
 def _rows(fn, shape, error, *args):
     """``fn(*args)`` over a batch, and the mask of rows it raised ``error`` on.
 
-    After a raise the call is repeated row by row, so only the rows that
-    raise again are lost (as NaN). ``None`` arguments pass through. The result
-    is C-contiguous, so row reductions add in the same order for any batch.
-    """
+    ``shape`` is a result row's shape, or a list of them when ``fn`` returns a
+    tuple. After a raise the call is repeated row by row, so only the rows
+    that raise again are lost (as NaN); ``None`` arguments pass through.
+    Results are C-contiguous, so row reductions add in the same order for any batch."""
+    many = isinstance(shape, list)
+    shapes, call = (shape, fn) if many else ([shape], lambda *a: (fn(*a),))
     raised = np.zeros(len(args[-1]), dtype=bool)
-    if not raised.size:
-        return np.zeros((0, *shape)), raised
     try:
-        return np.ascontiguousarray(fn(*args)), raised
+        out = [np.ascontiguousarray(a) for a in call(*args)] if raised.size else [np.zeros((0, *s)) for s in shapes]
     except error:
-        out = np.full((raised.size, *shape), np.nan)
-    for i in range(raised.size):
-        try:
-            out[i] = fn(*(a if a is None else a[i : i + 1] for a in args))[0]
-        except error:
-            raised[i] = True
-    return out, raised
+        out = [np.full((raised.size, *s), np.nan) for s in shapes]
+        for i in range(raised.size):
+            try:
+                for o, row in zip(out, call(*(a if a is None else a[i : i + 1] for a in args))):
+                    o[i] = row[0]
+            except error:
+                raised[i] = True
+    return (out if many else out[0]), raised
 
 
 def _solve(a, b):
@@ -136,57 +136,91 @@ def _evaluate(fn, shape, xs, rows, *args, failed=None):
     return out, ~raised
 
 
-def _restore_feasibility(p, act, xs, constraint_set, failed, target: float, budget: int) -> np.ndarray:
+def _backtrack(p, g, dp, pending, accept):
+    """Step lengths 1, 1/2, 1/4, ... (down to ``_MIN_ALPHA``) along the rows
+    ``pending`` of ``dp`` from ``p`` (residuals ``g``), until ``accept(rows,
+    trials, lengths)`` returns its mask, points and residuals. Returns the
+    accepted lengths (0: none), and the points and residuals (unmoved: ``p``, ``g``)."""
+    alpha, length, new_p, new_g = np.zeros(len(p)), np.ones(len(p)), p.copy(), g.copy()
+    while pending.size:
+        ok, at, g_at = accept(pending, p[pending] + length[pending, None] * dp[pending], length[pending])
+        alpha[pending[ok]], new_p[pending[ok]], new_g[pending[ok]] = length[pending[ok]], at[ok], g_at[ok]
+        length[pending[~ok]] *= _BACKTRACK
+        pending = pending[~ok & (length[pending] >= _MIN_ALPHA)]
+    return alpha, new_p, new_g
+
+
+def _restore_feasibility(p, g, jac, act, residuals, move, target: float, budget: int) -> np.ndarray:
     """Gauss-Newton with backtracking on ||g||^2 until near the manifold.
 
-    Run before the optimality phase when the start point is far from
-    feasible; minimizing the violation alone avoids the tug-of-war between
-    distance and feasibility that stalls merit line searches out there.
-    Moves the points ``act`` of ``p`` in place, marks those whose constraint
-    calls raise in ``failed``, and returns the steps used. A point whose
-    Gram system is singular, or whose line search finds no decrease, stops
-    here; the regularized Newton phase takes it over.
-    """
-    m = constraint_set.residual_dim
+    Minimizing the violation alone avoids the tug-of-war between distance and
+    feasibility that stalls merit line searches far from the manifold. Moves
+    the points ``act`` of ``p`` (residuals ``g``, Jacobians ``jac``) with
+    ``move`` and returns the steps used. A point whose Gram system is singular,
+    or whose line search finds no decrease, is left to the Newton phase."""
+
+    def decrease(rows, at, _):
+        g_at, ok = residuals(act[rows], at)
+        return ok & np.all(np.isfinite(g_at), axis=1) & (np.sum(g_at * g_at, axis=1) < psi0[rows]), at, g_at
+
     used = np.zeros(len(p), dtype=int)
     while act.size:
-        act = act[used[act] < budget]
-        g, ok = _evaluate(constraint_set.residual, (m,), xs, act, p[act], failed=failed)
-        ok &= np.abs(g).max(axis=1) > target
-        act, g = act[ok], g[ok]
-        jac, ok = _evaluate(constraint_set.jacobian, (m, p.shape[1]), xs, act, p[act], failed=failed)
-        act, g, jac = act[ok], g[ok], jac[ok]
+        act = act[(used[act] < budget) & (np.abs(g[act]).max(axis=1) > target)]
         # row equilibration: violated laws can differ by many orders of
         # magnitude (scale clamps), which would make the Gram matrix singular
-        row_scale = 1.0 / np.maximum(np.linalg.norm(jac, axis=2), 1e-300)
-        jac_eq = jac * row_scale[:, :, None]
+        row_scale = 1.0 / np.maximum(np.linalg.norm(jac[act], axis=2), 1e-300)
+        jac_eq = jac[act] * row_scale[:, :, None]
         used[act] += 1
-        sol, singular = _solve(jac_eq @ jac_eq.transpose(0, 2, 1), g * row_scale)
+        sol, singular = _solve(jac_eq @ jac_eq.transpose(0, 2, 1), g[act] * row_scale)
         dp, step_len = _capped(-_matvec(jac_eq.transpose(0, 2, 1), sol))
-        live = ~singular & np.isfinite(step_len) & (step_len > 1e-15)
-        psi0 = np.sum(g * g, axis=1)
-        alpha = np.ones(len(act))
-        moved = np.zeros(len(act), dtype=bool)
-        pending = np.flatnonzero(live)
-        while pending.size:
-            trial = p[act[pending]] + alpha[pending, None] * dp[pending]
-            g_trial, ok = _evaluate(constraint_set.residual, (m,), xs, act[pending], trial)
-            ok &= np.all(np.isfinite(g_trial), axis=1) & (np.sum(g_trial * g_trial, axis=1) < psi0[pending])
-            p[act[pending[ok]]] = trial[ok]
-            moved[pending[ok]] = True
-            alpha[pending[~ok]] *= _BACKTRACK
-            pending = pending[~ok & (alpha[pending] >= _MIN_ALPHA)]
-        act = act[moved]
+        psi0 = np.sum(g[act] * g[act], axis=1)
+        live = np.flatnonzero(~singular & np.isfinite(step_len) & (step_len > 1e-15))
+        alpha, new_p, new_g = _backtrack(p[act], g[act], dp, live, decrease)
+        act = act[alpha > 0.0]
+        act = act[move(act, new_p[alpha > 0.0], new_g[alpha > 0.0])]
     return used
+
+
+def _convexify(hessian, svals, vt):
+    """Shift the Hessians in place until comfortably positive definite on the
+    tangent spaces of the linearized constraints (rows of ``vt`` past the
+    Jacobian's rank), or steps aim at saddles. The shift grows with the
+    indefiniteness: a barely positive floor would leave saddle regions near
+    singular, with huge steps and garbage multipliers."""
+    diag = np.arange(hessian.shape[1])
+    rank = np.sum(svals > 1e-12 * np.maximum(svals[:, :1], 1.0), axis=1)
+    for rk in np.unique(rank):
+        rows = np.flatnonzero(rank == rk)
+        tangent, h = vt[rows, rk:], hessian if rows.size == len(hessian) else hessian[rows]  # no copy for one rank
+        thresh = 0.01 * (1.0 + np.abs(np.diagonal(h, axis1=1, axis2=2)).max(axis=1))
+        min_eig = np.linalg.eigvalsh(tangent @ h @ tangent.transpose(0, 2, 1))[:, 0]
+        shift = np.where(min_eig < thresh, thresh - min_eig + np.maximum(0.0, -min_eig), 0.0)
+        hessian[rows[:, None], diag, diag] += shift[:, None]
+
+
+def _newton_steps(hessian, jac, g, grad_obj, delta):
+    """Primal parts dp of [[H + delta I, J^T], [J, -delta I]] [dp; dlam] = -[grad_obj; g],
+    assembled in place. A singular system, or a solution that is not finite, gives a
+    zero step; a step beyond the cap is clipped onto it, keeping its direction."""
+    k, m, dim = jac.shape
+    diag = np.arange(dim)
+    kkt_matrix = np.empty((k, dim + m, dim + m))
+    kkt_matrix[:, :dim, :dim] = hessian
+    kkt_matrix[:, diag, diag] += delta[:, None]
+    kkt_matrix[:, :dim, dim:] = jac.transpose(0, 2, 1)
+    kkt_matrix[:, dim:, :dim] = jac
+    kkt_matrix[:, dim:, dim:] = -delta[:, None, None] * np.eye(m)
+    sol, singular = _solve(kkt_matrix, np.concatenate([-grad_obj, -g], axis=1))
+    sol[singular | ~np.all(np.isfinite(sol), axis=1)] = 0.0
+    return _capped(sol[:, :dim])[0]
 
 
 def project(y, constraint_set, input_x=None, spec: ProjectionSpec = ProjectionSpec()) -> ProjectionResult:
     """Project ``y`` (normalized output space) onto g(x, p) = 0.
 
     Returns the first iterate whose stationarity and feasibility infinity
-    norms both fall under ``spec.tolerance``. On failure the best iterate
-    seen is returned, flagged with a non-converged status.
-    """
+    norms both fall under ``spec.tolerance``; on failure the best iterate
+    seen, flagged with a non-converged status."""
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or not np.all(np.isfinite(y)):
         raise ValidationError("y must be a finite vector")
@@ -199,18 +233,16 @@ def project_batch(ys, constraint_set, inputs_x=None, spec: ProjectionSpec = Proj
     Row i of ``inputs_x`` is the constraint input of point i. A point whose
     y is not finite comes back unchanged with status ``nonfinite_input``,
     one whose own constraint calls raise with ``singular_system``. Points
-    are solved in lockstep blocks sized so that memory does not grow with
-    the batch.
-    """
+    are solved in lockstep blocks whose temporaries fit ``_BLOCK_BYTES``, so
+    memory does not grow with the batch. A point's result does not depend on
+    its batch or block as long as the constraint set computes rows independently."""
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
     xs = None if inputs_x is None else np.atleast_2d(np.asarray(inputs_x, dtype=np.float64))
     if xs is not None and len(xs) != len(ys):
         raise ValidationError("inputs_x length does not match ys")
-    size = max(1, _BLOCK_ENTRIES // (ys.shape[1] + constraint_set.residual_dim) ** 2)
-    blocks = [
-        _project_block(ys[lo : lo + size], None if xs is None else xs[lo : lo + size], constraint_set, spec)
-        for lo in range(0, len(ys), size)
-    ]
+    size = max(1, _BLOCK_BYTES // (_POINT_MATRICES * 8 * (ys.shape[1] + constraint_set.residual_dim) ** 2))
+    blocks = (_project_block(ys[lo : lo + size], None if xs is None else xs[lo : lo + size], constraint_set, spec)
+              for lo in range(0, len(ys), size))
     return [ProjectionResult(*row) for block in blocks for row in zip(*block)]
 
 
@@ -218,7 +250,6 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
     """Lockstep solve of one block: points, multipliers, iterations, KKT norms, statuses."""
     n, dim = ys.shape
     m = constraint_set.residual_dim
-    eye = np.eye(dim)
 
     p = ys.copy()
     lam = np.zeros((n, m))
@@ -228,38 +259,62 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
     iterations = np.zeros(n, dtype=int)
     nonfinite = ~np.all(np.isfinite(ys), axis=1)
     broken = nonfinite.copy()
-
+    g_at, jac_at = np.full((n, m), np.nan), np.full((n, m, dim), np.nan)  # at p; NaN where a call raised
     act = np.flatnonzero(~broken)
+    (g_at[act], jac_at[act]), _ = _evaluate(constraint_set.residual_and_jacobian, [(m,), (m, dim)], xs, act, p[act], failed=broken)
+    residuals = partial(_evaluate, constraint_set.residual, (m,), xs)  # at trial points
+
+    def move(rows, to, g_to):
+        """Points ``rows`` to ``to`` (residuals ``g_to``): their Jacobians there, and the mask of calls that did not raise."""
+        p[rows], g_at[rows] = to, g_to
+        jac_at[rows], ok = _evaluate(constraint_set.jacobian, (m, dim), xs, rows, to, failed=broken)
+        return ok
+
     target = max(1e-3, 10.0 * spec.tolerance)
-    g0, ok = _evaluate(constraint_set.residual, (m,), xs, act, p[act], failed=broken)
-    far = act[ok & (np.abs(g0).max(axis=1) > target)]
-    restore_steps = _restore_feasibility(p, far, xs, constraint_set, broken, target, spec.max_iterations // 2)
+    far = act[np.abs(g_at[act]).max(axis=1) > target]
+    restore_steps = _restore_feasibility(p, g_at, jac_at, far, residuals, move, target, spec.max_iterations // 2)
     best_p[:] = p
     newton_budget = spec.max_iterations - restore_steps
 
     def leave(rows, why):
-        status[rows] = why
-        iterations[rows] = it + restore_steps[rows]
+        status[rows], iterations[rows] = why, it + restore_steps[rows]
 
     def merit(rows, trial, mu):
         """Exact l1 penalty ||p - y||^2 + mu * ||g||_1 at trial points, and g.
-
-        A squared feasibility penalty is not exact: accepting steps whose
-        objective must legitimately grow (the projection can lie farther from
-        y than a nearby feasible iterate) would need mu ~ 1/||g||; the l1 form
-        accepts them for any finite mu above the multiplier norm."""
-        g_trial, ok = _evaluate(constraint_set.residual, (m,), xs, rows, trial)
+        A squared penalty would need mu ~ 1/||g|| to accept steps whose
+        objective must grow (the projection can lie farther from y than a
+        nearby feasible iterate); the l1 form takes any mu above the multipliers."""
+        g_trial, ok = residuals(rows, trial)
         ok &= np.all(np.isfinite(g_trial), axis=1)
         d = trial - ys[rows]
         phi = np.sum(d * d, axis=1) + mu * np.abs(g_trial).sum(axis=1)
         return np.where(ok, phi, np.inf), np.where(ok[:, None], g_trial, np.nan)
 
+    def armijo(rows, at, length):
+        """Sufficient decrease of the merit; a rejected full step first gets a
+        second-order correction, which cancels the constraint curvature
+        picked up over the step."""
+        phi, g_trial = merit(act[rows], at, mu[rows])
+        ok = phi <= bar0[rows] + _ARMIJO_C1 * length * descent[rows]
+        if length[0] < 1.0:  # a backtracked pass: the correction is for full steps only
+            return ok, at, g_trial
+        soc = np.flatnonzero(~ok & np.all(np.isfinite(g_trial), axis=1))
+        j_soc = jac[rows[soc]]
+        correction, singular = _solve(j_soc @ j_soc.transpose(0, 2, 1), g_trial[soc])
+        dq = -_matvec(j_soc.transpose(0, 2, 1), correction)
+        valid = ~singular & np.all(np.isfinite(dq), axis=1)
+        soc = soc[valid]
+        corrected = at[soc] + dq[valid]
+        phi_soc, g_soc = merit(act[rows[soc]], corrected, mu[rows[soc]])
+        good = phi_soc <= bar0[rows[soc]] + _ARMIJO_C1 * descent[rows[soc]]
+        ok[soc[good]], at[soc[good]], g_trial[soc[good]] = True, corrected[good], g_soc[good]
+        return ok, at, g_trial
+
     act = np.flatnonzero(~broken)
     it = 0
     while act.size:
-        g, ok = _evaluate(constraint_set.residual, (m,), xs, act, p[act], failed=broken)
-        jac, ok_jac = _evaluate(constraint_set.jacobian, (m, dim), xs, act, p[act], failed=broken)
-        ok &= ok_jac & np.all(np.isfinite(g), axis=1) & np.all(np.isfinite(jac), axis=(1, 2))
+        g, jac = g_at[act], jac_at[act]
+        ok = np.all(np.isfinite(g), axis=1) & np.all(np.isfinite(jac), axis=(1, 2))
         leave(act[~ok], SINGULAR_SYSTEM)  # no-op for broken points, whose result is y
         act, g, jac = act[ok], g[ok], jac[ok]
 
@@ -287,35 +342,14 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
 
         # Lagrangian curvature for true Newton steps; harmless zeros at lam=0
         curvature, ok = _evaluate(constraint_set.lagrangian_hessian, (dim, dim), xs, act, p[act], lam[act], failed=broken)
-        act, g, jac, svals, vt, grad_obj, curvature = (a[ok] for a in (act, g, jac, svals, vt, grad_obj, curvature))
+        if not ok.all():
+            act, g, jac, svals, vt, grad_obj, curvature = (a[ok] for a in (act, g, jac, svals, vt, grad_obj, curvature))
         curvature[~np.all(np.isfinite(curvature), axis=(1, 2))] = 0.0
-        hessian = 2.0 * eye + curvature
-        # convexify: the Hessian must be comfortably positive definite on the
-        # tangent space of the linearized constraints, or the step aims at a
-        # saddle. The shift grows with the indefiniteness so saddle regions
-        # get well-sized damped steps (a barely positive floor would leave
-        # the system near singular, with huge steps and garbage multipliers),
-        # while healthy curvature near a minimizer keeps the pure Newton tail.
+        hessian = np.add(curvature, 2.0 * np.eye(dim), out=curvature)
         if m < dim:
-            rank = np.sum(svals > 1e-12 * np.maximum(svals[:, :1], 1.0), axis=1)
-            for rk in np.unique(rank):
-                rows = np.flatnonzero(rank == rk)
-                tangent, h = vt[rows, rk:], hessian[rows]
-                thresh = 0.01 * (1.0 + np.abs(np.diagonal(h, axis1=1, axis2=2)).max(axis=1))
-                min_eig = np.linalg.eigvalsh(tangent @ h @ tangent.transpose(0, 2, 1))[:, 0]
-                shift = np.where(min_eig < thresh, thresh - min_eig + np.maximum(0.0, -min_eig), 0.0)
-                hessian[rows] = h + shift[:, None, None] * eye
-
-        # assemble and solve the saddle-point systems for the steps dp
-        d_reg = delta[act, None, None]
-        kkt_matrix = np.block([[hessian + d_reg * eye, jac.transpose(0, 2, 1)], [jac, -d_reg * np.eye(m)]])
-        sol, singular = _solve(kkt_matrix, np.concatenate([-grad_obj, -g], axis=1))
-        # a singular system, or a solution that is not finite, gives a zero step
-        sol[singular | ~np.all(np.isfinite(sol), axis=1)] = 0.0
-        # a step beyond the cap (far from the linearized manifold) is clipped
-        # onto it, which keeps its direction and descent sign
-        dp, _ = _capped(sol[:, :dim])
-        p_a, k = p[act], len(act)
+            _convexify(hessian, svals, vt)
+        dp = _newton_steps(hessian, jac, g, grad_obj, delta[act])
+        p_a = p[act]
 
         # exact-penalty weight: a finite mu above the multiplier norm makes
         # the l1 merit accept every step the true problem wants; the
@@ -325,40 +359,13 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
         descent = np.sum(grad_obj * dp, axis=1) + mu * np.where(g == 0.0, np.abs(jd), np.sign(g) * jd).sum(axis=1)
         d0 = p_a - ys[act]
         bar0 = np.sum(d0 * d0, axis=1) + mu * np.abs(g).sum(axis=1)  # merit at p
-        alpha = np.zeros(k)  # 0 marks a step the line search did not accept
-        new_p = p_a + dp
-
         # a step too small to matter means no usable primal direction at
         # this regularization: it goes straight to the delta bump below
         idle = np.abs(dp).max(axis=1) <= 1e-14 * (1.0 + np.abs(p_a).max(axis=1))
-        trying = np.flatnonzero(~idle & (descent <= -1e-16))
-        phi_full, g_full = merit(act[trying], new_p[trying], mu[trying])
-        ok = phi_full <= bar0[trying] + _ARMIJO_C1 * descent[trying]
-        alpha[trying[ok]] = 1.0
-        # second-order correction: cancel the constraint curvature picked up
-        # over the full step before giving up on it
-        soc = np.flatnonzero(~ok & np.all(np.isfinite(g_full), axis=1))
-        j_soc = jac[trying[soc]]
-        correction, singular = _solve(j_soc @ j_soc.transpose(0, 2, 1), g_full[soc])
-        dq = -_matvec(j_soc.transpose(0, 2, 1), correction)
-        valid = ~singular & np.all(np.isfinite(dq), axis=1)
-        soc = trying[soc[valid]]
-        corrected = new_p[soc] + dq[valid]
-        phi_soc, _ = merit(act[soc], corrected, mu[soc])
-        ok_soc = phi_soc <= bar0[soc] + _ARMIJO_C1 * descent[soc]
-        alpha[soc[ok_soc]], new_p[soc[ok_soc]] = 1.0, corrected[ok_soc]
-        trial = np.full(k, _BACKTRACK)
-        pending = trying[alpha[trying] == 0.0]
-        while pending.size:
-            step = p_a[pending] + trial[pending, None] * dp[pending]
-            phi, _ = merit(act[pending], step, mu[pending])
-            accept = phi <= bar0[pending] + _ARMIJO_C1 * trial[pending] * descent[pending]
-            alpha[pending[accept]], new_p[pending[accept]] = trial[pending[accept]], step[accept]
-            trial[pending[~accept]] *= _BACKTRACK
-            pending = pending[~accept & (trial[pending] >= _MIN_ALPHA)]
+        alpha, new_p, new_g = _backtrack(p_a, g, dp, np.flatnonzero(~idle & (descent <= -1e-16)), armijo)
 
         moved = alpha > 0.0
-        p[act[moved]] = new_p[moved]
+        move(act[moved], new_p[moved], new_g[moved])
         shrink = act[alpha >= 0.5]
         delta[shrink] *= 0.1
         delta[shrink[delta[shrink] < 1e-14]] = 0.0

@@ -279,6 +279,21 @@ def test_spring_energy_term_gradient_matches_fd():
             assert abs(grad[i, j] - fd) < 1e-5 * max(1.0, abs(fd))
 
 
+def test_physics_loss_equals_the_loss_of_loss_and_output_grad():
+    params, spec = _spring_setup()
+    rng = np.random.default_rng(8)
+    spring = SpringEnergyTerm(params, spec, weight=0.4)
+    x, y, in_spec, out_spec, cs = _ltp_setup()
+    ltp = LtpResidualTerm(cs, in_spec, (0.005, 0.01, 0.02))
+    cases = [
+        (spring, spring.inputs(rng.uniform(-0.8, 0.8, (30, 4))), rng.uniform(-0.8, 0.8, (30, 4))),
+        (ltp, ltp.inputs(normalize(x[:30], in_spec)), normalize(y[:30], out_spec) + rng.normal(0.0, 0.1, (30, 17))),
+    ]
+    for term, inputs, y_norm in cases:
+        for rows in (slice(None), slice(3, 4)):
+            assert term.loss(inputs[rows], y_norm[rows]) == term.loss_and_output_grad(inputs[rows], y_norm[rows])[0]
+
+
 def _ltp_setup(n=200, seed=0):
     x, y = generate_synthetic_ltp(n, seed)
     in_spec = fit_transform(x, INPUT_NAMES, skew_threshold=np.inf)

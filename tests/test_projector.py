@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from physproj import projector
 from physproj import springmass as sm
 from physproj.constraints import ConstraintSet, EnergyConstraint, denormalize, fit_transform, normalize
 from physproj.errors import ValidationError
@@ -165,10 +166,14 @@ def test_rejects_nonfinite_input():
 
 
 def test_spec_validation():
-    with pytest.raises(ValidationError):
-        ProjectionSpec(tolerance=0.0)
-    with pytest.raises(ValidationError):
-        ProjectionSpec(max_iterations=0)
+    for bad in (dict(tolerance=0.0), dict(tolerance=float("nan")), dict(max_iterations=0)):
+        with pytest.raises(ValidationError):
+            ProjectionSpec(**bad)
+    # a non-integer budget is rejected before any solve could run forever on it
+    for bad in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ValidationError, match="integer"):
+            ProjectionSpec(max_iterations=bad)
+    assert ProjectionSpec(max_iterations=np.int64(3)).max_iterations == 3
 
 
 def test_batch_order_preserved_and_permutation_equivariant():
@@ -246,8 +251,10 @@ def test_project_equals_batch_row_bit_for_bit_on_energy_shell():
         _assert_same_result(project(y, cs, None, pspec), result)
 
 
-def test_project_equals_batch_row_bit_for_bit_on_ltp_laws():
-    from physproj.constraints import OUTPUT_NAMES, LtpConstraints, LtpSchema, generate_synthetic_ltp
+def _noisy_ltp_batch():
+    """24 LTP points near the manifold (x, ys, output transform): some with a
+    clamped quasi-neutrality scale or a negative density, some far off."""
+    from physproj.constraints import OUTPUT_NAMES, LtpSchema, generate_synthetic_ltp
     from physproj.constraints.sets import NE_SCALE_FLOOR
 
     x, y = generate_synthetic_ltp(400, 0)
@@ -258,12 +265,41 @@ def test_project_equals_batch_row_bit_for_bit_on_ltp_laws():
     phys[20:, LtpSchema().idx("ne")] = -1e14
     ys = normalize(phys, spec)
     ys[:4] += rng.normal(0.0, 0.5, (4, 17))  # far-off starts that need restoration
+    return x[:24], ys, spec
+
+
+def test_project_equals_batch_row_bit_for_bit_on_ltp_laws(monkeypatch):
+    from physproj.constraints import LtpConstraints, LtpSchema
+
+    x, ys, spec = _noisy_ltp_batch()
     pspec = ProjectionSpec(tolerance=1e-8)
+    whole = projector._BLOCK_BYTES
     for laws in ((0, 1, 2), (2,)):
         cs = LtpConstraints(LtpSchema(), spec, laws=laws)
-        batch = project_batch(ys, cs, x[:24], pspec)
-        for i, result in enumerate(batch):
-            _assert_same_result(project(ys[i], cs, x[i], pspec), result)
+        point_bytes = projector._POINT_MATRICES * 8 * (17 + len(laws)) ** 2
+        # the 24 points as one block, and in blocks of 5, 5, 5, 5 and 4
+        for budget in (whole, 5 * point_bytes):
+            monkeypatch.setattr(projector, "_BLOCK_BYTES", budget)
+            batch = project_batch(ys, cs, x, pspec)
+            for i, result in enumerate(batch):
+                _assert_same_result(project(ys[i], cs, x[i], pspec), result)
+
+
+def test_each_ltp_iterate_is_evaluated_once(monkeypatch):
+    """Rows de-normalized by the constraint calls of one LTP batch: each
+    iterate's residual comes from the trial that found it, and the start's
+    residual and Jacobian from one call."""
+    from physproj.constraints import LtpConstraints, LtpSchema, sets
+
+    x, ys, spec = _noisy_ltp_batch()
+    rows = []
+    monkeypatch.setattr(sets, "denormalize", lambda p, s: rows.append(len(p)) or denormalize(p, s))
+    batch = project_batch(ys, LtpConstraints(LtpSchema(), spec), x, ProjectionSpec(tolerance=1e-8))
+    iterations = sum(r.iterations for r in batch)
+    # evaluating the residual again at every iterate, and the start apart from
+    # its Jacobian, de-normalized 519 rows for the same 24 solves
+    assert iterations == 117 and sum(rows) == 330
+    assert sum(rows) <= 519 - iterations
 
 
 def test_batch_isolates_points_whose_constraint_raises_mid_solve():

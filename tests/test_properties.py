@@ -1,9 +1,9 @@
 """Property tests: solver invariants on random spheres and hyperplane sets,
-bit-exact model files for random architectures, the leaky ReLU against its
-np.where form on special values, backward's flat gradient against its
-per-layer formula, and loaders that meet
-malformed model files, dataset CSVs, column maps and configs with
-ValidationError alone.
+results independent of the batch and block a point is solved in, bit-exact
+model files for random architectures, the leaky ReLU against its np.where
+form on special values, backward's flat gradient against its per-layer
+formula, and loaders that meet malformed model files, dataset CSVs, column
+maps and configs with ValidationError alone.
 
 Examples are derandomized so every run checks the same cases.
 """
@@ -12,17 +12,19 @@ import dataclasses
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from physproj import projector
 from physproj.constraints import INPUT_NAMES, OUTPUT_NAMES, ConstraintSet, fit_transform, load_ltp_csv
 from physproj.errors import ValidationError
 from physproj.nn import Activation, backward, forward_cached, load_network, save_network, xavier_init
 from physproj.pipeline import ExperimentConfig, load_config
-from physproj.projector import CONVERGED, ProjectionSpec, kkt_residual, project
+from physproj.projector import CONVERGED, ProjectionSpec, kkt_residual, project, project_batch
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 SPEC = ProjectionSpec(tolerance=1e-8)
@@ -51,7 +53,12 @@ class Hyperplanes(ConstraintSet):
         self.residual_dim = len(b)
 
     def _residual(self, x, p):
-        return p @ self.a.T - self.b
+        # added column by column, so a row's value does not depend on its batch
+        # (a BLAS product p @ A^T rounds a lone row differently from a batch)
+        total = -self.b
+        for j in range(p.shape[1]):
+            total = total + p[:, j, None] * self.a[:, j]
+        return total
 
     def _jacobian(self, x, p):
         return np.broadcast_to(self.a, (len(p), *self.a.shape)).copy()
@@ -96,6 +103,27 @@ def test_projection_is_idempotent(problem):
     again = project(first.projected, cs, None, SPEC)
     assert again.status == CONVERGED and again.iterations == 0
     assert np.array_equal(again.projected, first.projected)
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.data())
+def test_result_is_independent_of_batch_and_block(problem, data):
+    cs, y = problem
+    dim = len(y)
+    offsets = data.draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim), min_size=1, max_size=6))
+    ys = np.concatenate([y[None, :], y + np.array(offsets)])
+    order = data.draw(st.permutations(range(len(ys))))
+    per_block = data.draw(st.integers(1, 3))
+    alone = [project(row, cs, None, SPEC) for row in ys]
+    point_bytes = projector._POINT_MATRICES * 8 * (dim + cs.residual_dim) ** 2
+    with mock.patch.object(projector, "_BLOCK_BYTES", per_block * point_bytes):
+        blocked = project_batch(ys[order], cs, None, SPEC)
+    whole = project_batch(ys, cs, None, SPEC)
+    for result, i in [*zip(blocked, order), *zip(whole, range(len(ys)))]:
+        assert result.projected.tobytes() == alone[i].projected.tobytes()
+        assert result.multipliers.tobytes() == alone[i].multipliers.tobytes()
+        assert (result.iterations, result.status) == (alone[i].iterations, alone[i].status)
+        assert np.float64(result.kkt_norm).tobytes() == np.float64(alone[i].kkt_norm).tobytes()
 
 
 @st.composite
