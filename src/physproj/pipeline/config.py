@@ -90,8 +90,9 @@ class ExperimentConfig:
             raise ValidationError("split_fractions needs 3 values and spring_initial_state 4")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValidationError("split_fractions must sum to 1")
-        if not self.architectures or not self.sizes:
-            raise ValidationError("sweep lists must be nonempty")
+        for name in ("architectures", "sizes"):
+            if not getattr(self, name) or min(getattr(self, name)) < 1:
+                raise ValidationError(f"{name} must be a nonempty list of integers >= 1")
         if self.ltp_dataset_csv is not None and not os.path.exists(self.ltp_dataset_csv):
             raise ValidationError(f"dataset csv not found: {self.ltp_dataset_csv}")
         if self.spring_dataset_csv is not None and not os.path.exists(self.spring_dataset_csv):
@@ -115,8 +116,8 @@ class ExperimentConfig:
         for name in ("spring_epochs", "ltp_max_epochs"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
-        for name in ("spring_projection_tol", "ltp_projection_tol"):
-            if not getattr(self, name) > 0.0:
+        for name in ("spring_projection_tol", "ltp_projection_tol", "trend_current", "trend_radius"):
+            if not getattr(self, name) > 0.0:  # NaN fails too
                 raise ValidationError(f"{name} must be positive")
         for name in ("spring_lr", "ltp_lr"):
             if not 0.0 < getattr(self, name) < float("inf"):
@@ -127,8 +128,6 @@ class ExperimentConfig:
             raise ValidationError("plateau_factor must lie in (0, 1]")
         if not self.early_stop_alpha >= 0.0:  # a negative alpha stops every training after one strip
             raise ValidationError("early_stop_alpha must be >= 0")
-        if not self.trend_current > 0.0:
-            raise ValidationError("trend_current must be positive")
         return self
 
     def items(self) -> dict:

@@ -36,7 +36,7 @@ from physproj.constraints import (
     load_ltp_csv,
     normalize,
 )
-from physproj.constraints.ltp import TORR_TO_PA, synthetic_outputs
+from physproj.constraints.ltp import P_TORR_RANGE, TORR_TO_PA, synthetic_outputs
 from physproj.errors import PhysprojError, ValidationError
 from physproj.nn import (
     EarlyStopConfig,
@@ -524,30 +524,34 @@ def run_ltp_compare(cfg: ExperimentConfig) -> MetricsReport:
     return report
 
 
-def _trend_inputs(cfg: ExperimentConfig) -> np.ndarray:
-    """Log-spaced pressure slice at fixed current and radius."""
-    from physproj.constraints.ltp import P_TORR_RANGE
+TREND_COLUMNS = ["P_pa", "ne_true", "ne_nn", "ne_projection", "converged"]
+# the sweep.csv columns that ablation-arch and small-samples share, filled by _score_cells
+SCORE_COLUMNS = [
+    "rmse_nn_mean17",
+    "rmse_projection_mean17",
+    "variation_mean17_pct",
+    "rmse_nn_focus3",
+    "rmse_projection_focus3",
+    "variation_focus3_pct",
+    "n_nonconverged",
+    "train_seconds",
+]
 
+
+def _trend_rows(ctx: DataContext, cfg: ExperimentConfig, predict_fn):
+    """TREND_COLUMNS rows: ne along a log-spaced pressure slice at cfg.trend_current and cfg.trend_radius."""
     p_torr = np.logspace(np.log10(P_TORR_RANGE[0]), np.log10(P_TORR_RANGE[1]), cfg.trend_n_points)
     grid = np.stack(
         [p_torr * TORR_TO_PA, np.full_like(p_torr, cfg.trend_current), np.full_like(p_torr, cfg.trend_radius)],
         axis=-1,
     )
-    return grid
-
-
-def _trend_rows(ctx: DataContext, cfg: ExperimentConfig, predict_fn):
-    grid = _trend_inputs(cfg)
     ne_idx = SCHEMA.idx("ne")
     pred = predict_fn(normalize(grid, ctx.in_spec))
     projected, converged, _ = _project_predictions(ctx, pred, grid, cfg.ltp_projection_tol)
     truth = synthetic_outputs(grid)[:, ne_idx]
     pred_phys = denormalize(pred, ctx.out_spec)[:, ne_idx]
     proj_phys = denormalize(projected, ctx.out_spec)[:, ne_idx]
-    return [
-        (grid[i, 0], truth[i], pred_phys[i], proj_phys[i], int(converged[i]))
-        for i in range(len(grid))
-    ]
+    return list(zip(grid[:, 0], truth, pred_phys, proj_phys, converged.astype(int)))
 
 
 def _score(ctx: DataContext, cfg: ExperimentConfig, predict):
@@ -561,95 +565,81 @@ def _score(ctx: DataContext, cfg: ExperimentConfig, predict):
     return (nn_rmse.mean(), proj_rmse.mean(), nn_rmse[focus].mean(), proj_rmse[focus].mean()), int((~converged).sum())
 
 
-def _architecture_task(ctx: DataContext, cfg: ExperimentConfig, i: int, width: int):
-    """sweep.csv row of the i-th hidden width, its trend slice or None, and its non-converged count.
+def _score_cells(scores, n_failed: int, train_seconds: float) -> tuple:
+    """The SCORE_COLUMNS cells of a sweep.csv row, from ``_score``'s four RMSEs."""
+    mean_nn, mean_proj, focus_nn, focus_proj = scores
+    mean_var, focus_var = rmse_variation_rate(mean_nn, mean_proj), rmse_variation_rate(focus_nn, focus_proj)
+    return mean_nn, mean_proj, mean_var, focus_nn, focus_proj, focus_var, n_failed, train_seconds
 
-    A PhysprojError makes the row ``failed:<error>`` and drops the slice and count.
+
+def _sweep_task(ctx: DataContext, cfg: ExperimentConfig, seed: int, rows, trend: bool):
+    """One sweep point: train on the training rows ``rows``, score, and build the trend slice if ``trend``.
+
+    Returns ((scores, non-converged count, trend rows or None), train_seconds),
+    where train_seconds covers training and scoring. A PhysprojError is
+    returned in place of the triple, not raised, and each sweep decides what
+    it means.
     """
-    dims = (3, width, width, 17)
-    n_params = sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
-    arch_cfg = replace(cfg, ltp_hidden=(width, width))
+    x_train, y_train = ctx.norm["train"]
+    sub_ctx = replace(ctx, norm={**ctx.norm, "train": (x_train[rows], y_train[rows])})
     seconds = {}
     try:
-        with timed(seconds, "train_seconds"):
-            predict = _train_ltp_model(ctx, arch_cfg, cfg.seed + 100 + i, physics=False)
-            (mean_nn, mean_proj, focus_nn, focus_proj), n_failed = _score(ctx, cfg, predict)
-        trend = _trend_rows(ctx, arch_cfg, predict) if ctx.synthetic and width in cfg.trend_architectures else None
+        with timed(seconds, "train"):
+            predict = _train_ltp_model(sub_ctx, cfg, seed, physics=False)
+            scores, n_failed = _score(ctx, cfg, predict)
+        return (scores, n_failed, _trend_rows(ctx, cfg, predict) if trend else None), seconds["train"]
     except PhysprojError as exc:
-        return (width, n_params, f"failed:{type(exc).__name__}", *(["nan"] * 7), seconds["train_seconds"]), None, 0
-    row = (
-        width,
-        n_params,
-        "ok",
-        mean_nn,
-        mean_proj,
-        rmse_variation_rate(mean_nn, mean_proj),
-        focus_nn,
-        focus_proj,
-        rmse_variation_rate(focus_nn, focus_proj),
-        n_failed,
-        seconds["train_seconds"],
-    )
-    return row, trend, n_failed
+        return exc, seconds["train"]
 
 
 def run_ablation_arch(cfg: ExperimentConfig) -> MetricsReport:
+    """One sweep point per hidden width; a failed width gets a ``failed:<error>`` row."""
     report = MetricsReport()
     with timed(report.phase_seconds, "data_generation_seconds"):
         ctx = prepare_ltp(cfg)
-    results = run_parallel([partial(_architecture_task, ctx, cfg, i, width) for i, width in enumerate(cfg.architectures)])
+    trend = [ctx.synthetic and width in cfg.trend_architectures for width in cfg.architectures]
+    tasks = [
+        partial(_sweep_task, ctx, replace(cfg, ltp_hidden=(width, width)), cfg.seed + 100 + i, slice(None), trend[i])
+        for i, width in enumerate(cfg.architectures)
+    ]
     rows = []
-    for width, (row, trend, n_failed) in zip(cfg.architectures, results):
-        if trend is not None:
-            write_csv(
-                os.path.join(cfg.out_dir, f"trend_arch_{width}.csv"),
-                ["P_pa", "ne_true", "ne_nn", "ne_projection", "converged"],
-                trend,
-            )
-        rows.append(row)
+    for width, (outcome, train_seconds) in zip(cfg.architectures, run_parallel(tasks)):
+        dims = (3, width, width, 17)
+        n_params = sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+        if isinstance(outcome, PhysprojError):
+            rows.append((width, n_params, f"failed:{type(outcome).__name__}", *["nan"] * (len(SCORE_COLUMNS) - 1), train_seconds))
+            continue
+        scores, n_failed, trend_rows = outcome
+        if trend_rows is not None:
+            write_csv(os.path.join(cfg.out_dir, f"trend_arch_{width}.csv"), TREND_COLUMNS, trend_rows)
+        rows.append((width, n_params, "ok", *_score_cells(scores, n_failed, train_seconds)))
         report.n_nonconverged += n_failed
-    write_csv(
-        os.path.join(cfg.out_dir, "sweep.csv"),
-        [
-            "hidden_width",
-            "n_parameters",
-            "status",
-            "rmse_nn_mean17",
-            "rmse_projection_mean17",
-            "variation_mean17_pct",
-            "rmse_nn_focus3",
-            "rmse_projection_focus3",
-            "variation_focus3_pct",
-            "n_nonconverged",
-            "train_seconds",
-        ],
-        rows,
-    )
+    write_csv(os.path.join(cfg.out_dir, "sweep.csv"), ["hidden_width", "n_parameters", "status", *SCORE_COLUMNS], rows)
     return report
 
 
-def _resample_task(ctx: DataContext, cfg: ExperimentConfig, size: int, rep: int):
-    """Scores, non-converged count, train_seconds and trend slice (or None) of one resample of ``size`` points."""
-    x_pool, y_pool = ctx.splits["train"]
-    rng = np.random.default_rng([cfg.seed, size, rep])
-    idx = rng.choice(len(x_pool), size=size, replace=False)
-    sub_norm = (normalize(x_pool[idx], ctx.in_spec), normalize(y_pool[idx], ctx.out_spec))
-    sub_ctx = replace(ctx, norm={**ctx.norm, "train": sub_norm})
-    seconds = {}
-    with timed(seconds, "train_seconds"):
-        predict = _train_ltp_model(sub_ctx, cfg, cfg.seed + 1000 * size + rep, physics=False)
-        scores, n_failed = _score(ctx, cfg, predict)
-    trend = _trend_rows(ctx, cfg, predict) if ctx.synthetic and size in cfg.trend_sizes and rep == 0 else None
-    return scores, n_failed, seconds["train_seconds"], trend
-
-
 def run_small_samples(cfg: ExperimentConfig) -> MetricsReport:
+    """cfg.n_resamples sweep points per training-set size, drawn from one pool; a failed resample aborts the sweep."""
     report = MetricsReport()
     with timed(report.phase_seconds, "data_generation_seconds"):
         ctx = prepare_ltp(replace(cfg, ltp_n_samples=cfg.pool_size))  # transforms fit on the pool's training split
     n_pool = len(ctx.splits["train"][0])
     jobs = [(size, rep) for size in cfg.sizes if size <= n_pool for rep in range(cfg.n_resamples)]
-    results = dict(zip(jobs, run_parallel([partial(_resample_task, ctx, cfg, size, rep) for size, rep in jobs])))
+    tasks = [
+        partial(
+            _sweep_task,
+            ctx,
+            cfg,
+            cfg.seed + 1000 * size + rep,
+            np.random.default_rng([cfg.seed, size, rep]).choice(n_pool, size=size, replace=False),
+            ctx.synthetic and size in cfg.trend_sizes and rep == 0,
+        )
+        for size, rep in jobs
+    ]
+    results = dict(zip(jobs, run_parallel(tasks)))
+    for outcome, _ in results.values():
+        if isinstance(outcome, PhysprojError):
+            raise outcome
 
     replicate_rows = []
     sweep_rows = []
@@ -657,58 +647,21 @@ def run_small_samples(cfg: ExperimentConfig) -> MetricsReport:
         if size > n_pool:
             replicate_rows.append((size, "all", "failed:pool_too_small", "nan", "nan"))
             continue
-        per_rep = []
-        train_seconds = 0.0
-        nonconv_total = 0
-        for rep in range(cfg.n_resamples):
-            scores, n_failed, seconds, trend = results[size, rep]
-            train_seconds += seconds
-            nonconv_total += n_failed
-            per_rep.append(scores)
+        outcomes = [results[size, rep] for rep in range(cfg.n_resamples)]
+        for rep, ((scores, _, trend_rows), _) in enumerate(outcomes):
             replicate_rows.append((size, rep, "ok", scores[0], scores[1]))
-            if trend is not None:
-                write_csv(
-                    os.path.join(cfg.out_dir, f"trend_size_{size}.csv"),
-                    ["P_pa", "ne_true", "ne_nn", "ne_projection", "converged"],
-                    trend,
-                )
-        means = np.array(per_rep).mean(axis=0)
-        sweep_rows.append(
-            (
-                size,
-                cfg.n_resamples,
-                means[0],
-                means[1],
-                rmse_variation_rate(means[0], means[1]),
-                means[2],
-                means[3],
-                rmse_variation_rate(means[2], means[3]),
-                nonconv_total,
-                train_seconds,
-            )
-        )
-        report.n_nonconverged += nonconv_total
+            if trend_rows is not None:
+                write_csv(os.path.join(cfg.out_dir, f"trend_size_{size}.csv"), TREND_COLUMNS, trend_rows)
+        means = np.array([scores for (scores, _, _), _ in outcomes]).mean(axis=0)
+        n_failed = sum(n for (_, n, _), _ in outcomes)
+        sweep_rows.append((size, cfg.n_resamples, *_score_cells(means, n_failed, sum(s for _, s in outcomes))))
+        report.n_nonconverged += n_failed
     write_csv(
         os.path.join(cfg.out_dir, "resamples.csv"),
         ["size", "replicate", "status", "rmse_nn_mean17", "rmse_projection_mean17"],
         replicate_rows,
     )
-    write_csv(
-        os.path.join(cfg.out_dir, "sweep.csv"),
-        [
-            "size",
-            "n_resamples",
-            "rmse_nn_mean17",
-            "rmse_projection_mean17",
-            "variation_mean17_pct",
-            "rmse_nn_focus3",
-            "rmse_projection_focus3",
-            "variation_focus3_pct",
-            "n_nonconverged",
-            "train_seconds",
-        ],
-        sweep_rows,
-    )
+    write_csv(os.path.join(cfg.out_dir, "sweep.csv"), ["size", "n_resamples", *SCORE_COLUMNS], sweep_rows)
     return report
 
 

@@ -165,6 +165,13 @@ def test_config_validation_errors():
         ("plateau_factor", float("nan")),
         ("trend_current", 0.0),
         ("trend_current", -0.03),
+        ("trend_radius", 0.0),
+        ("trend_radius", -0.012),
+        ("trend_radius", float("nan")),
+        ("architectures", (8, 0)),
+        ("architectures", (-2,)),
+        ("sizes", (0,)),
+        ("sizes", (20, -3)),
         ("early_stop_alpha", -1.0),
         ("early_stop_alpha", float("nan")),
         *((key, value) for key in ("spring_lr", "ltp_lr") for value in (float("nan"), float("inf"), 0.0, -1.0)),
@@ -313,6 +320,20 @@ def test_ablation_arch_trend_failure_leaves_one_failed_row(tmp_path, monkeypatch
         rows = [line.split(",")[:3] for line in fh.read().strip().splitlines()[1:]]
     assert rows == [["2", "65", "ok"], ["8", "257", "failed:ValidationError"]]
     assert not os.path.exists(out / "trend_arch_8.csv")
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_failed_resample_aborts_small_samples(tmp_path, monkeypatch, n_cpus):
+    def failing_trend(*args):
+        raise ValidationError("trend slice failed")
+
+    monkeypatch.setattr(experiments, "_trend_rows", failing_trend)
+    _force_cpus(monkeypatch, n_cpus)
+    out = tmp_path / "small"
+    extra = {**TINY_LTP, "pool_size": 200, "sizes": (20, 40), "n_resamples": 2, "trend_sizes": (40,)}
+    with pytest.raises(ValidationError, match="trend slice failed"):
+        run_experiment(ExperimentConfig(kind="small-samples", out_dir=str(out), **extra))
+    assert sorted(os.listdir(out)) == ["manifest.txt"]
 
 
 def test_small_samples_sweep(tmp_path):
