@@ -56,14 +56,14 @@ class SpringEnergyTerm:
         return self.weight * float(np.mean((self._energies(y_norm)[1] - e_in) ** 2))
 
     def loss_and_output_grad(self, e_in: np.ndarray, y_norm: np.ndarray) -> tuple[float, np.ndarray]:
-        from physproj.constraints.transform import jacobian_diag_from_physical
-        from physproj.springmass import energy_gradient
+        from physproj.constraints.transform import denormalize, jacobian_diag_from_physical
+        from physproj.springmass import energy_and_gradient
 
-        y_phys, e_out = self._energies(y_norm)
+        y_phys = denormalize(np.atleast_2d(y_norm), self.transform)
+        e_out, de_dphys = energy_and_gradient(y_phys, self.params)
         diff = e_out - e_in
         loss = self.weight * float(np.mean(diff**2))
         # dE/dy_norm = dE/dy_phys * d(denorm)/dz, chain rule per sample
-        de_dphys = energy_gradient(y_phys, self.params)
         diag = jacobian_diag_from_physical(y_phys, self.transform)
         grad = self.weight * (2.0 / diff.size) * diff[:, None] * de_dphys * diag
         return loss, grad

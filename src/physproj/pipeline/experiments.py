@@ -8,8 +8,9 @@ network on them; the CLI calls the same functions. All randomness flows
 from config.seed through fixed offsets (dataset, split, per-model training,
 initial conditions, resamples), so reruns with the same config produce
 byte-identical CSVs apart from *_seconds columns. Every *_seconds value
-is measured by ``timed``. Trainings that share nothing run side by side in
-worker processes through ``run_parallel``.
+is measured by ``timed``. Trainings that share nothing, with the spring
+rollouts of each trained net and the spring ground truth, run side by
+side in worker processes through ``run_parallel``.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ def timed(seconds: dict, key: str):
 def run_parallel(tasks: list):
     """The results of ``tasks``, zero-argument callables that share nothing, in task order.
 
-    They run in one worker process per usable CPU, at most one per task.
+    They run in one worker process per usable CPU, but in no more workers
+    than tasks; a task still queued goes to the first worker that frees.
     Workers are forked, so they inherit ``tasks`` with every closure and
     array they hold; only results and exceptions are pickled back. A task's
     exception re-raises here with its type, message and attributes, and a
@@ -284,34 +286,53 @@ def _train_ltp_model(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics
 # spring-mass experiments
 
 
-def _spring_models(cfg: ExperimentConfig, seconds: dict):
-    """The data context and the trained {"nn", "pinn"} networks, each phase timed into ``seconds``."""
+def _spring_task(ctx: DataContext, cfg: ExperimentConfig, physics: bool, initial_states: np.ndarray, n_steps: int):
+    """Train the NN (the PINN with ``physics``), then roll it out from ``initial_states``, plain and projected.
+
+    The projected rollout keeps each trajectory on its own initial energy
+    shell and records a failed projection in its RolloutResult instead of
+    raising. Returns ((plain, projected), training seconds, rollout seconds).
+    """
+    seconds = {}
+    with timed(seconds, "training"):
+        net, _ = train_spring_net(ctx, cfg, physics)
+    with timed(seconds, "rollout"):
+        anchors = springmass.energy(initial_states, PARAMS)
+        constraint = EnergyConstraint(PARAMS, None, ctx.out_spec)
+        pspec = ProjectionSpec(tolerance=cfg.spring_projection_tol)
+        projector = lambda ys, active: project_batch(ys, constraint, anchors[active, None], pspec)
+        model_fn = lambda z: forward(net, z)
+        plain = springmass.rollout(model_fn, initial_states, n_steps, ctx.out_spec, params=PARAMS)
+        projected = springmass.rollout(model_fn, initial_states, n_steps, ctx.out_spec, projector=projector, params=PARAMS)
+    return (plain, projected), seconds["training"], seconds["rollout"]
+
+
+def _truth_task(cfg: ExperimentConfig, initial_states: np.ndarray, n_steps: int):
+    """The true trajectories from ``initial_states``, and their integration time."""
+    seconds = {}
+    with timed(seconds, "truth"):
+        truth = springmass.true_trajectory(initial_states, PARAMS, n_steps, cfg.spring_delta_t, cfg.spring_n_substeps)
+    return truth, seconds["truth"]
+
+
+def _spring_runs(cfg: ExperimentConfig, initial_states: np.ndarray, n_steps: int, seconds: dict):
+    """The data context, the rollouts {"nn", "nn_projection", "pinn", "pinn_projection"} and the true trajectories.
+
+    One task per net trains it and runs both its rollouts; the ground truth
+    is the last task, so with two workers it runs in the one that frees
+    first, the NN's, while the PINN still trains. ``seconds`` gets the
+    tasks' own training and rollout times, each summed over the tasks.
+    """
     with timed(seconds, "data_generation_seconds"):
         ctx = prepare_spring(cfg)
-    with timed(seconds, "training_seconds"):
-        (nn, _), (pinn, _) = run_parallel([partial(train_spring_net, ctx, cfg, physics) for physics in (False, True)])
-    return ctx, {"nn": nn, "pinn": pinn}
-
-
-def _rollout_four(ctx: DataContext, models: dict, initial_states: np.ndarray, n_steps: int, tol: float) -> dict:
-    """Lockstep rollouts of NN, PINN, and their projected counterparts.
-
-    Each trajectory is projected onto its own energy shell; failures are
-    recorded per trajectory.
-    """
-    anchors = springmass.energy(initial_states, PARAMS)
-    constraint = EnergyConstraint(PARAMS, None, ctx.out_spec)
-    pspec = ProjectionSpec(tolerance=tol)
-    projector = lambda ys, active: project_batch(ys, constraint, anchors[active, None], pspec)
-
-    out = {}
-    for name, net in models.items():
-        model_fn = lambda z, net=net: forward(net, z)
-        out[name] = springmass.rollout(model_fn, initial_states, n_steps, ctx.out_spec, params=PARAMS)
-        out[name + "_projection"] = springmass.rollout(
-            model_fn, initial_states, n_steps, ctx.out_spec, projector=projector, params=PARAMS
-        )
-    return out
+    tasks = [partial(_spring_task, ctx, cfg, physics, initial_states, n_steps) for physics in (False, True)]
+    (nn, nn_train, nn_rollout), (pinn, pinn_train, pinn_rollout), (truth, truth_seconds) = run_parallel(
+        [*tasks, partial(_truth_task, cfg, initial_states, n_steps)]
+    )
+    seconds["training_seconds"] = nn_train + pinn_train
+    seconds["rollout_seconds"] = nn_rollout + pinn_rollout + truth_seconds
+    rollouts = {"nn": nn[0], "nn_projection": nn[1], "pinn": pinn[0], "pinn_projection": pinn[1]}
+    return ctx, rollouts, truth
 
 
 def _trajectory_rmses(states, energies, truth_norm: np.ndarray, spec, anchors) -> np.ndarray:
@@ -324,12 +345,11 @@ def _trajectory_rmses(states, energies, truth_norm: np.ndarray, spec, anchors) -
 
 def run_spring_single(cfg: ExperimentConfig) -> MetricsReport:
     report = MetricsReport()
-    ctx, models = _spring_models(cfg, report.phase_seconds)
     ic = np.asarray(cfg.spring_initial_state, dtype=np.float64)
+    ctx, rollouts, truths = _spring_runs(cfg, ic[None], cfg.spring_steps_single, report.phase_seconds)
     anchor = springmass.energy(ic, PARAMS)
-    n_steps = cfg.spring_steps_single
 
-    truth = springmass.true_trajectory(ic, PARAMS, n_steps, cfg.spring_delta_t, cfg.spring_n_substeps)
+    truth = truths[:, 0]
     truth_norm = normalize(truth, ctx.out_spec)
     write_trajectory_csv(
         os.path.join(cfg.out_dir, "trajectory_truth.csv"),
@@ -338,7 +358,6 @@ def run_spring_single(cfg: ExperimentConfig) -> MetricsReport:
         cfg.spring_delta_t,
     )
 
-    rollouts = _rollout_four(ctx, models, ic[None], n_steps, cfg.spring_projection_tol)
     rows = []
     for name, result in rollouts.items():
         result.raise_failure()  # single-trajectory run has nothing to fall back on
@@ -357,19 +376,15 @@ def run_spring_single(cfg: ExperimentConfig) -> MetricsReport:
 
 def run_spring_many(cfg: ExperimentConfig) -> MetricsReport:
     report = MetricsReport()
-    ctx, models = _spring_models(cfg, report.phase_seconds)
-    n_steps = cfg.spring_steps_many
     rng = np.random.default_rng(cfg.seed + 4)
     initial_states = springmass.sample_states(PARAMS, cfg.spring_e_max, cfg.spring_n_trajectories, rng)
+    ctx, rollouts, truths = _spring_runs(cfg, initial_states, cfg.spring_steps_many, report.phase_seconds)
 
     model_names = ("nn", "pinn", "nn_projection", "pinn_projection")
-    with timed(report.phase_seconds, "rollout_seconds"):
-        truths = springmass.true_trajectory(initial_states, PARAMS, n_steps, cfg.spring_delta_t, cfg.spring_n_substeps)
-        truth_norm = normalize(truths, ctx.out_spec)
-        anchors = springmass.energy(initial_states, PARAMS)
-        rollouts = _rollout_four(ctx, models, initial_states, n_steps, cfg.spring_projection_tol)
-        rmses = {name: _trajectory_rmses(r.states, r.energies, truth_norm, ctx.out_spec, anchors) for name, r in rollouts.items()}
-        done = {name: result.failed_step == 0 for name, result in rollouts.items()}  # False: projection failed
+    truth_norm = normalize(truths, ctx.out_spec)
+    anchors = springmass.energy(initial_states, PARAMS)
+    rmses = {name: _trajectory_rmses(r.states, r.energies, truth_norm, ctx.out_spec, anchors) for name, r in rollouts.items()}
+    done = {name: result.failed_step == 0 for name, result in rollouts.items()}  # False: projection failed
     report.n_nonconverged = sum(int((~ok).sum()) for ok in done.values())
 
     variables = (*STATE_NAMES, "energy_J")

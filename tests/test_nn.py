@@ -1,10 +1,12 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from physproj import springmass as sm
-from physproj.constraints import INPUT_NAMES, OUTPUT_NAMES, LtpConstraints, LtpSchema, fit_transform, normalize
+from physproj.constraints import INPUT_NAMES, OUTPUT_NAMES, LtpConstraints, LtpSchema, denormalize, fit_transform, normalize
+from physproj.constraints.transform import jacobian_diag_from_physical
 from physproj.constraints.ltp import generate_synthetic_ltp
 from physproj.errors import TrainingDivergedError, ValidationError
 from physproj.nn import (
@@ -277,6 +279,24 @@ def test_spring_energy_term_gradient_matches_fd():
             ym[i, j] -= h
             fd = (term.loss_and_output_grad(e_in, yp)[0] - term.loss_and_output_grad(e_in, ym)[0]) / (2 * h)
             assert abs(grad[i, j] - fd) < 1e-5 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("log_flagged", [False, True], ids=["linear", "log-flagged"])
+def test_spring_energy_term_equals_the_energy_law_calls_bit_for_bit(log_flagged):
+    params, spec = _spring_setup()
+    if log_flagged:  # x2 scaled in log10 space, where it stays positive
+        flags = np.array([False, False, True, False])
+        spec = replace(spec, mins=np.where(flags, -1.0, spec.mins), maxs=np.where(flags, 0.5, spec.maxs), log_flags=flags)
+    term = SpringEnergyTerm(params, spec, weight=0.4)
+    rng = np.random.default_rng(6)
+    e_in = term.inputs(rng.uniform(-0.8, 0.8, size=(64, 4)))
+    y = rng.uniform(-0.8, 0.8, size=(64, 4))
+    y_phys = denormalize(y, spec)
+    diff = sm.energy(y_phys, params) - e_in
+    grad = 0.4 * (2.0 / diff.size) * diff[:, None] * sm.energy_gradient(y_phys, params) * jacobian_diag_from_physical(y_phys, spec)
+    loss, got = term.loss_and_output_grad(e_in, y)
+    assert loss == 0.4 * float(np.mean(diff**2))
+    assert np.array_equal(got, grad)
 
 
 def test_physics_loss_equals_the_loss_of_loss_and_output_grad():

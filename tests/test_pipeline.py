@@ -14,6 +14,7 @@ from physproj.pipeline import ExperimentConfig, experiments, load_config, run_ex
 from physproj.pipeline.experiments import _train_ltp_model, load_spring_data, prepare_ltp, run_parallel, train_ltp_net
 from physproj.pipeline.csvio import load_spring_dataset_csv, write_spring_dataset_csv
 from physproj.pipeline.metrics import improvement_rates, rmse, rmse_variation_rate, split_dataset
+from physproj.projector import CONVERGED
 
 TINY_SPRING = dict(
     seed=3,
@@ -249,7 +250,7 @@ def _run_twice_and_compare(kind, extra, tmp_path, phases):
 
 
 def test_spring_single_artifacts_and_determinism(tmp_path):
-    out = _run_twice_and_compare("spring-single", TINY_SPRING, tmp_path, ("data_generation", "training"))
+    out = _run_twice_and_compare("spring-single", TINY_SPRING, tmp_path, ("data_generation", "training", "rollout"))
     files = set(os.listdir(out))
     assert {"manifest.txt", "rmse_summary.csv", "trajectory_truth.csv", "trajectory_nn.csv"} <= files
     with open(out / "rmse_summary.csv") as fh:
@@ -411,6 +412,14 @@ def test_run_parallel_forks_workers_and_reraises_task_errors(monkeypatch):
     assert run_parallel([os.getpid, os.getpid]) == [os.getpid()] * 2
 
 
+def test_run_parallel_queues_tasks_beyond_the_workers_and_keeps_task_order(monkeypatch):
+    _force_cpus(monkeypatch, 2)
+    results = run_parallel([lambda i=i: (i, os.getpid()) for i in range(3)])
+    assert [i for i, _ in results] == [0, 1, 2]
+    workers = {pid for _, pid in results}
+    assert os.getpid() not in workers and len(workers) <= 2
+
+
 def _openblas_threads():
     """Thread count of each OpenBLAS library loaded into this process."""
     with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -445,12 +454,13 @@ def test_one_and_two_workers_write_identical_csvs(tmp_path, monkeypatch, kind):
             "timing_n_test": 20,
         }
     outputs = {}
-    for n_cpus in (1, 2):
+    # three CPUs: the spring kinds' three tasks each get a worker
+    for n_cpus in (1, 2, 3) if kind.startswith("spring") else (1, 2):
         _force_cpus(monkeypatch, n_cpus)
         out = tmp_path / f"cpus{n_cpus}"
         run_experiment(ExperimentConfig(kind=kind, out_dir=str(out), **extra))
         outputs[n_cpus] = {name: _strip_time_columns(out / name) for name in os.listdir(out) if name.endswith(".csv")}
-    assert outputs[1] and outputs[2] == outputs[1]
+    assert outputs[1] and all(csvs == outputs[1] for csvs in outputs.values())
 
 
 def test_timing_artifacts(tmp_path):
@@ -586,6 +596,22 @@ def test_cli_projected_rollout_failure_exit_code(tmp_path, capsys):
     assert cli_main(["rollout", "--model", model, "--project", "--config", cfg, "--out-dir", str(tmp_path / "r")]) == 2
     assert "projection failed at rollout step" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "r" / "trajectory.csv")
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_failed_projected_rollout_ends_spring_single(tmp_path, monkeypatch, capsys, n_cpus):
+    # the projected rollouts run in the training workers; their failure is raised in the parent
+    _force_cpus(monkeypatch, n_cpus)
+    extra = {**TINY_SPRING, "spring_projection_tol": 1e-300}  # no step can converge
+    out = tmp_path / "e"
+    with pytest.raises(ProjectionError, match="projection failed at rollout step 1 with status") as info:
+        run_experiment(ExperimentConfig(kind="spring-single", out_dir=str(out), **extra))
+    assert info.value.step == 1 and info.value.status not in ("", CONVERGED)
+    assert not os.path.exists(out / "rmse_summary.csv")
+    cfg = _write_cfg(tmp_path, extra)
+    capsys.readouterr()
+    assert cli_main(["experiment", "spring-single", "--config", cfg, "--out-dir", str(tmp_path / "c")]) == 2
+    assert f"projection failed at rollout step 1 with status '{info.value.status}'" in capsys.readouterr().err
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):

@@ -60,6 +60,30 @@ def test_energy_gradient_matches_finite_differences():
             assert abs(grad[j] - fd) < 1e-6 * max(1.0, abs(fd))
 
 
+def test_energy_law_equals_its_term_by_term_formula_bit_for_bit():
+    """energy, energy_gradient and energy_and_gradient round exactly as the law written out term by term."""
+    params = sm.SpringParams(m1=1.3, m2=0.7, k1=4.1, k2=2.9, L1=0.45, L2=0.6)
+    states = sm.sample_states(params, 5.0, 200, np.random.default_rng(4))
+    x1, v1, x2, v2 = states.T
+    stretch2 = x2 - x1 - params.L2
+    energy = (
+        0.5 * params.m1 * v1**2
+        + 0.5 * params.m2 * v2**2
+        + 0.5 * params.k1 * (x1 - params.L1) ** 2
+        + 0.5 * params.k2 * (x2 - x1 - params.L2) ** 2
+    )
+    grad = np.stack(
+        [params.k1 * (x1 - params.L1) - params.k2 * stretch2, params.m1 * v1, params.k2 * stretch2, params.m2 * v2],
+        axis=-1,
+    )
+    assert np.array_equal(sm.energy(states, params), energy)
+    assert np.array_equal(sm.energy_gradient(states, params), grad)
+    joint_energy, joint_grad = sm.energy_and_gradient(states, params)
+    assert np.array_equal(joint_energy, energy) and np.array_equal(joint_grad, grad)
+    assert sm.energy(states[7], params) == energy[7]
+    assert np.array_equal(sm.energy_gradient(states[7], params), grad[7])
+
+
 def test_rk4_equilibrium_fixed_point():
     eq = PARAMS.equilibrium()
     assert np.allclose(sm.rk4_step(eq, PARAMS, 0.1), eq)
