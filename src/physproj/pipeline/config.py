@@ -75,8 +75,8 @@ class ExperimentConfig:
     trend_n_points: int = 50
     trend_current: float = 0.030  # A
     trend_radius: float = 0.012  # m
-    trend_architectures: tuple[int, ...] = (8, 26, 1000)
-    trend_sizes: tuple[int, ...] = (200, 600, 2500)
+    trend_architectures: tuple[int, ...] = (8, 26, 1000)  # on synthetic data, a slice per entry also in architectures
+    trend_sizes: tuple[int, ...] = (200, 600, 2500)  # on synthetic data, a slice per entry also in sizes
 
     # timing experiment
     timing_n_test: int = 500

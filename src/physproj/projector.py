@@ -5,17 +5,18 @@ iteration on the first-order optimality system
 
     2 (p - y) + J(p)^T lam = 0,      g(x, p) = 0.
 
-Starting points that violate the constraints badly first go through a
-Gauss-Newton feasibility-restoration phase on ||g||^2 alone. The Newton
-phase then re-estimates the multipliers by least squares at every iterate,
-solves the saddle-point system with the exact Lagrangian curvature
-(convexified on the constraint tangent space when indefinite), caps step
-lengths, and backtracks on the exact l1 penalty ||p - y||^2 + mu * ||g||_1,
-with a second-order correction before giving up on a full step. A small
-multiple ``delta`` of the identity regularizes the system: it grows tenfold
-after an iteration that did not move the point (a singular system gives a
-zero step) until the point ends ``singular_system`` above ``_MAX_DELTA``,
-and shrinks again as steps succeed.
+A point far from the manifold starts in feasibility restoration, a mode of
+the one solver loop: Gauss-Newton steps on ||g||^2 alone, at most half of
+``max_iterations`` (``iterations`` counts both kinds of step). In the pass
+where that ends it takes Newton steps, which re-estimate the multipliers by
+least squares at every iterate, solve the saddle-point system with the exact
+Lagrangian curvature (convexified on the constraint tangent space when
+indefinite), cap step lengths, and backtrack on the exact l1 penalty
+||p - y||^2 + mu * ||g||_1, with a second-order correction before giving up
+on a full step. A small multiple ``delta`` of the identity regularizes the
+system: it grows tenfold after a Newton step that did not move the point (a
+singular system gives a zero step) until the point ends ``singular_system``
+above ``_MAX_DELTA``, and shrinks again as steps succeed.
 
 The points of a batch iterate in lockstep, in blocks whose temporaries fit a
 memory budget in bytes (a 300-point batch of 17-dimensional points is one
@@ -150,37 +151,6 @@ def _backtrack(p, g, dp, pending, accept):
     return alpha, new_p, new_g
 
 
-def _restore_feasibility(p, g, jac, act, residuals, move, target: float, budget: int) -> np.ndarray:
-    """Gauss-Newton with backtracking on ||g||^2 until near the manifold.
-
-    Minimizing the violation alone avoids the tug-of-war between distance and
-    feasibility that stalls merit line searches far from the manifold. Moves
-    the points ``act`` of ``p`` (residuals ``g``, Jacobians ``jac``) with
-    ``move`` and returns the steps used. A point whose Gram system is singular,
-    or whose line search finds no decrease, is left to the Newton phase."""
-
-    def decrease(rows, at, _):
-        g_at, ok = residuals(act[rows], at)
-        return ok & np.all(np.isfinite(g_at), axis=1) & (np.sum(g_at * g_at, axis=1) < psi0[rows]), at, g_at
-
-    used = np.zeros(len(p), dtype=int)
-    while act.size:
-        act = act[(used[act] < budget) & (np.abs(g[act]).max(axis=1) > target)]
-        # row equilibration: violated laws can differ by many orders of
-        # magnitude (scale clamps), which would make the Gram matrix singular
-        row_scale = 1.0 / np.maximum(np.linalg.norm(jac[act], axis=2), 1e-300)
-        jac_eq = jac[act] * row_scale[:, :, None]
-        used[act] += 1
-        sol, singular = _solve(jac_eq @ jac_eq.transpose(0, 2, 1), g[act] * row_scale)
-        dp, step_len = _capped(-_matvec(jac_eq.transpose(0, 2, 1), sol))
-        psi0 = np.sum(g[act] * g[act], axis=1)
-        live = np.flatnonzero(~singular & np.isfinite(step_len) & (step_len > 1e-15))
-        alpha, new_p, new_g = _backtrack(p[act], g[act], dp, live, decrease)
-        act = act[alpha > 0.0]
-        act = act[move(act, new_p[alpha > 0.0], new_g[alpha > 0.0])]
-    return used
-
-
 def _convexify(hessian, svals, vt):
     """Shift the Hessians in place until comfortably positive definite on the
     tangent spaces of the linearized constraints (rows of ``vt`` past the
@@ -271,13 +241,13 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
         return ok
 
     target = max(1e-3, 10.0 * spec.tolerance)
-    far = act[np.abs(g_at[act]).max(axis=1) > target]
-    restore_steps = _restore_feasibility(p, g_at, jac_at, far, residuals, move, target, spec.max_iterations // 2)
-    best_p[:] = p
-    newton_budget = spec.max_iterations - restore_steps
+    budget = spec.max_iterations // 2  # restoration steps a point may take
+    restoring = np.zeros(n, dtype=bool)
+    restoring[act] = (np.abs(g_at[act]).max(axis=1) > target) & (budget > 0)  # far from the manifold
 
-    def leave(rows, why):
-        status[rows], iterations[rows] = why, it + restore_steps[rows]
+    def decrease(rows, at, _):  # restoration's line search: strict decrease of ||g||^2
+        g_trial, ok = residuals(rest[rows], at)
+        return ok & np.all(np.isfinite(g_trial), axis=1) & (np.sum(g_trial * g_trial, axis=1) < psi0[rows]), at, g_trial
 
     def merit(rows, trial, mu):
         """Exact l1 penalty ||p - y||^2 + mu * ||g||_1 at trial points, and g.
@@ -311,11 +281,35 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
         return ok, at, g_trial
 
     act = np.flatnonzero(~broken)
-    it = 0
     while act.size:
+        # restoring points take a Gauss-Newton step on ||g||^2 alone, which
+        # avoids the tug-of-war between distance and feasibility that stalls
+        # merit line searches far from the manifold. Restoration ends near the
+        # manifold, out of budget, or when the Gram system is singular, the
+        # line search finds no decrease, or a constraint call raised.
+        rest = act[restoring[act]]
+        if rest.size:
+            # row equilibration: violated laws can differ by many orders of
+            # magnitude (scale clamps), which would make the Gram matrix singular
+            row_scale = 1.0 / np.maximum(np.linalg.norm(jac_at[rest], axis=2), 1e-300)
+            jac_eq = jac_at[rest] * row_scale[:, :, None]
+            iterations[rest] += 1
+            sol, singular = _solve(jac_eq @ jac_eq.transpose(0, 2, 1), g_at[rest] * row_scale)
+            dp, step_len = _capped(-_matvec(jac_eq.transpose(0, 2, 1), sol))
+            psi0 = np.sum(g_at[rest] * g_at[rest], axis=1)
+            live = np.flatnonzero(~singular & np.isfinite(step_len) & (step_len > 1e-15))
+            alpha, new_p, new_g = _backtrack(p[rest], g_at[rest], dp, live, decrease)
+            moved = alpha > 0.0
+            moved[moved] = move(rest[moved], new_p[moved], new_g[moved])
+            restoring[rest] = moved & (iterations[rest] < budget) & (np.abs(g_at[rest]).max(axis=1) > target)
+            best_p[rest] = p[rest]  # a point's result until its first KKT check
+
+        # every other point takes its KKT check and Newton step, also in the pass
+        # its restoration ends: waiting a pass would put it out of lockstep
+        held, act = act[restoring[act]], act[~restoring[act]]
         g, jac = g_at[act], jac_at[act]
         ok = np.all(np.isfinite(g), axis=1) & np.all(np.isfinite(jac), axis=(1, 2))
-        leave(act[~ok], SINGULAR_SYSTEM)  # no-op for broken points, whose result is y
+        status[act[~ok]] = SINGULAR_SYSTEM  # no-op for broken points, whose result is y
         act, g, jac = act[ok], g[ok], jac[ok]
 
         # multipliers are always the least-squares estimate for the current
@@ -334,9 +328,9 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
         better = (kkt < best_kkt[act]) | converged  # a converged point returns its last iterate
         rows = act[better]
         best_kkt[rows], best_p[rows], best_lam[rows] = kkt[better], p[rows], lam[rows]
-        leave(act[converged], CONVERGED)
-        spent = ~converged & (it == newton_budget[act])
-        leave(act[spent], MAX_ITERATIONS)
+        status[act[converged]] = CONVERGED
+        spent = ~converged & (iterations[act] == spec.max_iterations)
+        status[act[spent]] = MAX_ITERATIONS
         go = ~converged & ~spent
         act, g, jac, svals, vt, grad_obj = act[go], g[go], jac[go], svals[go], vt[go], grad_obj[go]
 
@@ -371,9 +365,10 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
         delta[shrink[delta[shrink] < 1e-14]] = 0.0
         bump = act[~moved]
         delta[bump] = np.maximum(delta[bump] * 10.0, 1e-10)
-        leave(bump[delta[bump] > _MAX_DELTA], SINGULAR_SYSTEM)
+        status[bump[delta[bump] > _MAX_DELTA]] = SINGULAR_SYSTEM
         act = act[moved | (delta[act] <= _MAX_DELTA)]
-        it += 1
+        iterations[act] += 1
+        act = np.union1d(held, act)
 
     # a point whose y is not finite, or whose own constraint calls raised, comes back unchanged
     best_p[broken], best_lam[broken], best_kkt[broken] = ys[broken], 0.0, np.inf

@@ -348,6 +348,15 @@ def test_small_samples_sweep(tmp_path):
     assert len(rows) == 3
 
 
+def test_small_samples_writes_trend_slices_only_for_swept_sizes(tmp_path):
+    """The benchmark's sizes with the default trend_sizes (200, 600, 2500):
+    600 and 2500 are not swept, so they write no slice and raise nothing."""
+    extra = {**TINY_LTP, "pool_size": 300, "sizes": (20, 200), "n_resamples": 2}
+    out = tmp_path / "small"
+    run_experiment(ExperimentConfig(kind="small-samples", out_dir=str(out), **extra))
+    assert [name for name in sorted(os.listdir(out)) if name.startswith("trend")] == ["trend_size_200.csv"]
+
+
 def test_ltp_compare_with_ensemble(tmp_path):
     extra = {**TINY_LTP, "ltp_n_members": 2}
     out = tmp_path / "ens"

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from physproj.constraints import ConstraintSet, EnergyConstraint, denormalize, f
 from physproj.errors import ValidationError
 from physproj.projector import (
     CONVERGED,
+    MAX_ITERATIONS,
     NONFINITE_INPUT,
     SINGULAR_SYSTEM,
     ProjectionSpec,
@@ -300,6 +303,64 @@ def test_each_ltp_iterate_is_evaluated_once(monkeypatch):
     # its Jacobian, de-normalized 519 rows for the same 24 solves
     assert iterations == 117 and sum(rows) == 330
     assert sum(rows) <= 519 - iterations
+
+
+def test_restoration_and_newton_steps_share_the_iteration_budget():
+    """Restoration takes at most half of max_iterations, and iterations counts
+    both kinds of step: census (max_iterations, converged, total iterations)."""
+    from physproj.constraints import LtpConstraints, LtpSchema
+
+    x, ys, spec = _noisy_ltp_batch()
+    cs = LtpConstraints(LtpSchema(), spec)
+    census = {}
+    for budget in (1, 2, 3, 4, 6, 10, 100):
+        batch = project_batch(ys, cs, x, ProjectionSpec(tolerance=1e-8, max_iterations=budget))
+        assert all(r.iterations <= budget for r in batch)
+        assert all(r.iterations == budget for r in batch if r.status == MAX_ITERATIONS)
+        statuses = Counter(r.status for r in batch)
+        census[budget] = (statuses[MAX_ITERATIONS], statuses[CONVERGED], sum(r.iterations for r in batch))
+    assert census == {
+        1: (24, 0, 24),
+        2: (24, 0, 48),
+        3: (15, 9, 72),
+        4: (12, 12, 93),
+        6: (1, 23, 113),
+        10: (0, 24, 117),
+        100: (0, 24, 117),
+    }
+
+
+def test_far_from_manifold_ltp_starts():
+    """200 training targets pushed off the LTP manifold by noise of scale 0.8
+    (normalized): no fewer than 170 converge, here pinned exactly."""
+    from physproj.constraints import LtpConstraints, LtpSchema
+    from physproj.pipeline.config import ExperimentConfig
+    from physproj.pipeline.experiments import prepare_ltp
+
+    ctx = prepare_ltp(ExperimentConfig(kind="ltp-compare", seed=0))
+    ys = ctx.norm["train"][1][:200] + np.random.default_rng(0).normal(0.0, 0.8, (200, 17))
+    batch = project_batch(ys, LtpConstraints(LtpSchema(), ctx.out_spec), ctx.splits["train"][0][:200], ProjectionSpec())
+    assert Counter(r.status for r in batch) == {CONVERGED: 170, MAX_ITERATIONS: 16, SINGULAR_SYSTEM: 14}
+    assert sum(r.iterations for r in batch) == 3320
+
+
+def test_point_leaving_before_its_first_kkt_check_returns_its_restored_iterate():
+    class HoledCircle(Circle):
+        """Jacobian rows are NaN, without raising, where 1.2 < p2 < 2."""
+
+        def _jacobian(self, x, p):
+            jac = super()._jacobian(x, p)
+            jac[(p[:, 1] > 1.2) & (p[:, 1] < 2.0)] = np.nan
+            return jac
+
+    # two restoration steps lead into the hole, where the third finds no
+    # direction: the point leaves with the best iterate seen, not with y
+    pspec = ProjectionSpec(tolerance=1e-10)
+    result = project(np.array([0.0, 4.0]), HoledCircle(), None, pspec)
+    assert (result.status, result.iterations) == (SINGULAR_SYSTEM, 3)
+    assert np.allclose(result.projected, [0.0, 1.29779412], rtol=0.0, atol=1e-8)
+    result = project(np.array([0.1, 4.0]), HoledCircle(), None, pspec)
+    assert np.allclose(result.projected, [0.03244042, 1.29761675], rtol=0.0, atol=1e-8)
 
 
 def test_batch_isolates_points_whose_constraint_raises_mid_solve():
