@@ -24,12 +24,14 @@ class TransformSpec:
 
     ``mins``/``maxs`` are bounds of the (possibly log-transformed) values.
     ``names`` fixes the vector layout used throughout the package.
+    ``width`` is ``maxs - mins``, derived once here; it is not serialized.
     """
 
     names: tuple[str, ...]
     mins: np.ndarray
     maxs: np.ndarray
     log_flags: np.ndarray = field(default=None)  # type: ignore[assignment]
+    width: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mins = np.asarray(self.mins, dtype=np.float64)
@@ -46,6 +48,7 @@ class TransformSpec:
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
         object.__setattr__(self, "log_flags", flags)
+        object.__setattr__(self, "width", maxs - mins)
 
     @property
     def dim(self) -> int:
@@ -90,7 +93,7 @@ def normalize(values: np.ndarray, spec: TransformSpec) -> np.ndarray:
         if np.any(logged <= 0.0):
             raise ValidationError("non-positive value on a log-flagged feature")
         u[..., spec.log_flags] = np.log10(logged)
-    return 2.0 * (u - spec.mins) / (spec.maxs - spec.mins) - 1.0
+    return 2.0 * (u - spec.mins) / spec.width - 1.0
 
 
 def denormalize(z: np.ndarray, spec: TransformSpec) -> np.ndarray:
@@ -98,11 +101,11 @@ def denormalize(z: np.ndarray, spec: TransformSpec) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] != spec.dim:
         raise ValidationError(f"expected {spec.dim} features, got shape {z.shape}")
-    u = (z + 1.0) * (spec.maxs - spec.mins) / 2.0 + spec.mins
+    u = (z + 1.0) * spec.width / 2.0 + spec.mins
     if spec.log_flags.any():
         with np.errstate(over="ignore"):  # overflow is raised as an error below
             u[..., spec.log_flags] = np.power(10.0, u[..., spec.log_flags])
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValidationError("denormalization overflowed to a non-finite value")
     return u
 
@@ -117,15 +120,20 @@ def denormalize_jacobian_diag(z: np.ndarray, spec: TransformSpec) -> np.ndarray:
 
 
 def jacobian_diag_from_physical(phys: np.ndarray, spec: TransformSpec) -> np.ndarray:
-    """:func:`denormalize_jacobian_diag` at the point that de-normalizes to ``phys`` (there 10^u is phys)."""
-    half = (spec.maxs - spec.mins) / 2.0
+    """:func:`denormalize_jacobian_diag` at the point that de-normalizes to ``phys`` (there 10^u is phys).
+
+    Always a new array, shaped like ``phys``.
+    """
+    half = spec.width / 2.0
+    if not spec.log_flags.any():
+        return np.full(np.shape(phys), half)
     return np.where(spec.log_flags, half * LN10 * phys, half)
 
 
 def denormalize_curvature_diag(z: np.ndarray, spec: TransformSpec) -> np.ndarray:
     """Diagonal of d^2(physical)/d(normalized)^2; zero for linear features."""
     z = np.asarray(z, dtype=np.float64)
-    half = (spec.maxs - spec.mins) / 2.0
+    half = spec.width / 2.0
     curv = np.zeros(np.broadcast_shapes(z.shape, half.shape))
     if spec.log_flags.any():
         diag = denormalize_jacobian_diag(z, spec)

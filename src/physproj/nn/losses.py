@@ -53,7 +53,8 @@ class SpringEnergyTerm:
         return self._energies(x_norm)[1]
 
     def loss(self, e_in: np.ndarray, y_norm: np.ndarray) -> float:
-        return self.weight * float(np.mean((self._energies(y_norm)[1] - e_in) ** 2))
+        diff = self._energies(y_norm)[1] - e_in
+        return self.weight * float(np.add.reduce(diff * diff, axis=None) / diff.size)
 
     def loss_and_output_grad(self, e_in: np.ndarray, y_norm: np.ndarray) -> tuple[float, np.ndarray]:
         from physproj.constraints.transform import denormalize, jacobian_diag_from_physical
@@ -62,10 +63,10 @@ class SpringEnergyTerm:
         y_phys = denormalize(np.atleast_2d(y_norm), self.transform)
         e_out, de_dphys = energy_and_gradient(y_phys, self.params)
         diff = e_out - e_in
-        loss = self.weight * float(np.mean(diff**2))
+        loss = self.weight * float(np.add.reduce(diff * diff, axis=None) / diff.size)  # mean, in np.mean's order
         # dE/dy_norm = dE/dy_phys * d(denorm)/dz, chain rule per sample
-        diag = jacobian_diag_from_physical(y_phys, self.transform)
-        grad = self.weight * (2.0 / diff.size) * diff[:, None] * de_dphys * diag
+        grad = self.weight * (2.0 / diff.size) * diff[:, None] * de_dphys
+        grad *= jacobian_diag_from_physical(y_phys, self.transform)
         return loss, grad
 
 

@@ -42,7 +42,10 @@ class Activation:
         """``delta`` times the derivative at ``z``; max(z > 0, slope) is 1 or the slope, without a branch."""
         if self.kind == "identity":
             return delta
-        return delta * np.maximum(z > 0.0, self.slope)
+        factor = (z > 0.0).astype(np.float64)  # a float mask, which np.maximum takes without a casting loop
+        np.maximum(factor, self.slope, out=factor)
+        factor *= delta
+        return factor
 
 
 @dataclass
@@ -146,39 +149,46 @@ def forward_cached(net: Network, x: np.ndarray) -> ForwardCache:
     squeeze = np.asarray(x).ndim == 1
     pre = []
     hidden = [a]
+    last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b
         pre.append(z)
-        a = net.activation.apply(z) if i < net.n_layers - 1 else z
-        if i < net.n_layers - 1:
+        if i < last:
+            a = net.activation.apply(z)
             hidden.append(a)
-    out = a[0] if squeeze else a
+    out = z[0] if squeeze else z
     return ForwardCache(pre_activations=pre, hidden=hidden, output=out)
 
 
-def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list[np.ndarray]:
+def backward(
+    net: Network, cache: ForwardCache, output_grad: np.ndarray, out: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
     """Gradients of a scalar loss w.r.t. every parameter, [dW0, db0, dW1, ...].
 
     ``output_grad`` is dLoss/dOutput for the same batch the cache was built
-    from; shapes are checked so a stale cache fails loudly. They are
-    ``net.views`` of one new vector laid out like ``theta``, ``grads[0].base``.
+    from; shapes are checked so a stale cache fails loudly. The gradients
+    are written into ``out``, which must be ``net.views`` of a vector laid
+    out like ``theta``, and ``out`` is returned; without it they go into
+    the views of one new such vector, ``grads[0].base``.
     """
     g = np.atleast_2d(np.asarray(output_grad, dtype=np.float64))
+    n_layers = len(net.weights)
     if (
-        len(cache.pre_activations) != net.n_layers
+        len(cache.pre_activations) != n_layers
         or cache.hidden[0].shape[1] != net.input_dim
         or any(z.shape[1] != d for z, d in zip(cache.pre_activations, net.layer_dims[1:]))
     ):
         raise ValidationError("forward cache does not match this network")
     if g.shape != np.atleast_2d(cache.output).shape:
         raise ValidationError("output_grad shape does not match the cached forward pass")
-    grads = net.views(np.empty_like(net.theta))
+    grads = net.views(np.empty_like(net.theta)) if out is None else out
     delta = g
-    for i in range(net.n_layers - 1, -1, -1):
-        if i < net.n_layers - 1:
+    for i in range(n_layers - 1, -1, -1):
+        if i < n_layers - 1:
             delta = net.activation.backprop(delta, cache.pre_activations[i])
         np.matmul(delta.T, cache.hidden[i], out=grads[2 * i])
-        delta.sum(axis=0, out=grads[2 * i + 1])
+        np.add.reduce(delta, axis=0, out=grads[2 * i + 1])
         if i > 0:
             delta = delta @ net.weights[i]
     return grads

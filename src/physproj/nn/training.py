@@ -9,6 +9,7 @@ returned model worse than its initialization).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -86,6 +87,11 @@ def train(
     rows of those to ``loss_and_output_grad(inputs, y_pred)``; the validation
     loss needs only ``loss(inputs, y_pred)``. With a term the objective is (1 - lambda) * data_mse + physics term, otherwise plain
     MSE. Early stopping and plateau scheduling need a validation set.
+
+    Each epoch gathers its shuffled inputs, targets and physics inputs once
+    into buffers made at the start, and every batch is a slice of them. The
+    gradient vector (written by backward through its ``out`` views) and the
+    Adam state's buffers are also made once, so a step allocates neither.
     """
     x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train_set)
     if x_train.shape[0] == 0:
@@ -107,11 +113,17 @@ def train(
 
     work = net.copy()
     state = AdamState.initialize(work.theta)
+    grad = np.empty_like(work.theta)  # every step's gradient, laid out like theta
+    grad_views = work.views(grad)
 
     feats = physics.inputs(x_train) if physics is not None else None
     val_feats = physics.inputs(val_set[0]) if physics is not None and has_val else None
     best_net = net.copy()
     best_val = _evaluate(net, val_set[0], val_set[1], physics, val_feats, lam) if has_val else np.inf
+
+    # each epoch gathers its shuffled rows into these once; a batch is a slice of them
+    x_epoch, y_epoch = np.empty(x_train.shape), np.empty(y_train.shape)
+    f_epoch = np.empty(feats.shape, feats.dtype) if physics is not None else None
 
     lr = config.learning_rate
     epochs_since_lr_drop = 0
@@ -119,26 +131,33 @@ def train(
     for _ in range(config.max_epochs):
         tick = time.perf_counter()
         order = rng.permutation(n)
+        # a permutation never leaves the range, and "clip" spares take its buffered bounds check
+        np.take(x_train, order, axis=0, out=x_epoch, mode="clip")
+        np.take(y_train, order, axis=0, out=y_epoch, mode="clip")
+        if physics is not None:
+            np.take(feats, order, axis=0, out=f_epoch, mode="clip")
         epoch_data = 0.0
         epoch_phys = 0.0
         epoch_total = 0.0
         n_batches = 0
         for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            cache = forward_cached(work, x_train[idx])
-            diff = cache.output - y_train[idx]
-            data = float(np.mean(diff**2))
-            out_grad = 2.0 * diff / diff.size  # mse_gradient
+            rows = slice(start, start + batch)
+            cache = forward_cached(work, x_epoch[rows])
+            diff = cache.output - y_epoch[rows]
+            data = float(np.add.reduce(diff * diff, axis=None) / diff.size)  # mse, in np.mean's order
+            out_grad = diff  # mse_gradient, 2 * diff / diff.size, in place
+            out_grad *= 2.0
+            out_grad /= diff.size
             phys = 0.0
             if physics is not None:
                 out_grad *= 1.0 - lam
-                phys, phys_grad = physics.loss_and_output_grad(feats[idx], cache.output)
+                phys, phys_grad = physics.loss_and_output_grad(f_epoch[rows], cache.output)
                 out_grad += phys_grad
             total = (1.0 - lam) * data + phys if physics is not None else data
-            if not np.isfinite(total):
+            if not math.isfinite(total):
                 raise TrainingDivergedError(f"non-finite training loss ({total})")
-            grads = backward(work, cache, out_grad)
-            adam_step(work.theta, grads[0].base, state, lr)
+            backward(work, cache, out_grad, out=grad_views)
+            adam_step(work.theta, grad, state, lr)
             epoch_data += data
             epoch_phys += phys
             epoch_total += total

@@ -303,6 +303,8 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
             moved[moved] = move(rest[moved], new_p[moved], new_g[moved])
             restoring[rest] = moved & (iterations[rest] < budget) & (np.abs(g_at[rest]).max(axis=1) > target)
             best_p[rest] = p[rest]  # a point's result until its first KKT check
+            # free the step's block-sized temporaries before the Newton part allocates its own
+            del row_scale, jac_eq, sol, singular, dp, step_len, psi0, live, alpha, new_p, new_g, moved
 
         # every other point takes its KKT check and Newton step, also in the pass
         # its restoration ends: waiting a pass would put it out of lockstep

@@ -193,6 +193,22 @@ def test_backward_rejects_stale_cache():
         backward(net, cache, np.zeros((2, 2)))
 
 
+def test_backward_into_given_views_equals_a_fresh_call():
+    net = xavier_init([3, 6, 5, 2], seed=9)
+    x, t = np.random.default_rng(9).normal(size=(7, 3)), np.random.default_rng(10).normal(size=(7, 2))
+    cache = forward_cached(net, x)
+    out_grad = mse_gradient(cache.output, t)
+    buffer = np.full_like(net.theta, np.nan)
+    views = net.views(buffer)
+    returned = backward(net, cache, out_grad, out=views)
+    assert returned is views
+    assert buffer.tobytes() == backward(net, cache, out_grad)[0].base.tobytes()
+
+    other = xavier_init([3, 5, 5, 2], seed=9)
+    with pytest.raises(ValidationError):
+        backward(net, forward_cached(other, x), out_grad, out=views)
+
+
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -219,6 +235,27 @@ def test_adam_deterministic():
     adam_step(b, grad, sb, 0.01)
     assert np.array_equal(a, b)
     assert np.array_equal(sa.m, sb.m)
+
+
+def test_adam_states_keep_their_own_buffers():
+    rng = np.random.default_rng(11)
+    grads = rng.normal(size=(2, 4, 6))  # per state, per step
+    alone = []
+    for k in range(2):
+        theta = np.linspace(-1.0, 1.0, 6)
+        state = AdamState.initialize(theta)
+        for g in grads[k]:
+            adam_step(theta, g, state, 0.05)
+        alone.append((theta, state))
+    thetas = [np.linspace(-1.0, 1.0, 6) for _ in range(2)]
+    states = [AdamState.initialize(theta) for theta in thetas]
+    for step in range(4):
+        for k in (1, 0):
+            adam_step(thetas[k], grads[k][step], states[k], 0.05)
+    for k in range(2):
+        assert thetas[k].tobytes() == alone[k][0].tobytes()
+        assert states[k].m.tobytes() == alone[k][1].m.tobytes() and states[k].v.tobytes() == alone[k][1].v.tobytes()
+    assert not np.shares_memory(states[0].scratch, states[1].scratch)
 
 
 def test_adam_rejects_nonfinite_gradients():
@@ -605,6 +642,80 @@ def test_train_matches_the_seed_loop_bit_for_bit(case):
         assert np.array_equal(getattr(history, name), getattr(expected_history, name)), name
     if cfg.early_stop is not None:  # both schedules took effect
         assert history.n_epochs() < cfg.max_epochs and len(set(history.learning_rate)) > 1
+
+
+def _parent_train(net, train_set, val_set, config, physics):
+    """The loop before the per-epoch gather and the persistent buffers, from
+    public pieces: per-step fancy indexing, np.mean, mse_gradient, a fresh
+    backward and adam_step on one AdamState."""
+    lam = config.lambda_physics
+    x, y = train_set
+    n = len(x)
+    batch = n if config.batch_size <= 0 else min(config.batch_size, n)
+    rng = np.random.default_rng(config.seed)
+    work = net.copy()
+    state = AdamState.initialize(work.theta)
+    feats = physics.inputs(x) if physics is not None else None
+    val_feats = physics.inputs(val_set[0]) if physics is not None else None
+
+    def evaluate(model):
+        pred = forward(model, val_set[0])
+        data = mse(pred, val_set[1])
+        return data if physics is None else (1.0 - lam) * data + physics.loss(val_feats, pred)
+
+    history = TrainHistory()
+    best, best_val = net.copy(), evaluate(net)
+    lr, since_drop = config.learning_rate, 0
+    for _ in range(config.max_epochs):
+        order = rng.permutation(n)
+        sums = [0.0, 0.0, 0.0]  # data, physics, total
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            cache = forward_cached(work, x[idx])
+            diff = cache.output - y[idx]
+            data = float(np.mean(diff**2))
+            out_grad = mse_gradient(cache.output, y[idx])
+            phys = 0.0
+            if physics is not None:
+                out_grad *= 1.0 - lam
+                phys, phys_grad = physics.loss_and_output_grad(feats[idx], cache.output)
+                out_grad += phys_grad
+            total = (1.0 - lam) * data + phys if physics is not None else data
+            adam_step(work.theta, backward(work, cache, out_grad)[0].base, state, lr)
+            sums = [sums[0] + data, sums[1] + phys, sums[2] + total]
+        n_batches = len(range(0, n, batch))
+        history.train_loss.append(sums[2] / n_batches)
+        history.data_loss.append(sums[0] / n_batches)
+        history.physics_loss.append(sums[1] / n_batches)
+        history.learning_rate.append(lr)
+        history.val_loss.append(evaluate(work))
+        if history.val_loss[-1] < best_val:
+            best, best_val = work.copy(), history.val_loss[-1]
+        if config.lr_plateau is not None:
+            since_drop += 1
+            plateau = config.lr_plateau
+            new_lr = plateau_lr(history.val_loss[-since_drop:], plateau.patience, plateau.factor, lr)
+            if new_lr != lr:
+                lr, since_drop = new_lr, 0
+        stop = config.early_stop
+        if stop is not None and pq_alpha_should_stop(history.train_loss, history.val_loss, stop.alpha, stop.strip_length):
+            break
+    return best, history
+
+
+@pytest.mark.parametrize("case", list(_seed_train_cases()), ids=lambda case: case[0])
+def test_train_matches_the_parent_loop_bit_for_bit(case):
+    _, net, train_set, val_set, cfg, term = case
+    if val_set is None:
+        val_set = train_set[0][-12:], train_set[1][-12:]
+    cfg = replace(cfg, max_epochs=3, batch_size=24)
+    assert len(train_set[0]) % cfg.batch_size  # the last batch of every epoch is ragged
+    trained, history = train(net, train_set, val_set, cfg, physics=term)
+    expected, expected_history = _parent_train(net, train_set, val_set, cfg, term)
+    assert trained.theta.tobytes() == expected.theta.tobytes()
+    assert history.n_epochs() == 3
+    for name in ("train_loss", "val_loss", "data_loss", "physics_loss", "learning_rate"):
+        assert np.array_equal(getattr(history, name), getattr(expected_history, name)), name
 
 
 def test_parameters_are_views_of_one_vector_and_training_leaves_input_alone():

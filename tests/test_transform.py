@@ -9,7 +9,7 @@ from physproj.constraints import (
     normalize,
     sample_skewness,
 )
-from physproj.constraints.transform import denormalize_curvature_diag
+from physproj.constraints.transform import LN10, denormalize_curvature_diag, jacobian_diag_from_physical
 from physproj.errors import DegenerateFeatureError, ValidationError
 
 
@@ -96,6 +96,18 @@ def test_jacobian_diag_equals_its_power_form_bit_for_bit():
     assert denormalize_jacobian_diag(z, spec).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("spec", [spec_linear(), spec_mixed()], ids=["unflagged", "flagged"])
+def test_jacobian_diag_from_physical_is_the_where_formula_in_a_fresh_array(spec):
+    phys = denormalize(np.random.default_rng(3).uniform(-1.2, 1.2, size=(9, 2)), spec)
+    half = (spec.maxs - spec.mins) / 2.0
+    expected = np.where(spec.log_flags, half * LN10 * phys, half)
+    first, second = jacobian_diag_from_physical(phys, spec), jacobian_diag_from_physical(phys, spec)
+    assert first.tobytes() == expected.tobytes() and first.shape == expected.shape
+    assert first.flags.writeable and not np.shares_memory(first, second)
+    first[:] = 0.0
+    assert jacobian_diag_from_physical(phys, spec).tobytes() == expected.tobytes()
+
+
 def test_curvature_diag_matches_finite_differences():
     spec = spec_mixed()
     rng = np.random.default_rng(3)
@@ -148,6 +160,8 @@ def test_spec_json_round_trip():
     assert np.array_equal(clone.mins, spec.mins)
     assert np.array_equal(clone.maxs, spec.maxs)
     assert np.array_equal(clone.log_flags, spec.log_flags)
+    assert np.array_equal(clone.width, spec.maxs - spec.mins)
+    assert "width" not in spec.to_json()  # derived, so model files do not change
 
 
 def test_degenerate_spec_rejected():
