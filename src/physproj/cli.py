@@ -3,7 +3,7 @@
 Subcommands: gen-data, train, project, rollout, experiment. Every command
 accepts --config (flat JSON with ExperimentConfig keys), --seed and
 --out-dir overrides. Exit codes: 0 success, 1 configuration/validation
-error, 2 numerical failure.
+error or an output path that cannot be written, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,31 +15,26 @@ import sys
 import numpy as np
 
 from physproj import springmass
-from physproj.constraints import (
-    OUTPUT_NAMES,
-    EnergyConstraint,
-    LtpConstraints,
-    LtpSchema,
-    TransformSpec,
-    normalize,
-    write_ltp_csv,
-)
+from physproj.constraints import OUTPUT_NAMES, TransformSpec, normalize, write_ltp_csv
 from physproj.errors import PhysprojError, ProjectionError, TrainingDivergedError, ValidationError
 from physproj.nn import forward, load_network, save_network
 from physproj.pipeline.config import EXPERIMENT_KINDS, load_config
 from physproj.pipeline.csvio import write_csv, write_manifest, write_spring_dataset_csv, write_trajectory_csv
 from physproj.pipeline.experiments import (
+    PARAMS,
+    energy_projector,
     load_ltp_data,
     load_spring_data,
     prepare_ltp,
     prepare_spring,
+    project_predictions,
+    projection_rows,
     run_experiment,
     timed,
     train_ltp_net,
     train_spring_net,
 )
-from physproj.projector import ProjectionSpec, project_batch
-from physproj.springmass import STATE_NAMES, SpringParams
+from physproj.springmass import STATE_NAMES
 
 
 def cmd_gen_data(args, cfg) -> int:
@@ -85,14 +80,13 @@ def cmd_project(args, cfg) -> int:
     if out_spec is None:
         raise ValidationError(f"model file {args.model} carries no transform spec")
     # the test split is the experiments'; the transforms are the ones saved with the model
+    seconds = {}
     if args.system == "spring":
         x_test = prepare_spring(cfg).splits["test"][0]
         preds = forward(net, normalize(x_test, out_spec))
-        params = SpringParams()
-        # one constraint for the whole split, anchored per point at its input energy
-        constraint = EnergyConstraint(params, None, out_spec)
-        inputs = springmass.energy(x_test, params)[:, None]
-        tol = cfg.spring_projection_tol
+        projector = energy_projector(out_spec, springmass.energy(x_test, PARAMS), cfg.spring_projection_tol)
+        with timed(seconds, "projection_seconds"):  # each point onto the shell of its input's energy
+            result = projector(preds, slice(None))
         names = STATE_NAMES
     else:
         path = os.path.join(os.path.dirname(os.path.abspath(args.model)), "input_transform.json")
@@ -101,19 +95,12 @@ def cmd_project(args, cfg) -> int:
                 in_spec = TransformSpec.from_json(fh.read())
         except (OSError, KeyError, ValueError) as exc:
             raise ValidationError(f"cannot read the input transform saved with the model, {path}: {exc}") from exc
-        inputs = prepare_ltp(cfg).splits["test"][0]
-        preds = forward(net, normalize(inputs, in_spec))
-        constraint = LtpConstraints(LtpSchema(), out_spec)
-        tol = cfg.ltp_projection_tol
+        x_test = prepare_ltp(cfg).splits["test"][0]
+        preds = forward(net, normalize(x_test, in_spec))
+        with timed(seconds, "projection_seconds"):
+            result, _ = project_predictions(out_spec, preds, x_test, cfg.ltp_projection_tol)
         names = OUTPUT_NAMES
-    seconds = {}
-    with timed(seconds, "projection_seconds"):
-        results = project_batch(preds, constraint, inputs, ProjectionSpec(tolerance=tol))
-    item_seconds = seconds["projection_seconds"] / max(len(results), 1)
-    rows = [
-        (i, r.status, r.iterations, r.kkt_norm, item_seconds, *r.projected)
-        for i, r in enumerate(results)
-    ]
+    rows = ((*row, *p) for row, p in zip(projection_rows(result, seconds["projection_seconds"]), result.projected))
     write_csv(
         os.path.join(cfg.out_dir, "projected.csv"),
         ["index", "status", "iterations", "kkt_norm", "item_seconds", *names],
@@ -127,16 +114,10 @@ def cmd_rollout(args, cfg) -> int:
     net, spec = load_network(args.model)
     if spec is None:
         raise ValidationError(f"model file {args.model} carries no transform spec")
-    params = SpringParams()
     ic = np.asarray(cfg.spring_initial_state, dtype=np.float64)[None]
-    projector = None
-    if args.project:
-        constraint = EnergyConstraint(params, None, spec)
-        anchors = springmass.energy(ic, params)[:, None]
-        pspec = ProjectionSpec(tolerance=cfg.spring_projection_tol)
-        projector = lambda ys, active: project_batch(ys, constraint, anchors[active], pspec)
+    projector = energy_projector(spec, springmass.energy(ic, PARAMS), cfg.spring_projection_tol) if args.project else None
     result = springmass.rollout(
-        lambda z: forward(net, z), ic, cfg.spring_steps_single, spec, projector=projector, params=params
+        lambda z: forward(net, z), ic, cfg.spring_steps_single, spec, projector=projector, params=PARAMS
     )
     result.raise_failure()
     write_trajectory_csv(
@@ -199,7 +180,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out_dir})
         return COMMANDS[args.command](args, cfg)
-    except (ValidationError,) as exc:
+    except (ValidationError, OSError) as exc:  # OSError: an output path that cannot be made or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TrainingDivergedError, ProjectionError, np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -15,7 +15,6 @@ from physproj.constraints.sets import ConstraintSet, EnergyConstraint, LtpConstr
 from physproj.constraints.transform import (
     TransformSpec,
     denormalize,
-    denormalize_jacobian_diag,
     fit_transform,
     normalize,
     sample_skewness,
@@ -33,7 +32,6 @@ __all__ = [
     "LtpSchema",
     "TransformSpec",
     "denormalize",
-    "denormalize_jacobian_diag",
     "fit_transform",
     "generate_synthetic_ltp",
     "load_ltp_csv",

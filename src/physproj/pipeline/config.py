@@ -163,8 +163,8 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 values = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ValidationError(f"config file not found: {path}") from exc
+        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not UTF-8
+            raise ValidationError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(values, dict):

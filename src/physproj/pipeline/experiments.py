@@ -1,10 +1,11 @@
-"""The six experiments, and the builders every physproj command trains through.
+"""The six experiments, and the builders every physproj command trains and projects through.
 
 ``run_experiment`` takes an ExperimentConfig, writes manifest.txt plus the
 experiment's CSV artifacts into config.out_dir, and returns a MetricsReport.
 ``prepare_spring``/``prepare_ltp`` turn a config into data, splits and
-feature transforms, and ``train_spring_net``/``train_ltp_net`` train one
-network on them; the CLI calls the same functions. All randomness flows
+feature transforms, ``train_spring_net``/``train_ltp_net`` train one
+network on them, and ``energy_projector``/``project_predictions`` project
+onto each law set; the CLI calls the same functions. All randomness flows
 from config.seed through fixed offsets (dataset, split, per-model training,
 initial conditions, resamples), so reruns with the same config produce
 byte-identical CSVs apart from *_seconds columns. Every *_seconds value
@@ -282,6 +283,28 @@ def _train_ltp_model(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics
     return _ensemble([train_ltp_net(ctx, cfg, seed + i, physics)[0] for i in range(cfg.ltp_n_members)])
 
 
+def energy_projector(out_spec: TransformSpec, anchors: np.ndarray, tol: float):
+    """The ``projector(ys, rows)`` that ``springmass.rollout`` takes: it projects the
+    normalized spring states ``ys`` at tolerance ``tol``, each onto the energy
+    shell of its own anchor in ``anchors[rows]`` (J). One constraint serves every anchor."""
+    constraint = EnergyConstraint(PARAMS, None, out_spec)
+    pspec = ProjectionSpec(tolerance=tol)
+    return lambda ys, rows: project_batch(ys, constraint, anchors[rows, None], pspec)
+
+
+def project_predictions(out_spec: TransformSpec, preds: np.ndarray, x_phys: np.ndarray, tol: float, laws=(0, 1, 2)):
+    """Normalized LTP predictions projected onto the laws ``laws`` at the physical inputs
+    ``x_phys``: the ProjectionResult, and the mask of converged points."""
+    result = project_batch(preds, LtpConstraints(SCHEMA, out_spec, laws=laws), x_phys, ProjectionSpec(tolerance=tol))
+    return result, result.status == CONVERGED
+
+
+def projection_rows(result, seconds: float):
+    """Rows (index, status, iterations, kkt_norm, item_seconds) of a batch ``result`` projected in ``seconds``."""
+    n = len(result.status)
+    return zip(range(n), result.status, result.iterations, result.kkt_norm, [seconds / max(n, 1)] * n)
+
+
 # ---------------------------------------------------------------------------
 # spring-mass experiments
 
@@ -297,10 +320,7 @@ def _spring_task(ctx: DataContext, cfg: ExperimentConfig, physics: bool, initial
     with timed(seconds, "training"):
         net, _ = train_spring_net(ctx, cfg, physics)
     with timed(seconds, "rollout"):
-        anchors = springmass.energy(initial_states, PARAMS)
-        constraint = EnergyConstraint(PARAMS, None, ctx.out_spec)
-        pspec = ProjectionSpec(tolerance=cfg.spring_projection_tol)
-        projector = lambda ys, active: project_batch(ys, constraint, anchors[active, None], pspec)
+        projector = energy_projector(ctx.out_spec, springmass.energy(initial_states, PARAMS), cfg.spring_projection_tol)
         model_fn = lambda z: forward(net, z)
         plain = springmass.rollout(model_fn, initial_states, n_steps, ctx.out_spec, params=PARAMS)
         projected = springmass.rollout(model_fn, initial_states, n_steps, ctx.out_spec, projector=projector, params=PARAMS)
@@ -438,14 +458,6 @@ def run_spring_many(cfg: ExperimentConfig) -> MetricsReport:
 # low-temperature plasma experiments
 
 
-def _project_predictions(ctx: DataContext, preds: np.ndarray, x_phys: np.ndarray, tol: float, laws=(0, 1, 2)):
-    constraint = LtpConstraints(SCHEMA, ctx.out_spec, laws=laws)
-    results = project_batch(preds, constraint, x_phys, ProjectionSpec(tolerance=tol))
-    projected = np.stack([r.projected for r in results])
-    converged = np.array([r.status == CONVERGED for r in results])
-    return projected, converged, results
-
-
 def _per_output_rmse_rows(model: str, pred_norm, y_norm, y_phys, out_spec, mask=None):
     """Rows (model, output, rmse_normalized, rmse_physical); mask selects samples."""
     if mask is not None:
@@ -480,15 +492,11 @@ def run_ltp_compare(cfg: ExperimentConfig) -> MetricsReport:
     with timed(seconds, "projection_seconds"):
         for name in ("nn", "pinn"):
             with timed(batch_seconds, name):
-                projected, converged, results = _project_predictions(ctx, preds[name], x_test, cfg.ltp_projection_tol)
-            preds[name + "_projection"] = projected
+                result, converged = project_predictions(ctx.out_spec, preds[name], x_test, cfg.ltp_projection_tol)
+            preds[name + "_projection"] = result.projected
             masks[name + "_projection"] = converged
             report.n_nonconverged += int((~converged).sum())
-            item_seconds = batch_seconds[name] / max(len(results), 1)
-            status_rows.extend(
-                (name + "_projection", i, r.status, r.iterations, r.kkt_norm, item_seconds)
-                for i, r in enumerate(results)
-            )
+            status_rows.extend((name + "_projection", *row) for row in projection_rows(result, batch_seconds[name]))
     write_csv(
         os.path.join(cfg.out_dir, "projection_status.csv"),
         ["model", "index", "status", "iterations", "kkt_norm", "item_seconds"],
@@ -528,7 +536,8 @@ def run_ltp_compare(cfg: ExperimentConfig) -> MetricsReport:
         if laws == (0, 1, 2):  # the full law set is the nn_projection model above
             projected, converged = preds["nn_projection"], masks["nn_projection"]
         else:
-            projected, converged, _ = _project_predictions(ctx, preds["nn"], x_test, cfg.ltp_projection_tol, laws)
+            result, converged = project_predictions(ctx.out_spec, preds["nn"], x_test, cfg.ltp_projection_tol, laws)
+            projected = result.projected
         rows, _ = _per_output_rmse_rows(variant, projected, yn_test, y_test, ctx.out_spec, converged)
         ablation_rows.extend((variant, output, value_norm) for _, output, value_norm, _ in rows)
     write_csv(
@@ -562,10 +571,10 @@ def _trend_rows(ctx: DataContext, cfg: ExperimentConfig, predict_fn):
     )
     ne_idx = SCHEMA.idx("ne")
     pred = predict_fn(normalize(grid, ctx.in_spec))
-    projected, converged, _ = _project_predictions(ctx, pred, grid, cfg.ltp_projection_tol)
+    result, converged = project_predictions(ctx.out_spec, pred, grid, cfg.ltp_projection_tol)
     truth = synthetic_outputs(grid)[:, ne_idx]
     pred_phys = denormalize(pred, ctx.out_spec)[:, ne_idx]
-    proj_phys = denormalize(projected, ctx.out_spec)[:, ne_idx]
+    proj_phys = denormalize(result.projected, ctx.out_spec)[:, ne_idx]
     return list(zip(grid[:, 0], truth, pred_phys, proj_phys, converged.astype(int)))
 
 
@@ -573,9 +582,9 @@ def _score(ctx: DataContext, cfg: ExperimentConfig, predict):
     """Mean-17 and focus-3 normalized test RMSEs before and after projection, and the non-converged count."""
     xn_test, yn_test = ctx.norm["test"]
     pred = predict(xn_test)
-    projected, converged, _ = _project_predictions(ctx, pred, ctx.splits["test"][0], cfg.ltp_projection_tol)
+    result, converged = project_predictions(ctx.out_spec, pred, ctx.splits["test"][0], cfg.ltp_projection_tol)
     nn_rmse = rmse(pred, yn_test, per_output=True)
-    proj_rmse = rmse(projected[converged], yn_test[converged], per_output=True)
+    proj_rmse = rmse(result.projected[converged], yn_test[converged], per_output=True)
     focus = [SCHEMA.idx(name) for name in FOCUS_OUTPUTS]
     return (nn_rmse.mean(), proj_rmse.mean(), nn_rmse[focus].mean(), proj_rmse[focus].mean()), int((~converged).sum())
 
@@ -696,7 +705,7 @@ def run_timing(cfg: ExperimentConfig) -> MetricsReport:
     extra = generate_synthetic_ltp(cfg.timing_n_test, cfg.seed + 60)[0] if ctx.synthetic else ctx.splits["test"][0]
     preds = predict(normalize(extra, ctx.in_spec))
     with timed(seconds, "projection_seconds"):
-        _, converged, _ = _project_predictions(ctx, preds, extra, cfg.ltp_projection_tol)
+        _, converged = project_predictions(ctx.out_spec, preds, extra, cfg.ltp_projection_tol)
     report.n_nonconverged = int((~converged).sum())
 
     base = seconds["data_generation_seconds"] + seconds["training_seconds"] + seconds["inference_seconds"]

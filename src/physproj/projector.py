@@ -74,11 +74,13 @@ class ProjectionSpec:
 
 @dataclass
 class ProjectionResult:
-    projected: np.ndarray
-    multipliers: np.ndarray
-    iterations: int
-    kkt_norm: float
-    status: str
+    """One point's projection (``project``), or a batch's with one row per point (``project_batch``)."""
+
+    projected: np.ndarray  # (dim,) or (n, dim): the returned iterate, normalized
+    multipliers: np.ndarray  # (m,) or (n, m): its least-squares multipliers, 0 where none was estimated
+    iterations: int | np.ndarray  # or (n,) int: restoration plus Newton steps
+    kkt_norm: float | np.ndarray  # or (n,) float: max of the stationarity and feasibility norms, inf if never checked
+    status: str | np.ndarray  # or (n,) of str: CONVERGED, MAX_ITERATIONS, SINGULAR_SYSTEM or NONFINITE_INPUT
 
 
 def kkt_residual(p, lam, y, constraint_set, input_x, spec: ProjectionSpec) -> tuple[float, float]:
@@ -194,11 +196,13 @@ def project(y, constraint_set, input_x=None, spec: ProjectionSpec = ProjectionSp
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or not np.all(np.isfinite(y)):
         raise ValidationError("y must be a finite vector")
-    return project_batch(y[None, :], constraint_set, input_x, spec)[0]
+    r = project_batch(y[None, :], constraint_set, input_x, spec)
+    return ProjectionResult(r.projected[0], r.multipliers[0], int(r.iterations[0]), float(r.kkt_norm[0]), str(r.status[0]))
 
 
-def project_batch(ys, constraint_set, inputs_x=None, spec: ProjectionSpec = ProjectionSpec()) -> list[ProjectionResult]:
-    """Independent projections in input order; failures never abort the batch.
+def project_batch(ys, constraint_set, inputs_x=None, spec: ProjectionSpec = ProjectionSpec()) -> ProjectionResult:
+    """Independent projections of the rows of ``ys``: one ProjectionResult whose
+    fields hold a row per point, in input order. Failures never abort the batch.
 
     Row i of ``inputs_x`` is the constraint input of point i. A point whose
     y is not finite comes back unchanged with status ``nonfinite_input``,
@@ -211,9 +215,9 @@ def project_batch(ys, constraint_set, inputs_x=None, spec: ProjectionSpec = Proj
     if xs is not None and len(xs) != len(ys):
         raise ValidationError("inputs_x length does not match ys")
     size = max(1, _BLOCK_BYTES // (_POINT_MATRICES * 8 * (ys.shape[1] + constraint_set.residual_dim) ** 2))
-    blocks = (_project_block(ys[lo : lo + size], None if xs is None else xs[lo : lo + size], constraint_set, spec)
-              for lo in range(0, len(ys), size))
-    return [ProjectionResult(*row) for block in blocks for row in zip(*block)]
+    blocks = [_project_block(ys[lo : lo + size], None if xs is None else xs[lo : lo + size], constraint_set, spec)
+              for lo in range(0, max(len(ys), 1), size)]  # an empty batch is one empty block
+    return ProjectionResult(*(np.concatenate(field) for field in zip(*blocks)))
 
 
 def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
@@ -376,4 +380,4 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
     best_p[broken], best_lam[broken], best_kkt[broken] = ys[broken], 0.0, np.inf
     iterations[broken], status[broken] = 0, SINGULAR_SYSTEM
     status[nonfinite] = NONFINITE_INPUT
-    return best_p, best_lam, iterations.tolist(), best_kkt.tolist(), status
+    return best_p, best_lam, iterations, best_kkt, status

@@ -209,8 +209,9 @@ def rollout(
     ``initial_states`` is (n, 4). Each step makes one ``model_fn`` call on
     the normalized (k, 4) states still running, and ``projector(ys_norm,
     active)`` gets their predictions with their indices into the batch and
-    returns k ProjectionResults. A trajectory leaves the batch at its first
-    failed projection, which is recorded in the result.
+    returns one ProjectionResult with k rows, as ``project_batch`` does. A
+    trajectory leaves the batch at its first failed projection, which is
+    recorded in the result.
 
     The projection output (still normalized) replaces the raw prediction
     before de-normalizing and feeding back; its anchor should be each
@@ -231,11 +232,11 @@ def rollout(
             break
         y = np.asarray(model_fn(normalize(states[step - 1, active], transform)), dtype=np.float64)
         if projector is not None:
-            results = projector(y, active)
-            ok = np.array([r.status == CONVERGED for r in results])
+            result = projector(y, active)
+            ok = result.status == CONVERGED
             failed_step[active[~ok]] = step
-            failed_status[active[~ok]] = [results[i].status for i in np.flatnonzero(~ok)]
-            y = np.stack([r.projected for r in results])[ok]
+            failed_status[active[~ok]] = result.status[~ok]
+            y = result.projected[ok]
             active = active[ok]
         states[step, active] = denormalize(y, transform)
     return RolloutResult(states, energy(states, params), failed_step, failed_status)

@@ -11,7 +11,14 @@ from physproj.cli import main as cli_main
 from physproj.errors import PhysprojError, ProjectionError, ValidationError
 from physproj.nn import forward, load_network, save_network, xavier_init
 from physproj.pipeline import ExperimentConfig, experiments, load_config, run_experiment
-from physproj.pipeline.experiments import _train_ltp_model, load_spring_data, prepare_ltp, run_parallel, train_ltp_net
+from physproj.pipeline.experiments import (
+    _train_ltp_model,
+    load_spring_data,
+    prepare_ltp,
+    prepare_spring,
+    run_parallel,
+    train_ltp_net,
+)
 from physproj.pipeline.csvio import load_spring_dataset_csv, write_spring_dataset_csv
 from physproj.pipeline.metrics import improvement_rates, rmse, rmse_variation_rate, split_dataset
 from physproj.projector import CONVERGED
@@ -538,6 +545,39 @@ def test_cli_full_round_trip(tmp_path):
     with open(tmp_path / "pl" / "projected.csv") as fh:
         header = fh.readline().strip().split(",")
     assert header[:5] == ["index", "status", "iterations", "kkt_norm", "item_seconds"]
+    _assert_projected_csv_is_a_direct_projection(tmp_path, load_config(cfg), model, ltp_model)
+
+
+def _assert_projected_csv_is_a_direct_projection(tmp_path, cfg, spring_model, ltp_model):
+    """Every cell of the CLI's projected.csv files outside item_seconds is the row of a direct project_batch call."""
+    from physproj import springmass as sm
+    from physproj.constraints import OUTPUT_NAMES, EnergyConstraint, LtpConstraints, LtpSchema, TransformSpec, normalize
+    from physproj.pipeline.csvio import fmt
+    from physproj.projector import ProjectionSpec, project_batch
+
+    net, spec = load_network(spring_model)
+    x_test = prepare_spring(cfg).splits["test"][0]
+    params = sm.SpringParams()
+    spring = project_batch(
+        forward(net, normalize(x_test, spec)),
+        EnergyConstraint(params, None, spec),
+        sm.energy(x_test, params)[:, None],
+        ProjectionSpec(tolerance=cfg.spring_projection_tol),
+    )
+    net, out_spec = load_network(ltp_model)
+    in_spec = TransformSpec.from_json((tmp_path / "ml" / "input_transform.json").read_text())
+    x_test = prepare_ltp(cfg).splits["test"][0]
+    ltp = project_batch(
+        forward(net, normalize(x_test, in_spec)),
+        LtpConstraints(LtpSchema(), out_spec),
+        x_test,
+        ProjectionSpec(tolerance=cfg.ltp_projection_tol),
+    )
+    for out, names, result in (("ps", sm.STATE_NAMES, spring), ("pl", OUTPUT_NAMES, ltp)):
+        rows = zip(range(len(result.status)), result.status, result.iterations, result.kkt_norm, *result.projected.T)
+        expected = [",".join(["index", "status", "iterations", "kkt_norm", *names])]
+        expected += [",".join(fmt(v) for v in row) for row in rows]
+        assert len(expected) > 1 and _strip_time_columns(tmp_path / out / "projected.csv") == "\n".join(expected)
 
 
 def test_cli_experiment_and_manifest(tmp_path):
@@ -571,6 +611,23 @@ def test_cli_validation_exit_code(tmp_path):
     ltp_csv.write_text("P,I,R\n1,abc,3\n")
     cfg = _write_cfg(tmp_path, {"ltp_dataset_csv": str(ltp_csv)})
     assert cli_main(["experiment", "timing", "--config", cfg, "--out-dir", str(tmp_path / "l")]) == 1
+
+
+@pytest.mark.parametrize("case", ["config_is_a_directory", "config_not_utf8", "out_dir_under_a_file"])
+def test_cli_unreadable_config_or_unwritable_out_dir_exit_code(tmp_path, capsys, case):
+    cfg, out = _write_cfg(tmp_path), tmp_path / "o"
+    if case == "config_is_a_directory":
+        cfg = str(tmp_path)
+    elif case == "config_not_utf8":
+        (tmp_path / "latin1.json").write_bytes('{"out_dir": "r\xe9sultats"}'.encode("latin-1"))
+        cfg = str(tmp_path / "latin1.json")
+    else:
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "o"
+    capsys.readouterr()
+    assert cli_main(["gen-data", "spring", "--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("error::UserWarning")  # no numpy warning above the error line

@@ -149,9 +149,9 @@ def test_duplicated_law_converges_to_the_single_law_projection():
 
     ys = np.random.default_rng(8).uniform(-2.0, 2.0, (200, 2))
     pspec = ProjectionSpec(tolerance=1e-10)
-    for once, twice in zip(project_batch(ys, Circle(), None, pspec), project_batch(ys, TwoCircles(), None, pspec)):
-        assert once.status == twice.status == CONVERGED
-        assert np.abs(twice.projected - once.projected).max() <= 1e-9
+    once, twice = project_batch(ys, Circle(), None, pspec), project_batch(ys, TwoCircles(), None, pspec)
+    assert np.all(once.status == CONVERGED) and np.all(twice.status == CONVERGED)
+    assert np.abs(twice.projected - once.projected).max() <= 1e-9
 
 
 def test_determinism():
@@ -187,9 +187,8 @@ def test_batch_order_preserved_and_permutation_equivariant():
     results = project_batch(ys, cs, None, pspec)
     perm = rng.permutation(20)
     permuted = project_batch(ys[perm], cs, None, pspec)
-    for i, j in enumerate(perm):
-        assert np.array_equal(permuted[i].projected, results[j].projected)
-        assert permuted[i].iterations == results[j].iterations
+    assert np.array_equal(permuted.projected, results.projected[perm])
+    assert np.array_equal(permuted.iterations, results.iterations[perm])
 
 
 def test_batch_isolates_per_item_failures():
@@ -201,12 +200,9 @@ def test_batch_isolates_per_item_failures():
 
     ys = np.array([[0.7], [11.0], [0.2], [np.nan]])
     results = project_batch(ys, Fragile(), None, ProjectionSpec(tolerance=1e-10))
-    assert results[0].status == CONVERGED
-    assert results[1].status == SINGULAR_SYSTEM
-    assert results[2].status == CONVERGED
-    assert results[1].projected[0] == 11.0  # untouched input returned
-    assert results[3].status == NONFINITE_INPUT
-    assert np.isnan(results[3].projected[0]) and results[3].iterations == 0
+    assert list(results.status) == [CONVERGED, SINGULAR_SYSTEM, CONVERGED, NONFINITE_INPUT]
+    assert results.projected[1, 0] == 11.0  # untouched input returned
+    assert np.isnan(results.projected[3, 0]) and results.iterations[3] == 0
 
 
 def test_singular_constraint_reports_status():
@@ -237,11 +233,30 @@ def test_converged_kkt_norm_below_tolerance():
             assert stat <= tol and feas <= tol
 
 
-def _assert_same_result(a, b):
-    assert a.status == b.status and a.iterations == b.iterations
-    assert np.array_equal(a.projected, b.projected)
-    assert np.array_equal(a.multipliers, b.multipliers)
-    assert a.kkt_norm == b.kkt_norm
+def _assert_same_result(a, batch, i):
+    """``project``'s result ``a`` equals row ``i`` of the batch result ``batch``, and has scalar types."""
+    assert (type(a.iterations), type(a.kkt_norm), type(a.status)) == (int, float, str)
+    assert a.status == batch.status[i] and a.iterations == batch.iterations[i]
+    assert np.array_equal(a.projected, batch.projected[i])
+    assert np.array_equal(a.multipliers, batch.multipliers[i])
+    assert a.kkt_norm == batch.kkt_norm[i]
+
+
+def test_batch_result_holds_one_row_per_point():
+    cs, _ = energy_constraint(anchor=None)
+    pspec = ProjectionSpec(tolerance=1e-8)
+    empty = project_batch(np.zeros((0, 4)), cs, np.zeros((0, 1)), pspec)
+    assert (empty.projected.shape, empty.multipliers.shape) == ((0, 4), (0, 1))
+    assert empty.iterations.shape == empty.kkt_norm.shape == empty.status.shape == (0,)
+    rng = np.random.default_rng(9)
+    ys, anchors = rng.uniform(-1.5, 1.5, (7, 4)), rng.uniform(0.2, 4.5, (7, 1))
+    batch = project_batch(ys, cs, anchors, pspec)
+    assert (batch.projected.shape, batch.multipliers.shape) == ((7, 4), (7, 1))
+    assert batch.iterations.shape == batch.kkt_norm.shape == batch.status.shape == (7,)
+    assert np.issubdtype(batch.iterations.dtype, np.integer) and batch.kkt_norm.dtype == np.float64
+    assert all(type(status) is str for status in batch.status)
+    for y, anchor in zip(ys, anchors):  # project(y) is row 0 of y's own one-point batch
+        _assert_same_result(project(y, cs, anchor, pspec), project_batch(y[None], cs, anchor[None], pspec), 0)
 
 
 def test_project_equals_batch_row_bit_for_bit_on_energy_shell():
@@ -250,8 +265,8 @@ def test_project_equals_batch_row_bit_for_bit_on_energy_shell():
     ys = np.concatenate([rng.uniform(-1.2, 1.2, (30, 4)), rng.uniform(-4.0, 4.0, (10, 4))])
     pspec = ProjectionSpec(tolerance=1e-8)
     batch = project_batch(ys, cs, None, pspec)
-    for y, result in zip(ys, batch):
-        _assert_same_result(project(y, cs, None, pspec), result)
+    for i, y in enumerate(ys):
+        _assert_same_result(project(y, cs, None, pspec), batch, i)
 
 
 def _noisy_ltp_batch():
@@ -284,8 +299,8 @@ def test_project_equals_batch_row_bit_for_bit_on_ltp_laws(monkeypatch):
         for budget in (whole, 5 * point_bytes):
             monkeypatch.setattr(projector, "_BLOCK_BYTES", budget)
             batch = project_batch(ys, cs, x, pspec)
-            for i, result in enumerate(batch):
-                _assert_same_result(project(ys[i], cs, x[i], pspec), result)
+            for i in range(len(ys)):
+                _assert_same_result(project(ys[i], cs, x[i], pspec), batch, i)
 
 
 def test_each_ltp_iterate_is_evaluated_once(monkeypatch):
@@ -298,7 +313,7 @@ def test_each_ltp_iterate_is_evaluated_once(monkeypatch):
     rows = []
     monkeypatch.setattr(sets, "denormalize", lambda p, s: rows.append(len(p)) or denormalize(p, s))
     batch = project_batch(ys, LtpConstraints(LtpSchema(), spec), x, ProjectionSpec(tolerance=1e-8))
-    iterations = sum(r.iterations for r in batch)
+    iterations = batch.iterations.sum()
     # evaluating the residual again at every iterate, and the start apart from
     # its Jacobian, de-normalized 519 rows for the same 24 solves
     assert iterations == 117 and sum(rows) == 330
@@ -315,10 +330,10 @@ def test_restoration_and_newton_steps_share_the_iteration_budget():
     census = {}
     for budget in (1, 2, 3, 4, 6, 10, 100):
         batch = project_batch(ys, cs, x, ProjectionSpec(tolerance=1e-8, max_iterations=budget))
-        assert all(r.iterations <= budget for r in batch)
-        assert all(r.iterations == budget for r in batch if r.status == MAX_ITERATIONS)
-        statuses = Counter(r.status for r in batch)
-        census[budget] = (statuses[MAX_ITERATIONS], statuses[CONVERGED], sum(r.iterations for r in batch))
+        assert np.all(batch.iterations <= budget)
+        assert np.all(batch.iterations[batch.status == MAX_ITERATIONS] == budget)
+        statuses = Counter(batch.status)
+        census[budget] = (statuses[MAX_ITERATIONS], statuses[CONVERGED], batch.iterations.sum())
     assert census == {
         1: (24, 0, 24),
         2: (24, 0, 48),
@@ -340,8 +355,8 @@ def test_far_from_manifold_ltp_starts():
     ctx = prepare_ltp(ExperimentConfig(kind="ltp-compare", seed=0))
     ys = ctx.norm["train"][1][:200] + np.random.default_rng(0).normal(0.0, 0.8, (200, 17))
     batch = project_batch(ys, LtpConstraints(LtpSchema(), ctx.out_spec), ctx.splits["train"][0][:200], ProjectionSpec())
-    assert Counter(r.status for r in batch) == {CONVERGED: 170, MAX_ITERATIONS: 16, SINGULAR_SYSTEM: 14}
-    assert sum(r.iterations for r in batch) == 3320
+    assert Counter(batch.status) == {CONVERGED: 170, MAX_ITERATIONS: 16, SINGULAR_SYSTEM: 14}
+    assert batch.iterations.sum() == 3320
 
 
 def test_point_leaving_before_its_first_kkt_check_returns_its_restored_iterate():
@@ -381,11 +396,11 @@ def test_batch_isolates_points_whose_constraint_raises_mid_solve():
     pspec = ProjectionSpec(tolerance=1e-10)
     batch = project_batch(ys, FragileCircle(), None, pspec)
     assert 3 in FragileCircle.refused
-    for y, result in zip(ys, batch):
-        _assert_same_result(project(y, FragileCircle(), None, pspec), result)
-    assert [r.status for r in batch] == [CONVERGED] * 3 + [SINGULAR_SYSTEM]
-    assert np.allclose(batch[1].projected, [1.0, 0.0], atol=1e-8)
-    assert np.array_equal(batch[3].projected, ys[3])
+    for i, y in enumerate(ys):
+        _assert_same_result(project(y, FragileCircle(), None, pspec), batch, i)
+    assert list(batch.status) == [CONVERGED] * 3 + [SINGULAR_SYSTEM]
+    assert np.allclose(batch.projected[1], [1.0, 0.0], atol=1e-8)
+    assert np.array_equal(batch.projected[3], ys[3])
 
 
 def test_energy_anchors_per_point_match_one_constraint_per_point():
@@ -395,5 +410,5 @@ def test_energy_anchors_per_point_match_one_constraint_per_point():
     anchors = rng.uniform(0.2, 4.5, 12)
     pspec = ProjectionSpec(tolerance=1e-8)
     batch = project_batch(ys, EnergyConstraint(PARAMS, None, spec), anchors[:, None], pspec)
-    for y, anchor, result in zip(ys, anchors, batch):
-        _assert_same_result(project(y, EnergyConstraint(PARAMS, anchor, spec), None, pspec), result)
+    for i, (y, anchor) in enumerate(zip(ys, anchors)):
+        _assert_same_result(project(y, EnergyConstraint(PARAMS, anchor, spec), None, pspec), batch, i)

@@ -119,11 +119,12 @@ def test_result_is_independent_of_batch_and_block(problem, data):
     with mock.patch.object(projector, "_BLOCK_BYTES", per_block * point_bytes):
         blocked = project_batch(ys[order], cs, None, SPEC)
     whole = project_batch(ys, cs, None, SPEC)
-    for result, i in [*zip(blocked, order), *zip(whole, range(len(ys)))]:
-        assert result.projected.tobytes() == alone[i].projected.tobytes()
-        assert result.multipliers.tobytes() == alone[i].multipliers.tobytes()
-        assert (result.iterations, result.status) == (alone[i].iterations, alone[i].status)
-        assert np.float64(result.kkt_norm).tobytes() == np.float64(alone[i].kkt_norm).tobytes()
+    for batch, rows in ((blocked, order), (whole, range(len(ys)))):
+        for row, i in enumerate(rows):
+            assert batch.projected[row].tobytes() == alone[i].projected.tobytes()
+            assert batch.multipliers[row].tobytes() == alone[i].multipliers.tobytes()
+            assert (batch.iterations[row], batch.status[row]) == (alone[i].iterations, alone[i].status)
+            assert batch.kkt_norm[row].tobytes() == np.float64(alone[i].kkt_norm).tobytes()
 
 
 @st.composite

@@ -230,10 +230,14 @@ def test_rollout_surfaces_projection_failure_step():
     spec = _state_spec()
 
     def failing_projector(ys, active):
-        return [
-            ProjectionResult(projected=y, multipliers=np.zeros(1), iterations=0, kkt_norm=np.inf, status="max_iterations")
-            for y in ys
-        ]
+        n = len(ys)
+        return ProjectionResult(
+            projected=ys,
+            multipliers=np.zeros((n, 1)),
+            iterations=np.zeros(n, dtype=int),
+            kkt_norm=np.full(n, np.inf),
+            status=np.full(n, "max_iterations", dtype=object),
+        )
 
     result = sm.rollout(lambda z: z, PAPER_IC[None], 5, spec, projector=failing_projector, params=PARAMS)
     assert np.all(np.isnan(result.states[1:]))

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from physproj.constraints import (
-    TransformSpec,
-    denormalize,
+from physproj.constraints import TransformSpec, denormalize, fit_transform, normalize, sample_skewness
+from physproj.constraints.transform import (
+    LN10,
+    denormalize_curvature_diag,
     denormalize_jacobian_diag,
-    fit_transform,
-    normalize,
-    sample_skewness,
+    jacobian_diag_from_physical,
 )
-from physproj.constraints.transform import LN10, denormalize_curvature_diag, jacobian_diag_from_physical
 from physproj.errors import DegenerateFeatureError, ValidationError
 
 
