@@ -15,11 +15,11 @@ import sys
 import numpy as np
 
 from physproj import springmass
-from physproj.constraints import OUTPUT_NAMES, TransformSpec, normalize, write_ltp_csv
+from physproj.constraints import OUTPUT_NAMES, TransformSpec, normalize
 from physproj.errors import PhysprojError, ProjectionError, TrainingDivergedError, ValidationError
 from physproj.nn import forward, load_network, save_network
 from physproj.pipeline.config import EXPERIMENT_KINDS, load_config
-from physproj.pipeline.csvio import write_csv, write_manifest, write_spring_dataset_csv, write_trajectory_csv
+from physproj.pipeline.csvio import write_csv, write_ltp_csv, write_manifest, write_spring_dataset_csv, write_trajectory_csv
 from physproj.pipeline.experiments import (
     PARAMS,
     energy_projector,
@@ -77,8 +77,6 @@ def cmd_train(args, cfg) -> int:
 def cmd_project(args, cfg) -> int:
     write_manifest(cfg.out_dir, cfg.items())
     net, out_spec = load_network(args.model)
-    if out_spec is None:
-        raise ValidationError(f"model file {args.model} carries no transform spec")
     # the test split is the experiments'; the transforms are the ones saved with the model
     seconds = {}
     if args.system == "spring":
@@ -112,8 +110,6 @@ def cmd_project(args, cfg) -> int:
 def cmd_rollout(args, cfg) -> int:
     write_manifest(cfg.out_dir, cfg.items())
     net, spec = load_network(args.model)
-    if spec is None:
-        raise ValidationError(f"model file {args.model} carries no transform spec")
     ic = np.asarray(cfg.spring_initial_state, dtype=np.float64)[None]
     projector = energy_projector(spec, springmass.energy(ic, PARAMS), cfg.spring_projection_tol) if args.project else None
     result = springmass.rollout(

@@ -8,8 +8,6 @@ from physproj.constraints.ltp import (
     TORR_TO_PA,
     LtpSchema,
     generate_synthetic_ltp,
-    load_ltp_csv,
-    write_ltp_csv,
 )
 from physproj.constraints.sets import ConstraintSet, EnergyConstraint, LtpConstraints
 from physproj.constraints.transform import (
@@ -34,8 +32,6 @@ __all__ = [
     "denormalize",
     "fit_transform",
     "generate_synthetic_ltp",
-    "load_ltp_csv",
     "normalize",
     "sample_skewness",
-    "write_ltp_csv",
 ]

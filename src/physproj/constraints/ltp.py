@@ -1,4 +1,4 @@
-"""Low-temperature oxygen plasma: schema, synthetic data, and CSV loading.
+"""Low-temperature oxygen plasma: schema, physical constants and synthetic data.
 
 The surrogate maps 3 discharge settings (pressure, current, tube radius) to
 17 steady-state outputs (12 species densities, two gas temperatures, the
@@ -6,13 +6,12 @@ reduced electric field, the electron drift velocity and temperature). The
 synthetic generator below replaces the external chemistry simulation: it
 draws inputs uniformly over the operating box and builds smooth output maps
 that satisfy the pressure, current and quasi-neutrality laws exactly, so
-constraint residuals on generated data are zero to rounding.
+constraint residuals on generated data are zero to rounding. The dataset
+CSV format, for generated and external data alike, is in
+:mod:`physproj.pipeline.csvio`.
 """
 
 from __future__ import annotations
-
-import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,35 +49,20 @@ I_RANGE = (5e-3, 50e-3)
 R_RANGE = (4e-3, 20e-3)
 
 
-@dataclass(frozen=True)
 class LtpSchema:
-    """Vector layouts and the species index sets the physical laws refer to."""
+    """Output layout and the species index sets the physical laws refer to."""
 
-    input_names: tuple[str, ...] = INPUT_NAMES
-    output_names: tuple[str, ...] = OUTPUT_NAMES
-    electron: str = "ne"
-    positive_ions: tuple[str, ...] = ("O2_plus", "O_plus")
-    negative_ions: tuple[str, ...] = ("O_minus",)
-
-    def __post_init__(self):
-        charged = set(self.positive_ions) | set(self.negative_ions)
-        if len(charged) != len(self.positive_ions) + len(self.negative_ions):
-            raise ValidationError("positive and negative ion sets must be disjoint")
-        for name in charged | {self.electron}:
-            if name not in self.output_names:
-                raise ValidationError(f"unknown output '{name}' in schema index sets")
+    output_names = OUTPUT_NAMES
+    electron = "ne"
+    positive_ions = ("O2_plus", "O_plus")
+    negative_ions = ("O_minus",)
 
     def idx(self, name: str) -> int:
         return self.output_names.index(name)
 
-    @property
-    def heavy_species(self) -> tuple[str, ...]:
-        """All species except electrons: neutrals plus ions (11 names)."""
-        species = self.output_names[:12]
-        return tuple(s for s in species if s != self.electron)
-
     def heavy_indices(self) -> np.ndarray:
-        return np.array([self.idx(s) for s in self.heavy_species])
+        """All species except electrons: neutrals plus ions (11 indices)."""
+        return np.array([self.idx(s) for s in self.output_names[:12] if s != self.electron])
 
     def positive_indices(self) -> np.ndarray:
         return np.array([self.idx(s) for s in self.positive_ions])
@@ -157,53 +141,3 @@ def generate_synthetic_ltp(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("n must be >= 1")
     inputs = sample_inputs(n, np.random.default_rng(seed))
     return inputs, synthetic_outputs(inputs)
-
-
-def write_ltp_csv(path, inputs: np.ndarray, outputs: np.ndarray) -> None:
-    """Dataset CSV in schema order, SI units, 17-significant-digit rendering."""
-    header = ",".join(INPUT_NAMES + OUTPUT_NAMES)
-    rows = np.hstack([np.atleast_2d(inputs), np.atleast_2d(outputs)])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
-
-def load_ltp_csv(path, column_map: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Load a dataset CSV, optionally remapping third-party column layouts.
-
-    ``column_map`` translates external files: for each schema name it may
-    give {"column": source-column-name, "scale": unit-conversion-factor}.
-    Missing map entries fall back to the schema name with scale 1, so files
-    written by :func:`write_ltp_csv` load with no map at all.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ValidationError(f"malformed dataset csv {path}: {exc}") from exc
-    if not len(data):
-        raise ValidationError(f"dataset csv {path} has no data rows")
-    if data.shape[1] < len(header):
-        raise ValidationError(f"dataset csv {path} needs rows of {len(header)} values under its header, got {data.shape}")
-    column_map = {} if column_map is None else column_map
-    if not isinstance(column_map, dict) or not all(
-        isinstance(e, dict) and isinstance(e.get("column", ""), str) and type(e.get("scale", 1.0)) in (int, float)
-        for e in column_map.values()
-    ):
-        raise ValidationError('column map must be an object of {"column": name, "scale": number} objects')
-    columns = {name: i for i, name in enumerate(header)}
-
-    def pull(name: str) -> np.ndarray:
-        entry = column_map.get(name, {})
-        source = entry.get("column", name)
-        scale = float(entry.get("scale", 1.0))
-        if source not in columns:
-            raise ValidationError(f"column '{source}' (for '{name}') missing from {path}")
-        return data[:, columns[source]] * scale
-
-    inputs = np.stack([pull(n) for n in INPUT_NAMES], axis=-1)
-    outputs = np.stack([pull(n) for n in OUTPUT_NAMES], axis=-1)
-    return inputs, outputs

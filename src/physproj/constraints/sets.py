@@ -14,12 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from physproj.constraints.ltp import ELEMENTARY_CHARGE, K_BOLTZMANN, LtpSchema
-from physproj.constraints.transform import (
-    TransformSpec,
-    denormalize,
-    denormalize_curvature_diag,
-    jacobian_diag_from_physical,
-)
+from physproj.constraints.transform import LN10, TransformSpec, denormalize, jacobian_diag_from_physical
 from physproj.errors import ValidationError
 
 NE_SCALE_FLOOR = 1e6  # m^-3, lower clamp for the quasi-neutrality scale
@@ -96,14 +91,18 @@ def _column_sum(y: np.ndarray, idx) -> np.ndarray:
     return total
 
 
-def _chain_rule(p: np.ndarray, y: np.ndarray, spec: TransformSpec, hess_phys: np.ndarray, grad_phys: np.ndarray) -> np.ndarray:
-    """Normalized-space Hessians D H D + diag(grad * T'') at ``p`` (de-normalized: ``y``) from
-    physical-space ones H, where D = T' and grad is the physical gradient of the residual."""
+def _chain_rule(y: np.ndarray, spec: TransformSpec, hess_phys: np.ndarray, grad_phys: np.ndarray) -> np.ndarray:
+    """Normalized-space Hessians D H D + diag(grad * T'') at the de-normalized outputs ``y`` from
+    physical-space ones H, where D = T' and grad is the physical gradient of the residual.
+
+    On a log-flagged feature y = 10^u with u affine in the normalized value, so
+    T'' = ln(10) * (width / 2) * D there; on a linear feature T'' is zero.
+    """
     diag = jacobian_diag_from_physical(y, spec)
     out = diag[:, :, None] * hess_phys
     out *= diag[:, None, :]
-    idx = np.arange(p.shape[1])
-    out[:, idx, idx] += grad_phys * denormalize_curvature_diag(p, spec)
+    idx = np.arange(y.shape[1])
+    out[:, idx, idx] += grad_phys * np.where(spec.log_flags, LN10 * (spec.width / 2.0) * diag, 0.0)
     return out
 
 
@@ -176,27 +175,20 @@ class EnergyConstraint(_PhysicalLaws):
                               [0.0, 0.0, 0.0, m2]]) / scale[:, :, None]
         phys = denormalize(p, self.output_spec)
         grad_phys = energy_gradient(phys, self.params) / scale
-        return lam[:, :1, None] * _chain_rule(p, phys, self.output_spec, hess_phys, grad_phys)
+        return lam[:, :1, None] * _chain_rule(phys, self.output_spec, hess_phys, grad_phys)
 
 
 class LtpConstraints(_PhysicalLaws):
     """Pressure balance, discharge current, and quasi-neutrality residuals.
 
     ``laws`` selects a subset (by index: 0 pressure, 1 current, 2
-    neutrality) for the per-law projection ablations. Electrons can be
-    counted into the pressure sum via ``include_electrons_in_pressure``;
-    by default only the 11 heavy species contribute.
+    neutrality) for the per-law projection ablations. The pressure sum
+    counts the 11 heavy species, not the electrons.
     """
 
     LAW_NAMES = ("pressure", "current", "neutrality")
 
-    def __init__(
-        self,
-        schema: LtpSchema,
-        output_spec: TransformSpec,
-        laws: tuple[int, ...] = (0, 1, 2),
-        include_electrons_in_pressure: bool = False,
-    ):
+    def __init__(self, schema: LtpSchema, output_spec: TransformSpec, laws: tuple[int, ...] = (0, 1, 2)):
         if not laws or any(l not in (0, 1, 2) for l in laws) or len(set(laws)) != len(laws):
             raise ValidationError(f"laws must be a non-empty subset of (0, 1, 2), got {laws}")
         if tuple(output_spec.names) != tuple(schema.output_names):
@@ -205,8 +197,6 @@ class LtpConstraints(_PhysicalLaws):
         self.laws = tuple(laws)
         self.residual_dim = len(self.laws)
         self._pressure_idx = list(schema.heavy_indices())
-        if include_electrons_in_pressure:
-            self._pressure_idx = [schema.idx(schema.electron)] + self._pressure_idx
         self._pos = schema.positive_indices()
         self._neg = schema.negative_indices()
         self._ne = schema.idx(schema.electron)
@@ -291,4 +281,4 @@ class LtpConstraints(_PhysicalLaws):
         hess[:, self._neg, self._ne] += (-w3 / ne**2)[:, None]
 
         grad_phys = (lam_full[:, None, :] @ self._phys_jacobian(x, y))[:, 0, :]
-        return _chain_rule(p, y, self.output_spec, hess, grad_phys)
+        return _chain_rule(y, self.output_spec, hess, grad_phys)

@@ -4,6 +4,9 @@ Each feature is mapped to [-1, 1] by min-max scaling. Features flagged for a
 log transform are first converted to log10 before scaling, so the stored
 min/max bounds live in log space for those features. The inverse chain
 (affine back to bounds, then 10**u where flagged) is exact up to rounding.
+The module also holds the inverse's Jacobian diagonal, evaluated at the
+physical values, which the constraint Jacobians and Hessians chain through,
+and the skewness rule that decides which features get the log transform.
 """
 
 from __future__ import annotations
@@ -53,9 +56,6 @@ class TransformSpec:
     @property
     def dim(self) -> int:
         return len(self.names)
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -110,35 +110,17 @@ def denormalize(z: np.ndarray, spec: TransformSpec) -> np.ndarray:
     return u
 
 
-def denormalize_jacobian_diag(z: np.ndarray, spec: TransformSpec) -> np.ndarray:
-    """Diagonal of d(physical)/d(normalized) at normalized point(s) ``z``.
+def jacobian_diag_from_physical(phys: np.ndarray, spec: TransformSpec) -> np.ndarray:
+    """Diagonal of d(physical)/d(normalized) at the point that de-normalizes to ``phys``.
 
     Linear features contribute (max - min)/2; log-flagged ones pick up the
-    extra d(10^u)/du = ln(10) * 10^u factor.
-    """
-    return jacobian_diag_from_physical(denormalize(z, spec), spec)
-
-
-def jacobian_diag_from_physical(phys: np.ndarray, spec: TransformSpec) -> np.ndarray:
-    """:func:`denormalize_jacobian_diag` at the point that de-normalizes to ``phys`` (there 10^u is phys).
-
+    extra d(10^u)/du = ln(10) * 10^u factor, and there 10^u is ``phys``.
     Always a new array, shaped like ``phys``.
     """
     half = spec.width / 2.0
     if not spec.log_flags.any():
         return np.full(np.shape(phys), half)
     return np.where(spec.log_flags, half * LN10 * phys, half)
-
-
-def denormalize_curvature_diag(z: np.ndarray, spec: TransformSpec) -> np.ndarray:
-    """Diagonal of d^2(physical)/d(normalized)^2; zero for linear features."""
-    z = np.asarray(z, dtype=np.float64)
-    half = spec.width / 2.0
-    curv = np.zeros(np.broadcast_shapes(z.shape, half.shape))
-    if spec.log_flags.any():
-        diag = denormalize_jacobian_diag(z, spec)
-        curv[..., spec.log_flags] = LN10 * half[spec.log_flags] * diag[..., spec.log_flags]
-    return curv
 
 
 def sample_skewness(x: np.ndarray) -> float:

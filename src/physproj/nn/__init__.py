@@ -7,7 +7,6 @@ from physproj.nn.losses import (
     mse_gradient,
 )
 from physproj.nn.network import (
-    MAGIC_HEADER,
     Activation,
     Network,
     backward,
@@ -28,7 +27,6 @@ from physproj.nn.training import (
 )
 
 __all__ = [
-    "MAGIC_HEADER",
     "Activation",
     "AdamState",
     "EarlyStopConfig",

@@ -21,27 +21,20 @@ MAGIC_HEADER = "PHYSPROJ-NET-v1"
 
 @dataclass(frozen=True)
 class Activation:
-    """Hidden-layer nonlinearity: 'leaky_relu' with a slope in (0, 1], or 'identity'."""
+    """Hidden-layer nonlinearity: the leaky ReLU with a slope in (0, 1]; slope 1 makes the net linear."""
 
-    kind: str = "leaky_relu"
     slope: float = 0.01
 
     def __post_init__(self):
-        if self.kind not in ("leaky_relu", "identity"):
-            raise ValidationError(f"unknown activation '{self.kind}'")
         # apply() relies on it: outside (0, 1], max(z, slope * z) is not the leaky ReLU
-        if self.kind == "leaky_relu" and not 0.0 < self.slope <= 1.0:
+        if not 0.0 < self.slope <= 1.0:
             raise ValidationError(f"leaky_relu slope must lie in (0, 1], got {self.slope}")
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
-            return z
         return np.maximum(z, self.slope * z)
 
     def backprop(self, delta: np.ndarray, z: np.ndarray) -> np.ndarray:
         """``delta`` times the derivative at ``z``; max(z > 0, slope) is 1 or the slope, without a branch."""
-        if self.kind == "identity":
-            return delta
         factor = (z > 0.0).astype(np.float64)  # a float mask, which np.maximum takes without a casting loop
         np.maximum(factor, self.slope, out=factor)
         factor *= delta
@@ -73,14 +66,6 @@ class Network:
 
     def __reduce__(self):
         return Network, (self.layer_dims, self.weights, self.biases, self.activation)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-    @property
-    def input_dim(self) -> int:
-        return self.layer_dims[0]
 
     def parameters(self) -> list[np.ndarray]:
         """Views [W0, b0, W1, b1, ...] of ``theta``, in its order."""
@@ -144,8 +129,8 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
 
 def forward_cached(net: Network, x: np.ndarray) -> ForwardCache:
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if a.shape[1] != net.input_dim:
-        raise ValidationError(f"input width {a.shape[1]} != expected {net.input_dim}")
+    if a.shape[1] != net.layer_dims[0]:
+        raise ValidationError(f"input width {a.shape[1]} != expected {net.layer_dims[0]}")
     squeeze = np.asarray(x).ndim == 1
     pre = []
     hidden = [a]
@@ -176,7 +161,7 @@ def backward(
     n_layers = len(net.weights)
     if (
         len(cache.pre_activations) != n_layers
-        or cache.hidden[0].shape[1] != net.input_dim
+        or cache.hidden[0].shape[1] != net.layer_dims[0]
         or any(z.shape[1] != d for z, d in zip(cache.pre_activations, net.layer_dims[1:]))
     ):
         raise ValidationError("forward cache does not match this network")
@@ -194,17 +179,17 @@ def backward(
     return grads
 
 
-def save_network(path, net: Network, transform=None) -> None:
-    """Write a network (and optionally its TransformSpec) as versioned text.
+def save_network(path, net: Network, transform) -> None:
+    """Write a network and the TransformSpec of its outputs as versioned text.
 
-    Format: magic header, layer dims, activation, a transform line holding
-    either 'none' or the spec's JSON, then row-major weights and biases with
-    full round-trip precision.
+    Format: magic header, layer dims, the activation line 'activation
+    leaky_relu <slope>', a transform line holding the spec's JSON, then
+    row-major weights and biases with full round-trip precision.
     """
     lines = [MAGIC_HEADER]
     lines.append("layer_dims " + ",".join(str(d) for d in net.layer_dims))
-    lines.append(f"activation {net.activation.kind} {net.activation.slope!r}")
-    lines.append("transform " + (transform.to_json() if transform is not None else "none"))
+    lines.append(f"activation leaky_relu {net.activation.slope!r}")
+    lines.append("transform " + transform.to_json())
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         lines.append(f"W{i} " + " ".join(repr(float(v)) for v in w.ravel()))
         lines.append(f"b{i} " + " ".join(repr(float(v)) for v in b))
@@ -213,7 +198,7 @@ def save_network(path, net: Network, transform=None) -> None:
 
 
 def load_network(path):
-    """Inverse of :func:`save_network`; returns (Network, TransformSpec or None).
+    """Inverse of :func:`save_network`; returns (Network, TransformSpec).
 
     A missing, unreadable, truncated or unparsable file raises ValidationError.
     """
@@ -228,9 +213,10 @@ def load_network(path):
         raise ValidationError(f"{path} is not a {MAGIC_HEADER} file")
     try:
         dims = _check_layer_dims(lines[1].split(" ", 1)[1].split(","))
-        _, kind, slope = lines[2].split(" ")
-        transform_payload = lines[3].split(" ", 1)[1]
-        transform = None if transform_payload == "none" else TransformSpec.from_json(transform_payload)
+        activation, slope = lines[2].rsplit(" ", 1)
+        if activation != "activation leaky_relu":
+            raise ValidationError(f"{path} line 3 is not 'activation leaky_relu <slope>'")
+        transform = TransformSpec.from_json(lines[3].split(" ", 1)[1])
         weights = []
         biases = []
         row = 4
@@ -242,7 +228,7 @@ def load_network(path):
             weights.append(wvals.reshape(fan_out, fan_in))
             biases.append(bvals)
             row += 2
-        activation = Activation(kind=kind, slope=float(slope))
+        activation = Activation(float(slope))
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from exc
     net = Network(layer_dims=dims, weights=weights, biases=biases, activation=activation)

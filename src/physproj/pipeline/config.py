@@ -88,8 +88,8 @@ class ExperimentConfig:
             raise ValidationError("seed must be >= 0")
         if len(self.split_fractions) != 3 or len(self.spring_initial_state) != 4:
             raise ValidationError("split_fractions needs 3 values and spring_initial_state 4")
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9:
-            raise ValidationError("split_fractions must sum to 1")
+        if abs(sum(self.split_fractions) - 1.0) > 1e-9 or not all(0.0 <= f <= 1.0 for f in self.split_fractions):
+            raise ValidationError("split_fractions must lie in [0, 1] and sum to 1")
         for name in ("architectures", "sizes"):
             if not getattr(self, name) or min(getattr(self, name)) < 1:
                 raise ValidationError(f"{name} must be a nonempty list of integers >= 1")
@@ -119,9 +119,11 @@ class ExperimentConfig:
         for name in ("spring_projection_tol", "ltp_projection_tol", "trend_current", "trend_radius"):
             if not getattr(self, name) > 0.0:  # NaN fails too
                 raise ValidationError(f"{name} must be positive")
-        for name in ("spring_lr", "ltp_lr"):
+        for name in ("spring_lr", "ltp_lr", "spring_delta_t"):
             if not 0.0 < getattr(self, name) < float("inf"):
                 raise ValidationError(f"{name} must be positive and finite")
+        if self.ltp_skew_threshold != self.ltp_skew_threshold:  # NaN would switch log scaling off silently
+            raise ValidationError("ltp_skew_threshold must not be NaN; inf switches log scaling off")
         if not 0.0 <= self.spring_lambda <= 1.0 or not 0.0 <= self.ltp_lambda <= 1.0:
             raise ValidationError("physics weights must lie in [0, 1]")
         if not 0.0 < self.plateau_factor <= 1.0:

@@ -35,7 +35,6 @@ from physproj.constraints import (
     denormalize,
     fit_transform,
     generate_synthetic_ltp,
-    load_ltp_csv,
     normalize,
 )
 from physproj.constraints.ltp import P_TORR_RANGE, TORR_TO_PA, synthetic_outputs
@@ -51,7 +50,7 @@ from physproj.nn import (
     xavier_init,
 )
 from physproj.pipeline.config import ExperimentConfig
-from physproj.pipeline.csvio import load_spring_dataset_csv, write_csv, write_manifest, write_trajectory_csv
+from physproj.pipeline.csvio import load_ltp_csv, load_spring_dataset_csv, write_csv, write_manifest, write_trajectory_csv
 from physproj.pipeline.metrics import improvement_rates, rmse, rmse_variation_rate, split_dataset
 # project is not called here; bench/tracing.py wraps experiments.project by name
 from physproj.projector import CONVERGED, ProjectionSpec, project, project_batch  # noqa: F401
@@ -234,6 +233,15 @@ def prepare_ltp(cfg: ExperimentConfig) -> DataContext:
     return _data_context(cfg, load_ltp_data, fit)
 
 
+def _train_net(ctx: DataContext, layer_dims: tuple, term, **settings):
+    """Train a Glorot-initialized net of ``layer_dims`` on ctx's normalized splits with the
+    physics term ``term``; ``settings`` are the TrainConfig fields, and their seed also seeds
+    the initialization. Returns (net, history)."""
+    tcfg = TrainConfig(**settings)
+    net = xavier_init(layer_dims, seed=tcfg.seed)
+    return train(net, ctx.norm["train"], ctx.norm["val"], tcfg, physics=term)
+
+
 def train_spring_net(ctx: DataContext, cfg: ExperimentConfig, physics: bool):
     """Train the spring-mass NN, or with ``physics`` the PINN; returns (net, history).
 
@@ -242,15 +250,11 @@ def train_spring_net(ctx: DataContext, cfg: ExperimentConfig, physics: bool):
     """
     lam = cfg.spring_lambda if physics else 0.0
     term = SpringEnergyTerm(PARAMS, ctx.out_spec, weight=lam) if physics else None
-    tcfg = TrainConfig(
-        learning_rate=cfg.spring_lr,
-        max_epochs=cfg.spring_epochs,
-        batch_size=cfg.spring_batch,
-        lambda_physics=lam,
-        seed=cfg.seed + 2,
+    return _train_net(
+        ctx, (4, *cfg.spring_hidden, 4), term,
+        learning_rate=cfg.spring_lr, max_epochs=cfg.spring_epochs, batch_size=cfg.spring_batch,
+        lambda_physics=lam, seed=cfg.seed + 2,
     )
-    net = xavier_init((4, *cfg.spring_hidden, 4), seed=cfg.seed + 2)
-    return train(net, ctx.norm["train"], ctx.norm["val"], tcfg, physics=term)
 
 
 def train_ltp_net(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics: bool):
@@ -260,17 +264,13 @@ def train_ltp_net(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics: b
     """
     lam = cfg.ltp_lambda if physics else 0.0
     term = LtpResidualTerm(LtpConstraints(SCHEMA, ctx.out_spec), ctx.in_spec, (lam / 3.0,) * 3) if physics else None
-    tcfg = TrainConfig(
-        learning_rate=cfg.ltp_lr,
-        max_epochs=cfg.ltp_max_epochs,
-        batch_size=cfg.ltp_batch,
-        lambda_physics=lam,
+    return _train_net(
+        ctx, (3, *cfg.ltp_hidden, 17), term,
+        learning_rate=cfg.ltp_lr, max_epochs=cfg.ltp_max_epochs, batch_size=cfg.ltp_batch, lambda_physics=lam,
         early_stop=EarlyStopConfig(cfg.early_stop_alpha, cfg.early_stop_strip),
         lr_plateau=PlateauConfig(cfg.plateau_patience, cfg.plateau_factor),
         seed=seed,
     )
-    net = xavier_init((3, *cfg.ltp_hidden, 17), seed=seed)
-    return train(net, ctx.norm["train"], ctx.norm["val"], tcfg, physics=term)
 
 
 def _ensemble(nets: list):

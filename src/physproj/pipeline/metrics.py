@@ -18,8 +18,8 @@ def split_dataset(
     the remainder going to the training split.
     """
     x, y = (np.asarray(a) for a in dataset)
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValidationError("split fractions must sum to 1")
+    if abs(sum(fractions) - 1.0) > 1e-9 or not all(0.0 <= f <= 1.0 for f in fractions):
+        raise ValidationError("split fractions must lie in [0, 1] and sum to 1")
     n = x.shape[0]
     order = np.random.default_rng(seed).permutation(n)
     n_val = int(n * fractions[1])

@@ -99,8 +99,8 @@ def energy_and_gradient(states: np.ndarray, params: SpringParams) -> tuple[np.nd
 
 def rk4_step(state: np.ndarray, params: SpringParams, dt: float) -> np.ndarray:
     """One classical fourth-order Runge-Kutta step of size ``dt``."""
-    if dt <= 0.0:
-        raise ValidationError("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ValidationError("dt must be positive and finite")
     s = np.asarray(state, dtype=np.float64)
     k1 = rhs(s, params)
     k2 = rhs(s + 0.5 * dt * k1, params)
@@ -111,8 +111,8 @@ def rk4_step(state: np.ndarray, params: SpringParams, dt: float) -> np.ndarray:
 
 def integrate(state: np.ndarray, params: SpringParams, horizon: float, n_substeps: int) -> np.ndarray:
     """Advance the state by ``horizon`` seconds using n_substeps RK4 steps."""
-    if horizon <= 0.0:
-        raise ValidationError("horizon must be positive")
+    if not 0.0 < horizon < np.inf:
+        raise ValidationError("horizon must be positive and finite")
     if n_substeps < 1:
         raise ValidationError("n_substeps must be >= 1")
     dt = horizon / n_substeps

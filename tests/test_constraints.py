@@ -16,13 +16,12 @@ from physproj.constraints import (
     denormalize,
     fit_transform,
     generate_synthetic_ltp,
-    load_ltp_csv,
     normalize,
-    write_ltp_csv,
 )
 from physproj.constraints.ltp import I_RANGE, P_TORR_RANGE, R_RANGE, TORR_TO_PA, sample_inputs, synthetic_outputs
 from physproj.constraints.sets import ConstraintSet
 from physproj.errors import ValidationError
+from physproj.pipeline.csvio import load_ltp_csv, write_ltp_csv
 
 PARAMS = sm.SpringParams()
 PAPER_IC = np.array([-0.16, -2.18, 0.09, -0.16])
@@ -222,16 +221,20 @@ def test_ltp_jacobian_matches_finite_differences():
 
 
 def test_ltp_lagrangian_hessian_matches_fd_default():
-    x, y, spec = ltp_specs()
-    cs = LtpConstraints(SCHEMA, spec)
-    rng = np.random.default_rng(3)
-    for k in range(5):
-        i = rng.integers(0, len(x))
-        z = normalize(y[i], spec) + rng.normal(0.0, 0.05, 17)
-        lam = rng.normal(size=3)
-        analytic = cs.lagrangian_hessian(x[i], z, lam)
-        fd = fd_default(cs).lagrangian_hessian(x[i], z, lam)
-        assert np.allclose(analytic, fd, rtol=1e-4, atol=1e-7)
+    x, y, paper_spec = ltp_specs()
+    # a threshold of -1e9 log-flags every output, so every diagonal entry carries the log curvature
+    every_log = fit_transform(y, OUTPUT_NAMES, skew_threshold=-1e9)
+    assert every_log.log_flags.all()
+    for spec in (paper_spec, every_log):
+        cs = LtpConstraints(SCHEMA, spec)
+        rng = np.random.default_rng(3)
+        for k in range(5):
+            i = rng.integers(0, len(x))
+            z = normalize(y[i], spec) + rng.normal(0.0, 0.05, 17)
+            lam = rng.normal(size=3)
+            analytic = cs.lagrangian_hessian(x[i], z, lam)
+            fd = fd_default(cs).lagrangian_hessian(x[i], z, lam)
+            assert np.allclose(analytic, fd, rtol=1e-4, atol=1e-7)
 
 
 def test_law_subsets_for_ablation():
@@ -264,16 +267,6 @@ def test_residual_and_jacobian_equal_the_separate_calls_bit_for_bit(laws):
             r, j = cs.residual_and_jacobian(xs, ps)
             assert r.tobytes() == cs.residual(xs, ps).tobytes()
             assert j.tobytes() == cs.jacobian(xs, ps).tobytes()
-
-
-def test_pressure_sum_electron_flag():
-    x, y, spec = ltp_specs()
-    with_e = LtpConstraints(SCHEMA, spec, include_electrons_in_pressure=True)
-    without_e = LtpConstraints(SCHEMA, spec)
-    z = normalize(y[0], spec)
-    # electrons are ~1e-6 of the gas density: tiny but nonzero difference
-    diff = abs(with_e.residual(x[0], z)[0] - without_e.residual(x[0], z)[0])
-    assert 0.0 < diff < 1e-4
 
 
 # ---------------------------------------------------------------------------

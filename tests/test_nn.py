@@ -742,7 +742,7 @@ def test_parameters_are_views_of_one_vector_and_training_leaves_input_alone():
 
 
 def test_pickled_network_keeps_theta_and_its_views():
-    net = xavier_init([3, 7, 5, 2], activation=Activation("leaky_relu", 0.3), seed=6)
+    net = xavier_init([3, 7, 5, 2], activation=Activation(0.3), seed=6)
     net.theta[:] = np.random.default_rng(1).normal(size=net.theta.size)
     net.theta[[0, 1, 2]] = (-0.0, np.nextafter(0.0, 1.0), 1e300)
     loaded = pickle.loads(pickle.dumps(net))
@@ -759,7 +759,7 @@ def test_pickled_network_keeps_theta_and_its_views():
 
 
 def test_save_load_round_trip(tmp_path):
-    net = xavier_init([3, 8, 2], activation=Activation("leaky_relu", 0.02), seed=13)
+    net = xavier_init([3, 8, 2], activation=Activation(0.02), seed=13)
     x, _ = generate_synthetic_ltp(50, 0)
     spec = fit_transform(x, INPUT_NAMES, skew_threshold=np.inf)
     path = tmp_path / "model.txt"

@@ -69,6 +69,8 @@ def test_split_deterministic_and_validated():
         split_dataset((x, x), (0.5, 0.2, 0.2), seed=0)
     with pytest.raises(ValidationError):
         split_dataset((x[:3], x[:3]), (0.8, 0.1, 0.1), seed=0)
+    with pytest.raises(ValidationError, match=r"\[0, 1\]"):  # sums to 1, and would leave the test split empty
+        split_dataset((x, x), (0.9, 0.2, -0.1), seed=0)
 
 
 def test_rmse_values():
@@ -145,7 +147,7 @@ def test_config_missing_file():
         load_config("/nonexistent/cfg.json")
 
 
-def test_config_validation_errors():
+def test_config_validation_errors(tmp_path, capsys):
     with pytest.raises(ValidationError):
         ExperimentConfig(kind="bogus").validate()
     with pytest.raises(ValidationError):
@@ -183,9 +185,21 @@ def test_config_validation_errors():
         ("early_stop_alpha", -1.0),
         ("early_stop_alpha", float("nan")),
         *((key, value) for key in ("spring_lr", "ltp_lr") for value in (float("nan"), float("inf"), 0.0, -1.0)),
+        *(("spring_delta_t", value) for value in (float("nan"), float("inf"), 0.0, -0.05)),
+        ("ltp_skew_threshold", float("nan")),
+        ("split_fractions", (0.9, 0.2, -0.1)),
+        ("split_fractions", (1.2, -0.1, -0.1)),
     ):
         with pytest.raises(ValidationError, match=key):
             ExperimentConfig(**{key: value}).validate()
+    # the CLI reads such values from JSON, which also takes NaN and Infinity
+    for values in ({"split_fractions": [0.9, 0.2, -0.1]}, {"spring_delta_t": float("nan")}, {"spring_delta_t": float("inf")}):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(values))
+        capsys.readouterr()
+        assert cli_main(["gen-data", "spring", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -636,7 +650,8 @@ def test_cli_unreadable_config_or_unwritable_out_dir_exit_code(tmp_path, capsys,
     [("no_rows", None), ("map_list", [1]), ("map_of_number", {"P": 3}), ("map_text_scale", {"P": {"scale": "x"}})],
 )
 def test_malformed_ltp_csv_or_column_map_exit_code(tmp_path, capsys, case, column_map):
-    from physproj.constraints import generate_synthetic_ltp, load_ltp_csv, write_ltp_csv
+    from physproj.constraints import generate_synthetic_ltp
+    from physproj.pipeline.csvio import load_ltp_csv, write_ltp_csv
 
     csv = tmp_path / "ltp.csv"
     write_ltp_csv(csv, *generate_synthetic_ltp(20, 0))
@@ -744,6 +759,10 @@ def _model_file(tmp_path, case):
         lines[1] = "layer_dims 4"
     elif case == "zero_slope":  # max(z, 0 * z) is NaN at z = +inf
         lines[2] = "activation leaky_relu 0.0"
+    elif case == "identity_activation":
+        lines[2] = "activation identity 0.01"
+    elif case == "no_transform":
+        lines[3] = "transform none"
     else:  # unparsable weight
         lines[4] = lines[4].replace(" ", " x", 1)
     path.write_text("\n".join(lines) + "\n")
@@ -751,13 +770,18 @@ def _model_file(tmp_path, case):
 
 
 @pytest.mark.parametrize("command", [["project", "spring"], ["rollout"]], ids=["project", "rollout"])
-@pytest.mark.parametrize("case", ["missing", "truncated", "unparsable", "single_width", "zero_slope"])
-def test_cli_malformed_model_exit_code(tmp_path, command, case):
+@pytest.mark.parametrize(
+    "case", ["missing", "truncated", "unparsable", "single_width", "zero_slope", "identity_activation", "no_transform"]
+)
+def test_cli_malformed_model_exit_code(tmp_path, capsys, command, case):
     model = _model_file(tmp_path, case)
     with pytest.raises(ValidationError):
         load_network(model)
     args = [*command, "--model", model, "--config", _write_cfg(tmp_path), "--out-dir", str(tmp_path / "o")]
+    capsys.readouterr()
     assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_project_ltp_without_input_transform_exit_code(tmp_path):

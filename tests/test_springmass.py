@@ -132,6 +132,14 @@ def test_sample_states_respect_energy_threshold():
     assert np.all(sm.energy(states, PARAMS) < 5.0)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.05, np.inf, np.nan])
+def test_rk4_step_and_integrate_reject_step_sizes_that_are_not_positive_and_finite(dt):
+    with pytest.raises(ValidationError, match="dt"):
+        sm.rk4_step(PAPER_IC, PARAMS, dt)
+    with pytest.raises(ValidationError, match="horizon"):
+        sm.integrate(PAPER_IC, PARAMS, dt, 10)
+
+
 @pytest.mark.parametrize("e_max", [0.0, -1.0, np.inf, np.nan])
 def test_sample_states_rejects_energy_budgets_that_are_not_positive_and_finite(e_max):
     with pytest.raises(ValidationError, match="e_max"):
