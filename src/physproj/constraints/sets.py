@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from physproj import springmass
 from physproj.constraints.ltp import ELEMENTARY_CHARGE, K_BOLTZMANN, LtpSchema
 from physproj.constraints.transform import LN10, TransformSpec, denormalize, jacobian_diag_from_physical
 from physproj.errors import ValidationError
@@ -130,12 +131,11 @@ class EnergyConstraint(_PhysicalLaws):
 
     residual_dim = 1
 
-    def __init__(self, params, anchor_energy: float | None, state_spec: TransformSpec):
-        from physproj.springmass import SpringParams
-
+    def __init__(self, params: springmass.SpringParams, anchor_energy: float | None, state_spec: TransformSpec):
         if anchor_energy is not None and anchor_energy < 0.0:
             raise ValidationError("anchor energy must be non-negative")
-        self.params: SpringParams = params
+        self.params = params
+        self._hessian = springmass.energy_hessian(params)  # physical, before the 1 / scale
         self.anchor = None if anchor_energy is None else float(anchor_energy)
         self.scale = None if anchor_energy is None else max(self.anchor, 1.0)
         self.output_spec = state_spec
@@ -152,29 +152,19 @@ class EnergyConstraint(_PhysicalLaws):
         return anchor, np.maximum(anchor, 1.0)
 
     def _phys_residual(self, x, phys: np.ndarray) -> np.ndarray:
-        from physproj.springmass import energy
-
         anchor, scale = self._anchor_scale(x)
-        return ((np.asarray(energy(phys, self.params)) - anchor) / scale)[:, None]
+        return ((np.asarray(springmass.energy(phys, self.params)) - anchor) / scale)[:, None]
 
     def _scaled_jacobian(self, x, phys: np.ndarray) -> np.ndarray:
-        from physproj.springmass import energy_gradient
-
         _, scale = self._anchor_scale(x)
-        grad = energy_gradient(phys, self.params) / np.reshape(scale, (-1, 1))
+        grad = springmass.energy_gradient(phys, self.params) / np.reshape(scale, (-1, 1))
         return (grad * jacobian_diag_from_physical(phys, self.output_spec))[:, None, :]
 
     def _lagrangian_hessian(self, x, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        from physproj.springmass import energy_gradient
-
         scale = np.reshape(self._anchor_scale(x)[1], (-1, 1))
-        k1, k2, m1, m2 = self.params.k1, self.params.k2, self.params.m1, self.params.m2
-        hess_phys = np.array([[k1 + k2, 0.0, -k2, 0.0],
-                              [0.0, m1, 0.0, 0.0],
-                              [-k2, 0.0, k2, 0.0],
-                              [0.0, 0.0, 0.0, m2]]) / scale[:, :, None]
+        hess_phys = self._hessian / scale[:, :, None]
         phys = denormalize(p, self.output_spec)
-        grad_phys = energy_gradient(phys, self.params) / scale
+        grad_phys = springmass.energy_gradient(phys, self.params) / scale
         return lam[:, :1, None] * _chain_rule(phys, self.output_spec, hess_phys, grad_phys)
 
 

@@ -5,7 +5,7 @@ respect to the normalized network output, so the training loop can
 backpropagate through it. The trainer calls a term's ``inputs(x_norm)`` once
 per dataset and passes a batch's rows of it to ``loss_and_output_grad(inputs,
 y_norm)``, which returns the already-weighted contribution; the trainer forms
-total = (1 - lambda_physics) * data_mse + physics_term. ``loss(inputs,
+total = (1 - term.weight) * data_mse + physics_term. ``loss(inputs,
 y_norm)`` is the same contribution without the gradient, for validation.
 """
 
@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from physproj import springmass
+from physproj.constraints import transform
 from physproj.errors import ValidationError
 
 
@@ -36,17 +38,14 @@ def mse_gradient(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 class SpringEnergyTerm:
     """Energy-conservation penalty, weight * MSE(E_out, E_in), with gradient."""
 
-    def __init__(self, params, transform, weight: float):
+    def __init__(self, params, state_spec, weight: float):
         self.params = params
-        self.transform = transform
+        self.transform = state_spec
         self.weight = weight
 
     def _energies(self, batch_norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        from physproj.constraints.transform import denormalize
-        from physproj.springmass import energy
-
-        phys = denormalize(np.atleast_2d(batch_norm), self.transform)
-        return phys, np.asarray(energy(phys, self.params))
+        phys = transform.denormalize(np.atleast_2d(batch_norm), self.transform)
+        return phys, np.asarray(springmass.energy(phys, self.params))
 
     def inputs(self, x_norm: np.ndarray) -> np.ndarray:
         """The mechanical energies of the input states, one per sample."""
@@ -57,32 +56,29 @@ class SpringEnergyTerm:
         return self.weight * float(np.add.reduce(diff * diff, axis=None) / diff.size)
 
     def loss_and_output_grad(self, e_in: np.ndarray, y_norm: np.ndarray) -> tuple[float, np.ndarray]:
-        from physproj.constraints.transform import denormalize, jacobian_diag_from_physical
-        from physproj.springmass import energy_and_gradient
-
-        y_phys = denormalize(np.atleast_2d(y_norm), self.transform)
-        e_out, de_dphys = energy_and_gradient(y_phys, self.params)
+        y_phys = transform.denormalize(np.atleast_2d(y_norm), self.transform)
+        e_out, de_dphys = springmass.energy_and_gradient(y_phys, self.params)
         diff = e_out - e_in
         loss = self.weight * float(np.add.reduce(diff * diff, axis=None) / diff.size)  # mean, in np.mean's order
         # dE/dy_norm = dE/dy_phys * d(denorm)/dz, chain rule per sample
         grad = self.weight * (2.0 / diff.size) * diff[:, None] * de_dphys
-        grad *= jacobian_diag_from_physical(y_phys, self.transform)
+        grad *= transform.jacobian_diag_from_physical(y_phys, self.transform)
         return loss, grad
 
 
 class LtpResidualTerm:
-    """Per-law scaled-residual penalty for the plasma outputs, with gradient."""
+    """Scaled-residual penalty for the plasma outputs, with gradient: weight / m * sum of the
+    mean squared residuals of the constraint set's m laws."""
 
-    def __init__(self, constraint_set, input_transform, lambdas: tuple[float, float, float]):
+    def __init__(self, constraint_set, input_transform, weight: float):
         self.constraint_set = constraint_set
         self.input_transform = input_transform
-        self.lambdas = np.asarray(lambdas, dtype=np.float64)
+        self.weight = weight
+        self.lambdas = np.full(constraint_set.residual_dim, weight / constraint_set.residual_dim)  # per law
 
     def inputs(self, x_norm: np.ndarray) -> np.ndarray:
         """The physical (P, I, R) inputs, one row per sample."""
-        from physproj.constraints.transform import denormalize
-
-        return denormalize(np.atleast_2d(x_norm), self.input_transform)
+        return transform.denormalize(np.atleast_2d(x_norm), self.input_transform)
 
     def loss(self, x_phys: np.ndarray, y_norm: np.ndarray) -> float:
         return self._weighted(self.constraint_set.residual(x_phys, np.atleast_2d(y_norm)))

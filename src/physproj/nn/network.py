@@ -14,6 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from physproj.constraints.transform import TransformSpec
 from physproj.errors import ValidationError
 
 MAGIC_HEADER = "PHYSPROJ-NET-v1"
@@ -179,7 +180,7 @@ def backward(
     return grads
 
 
-def save_network(path, net: Network, transform) -> None:
+def save_network(path, net: Network, transform: TransformSpec) -> None:
     """Write a network and the TransformSpec of its outputs as versioned text.
 
     Format: magic header, layer dims, the activation line 'activation
@@ -202,8 +203,6 @@ def load_network(path):
 
     A missing, unreadable, truncated or unparsable file raises ValidationError.
     """
-    from physproj.constraints.transform import TransformSpec
-
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()

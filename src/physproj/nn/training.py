@@ -38,17 +38,16 @@ class PlateauConfig:
 class TrainConfig:
     learning_rate: float = 1e-4
     max_epochs: int = 60
-    batch_size: int = 64  # <= 0 means full batch
-    lambda_physics: float = 0.0
+    batch_size: int = 64
     early_stop: EarlyStopConfig | None = None
     lr_plateau: PlateauConfig | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.lambda_physics <= 1.0:
-            raise ValidationError("lambda_physics must lie in [0, 1]")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValidationError("learning_rate must be positive and finite")
+        if self.batch_size < 1:
+            raise ValidationError("batch_size must be >= 1")
 
 
 @dataclass
@@ -85,8 +84,9 @@ def train(
     ``physics`` is an optional term (nn.losses): ``inputs(x)`` runs once on
     the training and once on the validation set, and each batch passes its
     rows of those to ``loss_and_output_grad(inputs, y_pred)``; the validation
-    loss needs only ``loss(inputs, y_pred)``. With a term the objective is (1 - lambda) * data_mse + physics term, otherwise plain
-    MSE. Early stopping and plateau scheduling need a validation set.
+    loss needs only ``loss(inputs, y_pred)``. With a term the objective is
+    (1 - term.weight) * data_mse + physics term, otherwise plain MSE. Early
+    stopping and plateau scheduling need a validation set.
 
     Each epoch gathers its shuffled inputs, targets and physics inputs once
     into buffers made at the start, and every batch is a slice of them. The
@@ -101,15 +101,17 @@ def train(
     has_val = val_set is not None and len(val_set[0]) > 0
     if (config.early_stop or config.lr_plateau) and not has_val:
         raise ValidationError("early stopping / plateau scheduling require a validation set")
+    lam = physics.weight if physics is not None else 0.0
+    if not 0.0 <= lam <= 1.0:
+        raise ValidationError("the physics term's weight must lie in [0, 1]")
 
     history = TrainHistory()
     if config.max_epochs == 0:
         return net.copy(), history
 
-    lam = config.lambda_physics
     rng = np.random.default_rng(config.seed)
     n = x_train.shape[0]
-    batch = n if config.batch_size <= 0 else min(config.batch_size, n)
+    batch = min(config.batch_size, n)
 
     work = net.copy()
     state = AdamState.initialize(work.theta)

@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ValidationError("seed must be >= 0")
         if len(self.split_fractions) != 3 or len(self.spring_initial_state) != 4:
             raise ValidationError("split_fractions needs 3 values and spring_initial_state 4")
+        if not all(abs(v) < float("inf") for v in self.spring_initial_state):  # NaN fails too
+            raise ValidationError("spring_initial_state must be finite")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9 or not all(0.0 <= f <= 1.0 for f in self.split_fractions):
             raise ValidationError("split_fractions must lie in [0, 1] and sum to 1")
         for name in ("architectures", "sizes"):
@@ -100,16 +102,9 @@ class ExperimentConfig:
         if self.ltp_column_map is not None and not os.path.exists(self.ltp_column_map):
             raise ValidationError(f"column map not found: {self.ltp_column_map}")
         for name in (
-            "spring_n_samples",
-            "ltp_n_samples",
-            "ltp_n_members",
-            "n_resamples",
-            "spring_n_trajectories",
-            "spring_steps_single",
-            "spring_steps_many",
-            "trend_n_points",
-            "plateau_patience",
-            "early_stop_strip",
+            "spring_n_samples", "spring_n_trajectories", "spring_steps_single", "spring_steps_many", "spring_batch",
+            "ltp_n_samples", "ltp_n_members", "ltp_batch", "n_resamples", "pool_size", "trend_n_points",
+            "plateau_patience", "early_stop_strip", "timing_n_test",
         ):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")

@@ -248,12 +248,10 @@ def train_spring_net(ctx: DataContext, cfg: ExperimentConfig, physics: bool):
     Both start from the same initialization and shuffle stream, so the
     four-model comparison isolates the effect of the physics term.
     """
-    lam = cfg.spring_lambda if physics else 0.0
-    term = SpringEnergyTerm(PARAMS, ctx.out_spec, weight=lam) if physics else None
+    term = SpringEnergyTerm(PARAMS, ctx.out_spec, weight=cfg.spring_lambda) if physics else None
     return _train_net(
         ctx, (4, *cfg.spring_hidden, 4), term,
-        learning_rate=cfg.spring_lr, max_epochs=cfg.spring_epochs, batch_size=cfg.spring_batch,
-        lambda_physics=lam, seed=cfg.seed + 2,
+        learning_rate=cfg.spring_lr, max_epochs=cfg.spring_epochs, batch_size=cfg.spring_batch, seed=cfg.seed + 2,
     )
 
 
@@ -262,11 +260,10 @@ def train_ltp_net(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics: b
 
     ``seed`` seeds both the initialization and the shuffle stream.
     """
-    lam = cfg.ltp_lambda if physics else 0.0
-    term = LtpResidualTerm(LtpConstraints(SCHEMA, ctx.out_spec), ctx.in_spec, (lam / 3.0,) * 3) if physics else None
+    term = LtpResidualTerm(LtpConstraints(SCHEMA, ctx.out_spec), ctx.in_spec, cfg.ltp_lambda) if physics else None
     return _train_net(
         ctx, (3, *cfg.ltp_hidden, 17), term,
-        learning_rate=cfg.ltp_lr, max_epochs=cfg.ltp_max_epochs, batch_size=cfg.ltp_batch, lambda_physics=lam,
+        learning_rate=cfg.ltp_lr, max_epochs=cfg.ltp_max_epochs, batch_size=cfg.ltp_batch,
         early_stop=EarlyStopConfig(cfg.early_stop_alpha, cfg.early_stop_strip),
         lr_plateau=PlateauConfig(cfg.plateau_patience, cfg.plateau_factor),
         seed=seed,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from physproj.constraints import transform
 from physproj.errors import ProjectionError, ValidationError
 from physproj.projector import CONVERGED
 
@@ -52,12 +53,14 @@ def rhs(state: np.ndarray, params: SpringParams) -> np.ndarray:
     return np.stack([v1, a1, v2, a2], axis=-1)
 
 
-def _coordinates(s: np.ndarray, params: SpringParams) -> np.ndarray:
-    """States with each position replaced by its spring's stretch: [x1 - L1, v1, x2 - x1 - L2, v2]."""
+def _coordinates(s: np.ndarray, params: SpringParams | None) -> np.ndarray:
+    """States with each position replaced by its spring's stretch: [x1 - L1, v1, x2 - x1 - L2, v2]
+    (without ``params``, the natural lengths are left out)."""
     u = s.copy()
-    u[..., 0] -= params.L1
     u[..., 2] -= s[..., 0]
-    u[..., 2] -= params.L2
+    if params is not None:
+        u[..., 0] -= params.L1
+        u[..., 2] -= params.L2
     return u
 
 
@@ -86,6 +89,11 @@ def energy(state: np.ndarray, params: SpringParams) -> np.ndarray | float:
 def energy_gradient(state: np.ndarray, params: SpringParams) -> np.ndarray:
     """dE/d[x1, v1, x2, v2]; vanishes exactly at the equilibrium state."""
     return _energy_gradient(_coordinates(np.asarray(state, dtype=np.float64), params), params)
+
+
+def energy_hessian(params: SpringParams) -> np.ndarray:
+    """d²E/d[x1, v1, x2, v2]², (4, 4): the same at every state, since the energy is quadratic in it."""
+    return _energy_gradient(_coordinates(np.eye(4), None), params)  # the gradient is linear in the stretches
 
 
 def energy_and_gradient(states: np.ndarray, params: SpringParams) -> tuple[np.ndarray, np.ndarray]:
@@ -200,25 +208,23 @@ def rollout(
     model_fn,
     initial_states: np.ndarray,
     n_steps: int,
-    transform,
+    spec,
     projector=None,
     params: SpringParams = SpringParams(),
 ) -> RolloutResult:
     """Autoregressive prediction of n trajectories in lockstep, with optional output projection.
 
     ``initial_states`` is (n, 4). Each step makes one ``model_fn`` call on
-    the normalized (k, 4) states still running, and ``projector(ys_norm,
-    active)`` gets their predictions with their indices into the batch and
-    returns one ProjectionResult with k rows, as ``project_batch`` does. A
-    trajectory leaves the batch at its first failed projection, which is
-    recorded in the result.
+    the (k, 4) states still running, normalized by the state transform
+    ``spec``, and ``projector(ys_norm, active)`` gets their predictions with
+    their indices into the batch and returns one ProjectionResult with k
+    rows, as ``project_batch`` does. A trajectory leaves the batch at its
+    first failed projection, which is recorded in the result.
 
     The projection output (still normalized) replaces the raw prediction
     before de-normalizing and feeding back; its anchor should be each
     trajectory's initial energy.
     """
-    from physproj.constraints.transform import denormalize, normalize  # local to avoid cycle
-
     state = np.asarray(initial_states, dtype=np.float64)
     if state.ndim != 2 or state.shape[1] != 4:
         raise ValidationError(f"initial states must have shape (n, 4), got {state.shape}")
@@ -230,7 +236,7 @@ def rollout(
     for step in range(1, n_steps + 1):
         if not active.size:
             break
-        y = np.asarray(model_fn(normalize(states[step - 1, active], transform)), dtype=np.float64)
+        y = np.asarray(model_fn(transform.normalize(states[step - 1, active], spec)), dtype=np.float64)
         if projector is not None:
             result = projector(y, active)
             ok = result.status == CONVERGED
@@ -238,7 +244,7 @@ def rollout(
             failed_status[active[~ok]] = result.status[~ok]
             y = result.projected[ok]
             active = active[ok]
-        states[step, active] = denormalize(y, transform)
+        states[step, active] = transform.denormalize(y, spec)
     return RolloutResult(states, energy(states, params), failed_step, failed_status)
 
 

@@ -341,7 +341,7 @@ def test_physics_loss_equals_the_loss_of_loss_and_output_grad():
     rng = np.random.default_rng(8)
     spring = SpringEnergyTerm(params, spec, weight=0.4)
     x, y, in_spec, out_spec, cs = _ltp_setup()
-    ltp = LtpResidualTerm(cs, in_spec, (0.005, 0.01, 0.02))
+    ltp = LtpResidualTerm(cs, in_spec, 0.035)
     cases = [
         (spring, spring.inputs(rng.uniform(-0.8, 0.8, (30, 4))), rng.uniform(-0.8, 0.8, (30, 4))),
         (ltp, ltp.inputs(normalize(x[:30], in_spec)), normalize(y[:30], out_spec) + rng.normal(0.0, 0.1, (30, 17))),
@@ -360,14 +360,14 @@ def _ltp_setup(n=200, seed=0):
 
 def test_physics_loss_ltp_zero_on_consistent_data():
     x, y, in_spec, out_spec, cs = _ltp_setup()
-    term = LtpResidualTerm(cs, in_spec, (0.005, 0.005, 0.005))
+    term = LtpResidualTerm(cs, in_spec, 0.015)
     loss, _ = term.loss_and_output_grad(term.inputs(normalize(x[:20], in_spec)), normalize(y[:20], out_spec))
     assert loss < 1e-25
 
 
 def test_physics_loss_ltp_zero_lambdas():
     x, y, in_spec, out_spec, cs = _ltp_setup()
-    term = LtpResidualTerm(cs, in_spec, (0.0, 0.0, 0.0))
+    term = LtpResidualTerm(cs, in_spec, 0.0)
     bad = normalize(y[:10], out_spec) + 0.3
     assert term.loss_and_output_grad(term.inputs(normalize(x[:10], in_spec)), bad)[0] == 0.0
 
@@ -385,14 +385,16 @@ def test_physics_loss_ltp_weighted_sum_arithmetic():
     z = normalize(sample[None, :], out_spec)
     r = cs.residual(x[:1], z)[0]
     assert abs(r[0] - 0.1) < 1e-9 and abs(r[1]) < 1e-12 and abs(r[2]) < 1e-9
-    term = LtpResidualTerm(cs, in_spec, (0.005, 0.0, 0.0))
-    loss, _ = term.loss_and_output_grad(term.inputs(normalize(x[:1], in_spec)), z)
-    assert loss == pytest.approx(5e-5, rel=1e-6)
+    # the weight is split evenly over the laws: 0.015 / 3 over all three, 0.005 on the pressure law alone
+    for laws, weight in (((0, 1, 2), 0.015), ((0,), 0.005)):
+        term = LtpResidualTerm(LtpConstraints(schema, out_spec, laws), in_spec, weight)
+        loss, _ = term.loss_and_output_grad(term.inputs(normalize(x[:1], in_spec)), z)
+        assert loss == pytest.approx(5e-5, rel=1e-6)
 
 
 def test_ltp_residual_term_gradient_matches_fd():
     x, y, in_spec, out_spec, cs = _ltp_setup()
-    term = LtpResidualTerm(cs, in_spec, (0.005, 0.005, 0.005))
+    term = LtpResidualTerm(cs, in_spec, 0.015)
     rng = np.random.default_rng(4)
     x_phys = term.inputs(normalize(x[:4], in_spec))
     yn = normalize(y[:4], out_spec) + rng.normal(0, 0.05, size=(4, 17))
@@ -413,7 +415,7 @@ def test_ltp_residual_term_gradient_matches_fd():
 def test_overflowing_log_flagged_output_is_rejected():
     # denormalize raises on a non-finite result; the constraint calls and the PINN term rely on it
     x, y, in_spec, out_spec, cs = _ltp_setup()
-    term = LtpResidualTerm(cs, in_spec, (0.005, 0.005, 0.005))
+    term = LtpResidualTerm(cs, in_spec, 0.015)
     assert out_spec.log_flags.any()
     z = normalize(y[:3], out_spec)
     z[1, np.flatnonzero(out_spec.log_flags)[0]] = 1e6
@@ -500,7 +502,7 @@ def test_train_recovers_affine_map():
     x = rng.uniform(-1, 1, size=(100, 1))
     y = 2.0 * x + 1.0
     net = Network(layer_dims=(1, 1), weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
-    cfg = TrainConfig(learning_rate=0.05, max_epochs=2000, batch_size=0, seed=1)
+    cfg = TrainConfig(learning_rate=0.05, max_epochs=2000, batch_size=len(x), seed=1)
     trained, _ = train(net, (x, y), None, cfg)
     assert abs(trained.weights[0][0, 0] - 2.0) < 1e-2
     assert abs(trained.biases[0][0] - 1.0) < 1e-2
@@ -537,11 +539,17 @@ def test_train_divergence_detected():
 
 
 def test_train_validates_lambda_split():
-    with pytest.raises(ValidationError):
-        TrainConfig(lambda_physics=1.5)
+    params, spec = _spring_setup()
+    x = normalize(sm.sample_states(params, 5.0, 10, np.random.default_rng(0)), spec)
+    for weight in (1.5, -0.1, np.nan):
+        with pytest.raises(ValidationError, match="weight"):
+            train(xavier_init([4, 4], seed=0), (x, x), None, TrainConfig(max_epochs=0), SpringEnergyTerm(params, spec, weight))
     for lr in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValidationError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
+    for batch_size in (0, -3):
+        with pytest.raises(ValidationError, match="batch_size"):
+            TrainConfig(batch_size=batch_size)
 
 
 def _seed_train(net, train_set, val_set, config, physics):
@@ -549,10 +557,10 @@ def _seed_train(net, train_set, val_set, config, physics):
     physics inputs recomputed per batch, mse and mse_gradient, the
     per-parameter backward list and Adam on their np.concatenate."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    lam = config.lambda_physics
+    lam = physics.weight if physics is not None else 0.0
     x, y = train_set
     n = len(x)
-    batch = n if config.batch_size <= 0 else min(config.batch_size, n)
+    batch = min(config.batch_size, n)
     rng = np.random.default_rng(config.seed)
     work = net.copy()
     m, v, t = np.zeros_like(work.theta), np.zeros_like(work.theta), 0
@@ -622,13 +630,13 @@ def _seed_train_cases():
     states, nxt = sm.generate_dataset(params, 5.0, 120, 0.05, 10, seed=1)
     xs, ys = normalize(states, spec), normalize(nxt, spec)
     term = SpringEnergyTerm(params, spec, weight=0.3)
-    cfg = TrainConfig(1e-3, 3, 32, lambda_physics=0.3, seed=4)
+    cfg = TrainConfig(1e-3, 3, 32, seed=4)
     yield "spring", xavier_init([4, 10, 4], seed=3), (xs[:100], ys[:100]), (xs[100:], ys[100:]), cfg, term
 
     x, y, in_spec, out_spec, cs = _ltp_setup()
     xn, yn = normalize(x, in_spec), normalize(y, out_spec)
-    term = LtpResidualTerm(cs, in_spec, (0.005, 0.005, 0.005))
-    cfg = TrainConfig(3e-3, 40, 32, 0.015, EarlyStopConfig(2.0, 3), PlateauConfig(1, 0.5), seed=6)
+    term = LtpResidualTerm(cs, in_spec, 0.015)
+    cfg = TrainConfig(3e-3, 40, 32, EarlyStopConfig(2.0, 3), PlateauConfig(1, 0.5), seed=6)
     yield "ltp", xavier_init([3, 12, 17], seed=5), (xn[:160], yn[:160]), (xn[160:], yn[160:]), cfg, term
 
 
@@ -648,10 +656,10 @@ def _parent_train(net, train_set, val_set, config, physics):
     """The loop before the per-epoch gather and the persistent buffers, from
     public pieces: per-step fancy indexing, np.mean, mse_gradient, a fresh
     backward and adam_step on one AdamState."""
-    lam = config.lambda_physics
+    lam = physics.weight if physics is not None else 0.0
     x, y = train_set
     n = len(x)
-    batch = n if config.batch_size <= 0 else min(config.batch_size, n)
+    batch = min(config.batch_size, n)
     rng = np.random.default_rng(config.seed)
     work = net.copy()
     state = AdamState.initialize(work.theta)

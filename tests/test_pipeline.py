@@ -189,17 +189,26 @@ def test_config_validation_errors(tmp_path, capsys):
         ("ltp_skew_threshold", float("nan")),
         ("split_fractions", (0.9, 0.2, -0.1)),
         ("split_fractions", (1.2, -0.1, -0.1)),
+        *((key, value) for key in ("pool_size", "timing_n_test", "spring_batch", "ltp_batch") for value in (0, -3)),
+        ("spring_initial_state", (float("nan"), 0.0, 0.0, 0.0)),
+        ("spring_initial_state", (-0.16, float("inf"), 0.09, -0.16)),
     ):
         with pytest.raises(ValidationError, match=key):
             ExperimentConfig(**{key: value}).validate()
     # the CLI reads such values from JSON, which also takes NaN and Infinity
-    for values in ({"split_fractions": [0.9, 0.2, -0.1]}, {"spring_delta_t": float("nan")}, {"spring_delta_t": float("inf")}):
+    for values in (
+        {"split_fractions": [0.9, 0.2, -0.1]},
+        {"spring_delta_t": float("nan")},
+        {"spring_delta_t": float("inf")},
+        {"ltp_batch": -3},
+        {"spring_initial_state": [float("nan"), 0, 0, 0]},
+    ):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(values))
         capsys.readouterr()
         assert cli_main(["gen-data", "spring", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and next(iter(values)) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -60,8 +60,19 @@ def test_energy_gradient_matches_finite_differences():
             assert abs(grad[j] - fd) < 1e-6 * max(1.0, abs(fd))
 
 
+def test_energy_hessian_matches_central_differences_of_the_gradient():
+    params = sm.SpringParams(m1=1.3, m2=0.7, k1=4.1, k2=2.9, L1=0.45, L2=0.6)
+    hess = sm.energy_hessian(params)
+    assert np.array_equal(hess, hess.T)
+    h = 1e-4
+    for state in np.random.default_rng(2).uniform(-2.0, 2.0, size=(20, 4)):
+        fd = np.stack([(sm.energy_gradient(state + e, params) - sm.energy_gradient(state - e, params)) / (2 * h)
+                       for e in h * np.eye(4)])
+        assert np.allclose(fd, hess, rtol=1e-9, atol=1e-9)
+
+
 def test_energy_law_equals_its_term_by_term_formula_bit_for_bit():
-    """energy, energy_gradient and energy_and_gradient round exactly as the law written out term by term."""
+    """energy, energy_gradient, energy_and_gradient and energy_hessian round exactly as the law written out term by term."""
     params = sm.SpringParams(m1=1.3, m2=0.7, k1=4.1, k2=2.9, L1=0.45, L2=0.6)
     states = sm.sample_states(params, 5.0, 200, np.random.default_rng(4))
     x1, v1, x2, v2 = states.T
@@ -82,6 +93,9 @@ def test_energy_law_equals_its_term_by_term_formula_bit_for_bit():
     assert np.array_equal(joint_energy, energy) and np.array_equal(joint_grad, grad)
     assert sm.energy(states[7], params) == energy[7]
     assert np.array_equal(sm.energy_gradient(states[7], params), grad[7])
+    k1, k2, m1, m2 = params.k1, params.k2, params.m1, params.m2
+    hess = np.array([[k1 + k2, 0.0, -k2, 0.0], [0.0, m1, 0.0, 0.0], [-k2, 0.0, k2, 0.0], [0.0, 0.0, 0.0, m2]])
+    assert sm.energy_hessian(params).tobytes() == hess.tobytes()
 
 
 def test_rk4_equilibrium_fixed_point():
