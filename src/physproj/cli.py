@@ -49,10 +49,6 @@ def cmd_gen_data(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
-    if args.system == "ltp" and cfg.ltp_n_members > 1:
-        raise ValidationError(
-            f"a model file holds one network; 'train ltp' needs ltp_n_members=1, got {cfg.ltp_n_members}"
-        )
     write_manifest(cfg.out_dir, cfg.items())
     if args.system == "spring":
         ctx = prepare_spring(cfg)

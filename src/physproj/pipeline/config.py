@@ -56,7 +56,6 @@ class ExperimentConfig:
     ltp_max_epochs: int = 400
     ltp_batch: int = 64
     ltp_projection_tol: float = 1e-8
-    ltp_n_members: int = 1
     ltp_skew_threshold: float = 2.0
     ltp_dataset_csv: str | None = None
     ltp_column_map: str | None = None
@@ -103,7 +102,7 @@ class ExperimentConfig:
             raise ValidationError(f"column map not found: {self.ltp_column_map}")
         for name in (
             "spring_n_samples", "spring_n_trajectories", "spring_steps_single", "spring_steps_many", "spring_batch",
-            "ltp_n_samples", "ltp_n_members", "ltp_batch", "n_resamples", "pool_size", "trend_n_points",
+            "ltp_n_samples", "ltp_batch", "n_resamples", "pool_size", "trend_n_points",
             "plateau_patience", "early_stop_strip", "timing_n_test",
         ):
             if getattr(self, name) < 1:

@@ -16,6 +16,7 @@ side in worker processes through ``run_parallel``.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from contextlib import contextmanager
@@ -190,8 +191,6 @@ def load_ltp_data(cfg: ExperimentConfig):
     if cfg.ltp_dataset_csv is not None:
         column_map = None
         if cfg.ltp_column_map is not None:
-            import json
-
             try:
                 with open(cfg.ltp_column_map, encoding="utf-8") as fh:
                     column_map = json.load(fh)
@@ -268,16 +267,6 @@ def train_ltp_net(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics: b
         lr_plateau=PlateauConfig(cfg.plateau_patience, cfg.plateau_factor),
         seed=seed,
     )
-
-
-def _ensemble(nets: list):
-    """Predictor on normalized inputs: the mean output of ``nets``."""
-    return lambda z: np.stack([forward(net, z) for net in nets]).mean(axis=0)
-
-
-def _train_ltp_model(ctx: DataContext, cfg: ExperimentConfig, seed: int, physics: bool):
-    """The ensemble of cfg.ltp_n_members networks seeded seed, seed + 1, ..."""
-    return _ensemble([train_ltp_net(ctx, cfg, seed + i, physics)[0] for i in range(cfg.ltp_n_members)])
 
 
 def energy_projector(out_spec: TransformSpec, anchors: np.ndarray, tol: float):
@@ -455,13 +444,11 @@ def run_spring_many(cfg: ExperimentConfig) -> MetricsReport:
 # low-temperature plasma experiments
 
 
-def _per_output_rmse_rows(model: str, pred_norm, y_norm, y_phys, out_spec, mask=None):
-    """Rows (model, output, rmse_normalized, rmse_physical); mask selects samples."""
-    if mask is not None:
-        pred_norm, y_norm, y_phys = pred_norm[mask], y_norm[mask], y_phys[mask]
-    pred_phys = denormalize(pred_norm, out_spec)
-    norm_rmse = rmse(pred_norm, y_norm, per_output=True)
-    phys_rmse = rmse(pred_phys, y_phys, per_output=True)
+def _per_output_rmse_rows(model: str, pred_norm, y_norm, y_phys, out_spec, mask):
+    """Rows (model, output, rmse_normalized, rmse_physical) over the samples ``mask`` selects."""
+    pred_norm, y_norm, y_phys = pred_norm[mask], y_norm[mask], y_phys[mask]
+    norm_rmse = rmse(pred_norm, y_norm)
+    phys_rmse = rmse(denormalize(pred_norm, out_spec), y_phys)
     return [
         (model, name, norm_rmse[j], phys_rmse[j]) for j, name in enumerate(out_spec.names)
     ], dict(zip(out_spec.names, norm_rmse))
@@ -476,15 +463,13 @@ def run_ltp_compare(cfg: ExperimentConfig) -> MetricsReport:
     xn_test, yn_test = ctx.norm["test"]
 
     with timed(seconds, "training_seconds"):
-        # shared seeds: the PINN members differ from the NN members only through their loss
-        seeds = range(cfg.seed + 2, cfg.seed + 2 + cfg.ltp_n_members)
-        tasks = [partial(train_ltp_net, ctx, cfg, seed, physics) for physics in (False, True) for seed in seeds]
-        nets = [net for net, _ in run_parallel(tasks)]
-        predictors = {"nn": _ensemble(nets[: len(seeds)]), "pinn": _ensemble(nets[len(seeds) :])}
+        # a shared seed: the PINN differs from the NN only through its loss
+        tasks = [partial(train_ltp_net, ctx, cfg, cfg.seed + 2, physics) for physics in (False, True)]
+        (nn, _), (pinn, _) = run_parallel(tasks)
 
-    preds = {name: fn(xn_test) for name, fn in predictors.items()}
+    preds = {"nn": forward(nn, xn_test), "pinn": forward(pinn, xn_test)}
     status_rows = []
-    masks = {}
+    masks = {name: np.ones(len(x_test), dtype=bool) for name in preds}  # the unprojected models score every point
     batch_seconds = {}
     with timed(seconds, "projection_seconds"):
         for name in ("nn", "pinn"):
@@ -504,13 +489,11 @@ def run_ltp_compare(cfg: ExperimentConfig) -> MetricsReport:
     constraint_rows = []
     all_laws = LtpConstraints(SCHEMA, ctx.out_spec)
     for name in ("nn", "pinn", "nn_projection", "pinn_projection"):
-        mask = masks.get(name)
+        mask = masks[name]
         rows, by_output = _per_output_rmse_rows(name, preds[name], yn_test, y_test, ctx.out_spec, mask)
         rmse_rows.extend(rows)
         report.per_output_rmse[name] = by_output
-        pred_used = preds[name] if mask is None else preds[name][mask]
-        x_used = x_test if mask is None else x_test[mask]
-        residuals = all_laws.residual(x_used, pred_used)
+        residuals = all_laws.residual(x_test[mask], preds[name][mask])
         law_rmse = np.sqrt(np.mean(residuals**2, axis=0))
         report.constraint_rmse[name] = dict(zip(LtpConstraints.LAW_NAMES, law_rmse))
         constraint_rows.extend((name, law, law_rmse[k]) for k, law in enumerate(LtpConstraints.LAW_NAMES))
@@ -527,7 +510,7 @@ def run_ltp_compare(cfg: ExperimentConfig) -> MetricsReport:
 
     # per-law ablation of the projection applied to the plain NN predictions
     ablation_rows = []
-    nn_rows, _ = _per_output_rmse_rows("nn", preds["nn"], yn_test, y_test, ctx.out_spec)
+    nn_rows, _ = _per_output_rmse_rows("nn", preds["nn"], yn_test, y_test, ctx.out_spec, masks["nn"])
     ablation_rows.extend(("nn", output, value_norm) for _, output, value_norm, _ in nn_rows)
     for variant, laws in LAW_VARIANTS:
         if laws == (0, 1, 2):  # the full law set is the nn_projection model above
@@ -559,7 +542,7 @@ SCORE_COLUMNS = [
 ]
 
 
-def _trend_rows(ctx: DataContext, cfg: ExperimentConfig, predict_fn):
+def _trend_rows(ctx: DataContext, cfg: ExperimentConfig, net):
     """TREND_COLUMNS rows: ne along a log-spaced pressure slice at cfg.trend_current and cfg.trend_radius."""
     p_torr = np.logspace(np.log10(P_TORR_RANGE[0]), np.log10(P_TORR_RANGE[1]), cfg.trend_n_points)
     grid = np.stack(
@@ -567,7 +550,7 @@ def _trend_rows(ctx: DataContext, cfg: ExperimentConfig, predict_fn):
         axis=-1,
     )
     ne_idx = SCHEMA.idx("ne")
-    pred = predict_fn(normalize(grid, ctx.in_spec))
+    pred = forward(net, normalize(grid, ctx.in_spec))
     result, converged = project_predictions(ctx.out_spec, pred, grid, cfg.ltp_projection_tol)
     truth = synthetic_outputs(grid)[:, ne_idx]
     pred_phys = denormalize(pred, ctx.out_spec)[:, ne_idx]
@@ -575,13 +558,13 @@ def _trend_rows(ctx: DataContext, cfg: ExperimentConfig, predict_fn):
     return list(zip(grid[:, 0], truth, pred_phys, proj_phys, converged.astype(int)))
 
 
-def _score(ctx: DataContext, cfg: ExperimentConfig, predict):
-    """Mean-17 and focus-3 normalized test RMSEs before and after projection, and the non-converged count."""
+def _score(ctx: DataContext, cfg: ExperimentConfig, net):
+    """Mean-17 and focus-3 normalized test RMSEs of ``net`` before and after projection, and the non-converged count."""
     xn_test, yn_test = ctx.norm["test"]
-    pred = predict(xn_test)
+    pred = forward(net, xn_test)
     result, converged = project_predictions(ctx.out_spec, pred, ctx.splits["test"][0], cfg.ltp_projection_tol)
-    nn_rmse = rmse(pred, yn_test, per_output=True)
-    proj_rmse = rmse(result.projected[converged], yn_test[converged], per_output=True)
+    nn_rmse = rmse(pred, yn_test)
+    proj_rmse = rmse(result.projected[converged], yn_test[converged])
     focus = [SCHEMA.idx(name) for name in FOCUS_OUTPUTS]
     return (nn_rmse.mean(), proj_rmse.mean(), nn_rmse[focus].mean(), proj_rmse[focus].mean()), int((~converged).sum())
 
@@ -606,9 +589,9 @@ def _sweep_task(ctx: DataContext, cfg: ExperimentConfig, seed: int, rows, trend:
     seconds = {}
     try:
         with timed(seconds, "train"):
-            predict = _train_ltp_model(sub_ctx, cfg, seed, physics=False)
-            scores, n_failed = _score(ctx, cfg, predict)
-        return (scores, n_failed, _trend_rows(ctx, cfg, predict) if trend else None), seconds["train"]
+            net, _ = train_ltp_net(sub_ctx, cfg, seed, physics=False)
+            scores, n_failed = _score(ctx, cfg, net)
+        return (scores, n_failed, _trend_rows(ctx, cfg, net) if trend else None), seconds["train"]
     except PhysprojError as exc:
         return exc, seconds["train"]
 
@@ -694,13 +677,13 @@ def run_timing(cfg: ExperimentConfig) -> MetricsReport:
     xn_test = ctx.norm["test"][0]
 
     with timed(seconds, "training_seconds"):
-        predict = _train_ltp_model(ctx, cfg, cfg.seed + 2, physics=False)
+        net, _ = train_ltp_net(ctx, cfg, cfg.seed + 2, physics=False)
 
     with timed(seconds, "inference_seconds"):
-        _ = predict(xn_test)
+        _ = forward(net, xn_test)
 
     extra = generate_synthetic_ltp(cfg.timing_n_test, cfg.seed + 60)[0] if ctx.synthetic else ctx.splits["test"][0]
-    preds = predict(normalize(extra, ctx.in_spec))
+    preds = forward(net, normalize(extra, ctx.in_spec))
     with timed(seconds, "projection_seconds"):
         _, converged = project_predictions(ctx.out_spec, preds, extra, cfg.ltp_projection_tol)
     report.n_nonconverged = int((~converged).sum())

@@ -33,16 +33,13 @@ def split_dataset(
     return (x[idx_train], y[idx_train]), (x[idx_val], y[idx_val]), (x[idx_test], y[idx_test])
 
 
-def rmse(pred: np.ndarray, target: np.ndarray, per_output: bool = False):
-    """Root mean squared error, aggregate or column-wise."""
+def rmse(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Column-wise root mean squared error: one value per output."""
     p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
     if p.shape != t.shape:
         raise ValidationError(f"shape mismatch in rmse: {p.shape} vs {t.shape}")
-    sq = (p - t) ** 2
-    if per_output:
-        return np.sqrt(sq.mean(axis=0))
-    return float(np.sqrt(sq.mean()))
+    return np.sqrt(((p - t) ** 2).mean(axis=0))
 
 
 def improvement_rates(base_rmses: np.ndarray, projected_rmses: np.ndarray) -> tuple[float, float]:

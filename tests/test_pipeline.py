@@ -12,7 +12,6 @@ from physproj.errors import PhysprojError, ProjectionError, ValidationError
 from physproj.nn import forward, load_network, save_network, xavier_init
 from physproj.pipeline import ExperimentConfig, experiments, load_config, run_experiment
 from physproj.pipeline.experiments import (
-    _train_ltp_model,
     load_spring_data,
     prepare_ltp,
     prepare_spring,
@@ -74,21 +73,13 @@ def test_split_deterministic_and_validated():
 
 
 def test_rmse_values():
-    a = np.array([[1.0], [2.0]])
-    assert rmse(a, a) == 0.0
-    pred = np.array([[3.0], [4.0]])
-    target = np.zeros((2, 1))
-    assert rmse(pred, target) == pytest.approx(np.sqrt(12.5))
+    a = np.array([[1.0, -1.0], [2.0, 5.0]])
+    assert np.array_equal(rmse(a, a), [0.0, 0.0])
+    pred = np.array([[3.0, 1.0], [4.0, -1.0]])
+    target = np.zeros((2, 2))
+    assert np.allclose(rmse(pred, target), [np.sqrt(12.5), 1.0])
     with pytest.raises(ValidationError):
         rmse(np.zeros((2, 1)), np.zeros((3, 1)))
-
-
-def test_rmse_aggregate_identity():
-    rng = np.random.default_rng(0)
-    pred = rng.normal(size=(40, 5))
-    target = rng.normal(size=(40, 5))
-    per = rmse(pred, target, per_output=True)
-    assert rmse(pred, target) == pytest.approx(np.sqrt(np.mean(per**2)))
 
 
 def test_improvement_rates_trivial_cases():
@@ -154,8 +145,6 @@ def test_config_validation_errors(tmp_path, capsys):
         ExperimentConfig(architectures=()).validate()
     with pytest.raises(ValidationError):
         ExperimentConfig(split_fractions=(0.5, 0.2, 0.2)).validate()
-    with pytest.raises(ValidationError):
-        ExperimentConfig(ltp_n_members=0).validate()
     for key, value in (
         ("spring_epochs", -3),
         ("ltp_max_epochs", -1),
@@ -202,6 +191,7 @@ def test_config_validation_errors(tmp_path, capsys):
         {"spring_delta_t": float("inf")},
         {"ltp_batch": -3},
         {"spring_initial_state": [float("nan"), 0, 0, 0]},
+        {"ltp_n_members": 2},  # not an ExperimentConfig key
     ):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(values))
@@ -387,35 +377,6 @@ def test_small_samples_writes_trend_slices_only_for_swept_sizes(tmp_path):
     assert [name for name in sorted(os.listdir(out)) if name.startswith("trend")] == ["trend_size_200.csv"]
 
 
-def test_ltp_compare_with_ensemble(tmp_path):
-    extra = {**TINY_LTP, "ltp_n_members": 2}
-    out = tmp_path / "ens"
-    cfg = ExperimentConfig(kind="ltp-compare", out_dir=str(out), **extra)
-    report = run_experiment(cfg)
-    assert set(report.per_output_rmse) == {"nn", "pinn", "nn_projection", "pinn_projection"}
-    for law_rmse in report.constraint_rmse["nn_projection"].values():
-        assert law_rmse <= 1e-7
-
-
-def test_ltp_model_of_one_member_is_the_trained_network():
-    cfg = ExperimentConfig(kind="ltp-compare", **TINY_LTP)
-    ctx = prepare_ltp(cfg)
-    z = ctx.norm["test"][0]
-    net, _ = train_ltp_net(ctx, cfg, 11, physics=True)
-    assert np.array_equal(_train_ltp_model(ctx, cfg, 11, physics=True)(z), forward(net, z))
-
-
-def test_ltp_model_of_two_members_is_their_mean():
-    cfg = ExperimentConfig(kind="ltp-compare", **{**TINY_LTP, "ltp_n_members": 2})
-    ctx = prepare_ltp(cfg)
-    z = ctx.norm["test"][0]
-    a, _ = train_ltp_net(ctx, cfg, 11, physics=False)
-    b, _ = train_ltp_net(ctx, cfg, 12, physics=False)
-    assert not np.array_equal(a.theta, b.theta)
-    expected = np.stack([forward(a, z), forward(b, z)]).mean(axis=0)
-    assert np.array_equal(_train_ltp_model(ctx, cfg, 11, physics=False)(z), expected)
-
-
 def _force_cpus(monkeypatch, n):
     """Make run_parallel see ``n`` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
@@ -483,7 +444,6 @@ def test_one_and_two_workers_write_identical_csvs(tmp_path, monkeypatch, kind):
     else:
         extra = {
             **TINY_LTP,
-            "ltp_n_members": 2,
             "architectures": (2, 8, 3),
             "trend_architectures": (8,),
             "pool_size": 200,
@@ -746,10 +706,19 @@ def test_cli_train_ltp_saves_the_experiments_network(tmp_path):
     assert (out / "model.txt").read_bytes() == (tmp_path / "direct.txt").read_bytes()
 
 
-def test_cli_train_ltp_rejects_ensembles(tmp_path):
-    cfg = _write_cfg(tmp_path, {"ltp_n_members": 3})
-    assert cli_main(["train", "ltp", "--config", cfg, "--out-dir", str(tmp_path / "m")]) == 1
-    assert not os.path.exists(tmp_path / "m" / "model.txt")
+def test_ltp_compare_scores_the_networks_train_ltp_saves(tmp_path):
+    """The nn and pinn rows of per_output_rmse.csv are those of the model files `train ltp` writes."""
+    cfg_path = _write_cfg(tmp_path)
+    out = tmp_path / "compare"
+    assert cli_main(["experiment", "ltp-compare", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    with open(out / "per_output_rmse.csv") as fh:
+        rows = [line.strip().split(",") for line in fh.readlines()[1:]]
+    xn_test, yn_test = prepare_ltp(load_config(cfg_path)).norm["test"]
+    for name, flags in (("nn", []), ("pinn", ["--physics"])):
+        assert cli_main(["train", "ltp", *flags, "--config", cfg_path, "--out-dir", str(tmp_path / name)]) == 0
+        net, _ = load_network(str(tmp_path / name / "model.txt"))
+        scored = [float(value) for model, _, value, _ in rows if model == name]
+        assert scored == list(rmse(forward(net, xn_test), yn_test))
 
 
 def _model_file(tmp_path, case):
