@@ -25,8 +25,13 @@ and leaves the active set the moment it converges or fails; the linear
 algebra is stacked over the active points. Each iterate is evaluated once:
 its residual comes from the line-search trial that found it, its Jacobian
 from one call when it is accepted, and the start's both from one
-``residual_and_jacobian`` call. A constraint call that raises on a batch is
-repeated point by point, so a failing point never aborts the others.
+``residual_and_jacobian`` call. A line search tries the full steps in one
+constraint call, and every shorter length (halvings down to 2^-39) of the
+points that reject theirs at once in one more; each point takes the first
+length it accepts. That evaluates more rows than halving one length per call,
+in far fewer calls, and a call on a few tiny points costs its overhead, not
+its rows. A constraint call that raises on a batch is repeated point by
+point, so a failing point never aborts the others.
 Problems are tiny (<= 17 variables, <= 3 constraints): dense algebra is plenty.
 
 Starting from p0 = y means an already-feasible prediction is returned
@@ -49,12 +54,12 @@ SINGULAR_SYSTEM = "singular_system"
 NONFINITE_INPUT = "nonfinite_input"
 
 _ARMIJO_C1 = 1e-4
-_BACKTRACK = 0.5
-_MIN_ALPHA = 1e-12
+_SHORTER = 0.5 ** np.arange(1, 40)  # the step lengths after a rejected full step: halvings down to 2^-39 >= 1e-12
 _MAX_DELTA = 1e6
 _STEP_CAP = 2.0  # outputs live on a [-1, 1]-ish scale; bound each Newton step
 _BLOCK_BYTES = 2**22  # a block's temporaries: bounds memory, and holds a 300-point LTP batch whole
-_POINT_MATRICES = 4  # a point's temporaries in saddle-point matrices (tracemalloc: 13.0 KB per LTP point)
+_POINT_MATRICES = 4  # a point's temporaries in saddle-point matrices (tracemalloc peak: 10.5 KB per LTP point)
+_TRIAL_VECTORS = 16  # budget per line-search trial in output vectors: its ~4 temporaries fit a quarter of the block's
 
 
 @dataclass(frozen=True)
@@ -139,17 +144,32 @@ def _evaluate(fn, shape, xs, rows, *args, failed=None):
     return out, ~raised
 
 
-def _backtrack(p, g, dp, pending, accept):
-    """Step lengths 1, 1/2, 1/4, ... (down to ``_MIN_ALPHA``) along the rows
-    ``pending`` of ``dp`` from ``p`` (residuals ``g``), until ``accept(rows,
-    trials, lengths)`` returns its mask, points and residuals. Returns the
-    accepted lengths (0: none), and the points and residuals (unmoved: ``p``, ``g``)."""
-    alpha, length, new_p, new_g = np.zeros(len(p)), np.ones(len(p)), p.copy(), g.copy()
-    while pending.size:
-        ok, at, g_at = accept(pending, p[pending] + length[pending, None] * dp[pending], length[pending])
-        alpha[pending[ok]], new_p[pending[ok]], new_g[pending[ok]] = length[pending[ok]], at[ok], g_at[ok]
-        length[pending[~ok]] *= _BACKTRACK
-        pending = pending[~ok & (length[pending] >= _MIN_ALPHA)]
+def _backtrack(p, g, dp, pending, accept, full=None):
+    """Step lengths 1, 1/2, 1/4, ..., 2^-39 along the rows ``pending`` of ``dp``
+    from ``p`` (residuals ``g``): each row takes the first length whose trial
+    ``accept(rows, trials, lengths)`` passes (it returns the mask, points and
+    residuals). The full step is judged in one call, by ``full`` if given (the
+    Newton search's adds its second-order correction there). The rows it
+    rejects try every shorter length at once in a second call (split into
+    chunks that keep ``_BLOCK_BYTES``), so a line search evaluates more rows
+    than a halving loop would, in fewer calls. Returns the accepted lengths
+    (0: none), and the points and residuals (unmoved: ``p``, ``g``)."""
+    alpha, new_p, new_g = np.zeros(len(p)), p.copy(), g.copy()
+    if not pending.size:
+        return alpha, new_p, new_g
+    ok, at, g_at = (full or accept)(pending, p[pending] + dp[pending], np.ones(pending.size))
+    alpha[pending[ok]], new_p[pending[ok]], new_g[pending[ok]] = 1.0, at[ok], g_at[ok]
+    rejected, n = pending[~ok], _SHORTER.size
+    chunk = max(1, _BLOCK_BYTES // (_TRIAL_VECTORS * 8 * p.shape[1] * n))  # rejected rows per call
+    for lo in range(0, rejected.size, chunk):
+        rows = rejected[lo : lo + chunk]
+        trials = np.multiply(_SHORTER[:, None], dp[rows, None])
+        trials += p[rows, None]
+        ok, at, g_at = accept(np.repeat(rows, n), trials.reshape(-1, p.shape[1]), np.tile(_SHORTER, rows.size))
+        ok = ok.reshape(rows.size, n)
+        first, took = ok.argmax(axis=1), ok.any(axis=1)
+        pick = (np.arange(rows.size) * n + first)[took]
+        alpha[rows[took]], new_p[rows[took]], new_g[rows[took]] = _SHORTER[first[took]], at[pick], g_at[pick]
     return alpha, new_p, new_g
 
 
@@ -264,23 +284,21 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
         phi = np.sum(d * d, axis=1) + mu * np.abs(g_trial).sum(axis=1)
         return np.where(ok, phi, np.inf), np.where(ok[:, None], g_trial, np.nan)
 
-    def armijo(rows, at, length):
-        """Sufficient decrease of the merit; a rejected full step first gets a
-        second-order correction, which cancels the constraint curvature
-        picked up over the step."""
+    def armijo(rows, at, length):  # the Newton line search: sufficient decrease of the merit
         phi, g_trial = merit(act[rows], at, mu[rows])
-        ok = phi <= bar0[rows] + _ARMIJO_C1 * length * descent[rows]
-        if length[0] < 1.0:  # a backtracked pass: the correction is for full steps only
-            return ok, at, g_trial
+        return phi <= bar0[rows] + _ARMIJO_C1 * length * descent[rows], at, g_trial
+
+    def full_step(rows, at, length):
+        """``armijo`` on full steps; a rejected one first gets a second-order
+        correction, which cancels the constraint curvature picked up over the step."""
+        ok, at, g_trial = armijo(rows, at, length)
         soc = np.flatnonzero(~ok & np.all(np.isfinite(g_trial), axis=1))
         j_soc = jac[rows[soc]]
         correction, singular = _solve(j_soc @ j_soc.transpose(0, 2, 1), g_trial[soc])
         dq = -_matvec(j_soc.transpose(0, 2, 1), correction)
         valid = ~singular & np.all(np.isfinite(dq), axis=1)
         soc = soc[valid]
-        corrected = at[soc] + dq[valid]
-        phi_soc, g_soc = merit(act[rows[soc]], corrected, mu[rows[soc]])
-        good = phi_soc <= bar0[rows[soc]] + _ARMIJO_C1 * descent[rows[soc]]
+        good, corrected, g_soc = armijo(rows[soc], at[soc] + dq[valid], length[soc])
         ok[soc[good]], at[soc[good]], g_trial[soc[good]] = True, corrected[good], g_soc[good]
         return ok, at, g_trial
 
@@ -362,7 +380,7 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
         # a step too small to matter means no usable primal direction at
         # this regularization: it goes straight to the delta bump below
         idle = np.abs(dp).max(axis=1) <= 1e-14 * (1.0 + np.abs(p_a).max(axis=1))
-        alpha, new_p, new_g = _backtrack(p_a, g, dp, np.flatnonzero(~idle & (descent <= -1e-16)), armijo)
+        alpha, new_p, new_g = _backtrack(p_a, g, dp, np.flatnonzero(~idle & (descent <= -1e-16)), armijo, full_step)
 
         moved = alpha > 0.0
         move(act[moved], new_p[moved], new_g[moved])

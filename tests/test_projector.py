@@ -412,3 +412,122 @@ def test_energy_anchors_per_point_match_one_constraint_per_point():
     batch = project_batch(ys, EnergyConstraint(PARAMS, None, spec), anchors[:, None], pspec)
     for i, (y, anchor) in enumerate(zip(ys, anchors)):
         _assert_same_result(project(y, EnergyConstraint(PARAMS, anchor, spec), None, pspec), batch, i)
+
+
+def _far_ltp_starts(n):
+    """The first ``n`` points of the stress set of test_far_from_manifold_ltp_starts: ys, inputs, constraints."""
+    from physproj.constraints import LtpConstraints, LtpSchema
+    from physproj.pipeline.config import ExperimentConfig
+    from physproj.pipeline.experiments import prepare_ltp
+
+    ctx = prepare_ltp(ExperimentConfig(kind="ltp-compare", seed=0))
+    ys = ctx.norm["train"][1][:200] + np.random.default_rng(0).normal(0.0, 0.8, (200, 17))
+    return ys[:n], ctx.splits["train"][0][:n], LtpConstraints(LtpSchema(), ctx.out_spec)
+
+
+_BACKTRACK = 0.5
+_MIN_ALPHA = 1e-12
+
+
+def _halving_loop(p, g, dp, pending, accept):
+    """The reference line search: one ``accept`` call per step length, halving from 1 down to 1e-12."""
+    alpha, length, new_p, new_g = np.zeros(len(p)), np.ones(len(p)), p.copy(), g.copy()
+    while pending.size:
+        ok, at, g_at = accept(pending, p[pending] + length[pending, None] * dp[pending], length[pending])
+        alpha[pending[ok]], new_p[pending[ok]], new_g[pending[ok]] = length[pending[ok]], at[ok], g_at[ok]
+        length[pending[~ok]] *= _BACKTRACK
+        pending = pending[~ok & (length[pending] >= _MIN_ALPHA)]
+    return alpha, new_p, new_g
+
+
+def _reference_backtrack(log):
+    """``_backtrack`` as the halving loop, whose first call goes to ``full`` when given.
+    Counts in ``log`` the line searches that went past the full step (restoration's
+    have no ``full``, the Newton ones do) and the full steps a second-order correction took."""
+
+    def backtrack(p, g, dp, pending, accept, full=None):
+        kind, calls = ("newton" if full else "restoration"), []
+
+        def judge(rows, trials, lengths):
+            calls.append(len(rows))
+            if len(calls) > 1:
+                log[kind] += len(calls) == 2
+                return accept(rows, trials, lengths)
+            if not full:
+                return accept(rows, trials, lengths)
+            plain = accept(rows, trials.copy(), lengths)[0]
+            ok, at, g_at = full(rows, trials, lengths)
+            log["correction"] += np.sum(ok & ~plain)
+            return ok, at, g_at
+
+        return _halving_loop(p, g, dp, pending, judge)
+
+    return backtrack
+
+
+def _assert_same_bytes(a, b):
+    for field in ("projected", "multipliers", "iterations", "kkt_norm"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), field
+    assert list(a.status) == list(b.status)
+
+
+def _reference_cases():
+    """(name, ys, inputs, constraint set, spec, block budget) for the line-search reference test."""
+    from physproj.constraints import LtpConstraints, LtpSchema
+
+    ys, xs, cs = _far_ltp_starts(200)
+    x, noisy, spec = _noisy_ltp_batch()
+    circle = np.concatenate([np.random.default_rng(8).uniform(-2.0, 2.0, (100, 2)), [[0.0, 4.0], [0.05, 0.0], [3.0, 3.0]]])
+    tight = ProjectionSpec(tolerance=1e-10)
+    small = 5 * projector._POINT_MATRICES * 8 * (17 + 3) ** 2  # blocks of 5 points, one rejected row per trial call
+    return [
+        ("far starts", ys, xs, cs, ProjectionSpec(), projector._BLOCK_BYTES),
+        ("far starts, small blocks", ys[:40], xs[:40], cs, ProjectionSpec(), small),
+        ("noisy, all laws", noisy, x, LtpConstraints(LtpSchema(), spec), ProjectionSpec(), projector._BLOCK_BYTES),
+        ("noisy, neutrality", noisy, x, LtpConstraints(LtpSchema(), spec, laws=(2,)), ProjectionSpec(), projector._BLOCK_BYTES),
+        ("circle", circle, None, Circle(), tight, projector._BLOCK_BYTES),
+    ]
+
+
+def test_line_search_matches_the_halving_loop_bit_for_bit(monkeypatch):
+    """Trying every shorter length at once picks the length, point and residual
+    that halving one length at a time picks, so every result field is identical."""
+    logs = {}
+    for name, ys, xs, cs, pspec, budget in _reference_cases():
+        monkeypatch.setattr(projector, "_BLOCK_BYTES", budget)
+        batched = project_batch(ys, cs, xs, pspec)
+        logs[name] = Counter()
+        with monkeypatch.context() as patched:
+            patched.setattr(projector, "_backtrack", _reference_backtrack(logs[name]))
+            reference = project_batch(ys, cs, xs, pspec)
+        _assert_same_bytes(batched, reference)
+    # on the far starts, in whole and in small blocks, both line searches went
+    # past the full step, and second-order corrections took full steps
+    for name in ("far starts", "far starts, small blocks"):
+        assert logs[name]["restoration"] and logs[name]["newton"] and logs[name]["correction"], (name, logs[name])
+
+
+def test_a_line_search_makes_two_residual_calls_and_one_for_corrections(monkeypatch):
+    """Named beforehand: a line search calls ``residual`` once on the full
+    steps and once on every shorter length of the rows that rejected them; the
+    Newton one calls it once more, between the two, on the second-order
+    corrections. A halving loop calls it once per length."""
+    ys, xs, cs = _far_ltp_starts(16)
+    calls, searches = [0], []
+    residual = cs.residual
+    monkeypatch.setattr(cs, "residual", lambda x, p: calls.__setitem__(0, calls[0] + 1) or residual(x, p))
+    backtrack = projector._backtrack
+
+    def counted(p, g, dp, pending, accept, *full):
+        before = calls[0]
+        alpha, new_p, new_g = backtrack(p, g, dp, pending, accept, *full)
+        searches.append((accept.__name__, np.any(alpha[pending] < 1.0), calls[0] - before))
+        return alpha, new_p, new_g
+
+    monkeypatch.setattr(projector, "_backtrack", counted)
+    project_batch(ys, cs, xs, ProjectionSpec())
+    for kind, most in (("decrease", 2), ("armijo", 3)):
+        mine = [(short, n) for name, short, n in searches if name == kind]
+        assert any(short for short, _ in mine)  # some rows went past the full step
+        assert max(n for _, n in mine) == most
