@@ -11,11 +11,13 @@ are verified against finite differences in the test suite.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from physproj import springmass
 from physproj.constraints.ltp import ELEMENTARY_CHARGE, K_BOLTZMANN, LtpSchema
-from physproj.constraints.transform import LN10, TransformSpec, denormalize, jacobian_diag_from_physical
+from physproj.constraints.transform import TransformSpec, denormalize, jacobian_diag_from_physical
 from physproj.errors import ValidationError
 
 NE_SCALE_FLOOR = 1e6  # m^-3, lower clamp for the quasi-neutrality scale
@@ -83,9 +85,13 @@ class ConstraintSet:
         return 0.5 * (out + out.transpose(0, 2, 1))
 
 
-def _column_sum(y: np.ndarray, idx) -> np.ndarray:
+def _column_sum(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Row sums of the columns ``idx``, added left to right for any batch size
-    (``y[:, idx].sum(axis=1)`` adds a lone row pairwise, a batch column-wise)."""
+    (``y[:, idx].sum(axis=1)`` adds a lone row pairwise, a batch column-wise).
+    Past two columns, the last of the running sums down the gathered columns
+    costs less than adding them one by one."""
+    if len(idx) > 2:
+        return np.add.accumulate(y.T[idx], axis=0)[-1]
     total = y[:, idx[0]]
     for i in idx[1:]:
         total = total + y[:, i]
@@ -97,29 +103,35 @@ def _chain_rule(y: np.ndarray, spec: TransformSpec, hess_phys: np.ndarray, grad_
     physical-space ones H, where D = T' and grad is the physical gradient of the residual.
 
     On a log-flagged feature y = 10^u with u affine in the normalized value, so
-    T'' = ln(10) * (width / 2) * D there; on a linear feature T'' is zero.
+    T'' = ln(10) * (width / 2) * D there (``spec.diag_slope * D``); on a linear
+    feature T'' is zero, and so is its slope.
     """
     diag = jacobian_diag_from_physical(y, spec)
     out = diag[:, :, None] * hess_phys
     out *= diag[:, None, :]
     idx = np.arange(y.shape[1])
-    out[:, idx, idx] += grad_phys * np.where(spec.log_flags, LN10 * (spec.width / 2.0) * diag, 0.0)
+    out[:, idx, idx] += grad_phys * (spec.diag_slope * diag)
     return out
 
 
 class _PhysicalLaws(ConstraintSet):
-    """Laws on the de-normalized outputs y: a subclass gives ``_phys_residual(x, y)``
-    and ``_scaled_jacobian(x, y)`` (w.r.t. the normalized outputs); each call de-normalizes once."""
+    """Laws on the de-normalized outputs y. A subclass gives ``_shared(x, y)``, the
+    per-row quantities its laws share, and ``_phys_residual(q)`` and
+    ``_scaled_jacobian(q)`` (w.r.t. the normalized outputs), which read them from
+    ``q``: each call de-normalizes once and computes the shared quantities once."""
+
+    def _shared_at(self, x, p: np.ndarray):
+        return self._shared(x, denormalize(p, self.output_spec))
 
     def _residual(self, x, p: np.ndarray) -> np.ndarray:
-        return self._phys_residual(x, denormalize(p, self.output_spec))
+        return self._phys_residual(self._shared_at(x, p))
 
     def _jacobian(self, x, p: np.ndarray) -> np.ndarray:
-        return self._scaled_jacobian(x, denormalize(p, self.output_spec))
+        return self._scaled_jacobian(self._shared_at(x, p))
 
     def _residual_and_jacobian(self, x, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = denormalize(p, self.output_spec)
-        return self._phys_residual(x, y), self._scaled_jacobian(x, y)
+        q = self._shared_at(x, p)
+        return self._phys_residual(q), self._scaled_jacobian(q)
 
 
 class EnergyConstraint(_PhysicalLaws):
@@ -140,32 +152,49 @@ class EnergyConstraint(_PhysicalLaws):
         self.scale = None if anchor_energy is None else max(self.anchor, 1.0)
         self.output_spec = state_spec
 
-    def _anchor_scale(self, x):
-        """Anchor and residual scale max(anchor, 1 J), per point when x is given."""
+    def _shared(self, x, phys: np.ndarray):
+        """The states, their anchors and the residual scale max(anchor, 1 J), per point when x is given."""
         if x is None:
             if self.anchor is None:
                 raise ValidationError("energy constraint needs an anchor energy or per-point anchors in x")
-            return self.anchor, self.scale
+            return phys, self.anchor, self.scale
         anchor = np.asarray(x, dtype=np.float64)[:, 0]
         if np.any(anchor < 0.0):
             raise ValidationError("anchor energy must be non-negative")
-        return anchor, np.maximum(anchor, 1.0)
+        return phys, anchor, np.maximum(anchor, 1.0)
 
-    def _phys_residual(self, x, phys: np.ndarray) -> np.ndarray:
-        anchor, scale = self._anchor_scale(x)
+    def _phys_residual(self, q) -> np.ndarray:
+        phys, anchor, scale = q
         return ((np.asarray(springmass.energy(phys, self.params)) - anchor) / scale)[:, None]
 
-    def _scaled_jacobian(self, x, phys: np.ndarray) -> np.ndarray:
-        _, scale = self._anchor_scale(x)
+    def _scaled_jacobian(self, q) -> np.ndarray:
+        phys, _, scale = q
         grad = springmass.energy_gradient(phys, self.params) / np.reshape(scale, (-1, 1))
         return (grad * jacobian_diag_from_physical(phys, self.output_spec))[:, None, :]
 
     def _lagrangian_hessian(self, x, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        scale = np.reshape(self._anchor_scale(x)[1], (-1, 1))
+        phys, _, scale = self._shared_at(x, p)
+        scale = np.reshape(scale, (-1, 1))
         hess_phys = self._hessian / scale[:, :, None]
-        phys = denormalize(p, self.output_spec)
         grad_phys = springmass.energy_gradient(phys, self.params) / scale
         return lam[:, :1, None] * _chain_rule(phys, self.output_spec, hess_phys, grad_phys)
+
+
+class _LtpRows(NamedTuple):
+    """What the three LTP laws share at a batch of points, one entry per row."""
+
+    y: np.ndarray  # de-normalized outputs, (n, 17)
+    p_in: np.ndarray  # the (P, I, R) inputs
+    i_in: np.ndarray
+    radius: np.ndarray
+    tg: np.ndarray
+    ne: np.ndarray
+    vd: np.ndarray
+    heavy: np.ndarray  # sum of the 11 heavy-species densities
+    pos: np.ndarray  # sum of the positive-ion densities
+    neg: np.ndarray  # sum of the negative-ion densities
+    ne_scale: np.ndarray  # max(ne, NE_SCALE_FLOOR), the quasi-neutrality scale
+    raw3: np.ndarray  # ne - pos + neg, the quasi-neutrality residual before scaling
 
 
 class LtpConstraints(_PhysicalLaws):
@@ -174,6 +203,13 @@ class LtpConstraints(_PhysicalLaws):
     ``laws`` selects a subset (by index: 0 pressure, 1 current, 2
     neutrality) for the per-law projection ablations. The pressure sum
     counts the 11 heavy species, not the electrons.
+
+    One call (residual, Jacobian, both, or Lagrangian Hessian) checks ``x``
+    once and computes once what the laws share (``_LtpRows``): the input
+    columns, Tg, ne and vd, the heavy-species and ion sums, the
+    quasi-neutrality scale and its unscaled residual. Each law's residual and
+    gradient are written once (``_law_residual``, ``_law_gradient``), and
+    the Jacobian writes only their non-zero entries.
     """
 
     LAW_NAMES = ("pressure", "current", "neutrality")
@@ -186,89 +222,96 @@ class LtpConstraints(_PhysicalLaws):
         self.output_spec = output_spec
         self.laws = tuple(laws)
         self.residual_dim = len(self.laws)
-        self._pressure_idx = list(schema.heavy_indices())
-        self._pos = schema.positive_indices()
-        self._neg = schema.negative_indices()
+        self._law_idx = np.array(self.laws, dtype=np.intp)
+        self._heavy = np.asarray(schema.heavy_indices(), dtype=np.intp)
+        self._pos = np.asarray(schema.positive_indices(), dtype=np.intp)
+        self._neg = np.asarray(schema.negative_indices(), dtype=np.intp)
         self._ne = schema.idx(schema.electron)
         self._tg = schema.idx("Tg")
         self._vd = schema.idx("vd")
 
-    def _phys_residual(self, x, y: np.ndarray) -> np.ndarray:
-        x = self._check_x(x)
-        p_in, i_in, radius = x[:, 0], x[:, 1], x[:, 2]
-        tg = y[:, self._tg]
-        ne = y[:, self._ne]
-        vd = y[:, self._vd]
-        r1 = (p_in - _column_sum(y, self._pressure_idx) * K_BOLTZMANN * tg) / p_in
-        r2 = (i_in - ELEMENTARY_CHARGE * ne * vd * np.pi * radius**2) / i_in
-        ne_scale = np.maximum(ne, NE_SCALE_FLOOR)
-        r3 = (ne - _column_sum(y, self._pos) + _column_sum(y, self._neg)) / ne_scale
-        return np.stack([r1, r2, r3], axis=-1)[:, self.laws]
-
-    @staticmethod
-    def _check_x(x) -> np.ndarray:
+    def _shared(self, x, y: np.ndarray) -> _LtpRows:
         if x is None:
             raise ValidationError("LTP constraints need the (P, I, R) input vector")
-        return np.atleast_2d(x)
-
-    def _phys_jacobian(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """All three law gradients w.r.t. the physical outputs, (n, 3, dim)."""
-        n, dim = y.shape
-        p_in, i_in, radius = x[:, 0], x[:, 1], x[:, 2]
-        tg = y[:, self._tg]
+        x = np.atleast_2d(x)
         ne = y[:, self._ne]
-        vd = y[:, self._vd]
+        pos, neg = _column_sum(y, self._pos), _column_sum(y, self._neg)
+        return _LtpRows(
+            y, x[:, 0], x[:, 1], x[:, 2], y[:, self._tg], ne, y[:, self._vd],
+            _column_sum(y, self._heavy), pos, neg, np.maximum(ne, NE_SCALE_FLOOR), ne - pos + neg,
+        )
 
-        jac = np.zeros((n, 3, dim))
-        # pressure law
-        jac[:, 0, self._pressure_idx] = (-K_BOLTZMANN * tg / p_in)[:, None]
-        jac[:, 0, self._tg] = -K_BOLTZMANN * _column_sum(y, self._pressure_idx) / p_in
-        # current law
-        area = np.pi * radius**2
-        jac[:, 1, self._ne] = -ELEMENTARY_CHARGE * vd * area / i_in
-        jac[:, 1, self._vd] = -ELEMENTARY_CHARGE * ne * area / i_in
+    @staticmethod
+    def _law_residual(law: int, q: _LtpRows) -> np.ndarray:
+        if law == 0:
+            return (q.p_in - q.heavy * K_BOLTZMANN * q.tg) / q.p_in
+        if law == 1:
+            return (q.i_in - ELEMENTARY_CHARGE * q.ne * q.vd * np.pi * q.radius**2) / q.i_in
+        return q.raw3 / q.ne_scale
+
+    def _law_gradient(self, law: int, q: _LtpRows):
+        """Law ``law``'s non-zero partial derivatives w.r.t. the physical outputs, as
+        (columns, values) pairs: (n, 1) values for an index array, (n,) for one column."""
+        if law == 0:
+            return (self._heavy, (-K_BOLTZMANN * q.tg / q.p_in)[:, None]), (self._tg, -K_BOLTZMANN * q.heavy / q.p_in)
+        if law == 1:
+            area = np.pi * q.radius**2
+            return (self._ne, -ELEMENTARY_CHARGE * q.vd * area / q.i_in), (self._vd, -ELEMENTARY_CHARGE * q.ne * area / q.i_in)
         # quasi-neutrality, including the derivative of its 1/ne scale
-        ne_scale = np.maximum(ne, NE_SCALE_FLOOR)
-        jac[:, 2, self._pos] = (-1.0 / ne_scale)[:, None]
-        jac[:, 2, self._neg] = (1.0 / ne_scale)[:, None]
-        raw3 = ne - _column_sum(y, self._pos) + _column_sum(y, self._neg)
-        clamped = ne <= NE_SCALE_FLOOR
-        jac[:, 2, self._ne] = np.where(clamped, 1.0 / ne_scale, (ne_scale - raw3) / ne_scale**2)
+        inv = 1.0 / q.ne_scale
+        clamped = q.ne <= NE_SCALE_FLOOR
+        return (
+            (self._pos, -inv[:, None]),
+            (self._neg, inv[:, None]),
+            (self._ne, np.where(clamped, inv, (q.ne_scale - q.raw3) / q.ne_scale**2)),
+        )
+
+    def _phys_residual(self, q: _LtpRows) -> np.ndarray:
+        out = np.empty((len(self.laws), len(q.y))).T  # law-major: the layout its callers' means have always added in
+        for k, law in enumerate(self.laws):
+            out[:, k] = self._law_residual(law, q)
+        return out
+
+    def _phys_jacobian(self, q: _LtpRows, laws: tuple[int, ...], jac: np.ndarray) -> np.ndarray:
+        """``jac``, zeros of shape (n, len(laws), dim), with the gradients of ``laws``
+        w.r.t. the physical outputs written into their fixed non-zero pattern."""
+        for k, law in enumerate(laws):
+            for cols, values in self._law_gradient(law, q):
+                jac[:, k, cols] = values
         return jac
 
-    def _scaled_jacobian(self, x, y: np.ndarray) -> np.ndarray:
-        diag = jacobian_diag_from_physical(y, self.output_spec)
-        return self._phys_jacobian(self._check_x(x), y)[:, self.laws, :] * diag[:, None, :]
+    def _scaled_jacobian(self, q: _LtpRows) -> np.ndarray:
+        # law-major, the layout the physics term's einsum has always summed over
+        jac = self._phys_jacobian(q, self.laws, np.zeros((len(self.laws), *q.y.shape)).transpose(1, 0, 2))
+        jac *= jacobian_diag_from_physical(q.y, self.output_spec)[:, None, :]
+        return jac
 
     def _lagrangian_hessian(self, x, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Exact curvature of lam . g in normalized space, per point."""
-        x = np.atleast_2d(x)
-        y = denormalize(p, self.output_spec)
+        q = self._shared_at(x, p)
         n, dim = p.shape
         lam_full = np.zeros((n, 3))
-        lam_full[:, list(self.laws)] = lam
-        p_in, i_in, radius = x[:, 0], x[:, 1], x[:, 2]
-        ne = y[:, self._ne]
+        lam_full[:, self._law_idx] = lam
 
         hess = np.zeros((n, dim, dim))
         # pressure law: bilinear in each heavy density and Tg
-        cross = (-K_BOLTZMANN / p_in * lam_full[:, 0])[:, None]
-        hess[:, self._pressure_idx, self._tg] += cross
-        hess[:, self._tg, self._pressure_idx] += cross
+        cross = (-K_BOLTZMANN / q.p_in * lam_full[:, 0])[:, None]
+        hess[:, self._heavy, self._tg] += cross
+        hess[:, self._tg, self._heavy] += cross
         # current law: bilinear in ne and vd
-        cross = -ELEMENTARY_CHARGE * np.pi * radius**2 / i_in * lam_full[:, 1]
+        cross = -ELEMENTARY_CHARGE * np.pi * q.radius**2 / q.i_in * lam_full[:, 1]
         hess[:, self._ne, self._vd] += cross
         hess[:, self._vd, self._ne] += cross
         # quasi-neutrality: rational in ne unless the scale is clamped
-        rational = ne > NE_SCALE_FLOOR
-        ne = np.where(rational, ne, 1.0)  # clamped rows add zeros below
+        rational = q.ne > NE_SCALE_FLOOR
+        ne = np.where(rational, q.ne, 1.0)  # clamped rows add zeros below
         w3 = np.where(rational, lam_full[:, 2], 0.0)
-        charge = _column_sum(y, self._pos) - _column_sum(y, self._neg)
+        charge = q.pos - q.neg
         hess[:, self._ne, self._ne] += w3 * (-2.0 * charge / ne**3)
         hess[:, self._ne, self._pos] += (w3 / ne**2)[:, None]
         hess[:, self._pos, self._ne] += (w3 / ne**2)[:, None]
         hess[:, self._ne, self._neg] += (-w3 / ne**2)[:, None]
         hess[:, self._neg, self._ne] += (-w3 / ne**2)[:, None]
 
-        grad_phys = (lam_full[:, None, :] @ self._phys_jacobian(x, y))[:, 0, :]
-        return _chain_rule(y, self.output_spec, hess, grad_phys)
+        grad_phys = (lam_full[:, None, :] @ self._phys_jacobian(q, (0, 1, 2), np.zeros((n, 3, dim))))[:, 0, :]
+        return _chain_rule(q.y, self.output_spec, hess, grad_phys)

@@ -27,7 +27,10 @@ class TransformSpec:
 
     ``mins``/``maxs`` are bounds of the (possibly log-transformed) values.
     ``names`` fixes the vector layout used throughout the package.
-    ``width`` is ``maxs - mins``, derived once here; it is not serialized.
+    ``width`` is ``maxs - mins``, and ``diag_slope``/``diag_offset`` give the
+    inverse's Jacobian diagonal ``diag_slope * physical + diag_offset`` (see
+    :func:`jacobian_diag_from_physical`); all three are derived once here and
+    not serialized.
     """
 
     names: tuple[str, ...]
@@ -35,6 +38,8 @@ class TransformSpec:
     maxs: np.ndarray
     log_flags: np.ndarray = field(default=None)  # type: ignore[assignment]
     width: np.ndarray = field(init=False, repr=False, compare=False)
+    diag_slope: np.ndarray = field(init=False, repr=False, compare=False)
+    diag_offset: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mins = np.asarray(self.mins, dtype=np.float64)
@@ -52,6 +57,9 @@ class TransformSpec:
         object.__setattr__(self, "maxs", maxs)
         object.__setattr__(self, "log_flags", flags)
         object.__setattr__(self, "width", maxs - mins)
+        half = self.width / 2.0
+        object.__setattr__(self, "diag_slope", np.where(flags, half * LN10, 0.0))
+        object.__setattr__(self, "diag_offset", np.where(flags, 0.0, half))
 
     @property
     def dim(self) -> int:
@@ -115,12 +123,11 @@ def jacobian_diag_from_physical(phys: np.ndarray, spec: TransformSpec) -> np.nda
 
     Linear features contribute (max - min)/2; log-flagged ones pick up the
     extra d(10^u)/du = ln(10) * 10^u factor, and there 10^u is ``phys``.
-    Always a new array, shaped like ``phys``.
+    Always a new array, shaped like ``phys``. For finite ``phys`` the slope
+    and offset leave each entry exact: a zero slope adds a signed zero, and
+    the zero offset of a log feature adds zero to a positive product.
     """
-    half = spec.width / 2.0
-    if not spec.log_flags.any():
-        return np.full(np.shape(phys), half)
-    return np.where(spec.log_flags, half * LN10 * phys, half)
+    return phys * spec.diag_slope + spec.diag_offset
 
 
 def sample_skewness(x: np.ndarray) -> float:

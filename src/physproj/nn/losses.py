@@ -89,4 +89,4 @@ class LtpResidualTerm:
         return self._weighted(r), grad
 
     def _weighted(self, r: np.ndarray) -> float:
-        return float(np.dot(self.lambdas, np.mean(r**2, axis=0)))
+        return float(np.dot(self.lambdas, np.add.reduce(r * r, axis=0) / len(r)))  # the mean, in np.mean's order

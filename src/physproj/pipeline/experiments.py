@@ -9,9 +9,9 @@ onto each law set; the CLI calls the same functions. All randomness flows
 from config.seed through fixed offsets (dataset, split, per-model training,
 initial conditions, resamples), so reruns with the same config produce
 byte-identical CSVs apart from *_seconds columns. Every *_seconds value
-is measured by ``timed``. Trainings that share nothing, with the spring
-rollouts of each trained net and the spring ground truth, run side by
-side in worker processes through ``run_parallel``.
+is measured by ``timed``. Trainings that share nothing, each with the
+spring rollouts or ltp-compare projections of its net, and the spring
+ground truth run side by side in worker processes through ``run_parallel``.
 """
 
 from __future__ import annotations
@@ -454,31 +454,56 @@ def _per_output_rmse_rows(model: str, pred_norm, y_norm, y_phys, out_spec, mask)
     ], dict(zip(out_spec.names, norm_rmse))
 
 
+def _ltp_task(ctx: DataContext, cfg: ExperimentConfig, physics: bool, law_sets: tuple):
+    """Train the NN (the PINN with ``physics``), predict the test split, and
+    project the predictions onto each law set of ``law_sets``.
+
+    Returns (predictions, {laws: (ProjectionResult, converged mask, projection
+    seconds)}, training seconds).
+    """
+    x_test, xn_test = ctx.splits["test"][0], ctx.norm["test"][0]
+    seconds = {}
+    with timed(seconds, "training"):
+        # a shared seed: the PINN differs from the NN only through its loss
+        net, _ = train_ltp_net(ctx, cfg, cfg.seed + 2, physics)
+    pred = forward(net, xn_test)
+    projections = {}
+    for laws in law_sets:
+        with timed(seconds, laws):
+            result, converged = project_predictions(ctx.out_spec, pred, x_test, cfg.ltp_projection_tol, laws)
+        projections[laws] = (result, converged, seconds[laws])
+    return pred, projections, seconds["training"]
+
+
 def run_ltp_compare(cfg: ExperimentConfig) -> MetricsReport:
+    """One task per net trains it, predicts the test split and projects the predictions:
+    the NN's onto the full law set and each ablation subset, the PINN's onto the full set.
+    So with two workers the NN's projections run while the PINN still trains."""
     report = MetricsReport()
     seconds = report.phase_seconds
     with timed(seconds, "data_generation_seconds"):
         ctx = prepare_ltp(cfg)
     x_test, y_test = ctx.splits["test"]
-    xn_test, yn_test = ctx.norm["test"]
+    yn_test = ctx.norm["test"][1]
 
-    with timed(seconds, "training_seconds"):
-        # a shared seed: the PINN differs from the NN only through its loss
-        tasks = [partial(train_ltp_net, ctx, cfg, cfg.seed + 2, physics) for physics in (False, True)]
-        (nn, _), (pinn, _) = run_parallel(tasks)
+    full = (0, 1, 2)
+    tasks = [
+        partial(_ltp_task, ctx, cfg, False, tuple(laws for _, laws in LAW_VARIANTS)),
+        partial(_ltp_task, ctx, cfg, True, (full,)),
+    ]
+    outcomes = dict(zip(("nn", "pinn"), run_parallel(tasks)))  # name -> (predictions, projections, training seconds)
+    seconds["training_seconds"] = sum(train_seconds for _, _, train_seconds in outcomes.values())
+    seconds["projection_seconds"] = sum(projections[full][2] for _, projections, _ in outcomes.values())
 
-    preds = {"nn": forward(nn, xn_test), "pinn": forward(pinn, xn_test)}
-    status_rows = []
+    preds = {name: pred for name, (pred, _, _) in outcomes.items()}
     masks = {name: np.ones(len(x_test), dtype=bool) for name in preds}  # the unprojected models score every point
-    batch_seconds = {}
-    with timed(seconds, "projection_seconds"):
-        for name in ("nn", "pinn"):
-            with timed(batch_seconds, name):
-                result, converged = project_predictions(ctx.out_spec, preds[name], x_test, cfg.ltp_projection_tol)
-            preds[name + "_projection"] = result.projected
-            masks[name + "_projection"] = converged
-            report.n_nonconverged += int((~converged).sum())
-            status_rows.extend((name + "_projection", *row) for row in projection_rows(result, batch_seconds[name]))
+    status_rows = []
+    for name, (_, projections, _) in outcomes.items():
+        result, converged, batch_seconds = projections[full]
+        preds[name + "_projection"] = result.projected
+        masks[name + "_projection"] = converged
+        report.n_nonconverged += int((~converged).sum())
+        status_rows.extend((name + "_projection", *row) for row in projection_rows(result, batch_seconds))
     write_csv(
         os.path.join(cfg.out_dir, "projection_status.csv"),
         ["model", "index", "status", "iterations", "kkt_norm", "item_seconds"],
@@ -513,12 +538,8 @@ def run_ltp_compare(cfg: ExperimentConfig) -> MetricsReport:
     nn_rows, _ = _per_output_rmse_rows("nn", preds["nn"], yn_test, y_test, ctx.out_spec, masks["nn"])
     ablation_rows.extend(("nn", output, value_norm) for _, output, value_norm, _ in nn_rows)
     for variant, laws in LAW_VARIANTS:
-        if laws == (0, 1, 2):  # the full law set is the nn_projection model above
-            projected, converged = preds["nn_projection"], masks["nn_projection"]
-        else:
-            result, converged = project_predictions(ctx.out_spec, preds["nn"], x_test, cfg.ltp_projection_tol, laws)
-            projected = result.projected
-        rows, _ = _per_output_rmse_rows(variant, projected, yn_test, y_test, ctx.out_spec, converged)
+        result, converged, _ = outcomes["nn"][1][laws]
+        rows, _ = _per_output_rmse_rows(variant, result.projected, yn_test, y_test, ctx.out_spec, converged)
         ablation_rows.extend((variant, output, value_norm) for _, output, value_norm, _ in rows)
     write_csv(
         os.path.join(cfg.out_dir, "ablation.csv"),

@@ -358,40 +358,41 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
         go = ~converged & ~spent
         act, g, jac, svals, vt, grad_obj = act[go], g[go], jac[go], svals[go], vt[go], grad_obj[go]
 
-        # Lagrangian curvature for true Newton steps; harmless zeros at lam=0
-        curvature, ok = _evaluate(constraint_set.lagrangian_hessian, (dim, dim), xs, act, p[act], lam[act], failed=broken)
-        if not ok.all():
-            act, g, jac, svals, vt, grad_obj, curvature = (a[ok] for a in (act, g, jac, svals, vt, grad_obj, curvature))
-        curvature[~np.all(np.isfinite(curvature), axis=(1, 2))] = 0.0
-        hessian = np.add(curvature, 2.0 * np.eye(dim), out=curvature)
-        if m < dim:
-            _convexify(hessian, svals, vt)
-        dp = _newton_steps(hessian, jac, g, grad_obj, delta[act])
-        p_a = p[act]
+        if act.size:  # none left once every point converged, spent its budget or restores: skip the Newton step
+            # Lagrangian curvature for true Newton steps; harmless zeros at lam=0
+            curvature, ok = _evaluate(constraint_set.lagrangian_hessian, (dim, dim), xs, act, p[act], lam[act], failed=broken)
+            if not ok.all():
+                act, g, jac, svals, vt, grad_obj, curvature = (a[ok] for a in (act, g, jac, svals, vt, grad_obj, curvature))
+            curvature[~np.all(np.isfinite(curvature), axis=(1, 2))] = 0.0
+            hessian = np.add(curvature, 2.0 * np.eye(dim), out=curvature)
+            if m < dim:
+                _convexify(hessian, svals, vt)
+            dp = _newton_steps(hessian, jac, g, grad_obj, delta[act])
+            p_a = p[act]
 
-        # exact-penalty weight: a finite mu above the multiplier norm makes
-        # the l1 merit accept every step the true problem wants; the
-        # least-squares multiplier is the trustworthy estimate here
-        mu = 2.0 * np.abs(lam[act]).max(axis=1) + 0.1
-        jd = _matvec(jac, dp)
-        descent = np.sum(grad_obj * dp, axis=1) + mu * np.where(g == 0.0, np.abs(jd), np.sign(g) * jd).sum(axis=1)
-        d0 = p_a - ys[act]
-        bar0 = np.sum(d0 * d0, axis=1) + mu * np.abs(g).sum(axis=1)  # merit at p
-        # a step too small to matter means no usable primal direction at
-        # this regularization: it goes straight to the delta bump below
-        idle = np.abs(dp).max(axis=1) <= 1e-14 * (1.0 + np.abs(p_a).max(axis=1))
-        alpha, new_p, new_g = _backtrack(p_a, g, dp, np.flatnonzero(~idle & (descent <= -1e-16)), armijo, full_step)
+            # exact-penalty weight: a finite mu above the multiplier norm makes
+            # the l1 merit accept every step the true problem wants; the
+            # least-squares multiplier is the trustworthy estimate here
+            mu = 2.0 * np.abs(lam[act]).max(axis=1) + 0.1
+            jd = _matvec(jac, dp)
+            descent = np.sum(grad_obj * dp, axis=1) + mu * np.where(g == 0.0, np.abs(jd), np.sign(g) * jd).sum(axis=1)
+            d0 = p_a - ys[act]
+            bar0 = np.sum(d0 * d0, axis=1) + mu * np.abs(g).sum(axis=1)  # merit at p
+            # a step too small to matter means no usable primal direction at
+            # this regularization: it goes straight to the delta bump below
+            idle = np.abs(dp).max(axis=1) <= 1e-14 * (1.0 + np.abs(p_a).max(axis=1))
+            alpha, new_p, new_g = _backtrack(p_a, g, dp, np.flatnonzero(~idle & (descent <= -1e-16)), armijo, full_step)
 
-        moved = alpha > 0.0
-        move(act[moved], new_p[moved], new_g[moved])
-        shrink = act[alpha >= 0.5]
-        delta[shrink] *= 0.1
-        delta[shrink[delta[shrink] < 1e-14]] = 0.0
-        bump = act[~moved]
-        delta[bump] = np.maximum(delta[bump] * 10.0, 1e-10)
-        status[bump[delta[bump] > _MAX_DELTA]] = SINGULAR_SYSTEM
-        act = act[moved | (delta[act] <= _MAX_DELTA)]
-        iterations[act] += 1
+            moved = alpha > 0.0
+            move(act[moved], new_p[moved], new_g[moved])
+            shrink = act[alpha >= 0.5]
+            delta[shrink] *= 0.1
+            delta[shrink[delta[shrink] < 1e-14]] = 0.0
+            bump = act[~moved]
+            delta[bump] = np.maximum(delta[bump] * 10.0, 1e-10)
+            status[bump[delta[bump] > _MAX_DELTA]] = SINGULAR_SYSTEM
+            act = act[moved | (delta[act] <= _MAX_DELTA)]
+            iterations[act] += 1
         act = np.union1d(held, act)
 
     # a point whose y is not finite, or whose own constraint calls raised, comes back unchanged

@@ -19,8 +19,10 @@ from physproj.constraints import (
     normalize,
 )
 from physproj.constraints.ltp import I_RANGE, P_TORR_RANGE, R_RANGE, TORR_TO_PA, sample_inputs, synthetic_outputs
-from physproj.constraints.sets import ConstraintSet
+from physproj.constraints.sets import NE_SCALE_FLOOR, ConstraintSet
+from physproj.constraints.transform import LN10
 from physproj.errors import ValidationError
+from physproj.nn import LtpResidualTerm
 from physproj.pipeline.csvio import load_ltp_csv, write_ltp_csv
 
 PARAMS = sm.SpringParams()
@@ -267,6 +269,205 @@ def test_residual_and_jacobian_equal_the_separate_calls_bit_for_bit(laws):
             r, j = cs.residual_and_jacobian(xs, ps)
             assert r.tobytes() == cs.residual(xs, ps).tobytes()
             assert j.tobytes() == cs.jacobian(xs, ps).tobytes()
+
+
+def _parent_diag(phys, spec):
+    """jacobian_diag_from_physical as it was, before TransformSpec held its slope and offset."""
+    half = spec.width / 2.0
+    if not spec.log_flags.any():
+        return np.full(np.shape(phys), half)
+    return np.where(spec.log_flags, half * LN10 * phys, half)
+
+
+def _parent_chain_rule(y, spec, hess_phys, grad_phys):
+    """sets._chain_rule as it was, on the parent's diagonal."""
+    diag = _parent_diag(y, spec)
+    out = diag[:, :, None] * hess_phys
+    out *= diag[:, None, :]
+    idx = np.arange(y.shape[1])
+    out[:, idx, idx] += grad_phys * np.where(spec.log_flags, LN10 * (spec.width / 2.0) * diag, 0.0)
+    return out
+
+
+class _ParentLtp(ConstraintSet):
+    """The LTP laws as they were before one call shared its sums, kept verbatim
+    as the reference the shared pass must match bit for bit: each of
+    ``_phys_residual`` and ``_phys_jacobian`` computes its own column sums, and
+    the Hessian recomputes them through ``_phys_jacobian``."""
+
+    def __init__(self, schema, output_spec, laws=(0, 1, 2)):
+        self.output_spec = output_spec
+        self.laws = tuple(laws)
+        self.residual_dim = len(self.laws)
+        self._pressure_idx = list(schema.heavy_indices())
+        self._pos = schema.positive_indices()
+        self._neg = schema.negative_indices()
+        self._ne = schema.idx(schema.electron)
+        self._tg = schema.idx("Tg")
+        self._vd = schema.idx("vd")
+
+    def _residual(self, x, p):
+        return self._phys_residual(x, denormalize(p, self.output_spec))
+
+    def _jacobian(self, x, p):
+        return self._scaled_jacobian(x, denormalize(p, self.output_spec))
+
+    @staticmethod
+    def _column_sum(y, idx):
+        total = y[:, idx[0]]
+        for i in idx[1:]:
+            total = total + y[:, i]
+        return total
+
+    def _phys_residual(self, x, y):
+        x = self._check_x(x)
+        p_in, i_in, radius = x[:, 0], x[:, 1], x[:, 2]
+        tg = y[:, self._tg]
+        ne = y[:, self._ne]
+        vd = y[:, self._vd]
+        r1 = (p_in - self._column_sum(y, self._pressure_idx) * K_BOLTZMANN * tg) / p_in
+        r2 = (i_in - ELEMENTARY_CHARGE * ne * vd * np.pi * radius**2) / i_in
+        ne_scale = np.maximum(ne, NE_SCALE_FLOOR)
+        r3 = (ne - self._column_sum(y, self._pos) + self._column_sum(y, self._neg)) / ne_scale
+        return np.stack([r1, r2, r3], axis=-1)[:, self.laws]
+
+    @staticmethod
+    def _check_x(x):
+        if x is None:
+            raise ValidationError("LTP constraints need the (P, I, R) input vector")
+        return np.atleast_2d(x)
+
+    def _phys_jacobian(self, x, y):
+        n, dim = y.shape
+        p_in, i_in, radius = x[:, 0], x[:, 1], x[:, 2]
+        tg = y[:, self._tg]
+        ne = y[:, self._ne]
+        vd = y[:, self._vd]
+
+        jac = np.zeros((n, 3, dim))
+        # pressure law
+        jac[:, 0, self._pressure_idx] = (-K_BOLTZMANN * tg / p_in)[:, None]
+        jac[:, 0, self._tg] = -K_BOLTZMANN * self._column_sum(y, self._pressure_idx) / p_in
+        # current law
+        area = np.pi * radius**2
+        jac[:, 1, self._ne] = -ELEMENTARY_CHARGE * vd * area / i_in
+        jac[:, 1, self._vd] = -ELEMENTARY_CHARGE * ne * area / i_in
+        # quasi-neutrality, including the derivative of its 1/ne scale
+        ne_scale = np.maximum(ne, NE_SCALE_FLOOR)
+        jac[:, 2, self._pos] = (-1.0 / ne_scale)[:, None]
+        jac[:, 2, self._neg] = (1.0 / ne_scale)[:, None]
+        raw3 = ne - self._column_sum(y, self._pos) + self._column_sum(y, self._neg)
+        clamped = ne <= NE_SCALE_FLOOR
+        jac[:, 2, self._ne] = np.where(clamped, 1.0 / ne_scale, (ne_scale - raw3) / ne_scale**2)
+        return jac
+
+    def _scaled_jacobian(self, x, y):
+        diag = _parent_diag(y, self.output_spec)
+        return self._phys_jacobian(self._check_x(x), y)[:, self.laws, :] * diag[:, None, :]
+
+    def _lagrangian_hessian(self, x, p, lam):
+        x = np.atleast_2d(x)
+        y = denormalize(p, self.output_spec)
+        n, dim = p.shape
+        lam_full = np.zeros((n, 3))
+        lam_full[:, list(self.laws)] = lam
+        p_in, i_in, radius = x[:, 0], x[:, 1], x[:, 2]
+        ne = y[:, self._ne]
+
+        hess = np.zeros((n, dim, dim))
+        # pressure law: bilinear in each heavy density and Tg
+        cross = (-K_BOLTZMANN / p_in * lam_full[:, 0])[:, None]
+        hess[:, self._pressure_idx, self._tg] += cross
+        hess[:, self._tg, self._pressure_idx] += cross
+        # current law: bilinear in ne and vd
+        cross = -ELEMENTARY_CHARGE * np.pi * radius**2 / i_in * lam_full[:, 1]
+        hess[:, self._ne, self._vd] += cross
+        hess[:, self._vd, self._ne] += cross
+        # quasi-neutrality: rational in ne unless the scale is clamped
+        rational = ne > NE_SCALE_FLOOR
+        ne = np.where(rational, ne, 1.0)  # clamped rows add zeros below
+        w3 = np.where(rational, lam_full[:, 2], 0.0)
+        charge = self._column_sum(y, self._pos) - self._column_sum(y, self._neg)
+        hess[:, self._ne, self._ne] += w3 * (-2.0 * charge / ne**3)
+        hess[:, self._ne, self._pos] += (w3 / ne**2)[:, None]
+        hess[:, self._pos, self._ne] += (w3 / ne**2)[:, None]
+        hess[:, self._ne, self._neg] += (-w3 / ne**2)[:, None]
+        hess[:, self._neg, self._ne] += (-w3 / ne**2)[:, None]
+
+        grad_phys = (lam_full[:, None, :] @ self._phys_jacobian(x, y))[:, 0, :]
+        return _parent_chain_rule(y, self.output_spec, hess, grad_phys)
+
+
+def _parent_term_loss_and_grad(lambdas, cs, x_phys, y_norm):
+    """LtpResidualTerm.loss_and_output_grad as it was, on the constraint set ``cs``."""
+    r, jac = cs.residual_and_jacobian(x_phys, np.atleast_2d(y_norm))
+    grad = (2.0 / r.shape[0]) * np.einsum("k,nk,nkd->nd", lambdas, r, jac)
+    return float(np.dot(lambdas, np.mean(r**2, axis=0))), grad
+
+
+def _assert_same_array(a, b):
+    """Same dtype, shape, bytes and memory layout: a reduction over rows adds in the order the layout gives."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert all(sa == sb for sa, sb, k in zip(a.strides, b.strides, a.shape) if k > 1)  # a lone row or law has any stride
+
+
+@pytest.mark.parametrize("laws", [(0, 1, 2), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (2, 0, 1)])
+def test_shared_pass_matches_the_parent_laws_byte_for_byte(laws):
+    """One pass over the laws gives the bytes of the per-law code it replaced:
+    residual, Jacobian, joint call, Lagrangian Hessian and the physics term,
+    on batches, a single point, and rows whose quasi-neutrality scale is clamped."""
+    x, y, spec = ltp_specs()
+    new, old = LtpConstraints(SCHEMA, spec, laws=laws), _ParentLtp(SCHEMA, spec, laws=laws)
+    term = LtpResidualTerm(new, None, 0.3)
+    rng = np.random.default_rng(sum(10**i * k for i, k in enumerate(laws)))
+    for n in (1, 2, 32, 64, 300):
+        for sigma in (0.05, 1.0):
+            zs = normalize(y[:n], spec) + rng.normal(0.0, sigma, (n, 17))
+            if n >= 32:  # clamped scales: ne at, below and far below NE_SCALE_FLOOR
+                phys = denormalize(zs, spec)
+                phys[:3, SCHEMA.idx("ne")] = (NE_SCALE_FLOOR, 0.5 * NE_SCALE_FLOOR, -2e15)
+                zs = normalize(phys, spec)
+            lams = rng.normal(size=(n, len(laws)))
+            cases = [(x[:n], zs, lams)] + ([(x[0], zs[0], lams[0])] if n == 1 else [])  # a batch, a single point
+            for xs, ps, lam in cases:
+                _assert_same_array(new.residual(xs, ps), old.residual(xs, ps))
+                _assert_same_array(new.jacobian(xs, ps), old.jacobian(xs, ps))
+                for a, b in zip(new.residual_and_jacobian(xs, ps), old.residual_and_jacobian(xs, ps)):
+                    _assert_same_array(a, b)
+                _assert_same_array(new.lagrangian_hessian(xs, ps, lam), old.lagrangian_hessian(xs, ps, lam))
+            loss, grad = term.loss_and_output_grad(x[:n], zs)
+            ref_loss, ref_grad = _parent_term_loss_and_grad(term.lambdas, old, x[:n], zs)
+            assert loss == ref_loss or (np.isnan(loss) and np.isnan(ref_loss))
+            _assert_same_array(grad, ref_grad)
+
+
+def test_ltp_jacobian_matches_finite_differences_where_the_scale_is_clamped():
+    """At ne ~ -2e15 m^-3, where small-samples' stalled points land, the
+    quasi-neutrality scale is clamped to NE_SCALE_FLOOR: the Jacobian and the
+    joint call must still be the residual's derivative there."""
+    x, y, spec = ltp_specs()
+    rng = np.random.default_rng(21)
+    h = 1e-5  # the laws are at most bilinear in the linear outputs, so truncation stays far below the noise
+    for laws in ((0, 1, 2), (2,)):
+        cs = LtpConstraints(SCHEMA, spec, laws=laws)
+        for k in range(20):
+            i = rng.integers(0, len(x))
+            phys = denormalize(normalize(y[i], spec) + rng.normal(0.0, 0.05, 17), spec)
+            phys[SCHEMA.idx("ne")] = -rng.uniform(1.7e15, 2.3e15)
+            z = normalize(phys, spec)
+            jac = cs.jacobian(x[i], z)
+            r_joint, jac_joint = cs.residual_and_jacobian(x[i], z)
+            assert np.array_equal(r_joint, cs.residual(x[i], z)) and np.array_equal(jac_joint, jac)
+            assert denormalize(z, spec)[SCHEMA.idx("ne")] < -1e15  # far below the clamp
+            # |r3| ~ 2e9 here: the central difference cancels ~eps * |r| / h of it
+            noise = 5e-9 + 8.0 * np.finfo(np.float64).eps * np.abs(r_joint) / h
+            for j in range(17):
+                e = np.zeros(17)
+                e[j] = h
+                fd = (cs.residual(x[i], z + e) - cs.residual(x[i], z - e)) / (2 * h)
+                limit = 1e-6 * np.maximum(np.abs(jac[:, j]), np.abs(fd)) + noise
+                assert np.all(np.abs(jac[:, j] - fd) <= limit), (laws, k, j)
 
 
 # ---------------------------------------------------------------------------
