@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from physproj.errors import TrainingDivergedError, ValidationError
-from physproj.nn.losses import mse
 from physproj.nn.network import Network, backward, forward, forward_cached
 from physproj.nn.optimizer import AdamState, adam_step
 from physproj.nn.schedule import plateau_lr, pq_alpha_should_stop
@@ -44,6 +43,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a fractional count would reach range() as a bare TypeError, a negative one would train nothing
+        if isinstance(self.max_epochs, bool) or not isinstance(self.max_epochs, (int, np.integer)) or self.max_epochs < 0:
+            raise ValidationError("max_epochs must be an integer >= 0")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValidationError("learning_rate must be positive and finite")
         if self.batch_size < 1:
@@ -63,10 +65,15 @@ class TrainHistory:
         return len(self.train_loss)
 
 
+def _mse(diff: np.ndarray) -> float:
+    """Mean of ``diff ** 2``, summed in np.mean's order, so bit-equal to losses.mse."""
+    return float(np.add.reduce(diff * diff, axis=None) / diff.size)
+
+
 def _evaluate(net: Network, x: np.ndarray, y: np.ndarray, physics, feats, lam: float) -> float:
     """Total loss on a dataset whose physics inputs are ``feats``, without gradients."""
     pred = forward(net, x)
-    data = mse(pred, y)
+    data = _mse(pred - y)
     if physics is None:
         return data
     return (1.0 - lam) * data + physics.loss(feats, pred)
@@ -88,17 +95,29 @@ def train(
     (1 - term.weight) * data_mse + physics term, otherwise plain MSE. Early
     stopping and plateau scheduling need a validation set.
 
-    Each epoch gathers its shuffled inputs, targets and physics inputs once
-    into buffers made at the start, and every batch is a slice of them. The
-    gradient vector (written by backward through its ``out`` views) and the
-    Adam state's buffers are also made once, so a step allocates neither.
+    Allocated once per call: the buffers each epoch gathers its shuffled
+    inputs, targets and physics inputs into (every batch is a slice of
+    them), the gradient vector (written by backward through its ``out``
+    views), the Adam state, the best checkpoint's parameter vector, and
+    ``max_epochs``-long training and validation loss arrays filled in place,
+    whose views the schedule rules read. An improving epoch copies ``theta``
+    into the checkpoint vector; the returned network is built from it once,
+    at the end, and the history's loss lists from the arrays.
     """
     x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train_set)
+    n_in, n_out = net.layer_dims[0], net.layer_dims[-1]
     if x_train.shape[0] == 0:
         raise ValidationError("empty training set")
-    if y_train.shape != (x_train.shape[0], net.layer_dims[-1]):
-        raise ValidationError(f"targets {y_train.shape} do not fit {x_train.shape[0]} inputs and {net.layer_dims[-1]} outputs")
+    if y_train.shape != (x_train.shape[0], n_out):
+        raise ValidationError(f"targets {y_train.shape} do not fit {x_train.shape[0]} inputs and {n_out} outputs")
     has_val = val_set is not None and len(val_set[0]) > 0
+    if has_val:
+        # the inline validation MSE would broadcast an (n, 1) target against the predictions without complaint
+        x_val, y_val = (np.asarray(a, dtype=np.float64) for a in val_set)
+        if x_val.ndim != 2 or x_val.shape[1] != n_in:
+            raise ValidationError(f"validation inputs {x_val.shape} do not fit {n_in} network inputs")
+        if y_val.shape != (x_val.shape[0], n_out):
+            raise ValidationError(f"validation targets {y_val.shape} do not fit {x_val.shape[0]} inputs and {n_out} outputs")
     if (config.early_stop or config.lr_plateau) and not has_val:
         raise ValidationError("early stopping / plateau scheduling require a validation set")
     lam = physics.weight if physics is not None else 0.0
@@ -119,18 +138,19 @@ def train(
     grad_views = work.views(grad)
 
     feats = physics.inputs(x_train) if physics is not None else None
-    val_feats = physics.inputs(val_set[0]) if physics is not None and has_val else None
-    best_net = net.copy()
-    best_val = _evaluate(net, val_set[0], val_set[1], physics, val_feats, lam) if has_val else np.inf
+    val_feats = physics.inputs(x_val) if physics is not None and has_val else None
+    best_theta = net.theta.copy()
+    best_val = _evaluate(net, x_val, y_val, physics, val_feats, lam) if has_val else np.inf
 
     # each epoch gathers its shuffled rows into these once; a batch is a slice of them
     x_epoch, y_epoch = np.empty(x_train.shape), np.empty(y_train.shape)
     f_epoch = np.empty(feats.shape, feats.dtype) if physics is not None else None
+    train_loss, val_loss = np.empty(config.max_epochs), np.empty(config.max_epochs)
 
     lr = config.learning_rate
     epochs_since_lr_drop = 0
 
-    for _ in range(config.max_epochs):
+    for epoch in range(config.max_epochs):
         tick = time.perf_counter()
         order = rng.permutation(n)
         # a permutation never leaves the range, and "clip" spares take its buffered bounds check
@@ -146,7 +166,7 @@ def train(
             rows = slice(start, start + batch)
             cache = forward_cached(work, x_epoch[rows])
             diff = cache.output - y_epoch[rows]
-            data = float(np.add.reduce(diff * diff, axis=None) / diff.size)  # mse, in np.mean's order
+            data = _mse(diff)
             out_grad = diff  # mse_gradient, 2 * diff / diff.size, in place
             out_grad *= 2.0
             out_grad /= diff.size
@@ -165,41 +185,43 @@ def train(
             epoch_total += total
             n_batches += 1
 
-        history.train_loss.append(epoch_total / n_batches)
+        train_loss[epoch] = epoch_total / n_batches
         history.data_loss.append(epoch_data / n_batches)
         history.physics_loss.append(epoch_phys / n_batches)
         history.learning_rate.append(lr)
 
         if has_val:
-            val_total = _evaluate(work, val_set[0], val_set[1], physics, val_feats, lam)
-            if not np.isfinite(val_total):
+            val_total = _evaluate(work, x_val, y_val, physics, val_feats, lam)
+            if not math.isfinite(val_total):
                 raise TrainingDivergedError("non-finite validation loss")
         else:
-            val_total = history.train_loss[-1]
-        history.val_loss.append(val_total)
+            val_total = train_loss[epoch]
+        val_loss[epoch] = val_total
         history.epoch_seconds.append(time.perf_counter() - tick)
 
         if val_total < best_val:
             best_val = val_total
-            best_net = work.copy()
+            np.copyto(best_theta, work.theta)
 
+        seen = epoch + 1
         if config.lr_plateau is not None:
             epochs_since_lr_drop += 1
-            window = history.val_loss[-epochs_since_lr_drop:]
+            window = val_loss[seen - epochs_since_lr_drop : seen]
             new_lr = plateau_lr(window, config.lr_plateau.patience, config.lr_plateau.factor, lr)
             if new_lr != lr:
                 lr = new_lr
                 epochs_since_lr_drop = 0
 
         if config.early_stop is not None and pq_alpha_should_stop(
-            history.train_loss,
-            history.val_loss,
+            train_loss[:seen],
+            val_loss[:seen],
             config.early_stop.alpha,
             config.early_stop.strip_length,
         ):
             break
 
-    if not np.isfinite(best_net.theta).all():
+    history.train_loss = train_loss[:seen].tolist()
+    history.val_loss = val_loss[:seen].tolist()
+    if not np.isfinite(best_theta).all():
         raise TrainingDivergedError("non-finite parameters after training")
-    return best_net, history
-
+    return net.with_parameters(net.views(best_theta)), history

@@ -552,6 +552,26 @@ def test_train_validates_lambda_split():
             TrainConfig(batch_size=batch_size)
 
 
+def test_train_config_rejects_bad_max_epochs():
+    for max_epochs in (-1, 2.5, True, np.float64(3.0)):
+        with pytest.raises(ValidationError, match="max_epochs"):
+            TrainConfig(max_epochs=max_epochs)
+    assert TrainConfig(max_epochs=np.int64(3)).max_epochs == 3
+
+
+@pytest.mark.parametrize(
+    "val_x_shape, val_y_shape",
+    [((10, 3), (10, 2)), ((10, 2), (10, 1)), ((10, 2), (12, 2))],
+    ids=["input_width", "target_width", "row_count"],
+)
+def test_train_rejects_a_validation_set_of_the_wrong_shape(val_x_shape, val_y_shape):
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(20, 2)), rng.normal(size=(20, 2))
+    val = rng.normal(size=val_x_shape), rng.normal(size=val_y_shape)
+    with pytest.raises(ValidationError, match="validation"):
+        train(xavier_init([2, 4, 2], seed=0), (x, y), val, TrainConfig(max_epochs=1))
+
+
 def _seed_train(net, train_set, val_set, config, physics):
     """The training loop as first written, for the bit-for-bit comparison:
     physics inputs recomputed per batch, mse and mse_gradient, the
@@ -724,6 +744,26 @@ def test_train_matches_the_parent_loop_bit_for_bit(case):
     assert history.n_epochs() == 3
     for name in ("train_loss", "val_loss", "data_loss", "physics_loss", "learning_rate"):
         assert np.array_equal(getattr(history, name), getattr(expected_history, name)), name
+
+
+def test_train_returns_an_interior_best_epoch_as_its_own_copy():
+    _, net, (x, y), _, cfg, _ = next(_seed_train_cases())  # the plain case
+    val_set = x[-6:], y[-6:]
+    train_set = x[:-6], y[:-6]
+    cfg = replace(cfg, learning_rate=3e-2, max_epochs=8)
+    trained, history = train(net, train_set, val_set, cfg)
+    expected, _ = _parent_train(net, train_set, val_set, cfg, None)
+    best = int(np.argmin(history.val_loss))
+    # the checkpoint is neither the initial net nor the last epoch's
+    assert 0 < best < history.n_epochs() - 1
+    assert history.val_loss[best] < mse(forward(net, val_set[0]), val_set[1])
+    assert trained.theta.tobytes() == expected.theta.tobytes()
+    assert mse(forward(trained, val_set[0]), val_set[1]) == history.val_loss[best]
+    again, _ = train(net, train_set, val_set, cfg)
+    assert again.theta.tobytes() == trained.theta.tobytes()
+    for other in (net, again):
+        for p in other.parameters():
+            assert not np.shares_memory(trained.theta, p)
 
 
 def test_parameters_are_views_of_one_vector_and_training_leaves_input_alone():
