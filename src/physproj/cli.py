@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as exc:  # OSError: an output path that cannot be made or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TrainingDivergedError, ProjectionError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (TrainingDivergedError, ProjectionError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except PhysprojError as exc:

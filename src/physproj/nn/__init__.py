@@ -7,7 +7,6 @@ from physproj.nn.losses import (
     mse_gradient,
 )
 from physproj.nn.network import (
-    Activation,
     Network,
     backward,
     forward,
@@ -27,7 +26,6 @@ from physproj.nn.training import (
 )
 
 __all__ = [
-    "Activation",
     "AdamState",
     "EarlyStopConfig",
     "LtpResidualTerm",

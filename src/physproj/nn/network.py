@@ -18,28 +18,16 @@ from physproj.constraints.transform import TransformSpec
 from physproj.errors import ValidationError
 
 MAGIC_HEADER = "PHYSPROJ-NET-v1"
+LEAKY_SLOPE = 0.01  # every hidden layer's leaky ReLU slope
+_ACTIVATION_LINE = f"activation leaky_relu {LEAKY_SLOPE!r}"
 
 
-@dataclass(frozen=True)
-class Activation:
-    """Hidden-layer nonlinearity: the leaky ReLU with a slope in (0, 1]; slope 1 makes the net linear."""
-
-    slope: float = 0.01
-
-    def __post_init__(self):
-        # apply() relies on it: outside (0, 1], max(z, slope * z) is not the leaky ReLU
-        if not 0.0 < self.slope <= 1.0:
-            raise ValidationError(f"leaky_relu slope must lie in (0, 1], got {self.slope}")
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        return np.maximum(z, self.slope * z)
-
-    def backprop(self, delta: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """``delta`` times the derivative at ``z``; max(z > 0, slope) is 1 or the slope, without a branch."""
-        factor = (z > 0.0).astype(np.float64)  # a float mask, which np.maximum takes without a casting loop
-        np.maximum(factor, self.slope, out=factor)
-        factor *= delta
-        return factor
+def _leaky_relu_backprop(delta: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``delta`` times the leaky ReLU's derivative at ``z``; max(z > 0, slope) is 1 or the slope, without a branch."""
+    factor = (z > 0.0).astype(np.float64)  # a float mask, which np.maximum takes without a casting loop
+    np.maximum(factor, LEAKY_SLOPE, out=factor)
+    factor *= delta
+    return factor
 
 
 @dataclass
@@ -55,7 +43,6 @@ class Network:
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: Activation = field(default_factory=Activation)
     theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -66,7 +53,7 @@ class Network:
         self.weights, self.biases = views[0::2], views[1::2]
 
     def __reduce__(self):
-        return Network, (self.layer_dims, self.weights, self.biases, self.activation)
+        return Network, (self.layer_dims, self.weights, self.biases)
 
     def parameters(self) -> list[np.ndarray]:
         """Views [W0, b0, W1, b1, ...] of ``theta``, in its order."""
@@ -93,7 +80,7 @@ def _check_layer_dims(layer_dims) -> tuple[int, ...]:
     return dims
 
 
-def xavier_init(layer_dims, activation: Activation | None = None, seed: int = 0) -> Network:
+def xavier_init(layer_dims, seed: int = 0) -> Network:
     """Glorot-uniform weights, bound sqrt(6/(fan_in+fan_out)); zero biases.
 
     Deterministic for a given (layer_dims, seed) pair.
@@ -106,12 +93,7 @@ def xavier_init(layer_dims, activation: Activation | None = None, seed: int = 0)
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return Network(
-        layer_dims=dims,
-        weights=weights,
-        biases=biases,
-        activation=activation if activation is not None else Activation(),
-    )
+    return Network(layer_dims=dims, weights=weights, biases=biases)
 
 
 @dataclass
@@ -124,7 +106,7 @@ class ForwardCache:
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network; hidden layers get the activation, output is affine."""
+    """Evaluate the network; hidden layers get the leaky ReLU, output is affine."""
     return forward_cached(net, x).output
 
 
@@ -141,7 +123,7 @@ def forward_cached(net: Network, x: np.ndarray) -> ForwardCache:
         z += b
         pre.append(z)
         if i < last:
-            a = net.activation.apply(z)
+            a = np.maximum(z, LEAKY_SLOPE * z)
             hidden.append(a)
     out = z[0] if squeeze else z
     return ForwardCache(pre_activations=pre, hidden=hidden, output=out)
@@ -172,7 +154,7 @@ def backward(
     delta = g
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
-            delta = net.activation.backprop(delta, cache.pre_activations[i])
+            delta = _leaky_relu_backprop(delta, cache.pre_activations[i])
         np.matmul(delta.T, cache.hidden[i], out=grads[2 * i])
         np.add.reduce(delta, axis=0, out=grads[2 * i + 1])
         if i > 0:
@@ -184,12 +166,12 @@ def save_network(path, net: Network, transform: TransformSpec) -> None:
     """Write a network and the TransformSpec of its outputs as versioned text.
 
     Format: magic header, layer dims, the activation line 'activation
-    leaky_relu <slope>', a transform line holding the spec's JSON, then
+    leaky_relu 0.01', a transform line holding the spec's JSON, then
     row-major weights and biases with full round-trip precision.
     """
     lines = [MAGIC_HEADER]
     lines.append("layer_dims " + ",".join(str(d) for d in net.layer_dims))
-    lines.append(f"activation leaky_relu {net.activation.slope!r}")
+    lines.append(_ACTIVATION_LINE)
     lines.append("transform " + transform.to_json())
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         lines.append(f"W{i} " + " ".join(repr(float(v)) for v in w.ravel()))
@@ -212,9 +194,8 @@ def load_network(path):
         raise ValidationError(f"{path} is not a {MAGIC_HEADER} file")
     try:
         dims = _check_layer_dims(lines[1].split(" ", 1)[1].split(","))
-        activation, slope = lines[2].rsplit(" ", 1)
-        if activation != "activation leaky_relu":
-            raise ValidationError(f"{path} line 3 is not 'activation leaky_relu <slope>'")
+        if lines[2] != _ACTIVATION_LINE:
+            raise ValidationError(f"{path} line 3 is not '{_ACTIVATION_LINE}'")
         transform = TransformSpec.from_json(lines[3].split(" ", 1)[1])
         weights = []
         biases = []
@@ -227,8 +208,6 @@ def load_network(path):
             weights.append(wvals.reshape(fan_out, fan_in))
             biases.append(bvals)
             row += 2
-        activation = Activation(float(slope))
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from exc
-    net = Network(layer_dims=dims, weights=weights, biases=biases, activation=activation)
-    return net, transform
+    return Network(layer_dims=dims, weights=weights, biases=biases), transform

@@ -125,9 +125,6 @@ def train(
         raise ValidationError("the physics term's weight must lie in [0, 1]")
 
     history = TrainHistory()
-    if config.max_epochs == 0:
-        return net.copy(), history
-
     rng = np.random.default_rng(config.seed)
     n = x_train.shape[0]
     batch = min(config.batch_size, n)
@@ -149,6 +146,7 @@ def train(
 
     lr = config.learning_rate
     epochs_since_lr_drop = 0
+    seen = 0
 
     for epoch in range(config.max_epochs):
         tick = time.perf_counter()

@@ -89,7 +89,12 @@ class ProjectionResult:
 
 
 def kkt_residual(p, lam, y, constraint_set, input_x, spec: ProjectionSpec) -> tuple[float, float]:
-    """Infinity norms of (stationarity, feasibility) at (p, lam)."""
+    """Infinity norms of (stationarity, feasibility) at (p, lam).
+
+    ``spec`` is unused, since the projection metric is plain Euclidean; the
+    parameter stays because tests/test_acceptance.py (criterion 5) passes it
+    positionally.
+    """
     p, lam, y = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (p, lam, y))
     g, jac = constraint_set.residual_and_jacobian(input_x, p)
     stationarity = 2.0 * (p - y) + np.atleast_2d(jac).T @ lam

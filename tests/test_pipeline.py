@@ -737,6 +737,8 @@ def _model_file(tmp_path, case):
         lines[1] = "layer_dims 4"
     elif case == "zero_slope":  # max(z, 0 * z) is NaN at z = +inf
         lines[2] = "activation leaky_relu 0.0"
+    elif case == "other_slope":  # a valid leaky ReLU, but not the one the networks compute
+        lines[2] = "activation leaky_relu 0.3"
     elif case == "identity_activation":
         lines[2] = "activation identity 0.01"
     elif case == "no_transform":
@@ -749,7 +751,8 @@ def _model_file(tmp_path, case):
 
 @pytest.mark.parametrize("command", [["project", "spring"], ["rollout"]], ids=["project", "rollout"])
 @pytest.mark.parametrize(
-    "case", ["missing", "truncated", "unparsable", "single_width", "zero_slope", "identity_activation", "no_transform"]
+    "case",
+    ["missing", "truncated", "unparsable", "single_width", "zero_slope", "other_slope", "identity_activation", "no_transform"],
 )
 def test_cli_malformed_model_exit_code(tmp_path, capsys, command, case):
     model = _model_file(tmp_path, case)

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from physproj import projector
 from physproj.constraints import INPUT_NAMES, OUTPUT_NAMES, ConstraintSet, TransformSpec, fit_transform
 from physproj.errors import ValidationError
-from physproj.nn import Activation, backward, forward_cached, load_network, save_network, xavier_init
+from physproj.nn import Network, backward, forward_cached, load_network, save_network, xavier_init
+from physproj.nn.network import _leaky_relu_backprop
 from physproj.pipeline import ExperimentConfig, load_config
 from physproj.pipeline.csvio import load_ltp_csv
 from physproj.projector import CONVERGED, ProjectionSpec, kkt_residual, project, project_batch
@@ -154,17 +155,18 @@ SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5
 
 
 @PROPERTY_SETTINGS
-@given(
-    st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([1.0, 5e-324, 0.01]),
-    st.lists(st.floats() | SPECIAL_FLOATS, min_size=1, max_size=40),
-)
-def test_leaky_relu_equals_its_where_form_bit_for_bit(slope, values):
+@given(st.lists(st.floats() | SPECIAL_FLOATS, min_size=1, max_size=40))
+def test_leaky_relu_equals_its_where_form_bit_for_bit(values):
     z = np.array(values)
-    expected = np.where(z > 0.0, z, slope * z)
-    assert Activation(slope).apply(z).tobytes() == expected.tobytes()
+    # a 1-1-1 net whose first layer is the identity hands z to the leaky ReLU (the matmul turns -0.0 into 0.0)
+    net = Network(layer_dims=(1, 1, 1), weights=[np.ones((1, 1))] * 2, biases=[np.zeros(1)] * 2)
+    cache = forward_cached(net, z[:, None])
+    pre = cache.pre_activations[0]
+    assert np.array_equal(pre[:, 0], z, equal_nan=True)
+    assert cache.hidden[1].tobytes() == np.where(pre > 0.0, pre, 0.01 * pre).tobytes()
     delta = z[::-1]  # the backward pass: delta times the derivative, 1 or the slope
-    expected = delta * np.where(z > 0.0, 1.0, slope)
-    assert Activation(slope).backprop(delta, z).tobytes() == expected.tobytes()
+    expected = delta * np.where(z > 0.0, 1.0, 0.01)
+    assert _leaky_relu_backprop(delta, z).tobytes() == expected.tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -172,11 +174,10 @@ def test_leaky_relu_equals_its_where_form_bit_for_bit(slope, values):
     st.lists(st.integers(1, 8), min_size=2, max_size=5),
     st.integers(1, 9),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([Activation(), Activation(0.3), Activation(1.0)]),
 )
-def test_backward_writes_views_of_one_vector_equal_to_the_per_layer_formula(dims, batch, seed, activation):
+def test_backward_writes_views_of_one_vector_equal_to_the_per_layer_formula(dims, batch, seed):
     rng = np.random.default_rng(seed)
-    net = xavier_init(dims, activation=activation)
+    net = xavier_init(dims)
     net.theta[:] = rng.normal(size=net.theta.size)
     cache = forward_cached(net, rng.normal(size=(batch, dims[0])))
     output_grad = rng.normal(size=(batch, dims[-1]))
@@ -190,18 +191,11 @@ def test_backward_writes_views_of_one_vector_equal_to_the_per_layer_formula(dims
     expected, delta = [None] * (2 * n_layers), output_grad  # the derivative-times-delta form
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
-            delta = delta * np.where(cache.pre_activations[i] > 0.0, 1.0, activation.slope)
+            delta = delta * np.where(cache.pre_activations[i] > 0.0, 1.0, 0.01)
         expected[2 * i], expected[2 * i + 1] = delta.T @ cache.hidden[i], delta.sum(axis=0)
         if i > 0:
             delta = delta @ net.weights[i]
     assert flat.tobytes() == np.concatenate([e.ravel() for e in expected]).tobytes()
-
-
-@PROPERTY_SETTINGS
-@given(st.floats().filter(lambda s: not 0.0 < s <= 1.0) | st.sampled_from([0.0, -0.0, 1.0000000000000002, np.nan]))
-def test_leaky_relu_rejects_a_slope_outside_the_unit_interval(slope):
-    with pytest.raises(ValidationError, match="slope"):
-        Activation(slope)
 
 
 # ---------------------------------------------------------------------------
