@@ -163,14 +163,24 @@ class EnergyConstraint(_PhysicalLaws):
             raise ValidationError("anchor energy must be non-negative")
         return phys, anchor, np.maximum(anchor, 1.0)
 
-    def _phys_residual(self, q) -> np.ndarray:
+    def _phys_residual(self, q, energy=None) -> np.ndarray:
         phys, anchor, scale = q
-        return ((np.asarray(springmass.energy(phys, self.params)) - anchor) / scale)[:, None]
+        if energy is None:
+            energy = springmass.energy(phys, self.params)
+        return ((np.asarray(energy) - anchor) / scale)[:, None]
 
-    def _scaled_jacobian(self, q) -> np.ndarray:
+    def _scaled_jacobian(self, q, grad_phys=None) -> np.ndarray:
         phys, _, scale = q
-        grad = springmass.energy_gradient(phys, self.params) / np.reshape(scale, (-1, 1))
+        if grad_phys is None:
+            grad_phys = springmass.energy_gradient(phys, self.params)
+        grad = grad_phys / np.reshape(scale, (-1, 1))
         return (grad * jacobian_diag_from_physical(phys, self.output_spec))[:, None, :]
+
+    def _residual_and_jacobian(self, x, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both from one ``springmass.energy_and_gradient`` call, bit for bit the separate ones."""
+        q = self._shared_at(x, p)
+        energy, grad_phys = springmass.energy_and_gradient(q[0], self.params)
+        return self._phys_residual(q, energy), self._scaled_jacobian(q, grad_phys)
 
     def _lagrangian_hessian(self, x, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
         phys, _, scale = self._shared_at(x, p)

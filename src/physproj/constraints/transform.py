@@ -27,9 +27,10 @@ class TransformSpec:
 
     ``mins``/``maxs`` are bounds of the (possibly log-transformed) values.
     ``names`` fixes the vector layout used throughout the package.
-    ``width`` is ``maxs - mins``, and ``diag_slope``/``diag_offset`` give the
-    inverse's Jacobian diagonal ``diag_slope * physical + diag_offset`` (see
-    :func:`jacobian_diag_from_physical`); all three are derived once here and
+    ``width`` is ``maxs - mins``, ``any_log`` whether any feature is
+    log-flagged, and ``diag_slope``/``diag_offset`` give the inverse's
+    Jacobian diagonal ``diag_slope * physical + diag_offset`` (see
+    :func:`jacobian_diag_from_physical`); all four are derived once here and
     not serialized.
     """
 
@@ -38,6 +39,7 @@ class TransformSpec:
     maxs: np.ndarray
     log_flags: np.ndarray = field(default=None)  # type: ignore[assignment]
     width: np.ndarray = field(init=False, repr=False, compare=False)
+    any_log: bool = field(init=False, repr=False, compare=False)
     diag_slope: np.ndarray = field(init=False, repr=False, compare=False)
     diag_offset: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -57,6 +59,7 @@ class TransformSpec:
         object.__setattr__(self, "maxs", maxs)
         object.__setattr__(self, "log_flags", flags)
         object.__setattr__(self, "width", maxs - mins)
+        object.__setattr__(self, "any_log", bool(flags.any()))
         half = self.width / 2.0
         object.__setattr__(self, "diag_slope", np.where(flags, half * LN10, 0.0))
         object.__setattr__(self, "diag_offset", np.where(flags, 0.0, half))
@@ -96,7 +99,7 @@ def normalize(values: np.ndarray, spec: TransformSpec) -> np.ndarray:
     if v.shape[-1] != spec.dim:
         raise ValidationError(f"expected {spec.dim} features, got shape {v.shape}")
     u = v.copy()
-    if spec.log_flags.any():
+    if spec.any_log:
         logged = v[..., spec.log_flags]
         if np.any(logged <= 0.0):
             raise ValidationError("non-positive value on a log-flagged feature")
@@ -110,7 +113,7 @@ def denormalize(z: np.ndarray, spec: TransformSpec) -> np.ndarray:
     if z.shape[-1] != spec.dim:
         raise ValidationError(f"expected {spec.dim} features, got shape {z.shape}")
     u = (z + 1.0) * spec.width / 2.0 + spec.mins
-    if spec.log_flags.any():
+    if spec.any_log:
         with np.errstate(over="ignore"):  # overflow is raised as an error below
             u[..., spec.log_flags] = np.power(10.0, u[..., spec.log_flags])
     if not np.isfinite(u).all():

@@ -98,11 +98,37 @@ def xavier_init(layer_dims, seed: int = 0) -> Network:
 
 @dataclass
 class ForwardCache:
-    """Pre-activations and post-activations (the inputs first) kept for the backward pass."""
+    """Pre-activations and post-activations (the inputs first) kept for the backward pass,
+    and the layer dimensions of the network that made them."""
 
+    layer_dims: tuple[int, ...]
     pre_activations: list[np.ndarray]
     hidden: list[np.ndarray]
     output: np.ndarray
+
+
+def _layer_arrays(net: Network, n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(pre-activation, hidden activation) arrays for ``_forward_into`` on ``n`` rows, to be reused."""
+    dims = net.layer_dims
+    return [np.empty((n, d)) for d in dims[1:]], [np.empty((n, d)) for d in dims[1:-1]]
+
+
+def _forward_into(net: Network, a: np.ndarray, pre: list, hidden: list) -> np.ndarray:
+    """The layer loop on the 2-D inputs ``a``; returns the output, ``pre[-1]``.
+
+    Layer i's pre-activation is written into ``pre[i]`` and each hidden leaky
+    ReLU into ``hidden[i]``: arrays shaped as ``_layer_arrays`` makes them, or
+    None for fresh ones, which the lists then hold. Reused or fresh, the bits
+    are those of z = a @ W.T + b and max(z, slope * z).
+    """
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = pre[i] = np.matmul(a, w.T, out=pre[i])
+        z += b
+        if i < last:
+            a = hidden[i] = np.multiply(z, LEAKY_SLOPE, out=hidden[i])
+            np.maximum(z, a, out=a)
+    return z
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
@@ -114,19 +140,10 @@ def forward_cached(net: Network, x: np.ndarray) -> ForwardCache:
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if a.shape[1] != net.layer_dims[0]:
         raise ValidationError(f"input width {a.shape[1]} != expected {net.layer_dims[0]}")
-    squeeze = np.asarray(x).ndim == 1
-    pre = []
-    hidden = [a]
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T
-        z += b
-        pre.append(z)
-        if i < last:
-            a = np.maximum(z, LEAKY_SLOPE * z)
-            hidden.append(a)
-    out = z[0] if squeeze else z
-    return ForwardCache(pre_activations=pre, hidden=hidden, output=out)
+    pre, hidden = [None] * len(net.weights), [None] * (len(net.weights) - 1)  # fresh arrays
+    z = _forward_into(net, a, pre, hidden)
+    out = z[0] if np.ndim(x) == 1 else z
+    return ForwardCache(net.layer_dims, pre, [a, *hidden], out)
 
 
 def backward(
@@ -135,21 +152,18 @@ def backward(
     """Gradients of a scalar loss w.r.t. every parameter, [dW0, db0, dW1, ...].
 
     ``output_grad`` is dLoss/dOutput for the same batch the cache was built
-    from; shapes are checked so a stale cache fails loudly. The gradients
+    from; the cache's layer dimensions and the gradient's shape are checked,
+    so a stale cache fails loudly. The gradients
     are written into ``out``, which must be ``net.views`` of a vector laid
     out like ``theta``, and ``out`` is returned; without it they go into
     the views of one new such vector, ``grads[0].base``.
     """
-    g = np.atleast_2d(np.asarray(output_grad, dtype=np.float64))
-    n_layers = len(net.weights)
-    if (
-        len(cache.pre_activations) != n_layers
-        or cache.hidden[0].shape[1] != net.layer_dims[0]
-        or any(z.shape[1] != d for z, d in zip(cache.pre_activations, net.layer_dims[1:]))
-    ):
+    if cache.layer_dims != net.layer_dims:
         raise ValidationError("forward cache does not match this network")
-    if g.shape != np.atleast_2d(cache.output).shape:
+    g = np.atleast_2d(np.asarray(output_grad, dtype=np.float64))
+    if g.shape != cache.pre_activations[-1].shape:  # the output, kept 2-D
         raise ValidationError("output_grad shape does not match the cached forward pass")
+    n_layers = len(net.weights)
     grads = net.views(np.empty_like(net.theta)) if out is None else out
     delta = g
     for i in range(n_layers - 1, -1, -1):

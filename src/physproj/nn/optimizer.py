@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,8 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, learning_ra
     """
     if grad.shape != theta.shape or state.m.shape != theta.shape:
         raise ValidationError("params, grads and Adam state sizes disagree")
-    if not np.isfinite(grad).all():
+    # a finite sum means every entry is finite, and costs no bool vector; a NaN, inf or overflowing sum gets the exact test
+    if not math.isfinite(np.add.reduce(grad, axis=None)) and not np.isfinite(grad).all():
         raise TrainingDivergedError("non-finite gradient passed to adam_step")
     state.t += 1
     scratch, step = state.scratch, state.step

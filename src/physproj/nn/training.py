@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from physproj.errors import TrainingDivergedError, ValidationError
-from physproj.nn.network import Network, backward, forward, forward_cached
+from physproj.nn.network import Network, _forward_into, _layer_arrays, backward, forward_cached
 from physproj.nn.optimizer import AdamState, adam_step
 from physproj.nn.schedule import plateau_lr, pq_alpha_should_stop
 
@@ -70,9 +70,10 @@ def _mse(diff: np.ndarray) -> float:
     return float(np.add.reduce(diff * diff, axis=None) / diff.size)
 
 
-def _evaluate(net: Network, x: np.ndarray, y: np.ndarray, physics, feats, lam: float) -> float:
-    """Total loss on a dataset whose physics inputs are ``feats``, without gradients."""
-    pred = forward(net, x)
+def _evaluate(net: Network, x: np.ndarray, y: np.ndarray, physics, feats, lam: float, layers) -> float:
+    """Total loss on a dataset whose physics inputs are ``feats``, without gradients; the
+    forward pass writes into ``layers``, the arrays ``_layer_arrays`` made for its rows."""
+    pred = _forward_into(net, x, *layers)
     data = _mse(pred - y)
     if physics is None:
         return data
@@ -98,7 +99,8 @@ def train(
     Allocated once per call: the buffers each epoch gathers its shuffled
     inputs, targets and physics inputs into (every batch is a slice of
     them), the gradient vector (written by backward through its ``out``
-    views), the Adam state, the best checkpoint's parameter vector, and
+    views), the Adam state, the layer arrays every validation forward pass
+    writes into, the best checkpoint's parameter vector, and
     ``max_epochs``-long training and validation loss arrays filled in place,
     whose views the schedule rules read. An improving epoch copies ``theta``
     into the checkpoint vector; the returned network is built from it once,
@@ -136,8 +138,9 @@ def train(
 
     feats = physics.inputs(x_train) if physics is not None else None
     val_feats = physics.inputs(x_val) if physics is not None and has_val else None
+    val_layers = _layer_arrays(net, len(x_val)) if has_val else None  # every validation pass reuses them
     best_theta = net.theta.copy()
-    best_val = _evaluate(net, x_val, y_val, physics, val_feats, lam) if has_val else np.inf
+    best_val = _evaluate(net, x_val, y_val, physics, val_feats, lam, val_layers) if has_val else np.inf
 
     # each epoch gathers its shuffled rows into these once; a batch is a slice of them
     x_epoch, y_epoch = np.empty(x_train.shape), np.empty(y_train.shape)
@@ -189,7 +192,7 @@ def train(
         history.learning_rate.append(lr)
 
         if has_val:
-            val_total = _evaluate(work, x_val, y_val, physics, val_feats, lam)
+            val_total = _evaluate(work, x_val, y_val, physics, val_feats, lam, val_layers)
             if not math.isfinite(val_total):
                 raise TrainingDivergedError("non-finite validation loss")
         else:

@@ -31,6 +31,7 @@ from physproj.nn import (
     train,
     xavier_init,
 )
+from physproj.nn.network import _forward_into, _layer_arrays
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +103,21 @@ def test_forward_matches_hand_rolled_evaluation():
         z = a @ w.T + b
         a = np.where(z > 0, z, 0.01 * z) if i < 2 else z
     assert np.allclose(forward(net, x), a, atol=1e-12)
+
+
+def test_forward_into_reused_arrays_equals_forward_bit_for_bit():
+    """The layer loop that train's validation pass runs on arrays made once gives forward's
+    bits at every row count, also when the arrays still hold another call's rows."""
+    net = xavier_init((4, 22, 98, 9, 4), seed=3)
+    x = np.random.default_rng(3).normal(size=(2000, 4))
+    pre, hidden = _layer_arrays(net, 2000)
+    for n in (2000, 1, 300, 64, 2000, 1, 64):
+        rows = ([z[:n] for z in pre], [a[:n] for a in hidden])
+        out = _forward_into(net, x[:n], *rows)
+        cache = forward_cached(net, x[:n])
+        assert out.tobytes() == forward(net, x[:n]).tobytes() == cache.output.tobytes()
+        for mine, fresh in zip(rows[0] + rows[1], cache.pre_activations + cache.hidden[1:]):
+            assert mine.tobytes() == fresh.tobytes()
 
 
 def test_forward_rejects_width_mismatch():
@@ -191,6 +207,15 @@ def test_backward_rejects_stale_cache():
         backward(net, cache, np.zeros((2, 2)))
 
 
+def test_backward_rejects_an_output_grad_for_another_batch():
+    net = xavier_init([3, 4, 2], seed=0)
+    cache = forward_cached(net, np.ones((5, 3)))
+    with pytest.raises(ValidationError, match="output_grad"):
+        backward(net, cache, np.zeros((4, 2)))
+    with pytest.raises(ValidationError, match="output_grad"):
+        backward(net, cache, np.zeros(2))  # one row's gradient against a 5-row cache
+
+
 def test_backward_into_given_views_equals_a_fresh_call():
     net = xavier_init([3, 6, 5, 2], seed=9)
     x, t = np.random.default_rng(9).normal(size=(7, 3)), np.random.default_rng(10).normal(size=(7, 2))
@@ -260,6 +285,31 @@ def test_adam_rejects_nonfinite_gradients():
     theta = np.array([0.0])
     with pytest.raises(TrainingDivergedError):
         adam_step(theta, np.array([np.nan]), AdamState.initialize(theta), 0.01)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_nonfinite_gradient_leaves_the_parameters_and_state_untouched(bad):
+    rng = np.random.default_rng(8)
+    theta = rng.normal(size=50)
+    state = AdamState.initialize(theta)
+    for _ in range(3):
+        adam_step(theta, rng.normal(size=50), state, 0.01)
+    before = theta.copy(), state.m.copy(), state.v.copy(), state.t
+    grad = rng.normal(size=50)
+    grad[17] = bad
+    with pytest.raises(TrainingDivergedError, match="non-finite gradient"):
+        adam_step(theta, grad, state, 0.01)
+    assert theta.tobytes() == before[0].tobytes()
+    assert state.m.tobytes() == before[1].tobytes() and state.v.tobytes() == before[2].tobytes()
+    assert state.t == before[3]
+
+
+def test_adam_takes_a_finite_gradient_whose_sum_overflows():
+    theta = np.zeros(2)
+    state = AdamState.initialize(theta)
+    with np.errstate(over="ignore"):  # the sum is inf, and so is each entry's square in the update
+        adam_step(theta, np.array([1e308, 1e308]), state, 0.01)
+    assert state.t == 1 and np.isfinite(theta).all() and np.isfinite(state.m).all()
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,70 @@ def test_energy_law_equals_its_term_by_term_formula_bit_for_bit():
     assert sm.energy_hessian(params).tobytes() == hess.tobytes()
 
 
+# The integrator before its workspace kernel, kept verbatim: the bit-for-bit reference.
+
+
+def _parent_rhs(state, params):
+    s = np.asarray(state, dtype=np.float64)
+    x1, v1, x2, v2 = s[..., 0], s[..., 1], s[..., 2], s[..., 3]
+    stretch2 = x2 - x1 - params.L2
+    a1 = (-params.k1 * (x1 - params.L1) + params.k2 * stretch2) / params.m1
+    a2 = -params.k2 * stretch2 / params.m2
+    return np.stack([v1, a1, v2, a2], axis=-1)
+
+
+def _parent_rk4_step(state, params, dt):
+    if not 0.0 < dt < np.inf:
+        raise ValidationError("dt must be positive and finite")
+    s = np.asarray(state, dtype=np.float64)
+    k1 = _parent_rhs(s, params)
+    k2 = _parent_rhs(s + 0.5 * dt * k1, params)
+    k3 = _parent_rhs(s + 0.5 * dt * k2, params)
+    k4 = _parent_rhs(s + dt * k3, params)
+    return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _parent_integrate(state, params, horizon, n_substeps):
+    if not 0.0 < horizon < np.inf:
+        raise ValidationError("horizon must be positive and finite")
+    if n_substeps < 1:
+        raise ValidationError("n_substeps must be >= 1")
+    dt = horizon / n_substeps
+    s = np.asarray(state, dtype=np.float64)
+    for _ in range(n_substeps):
+        s = _parent_rk4_step(s, params, dt)
+    return s
+
+
+def _same(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# a single state, a batch in one block, and a batch over two blocks with a ragged third
+_BATCHES = [None, 100, 2 * sm._BLOCK_ROWS + 37]
+
+
+@pytest.mark.parametrize("rows", _BATCHES)
+def test_integrator_equals_the_parent_integrator_bit_for_bit(rows):
+    params = sm.SpringParams(m1=1.3, m2=0.7, k1=4.1, k2=2.9, L1=0.45, L2=0.6)
+    states = sm.sample_states(params, 5.0, rows or 1, np.random.default_rng(6))
+    states = states[0] if rows is None else states
+    assert _same(sm.rhs(states, params), _parent_rhs(states, params))
+    assert _same(sm.rk4_step(states, params, 0.01), _parent_rk4_step(states, params, 0.01))
+    assert _same(sm.integrate(states, params, 0.05, 50), _parent_integrate(states, params, 0.05, 50))
+    expected = [states]
+    for _ in range(3):
+        expected.append(_parent_integrate(expected[-1], params, 0.05, 7))
+    assert _same(sm.true_trajectory(states, params, 3, 0.05, 7), np.stack(expected))
+
+
+@pytest.mark.parametrize("rows", _BATCHES)
+def test_generate_dataset_equals_the_parent_integrator_bit_for_bit(rows):
+    inputs, targets = sm.generate_dataset(PARAMS, 5.0, rows or 1, 0.05, 50, seed=11)
+    assert _same(inputs, sm.sample_states(PARAMS, 5.0, rows or 1, np.random.default_rng(11)))
+    assert _same(targets, _parent_integrate(inputs, PARAMS, 0.05, 50))
+
+
 def test_rk4_equilibrium_fixed_point():
     eq = PARAMS.equilibrium()
     assert np.allclose(sm.rk4_step(eq, PARAMS, 0.1), eq)
