@@ -5,34 +5,31 @@ iteration on the first-order optimality system
 
     2 (p - y) + J(p)^T lam = 0,      g(x, p) = 0.
 
-A point far from the manifold starts in feasibility restoration, a mode of
-the one solver loop: Gauss-Newton steps on ||g||^2 alone, at most half of
-``max_iterations`` (``iterations`` counts both kinds of step). In the pass
-where that ends it takes Newton steps, which re-estimate the multipliers by
-least squares at every iterate, solve the saddle-point system with the exact
-Lagrangian curvature (convexified on the constraint tangent space when
-indefinite), cap step lengths, and backtrack on the exact l1 penalty
-||p - y||^2 + mu * ||g||_1, with a second-order correction before giving up
-on a full step. A small multiple ``delta`` of the identity regularizes the
-system: it grows tenfold after a Newton step that did not move the point (a
-singular system gives a zero step) until the point ends ``singular_system``
-above ``_MAX_DELTA``, and shrinks again as steps succeed.
-
 The points of a batch iterate in lockstep, in blocks whose temporaries fit a
 memory budget in bytes (a 300-point batch of 17-dimensional points is one
-block). Each keeps its own iterate, multipliers, regularization and status,
-and leaves the active set the moment it converges or fails; the linear
-algebra is stacked over the active points. Each iterate is evaluated once:
-its residual comes from the line-search trial that found it, its Jacobian
-from one call when it is accepted, and the start's both from one
-``residual_and_jacobian`` call. A line search tries the full steps in one
-constraint call, and every shorter length (halvings down to 2^-39) of the
-points that reject theirs at once in one more; each point takes the first
-length it accepts. That evaluates more rows than halving one length per call,
-in far fewer calls, and a call on a few tiny points costs its overhead, not
-its rows. A constraint call that raises on a batch is repeated point by
-point, so a failing point never aborts the others.
-Problems are tiny (<= 17 variables, <= 3 constraints): dense algebra is plenty.
+block). A block is one record with a row per point. Each lockstep iteration
+makes two passes over it, each stacked over the points in its phase, and a
+pass's temporaries are freed when it returns:
+
+1. Restoration: a point far from the manifold takes Gauss-Newton steps on
+   ||g||^2 alone, at most half of ``max_iterations`` (``iterations`` counts
+   both kinds of step).
+2. Newton: every other point checks the KKT conditions with least-squares
+   multipliers and, unless it converged or spent its budget, steps on the
+   saddle-point system with the exact Lagrangian curvature (convexified on
+   the constraint tangent space when indefinite), capped, backtracking on the
+   exact l1 penalty ||p - y||^2 + mu * ||g||_1, with a second-order
+   correction before giving up on a full step. A small multiple ``delta`` of
+   the identity regularizes the system: it grows tenfold after a step that
+   did not move the point (a singular system gives a zero step) until the
+   point ends ``singular_system`` above ``_MAX_DELTA``, and shrinks again as
+   steps succeed.
+
+Each iterate is evaluated once: its residual comes from the line-search
+trial that found it, its Jacobian from one call when it is accepted, and the
+start's both from one ``residual_and_jacobian`` call. A line search tries all
+its step lengths in two constraint calls (``_backtrack``). Problems are tiny
+(<= 17 variables, <= 3 constraints): dense algebra is plenty.
 
 Starting from p0 = y means an already-feasible prediction is returned
 unchanged in zero iterations, and the solver finds the local solution on
@@ -42,7 +39,6 @@ y's side of the manifold; no global search is attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -58,7 +54,7 @@ _SHORTER = 0.5 ** np.arange(1, 40)  # the step lengths after a rejected full ste
 _MAX_DELTA = 1e6
 _STEP_CAP = 2.0  # outputs live on a [-1, 1]-ish scale; bound each Newton step
 _BLOCK_BYTES = 2**22  # a block's temporaries: bounds memory, and holds a 300-point LTP batch whole
-_POINT_MATRICES = 4  # a point's temporaries in saddle-point matrices (tracemalloc peak: 10.5 KB per LTP point)
+_POINT_MATRICES = 4  # a point's temporaries in saddle-point matrices (tracemalloc peak: 10.6 KB per LTP point)
 _TRIAL_VECTORS = 16  # budget per line-search trial in output vectors: its ~4 temporaries fit a quarter of the block's
 
 
@@ -79,7 +75,14 @@ class ProjectionSpec:
 
 @dataclass
 class ProjectionResult:
-    """One point's projection (``project``), or a batch's with one row per point (``project_batch``)."""
+    """One point's projection (``project``), or a batch's with one row per point (``project_batch``).
+
+    ``status`` by cause. ``converged``: a KKT check met the tolerance.
+    ``max_iterations``: a KKT check found the budget spent. ``singular_system``:
+    the iterate's residual or Jacobian is not finite; the point's own
+    constraint calls raised (it returns y, 0 iterations, zero multipliers); or
+    ``delta`` passed ``_MAX_DELTA``, a stall where no Newton step moved the point.
+    ``nonfinite_input`` (``project_batch`` only): y is not finite (returned as y)."""
 
     projected: np.ndarray  # (dim,) or (n, dim): the returned iterate, normalized
     multipliers: np.ndarray  # (m,) or (n, m): its least-squares multipliers, 0 where none was estimated
@@ -138,15 +141,6 @@ def _capped(dp):
     step_len = np.abs(dp).max(axis=1)
     scale = np.divide(_STEP_CAP, step_len, out=np.ones_like(step_len), where=step_len > _STEP_CAP)
     return dp * scale[:, None], step_len
-
-
-def _evaluate(fn, shape, xs, rows, *args, failed=None):
-    """Constraint call ``fn(x, *args)`` on the points ``rows``: the values and
-    the mask of points it did not raise on (the others are marked in ``failed``)."""
-    out, raised = _rows(fn, shape, PhysprojError, None if xs is None else xs[rows], *args)
-    if failed is not None:
-        failed[rows[raised]] = True
-    return out, ~raised
 
 
 def _backtrack(p, g, dp, pending, accept, full=None):
@@ -229,10 +223,8 @@ def project_batch(ys, constraint_set, inputs_x=None, spec: ProjectionSpec = Proj
     """Independent projections of the rows of ``ys``: one ProjectionResult whose
     fields hold a row per point, in input order. Failures never abort the batch.
 
-    Row i of ``inputs_x`` is the constraint input of point i. A point whose
-    y is not finite comes back unchanged with status ``nonfinite_input``,
-    one whose own constraint calls raise with ``singular_system``. Points
-    are solved in lockstep blocks whose temporaries fit ``_BLOCK_BYTES``, so
+    Row i of ``inputs_x`` is the constraint input of point i. Points are
+    solved in lockstep blocks whose temporaries fit ``_BLOCK_BYTES``, so
     memory does not grow with the batch. A point's result does not depend on
     its batch or block as long as the constraint set computes rows independently."""
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
@@ -247,161 +239,169 @@ def project_batch(ys, constraint_set, inputs_x=None, spec: ProjectionSpec = Proj
 
 def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
     """Lockstep solve of one block: points, multipliers, iterations, KKT norms, statuses."""
-    n, dim = ys.shape
-    m = constraint_set.residual_dim
+    b = _Block(ys, xs, constraint_set, spec)
+    while b.running.any():
+        rows = np.flatnonzero(b.running & b.restoring)
+        if rows.size:
+            _restoration_pass(b, rows)
+        # every other point takes its KKT check and Newton step, also in the
+        # pass its restoration ends: waiting a pass would put it out of lockstep
+        _newton_pass(b, np.flatnonzero(b.running & ~b.restoring))
+    # a point whose y is not finite, or whose own constraint calls raised, comes back unchanged
+    b.best_p[b.broken], b.best_lam[b.broken], b.best_kkt[b.broken] = ys[b.broken], 0.0, np.inf
+    b.iterations[b.broken], b.status[b.broken] = 0, SINGULAR_SYSTEM
+    b.status[~np.all(np.isfinite(ys), axis=1)] = NONFINITE_INPUT
+    return b.best_p, b.best_lam, b.iterations, b.best_kkt, b.status
 
-    p = ys.copy()
-    lam = np.zeros((n, m))
-    best_kkt, best_p, best_lam = np.full(n, np.inf), p.copy(), lam.copy()  # what each point returns
-    delta = np.zeros(n)
-    status = np.full(n, MAX_ITERATIONS, dtype=object)
-    iterations = np.zeros(n, dtype=int)
-    nonfinite = ~np.all(np.isfinite(ys), axis=1)
-    broken = nonfinite.copy()
-    g_at, jac_at = np.full((n, m), np.nan), np.full((n, m, dim), np.nan)  # at p; NaN where a call raised
-    act = np.flatnonzero(~broken)
-    (g_at[act], jac_at[act]), _ = _evaluate(constraint_set.residual_and_jacobian, [(m,), (m, dim)], xs, act, p[act], failed=broken)
-    residuals = partial(_evaluate, constraint_set.residual, (m,), xs)  # at trial points
 
-    def move(rows, to, g_to):
+class _Block:
+    """One block's solver state, a row per point: the iterate ``p`` with its
+    residuals ``g_at`` and Jacobians ``jac_at`` (NaN where a call raised), the
+    multipliers, the best iterate (what a point returns), ``delta``, status and
+    iterations. A point is ``running`` until it converges or fails, ``restoring``
+    while in restoration, and ``broken`` once its own constraint calls raised."""
+
+    def __init__(self, ys, xs, constraint_set, spec: ProjectionSpec):
+        (n, dim), m = ys.shape, constraint_set.residual_dim
+        self.ys, self.xs, self.cs, self.spec = ys, xs, constraint_set, spec
+        self.p, self.lam = ys.copy(), np.zeros((n, m))
+        self.best_kkt, self.best_p, self.best_lam = np.full(n, np.inf), ys.copy(), np.zeros((n, m))
+        self.delta, self.iterations = np.zeros(n), np.zeros(n, dtype=int)
+        self.status = np.full(n, MAX_ITERATIONS, dtype=object)  # kept by a point that spends its budget
+        self.broken = ~np.all(np.isfinite(ys), axis=1)
+        self.g_at, self.jac_at = np.full((n, m), np.nan), np.full((n, m, dim), np.nan)  # at p
+        rows = np.flatnonzero(~self.broken)
+        (self.g_at[rows], self.jac_at[rows]), _ = self.evaluate(constraint_set.residual_and_jacobian, [(m,), (m, dim)], rows, self.p[rows])
+        self.running = ~self.broken
+        self.target, self.budget = max(1e-3, 10.0 * spec.tolerance), spec.max_iterations // 2  # of restoration
+        self.restoring = self.running & (np.abs(self.g_at).max(axis=1) > self.target) & (self.budget > 0)  # far from the manifold
+
+    def evaluate(self, fn, shape, rows, *args, breaks=True):
+        """``fn(x, *args)`` on the points ``rows``: the values, and the mask of points it did not raise on."""
+        out, raised = _rows(fn, shape, PhysprojError, None if self.xs is None else self.xs[rows], *args)
+        self.broken[rows[raised & breaks]] = True  # breaks=False: a raise rejects a trial, not its point
+        return out, ~raised
+
+    def move(self, rows, to, g_to):
         """Points ``rows`` to ``to`` (residuals ``g_to``): their Jacobians there, and the mask of calls that did not raise."""
-        p[rows], g_at[rows] = to, g_to
-        jac_at[rows], ok = _evaluate(constraint_set.jacobian, (m, dim), xs, rows, to, failed=broken)
+        self.p[rows], self.g_at[rows] = to, g_to
+        self.jac_at[rows], ok = self.evaluate(self.cs.jacobian, self.jac_at.shape[1:], rows, to)
         return ok
 
-    target = max(1e-3, 10.0 * spec.tolerance)
-    budget = spec.max_iterations // 2  # restoration steps a point may take
-    restoring = np.zeros(n, dtype=bool)
-    restoring[act] = (np.abs(g_at[act]).max(axis=1) > target) & (budget > 0)  # far from the manifold
+    def kkt_check(self, rows):
+        """Multipliers and KKT norms of the points ``rows``, which stop running if done: the
+        rows, g, J, singular values, V^T and objective gradients of the others."""
+        g, jac = self.g_at[rows], self.jac_at[rows]
+        ok = np.all(np.isfinite(g), axis=1) & np.all(np.isfinite(jac), axis=(1, 2))
+        self.status[rows[~ok]], self.running[rows[~ok]] = SINGULAR_SYSTEM, False  # a broken point returns y anyway
+        rows, g, jac = rows[ok], g[ok], jac[ok]
+        # multipliers are always the least-squares estimate for the current point, so the
+        # dual never lags behind partial primal steps; the minimum-norm solution of
+        # J^T lam = -2 (p - y) comes from the SVD of J, with lstsq's default cutoff
+        u, svals, vt = np.linalg.svd(jac)
+        grad_obj = 2.0 * (self.p[rows] - self.ys[rows])
+        keep = svals > np.finfo(np.float64).eps * max(jac.shape[1:]) * svals[:, :1]
+        inv = np.divide(1.0, svals, out=np.zeros_like(svals), where=keep)
+        r = svals.shape[1]
+        self.lam[rows] = _matvec(u[:, :, :r], _matvec(vt[:, :r], -grad_obj) * inv)
+        stationarity = grad_obj + _matvec(jac.transpose(0, 2, 1), self.lam[rows])
+        kkt = np.maximum(np.abs(stationarity).max(axis=1), np.abs(g).max(axis=1))
+        converged = kkt <= self.spec.tolerance
+        better = (kkt < self.best_kkt[rows]) | converged  # a converged point returns its last iterate
+        best = rows[better]
+        self.best_kkt[best], self.best_p[best], self.best_lam[best] = kkt[better], self.p[best], self.lam[best]
+        self.status[rows[converged]] = CONVERGED
+        go = ~converged & (self.iterations[rows] < self.spec.max_iterations)  # the others spent their budget
+        self.running[rows[~go]] = False
+        return rows[go], g[go], jac[go], svals[go], vt[go], grad_obj[go]
 
-    def decrease(rows, at, _):  # restoration's line search: strict decrease of ||g||^2
-        g_trial, ok = residuals(rest[rows], at)
-        return ok & np.all(np.isfinite(g_trial), axis=1) & (np.sum(g_trial * g_trial, axis=1) < psi0[rows]), at, g_trial
 
-    def merit(rows, trial, mu):
-        """Exact l1 penalty ||p - y||^2 + mu * ||g||_1 at trial points, and g.
-        A squared penalty would need mu ~ 1/||g|| to accept steps whose
-        objective must grow (the projection can lie farther from y than a
-        nearby feasible iterate); the l1 form takes any mu above the multipliers."""
-        g_trial, ok = residuals(rows, trial)
+def _restoration_pass(b: _Block, rows):
+    """A Gauss-Newton step on ||g||^2 alone for the points ``rows``, free of the tug-of-war
+    between distance and feasibility that stalls merit line searches far from the manifold.
+    Restoration ends near the manifold, out of budget, or when the Gram system is singular,
+    the line search finds no decrease, or a constraint call raised."""
+    # row equilibration: violated laws can differ by many orders of
+    # magnitude (scale clamps), which would make the Gram matrix singular
+    row_scale = 1.0 / np.maximum(np.linalg.norm(b.jac_at[rows], axis=2), 1e-300)
+    jac_eq = b.jac_at[rows] * row_scale[:, :, None]
+    b.iterations[rows] += 1
+    sol, singular = _solve(jac_eq @ jac_eq.transpose(0, 2, 1), b.g_at[rows] * row_scale)
+    dp, step_len = _capped(-_matvec(jac_eq.transpose(0, 2, 1), sol))
+    psi0 = np.sum(b.g_at[rows] * b.g_at[rows], axis=1)
+
+    def decrease(pending, at, _):  # the line search: strict decrease of ||g||^2
+        g_trial, ok = b.evaluate(b.cs.residual, b.g_at.shape[1:], rows[pending], at, breaks=False)
+        return ok & np.all(np.isfinite(g_trial), axis=1) & (np.sum(g_trial * g_trial, axis=1) < psi0[pending]), at, g_trial
+
+    live = np.flatnonzero(~singular & np.isfinite(step_len) & (step_len > 1e-15))
+    alpha, new_p, new_g = _backtrack(b.p[rows], b.g_at[rows], dp, live, decrease)
+    moved = alpha > 0.0
+    moved[moved] = b.move(rows[moved], new_p[moved], new_g[moved])
+    b.restoring[rows] = moved & (b.iterations[rows] < b.budget) & (np.abs(b.g_at[rows]).max(axis=1) > b.target)
+    b.best_p[rows] = b.p[rows]  # a point's result until its first KKT check
+
+
+def _newton_pass(b: _Block, rows):
+    """The KKT check of the points ``rows``, then a Newton step for each that goes on."""
+    rows, g, jac, svals, vt, grad_obj = b.kkt_check(rows)
+    if not rows.size:
+        return
+    # Lagrangian curvature for true Newton steps; harmless zeros at lam=0
+    dim = b.p.shape[1]
+    curvature, ok = b.evaluate(b.cs.lagrangian_hessian, (dim, dim), rows, b.p[rows], b.lam[rows])
+    if not ok.all():
+        b.running[rows[~ok]] = False
+        rows, g, jac, svals, vt, grad_obj, curvature = (a[ok] for a in (rows, g, jac, svals, vt, grad_obj, curvature))
+    curvature[~np.all(np.isfinite(curvature), axis=(1, 2))] = 0.0
+    hessian = np.add(curvature, 2.0 * np.eye(dim), out=curvature)
+    if jac.shape[1] < dim:
+        _convexify(hessian, svals, vt)
+    dp = _newton_steps(hessian, jac, g, grad_obj, b.delta[rows])
+    p = b.p[rows]
+
+    # merit: the exact l1 penalty ||p - y||^2 + mu * ||g||_1. A squared one would
+    # need mu ~ 1/||g|| to accept steps whose objective must grow (the projection
+    # can lie farther from y than a nearby feasible iterate); the l1 form takes
+    # any finite mu above the multipliers, best estimated by least squares
+    mu = 2.0 * np.abs(b.lam[rows]).max(axis=1) + 0.1
+    jd = _matvec(jac, dp)
+    descent = np.sum(grad_obj * dp, axis=1) + mu * np.where(g == 0.0, np.abs(jd), np.sign(g) * jd).sum(axis=1)
+    d0 = p - b.ys[rows]
+    bar0 = np.sum(d0 * d0, axis=1) + mu * np.abs(g).sum(axis=1)  # merit at p
+
+    def armijo(pending, at, length):  # the line search: sufficient decrease of the merit
+        g_trial, ok = b.evaluate(b.cs.residual, b.g_at.shape[1:], rows[pending], at, breaks=False)
         ok &= np.all(np.isfinite(g_trial), axis=1)
-        d = trial - ys[rows]
-        phi = np.sum(d * d, axis=1) + mu * np.abs(g_trial).sum(axis=1)
-        return np.where(ok, phi, np.inf), np.where(ok[:, None], g_trial, np.nan)
+        d = at - b.ys[rows[pending]]
+        phi = np.where(ok, np.sum(d * d, axis=1) + mu[pending] * np.abs(g_trial).sum(axis=1), np.inf)
+        return phi <= bar0[pending] + _ARMIJO_C1 * length * descent[pending], at, np.where(ok[:, None], g_trial, np.nan)
 
-    def armijo(rows, at, length):  # the Newton line search: sufficient decrease of the merit
-        phi, g_trial = merit(act[rows], at, mu[rows])
-        return phi <= bar0[rows] + _ARMIJO_C1 * length * descent[rows], at, g_trial
-
-    def full_step(rows, at, length):
-        """``armijo`` on full steps; a rejected one first gets a second-order
-        correction, which cancels the constraint curvature picked up over the step."""
-        ok, at, g_trial = armijo(rows, at, length)
+    # a rejected full step first gets a second-order correction, which
+    # cancels the constraint curvature picked up over the step
+    def full_step(pending, at, length):
+        ok, at, g_trial = armijo(pending, at, length)
         soc = np.flatnonzero(~ok & np.all(np.isfinite(g_trial), axis=1))
-        j_soc = jac[rows[soc]]
+        j_soc = jac[pending[soc]]
         correction, singular = _solve(j_soc @ j_soc.transpose(0, 2, 1), g_trial[soc])
         dq = -_matvec(j_soc.transpose(0, 2, 1), correction)
         valid = ~singular & np.all(np.isfinite(dq), axis=1)
         soc = soc[valid]
-        good, corrected, g_soc = armijo(rows[soc], at[soc] + dq[valid], length[soc])
+        good, corrected, g_soc = armijo(pending[soc], at[soc] + dq[valid], length[soc])
         ok[soc[good]], at[soc[good]], g_trial[soc[good]] = True, corrected[good], g_soc[good]
         return ok, at, g_trial
 
-    act = np.flatnonzero(~broken)
-    while act.size:
-        # restoring points take a Gauss-Newton step on ||g||^2 alone, which
-        # avoids the tug-of-war between distance and feasibility that stalls
-        # merit line searches far from the manifold. Restoration ends near the
-        # manifold, out of budget, or when the Gram system is singular, the
-        # line search finds no decrease, or a constraint call raised.
-        rest = act[restoring[act]]
-        if rest.size:
-            # row equilibration: violated laws can differ by many orders of
-            # magnitude (scale clamps), which would make the Gram matrix singular
-            row_scale = 1.0 / np.maximum(np.linalg.norm(jac_at[rest], axis=2), 1e-300)
-            jac_eq = jac_at[rest] * row_scale[:, :, None]
-            iterations[rest] += 1
-            sol, singular = _solve(jac_eq @ jac_eq.transpose(0, 2, 1), g_at[rest] * row_scale)
-            dp, step_len = _capped(-_matvec(jac_eq.transpose(0, 2, 1), sol))
-            psi0 = np.sum(g_at[rest] * g_at[rest], axis=1)
-            live = np.flatnonzero(~singular & np.isfinite(step_len) & (step_len > 1e-15))
-            alpha, new_p, new_g = _backtrack(p[rest], g_at[rest], dp, live, decrease)
-            moved = alpha > 0.0
-            moved[moved] = move(rest[moved], new_p[moved], new_g[moved])
-            restoring[rest] = moved & (iterations[rest] < budget) & (np.abs(g_at[rest]).max(axis=1) > target)
-            best_p[rest] = p[rest]  # a point's result until its first KKT check
-            # free the step's block-sized temporaries before the Newton part allocates its own
-            del row_scale, jac_eq, sol, singular, dp, step_len, psi0, live, alpha, new_p, new_g, moved
-
-        # every other point takes its KKT check and Newton step, also in the pass
-        # its restoration ends: waiting a pass would put it out of lockstep
-        held, act = act[restoring[act]], act[~restoring[act]]
-        g, jac = g_at[act], jac_at[act]
-        ok = np.all(np.isfinite(g), axis=1) & np.all(np.isfinite(jac), axis=(1, 2))
-        status[act[~ok]] = SINGULAR_SYSTEM  # no-op for broken points, whose result is y
-        act, g, jac = act[ok], g[ok], jac[ok]
-
-        # multipliers are always the least-squares estimate for the current
-        # point, so the dual never lags behind partial primal steps; the
-        # minimum-norm solution of J^T lam = -2 (p - y) comes from the SVD
-        # of J, with lstsq's default cutoff for negligible singular values
-        u, svals, vt = np.linalg.svd(jac)
-        r = svals.shape[1]
-        grad_obj = 2.0 * (p[act] - ys[act])
-        keep = svals > np.finfo(np.float64).eps * max(dim, m) * svals[:, :1]
-        inv = np.divide(1.0, svals, out=np.zeros_like(svals), where=keep)
-        lam[act] = _matvec(u[:, :, :r], _matvec(vt[:, :r], -grad_obj) * inv)
-        stationarity = grad_obj + _matvec(jac.transpose(0, 2, 1), lam[act])
-        kkt = np.maximum(np.abs(stationarity).max(axis=1), np.abs(g).max(axis=1))
-        converged = kkt <= spec.tolerance
-        better = (kkt < best_kkt[act]) | converged  # a converged point returns its last iterate
-        rows = act[better]
-        best_kkt[rows], best_p[rows], best_lam[rows] = kkt[better], p[rows], lam[rows]
-        status[act[converged]] = CONVERGED
-        spent = ~converged & (iterations[act] == spec.max_iterations)
-        status[act[spent]] = MAX_ITERATIONS
-        go = ~converged & ~spent
-        act, g, jac, svals, vt, grad_obj = act[go], g[go], jac[go], svals[go], vt[go], grad_obj[go]
-
-        if act.size:  # none left once every point converged, spent its budget or restores: skip the Newton step
-            # Lagrangian curvature for true Newton steps; harmless zeros at lam=0
-            curvature, ok = _evaluate(constraint_set.lagrangian_hessian, (dim, dim), xs, act, p[act], lam[act], failed=broken)
-            if not ok.all():
-                act, g, jac, svals, vt, grad_obj, curvature = (a[ok] for a in (act, g, jac, svals, vt, grad_obj, curvature))
-            curvature[~np.all(np.isfinite(curvature), axis=(1, 2))] = 0.0
-            hessian = np.add(curvature, 2.0 * np.eye(dim), out=curvature)
-            if m < dim:
-                _convexify(hessian, svals, vt)
-            dp = _newton_steps(hessian, jac, g, grad_obj, delta[act])
-            p_a = p[act]
-
-            # exact-penalty weight: a finite mu above the multiplier norm makes
-            # the l1 merit accept every step the true problem wants; the
-            # least-squares multiplier is the trustworthy estimate here
-            mu = 2.0 * np.abs(lam[act]).max(axis=1) + 0.1
-            jd = _matvec(jac, dp)
-            descent = np.sum(grad_obj * dp, axis=1) + mu * np.where(g == 0.0, np.abs(jd), np.sign(g) * jd).sum(axis=1)
-            d0 = p_a - ys[act]
-            bar0 = np.sum(d0 * d0, axis=1) + mu * np.abs(g).sum(axis=1)  # merit at p
-            # a step too small to matter means no usable primal direction at
-            # this regularization: it goes straight to the delta bump below
-            idle = np.abs(dp).max(axis=1) <= 1e-14 * (1.0 + np.abs(p_a).max(axis=1))
-            alpha, new_p, new_g = _backtrack(p_a, g, dp, np.flatnonzero(~idle & (descent <= -1e-16)), armijo, full_step)
-
-            moved = alpha > 0.0
-            move(act[moved], new_p[moved], new_g[moved])
-            shrink = act[alpha >= 0.5]
-            delta[shrink] *= 0.1
-            delta[shrink[delta[shrink] < 1e-14]] = 0.0
-            bump = act[~moved]
-            delta[bump] = np.maximum(delta[bump] * 10.0, 1e-10)
-            status[bump[delta[bump] > _MAX_DELTA]] = SINGULAR_SYSTEM
-            act = act[moved | (delta[act] <= _MAX_DELTA)]
-            iterations[act] += 1
-        act = np.union1d(held, act)
-
-    # a point whose y is not finite, or whose own constraint calls raised, comes back unchanged
-    best_p[broken], best_lam[broken], best_kkt[broken] = ys[broken], 0.0, np.inf
-    iterations[broken], status[broken] = 0, SINGULAR_SYSTEM
-    status[nonfinite] = NONFINITE_INPUT
-    return best_p, best_lam, iterations, best_kkt, status
+    # a step too small to matter means no usable primal direction at
+    # this regularization: it goes straight to the delta bump below
+    idle = np.abs(dp).max(axis=1) <= 1e-14 * (1.0 + np.abs(p).max(axis=1))
+    alpha, new_p, new_g = _backtrack(p, g, dp, np.flatnonzero(~idle & (descent <= -1e-16)), armijo, full_step)
+    moved = alpha > 0.0
+    b.move(rows[moved], new_p[moved], new_g[moved])
+    shrink = rows[alpha >= 0.5]
+    b.delta[shrink] *= 0.1
+    b.delta[shrink[b.delta[shrink] < 1e-14]] = 0.0
+    bump = rows[~moved]
+    b.delta[bump] = np.maximum(b.delta[bump] * 10.0, 1e-10)
+    go = moved | (b.delta[rows] <= _MAX_DELTA)
+    b.status[rows[~go]], b.running[rows[~go]] = SINGULAR_SYSTEM, False
+    b.iterations[rows[go]] += 1

@@ -215,8 +215,11 @@ def test_singular_constraint_reports_status():
         def _jacobian(self, x, p):
             return np.zeros((p.shape[0], 1, 2))  # rank-deficient
 
-    result = project(np.zeros(2), Degenerate(), None, ProjectionSpec(tolerance=1e-8, max_iterations=20))
-    assert result.status in (SINGULAR_SYSTEM, "max_iterations")
+    # one restoration step, whose Gram system is singular, then Newton steps
+    # that cannot move the point while delta climbs from 1e-10 past _MAX_DELTA
+    for budget, expected in ((20, (SINGULAR_SYSTEM, 18)), (10, (MAX_ITERATIONS, 10))):
+        result = project(np.zeros(2), Degenerate(), None, ProjectionSpec(tolerance=1e-8, max_iterations=budget))
+        assert (result.status, result.iterations) == expected
 
 
 def test_converged_kkt_norm_below_tolerance():
@@ -403,6 +406,46 @@ def test_batch_isolates_points_whose_constraint_raises_mid_solve():
     assert np.array_equal(batch.projected[3], ys[3])
 
 
+def test_batch_isolates_points_whose_jacobian_or_curvature_raises():
+    class Tripwire(Circle):
+        """The circle with exact curvature. Its Jacobian raises on points tagged
+        x = 1 and its curvature on points tagged x = 2; the start's joint call
+        never raises. Counts the batch sizes each refused."""
+
+        refused = Counter()
+
+        def _residual_and_jacobian(self, x, p):
+            return self._residual(x, p), super()._jacobian(x, p)
+
+        def _jacobian(self, x, p):
+            if np.any(x[:, 0] == 1.0):
+                self.refused["jacobian", len(p)] += 1
+                raise ValidationError("synthetic Jacobian failure")
+            return super()._jacobian(x, p)
+
+        def _lagrangian_hessian(self, x, p, lam):
+            if np.any(x[:, 0] == 2.0):
+                self.refused["curvature", len(p)] += 1
+                raise ValidationError("synthetic curvature failure")
+            return 2.0 * lam[:, :, None] * np.eye(2)
+
+    # tagged 1: a far start whose restoration step is accepted, and a start
+    # within the restoration target whose Newton step is; tagged 2: a far start
+    # and a near one, whose first Newton pass asks for the curvature
+    ys = np.array([[0.3, 0.4], [0.0, 4.0], [0.6, 0.8003], [0.05, 0.0], [0.0, 3.0], [0.8, 0.6001], [2.0, 0.5]])
+    tags = np.array([[0.0], [1.0], [1.0], [0.0], [2.0], [2.0], [0.0]])
+    pspec = ProjectionSpec(tolerance=1e-10)
+    batch = project_batch(ys, Tripwire(), tags, pspec)
+    assert {kind for kind, size in Tripwire.refused if size > 1} == {"jacobian", "curvature"}
+    for i, (y, tag) in enumerate(zip(ys, tags)):
+        if tag[0]:
+            assert np.array_equal(batch.projected[i], y) and np.all(batch.multipliers[i] == 0.0)
+            assert (batch.iterations[i], batch.status[i]) == (0, SINGULAR_SYSTEM)
+        else:
+            assert batch.status[i] == CONVERGED
+            _assert_same_result(project(y, Tripwire(), tag, pspec), batch, i)
+
+
 def test_energy_anchors_per_point_match_one_constraint_per_point():
     _, spec = energy_constraint()
     rng = np.random.default_rng(7)
@@ -414,15 +457,35 @@ def test_energy_anchors_per_point_match_one_constraint_per_point():
         _assert_same_result(project(y, EnergyConstraint(PARAMS, anchor, spec), None, pspec), batch, i)
 
 
-def _far_ltp_starts(n):
-    """The first ``n`` points of the stress set of test_far_from_manifold_ltp_starts: ys, inputs, constraints."""
+def _far_ltp_starts(n, sigma=0.8):
+    """The first ``n`` training targets pushed off the LTP manifold by noise of
+    scale ``sigma``: ys, inputs, constraints. At sigma 0.8 and n <= 200 they are
+    the first n points of the stress set of test_far_from_manifold_ltp_starts."""
     from physproj.constraints import LtpConstraints, LtpSchema
     from physproj.pipeline.config import ExperimentConfig
     from physproj.pipeline.experiments import prepare_ltp
 
     ctx = prepare_ltp(ExperimentConfig(kind="ltp-compare", seed=0))
-    ys = ctx.norm["train"][1][:200] + np.random.default_rng(0).normal(0.0, 0.8, (200, 17))
-    return ys[:n], ctx.splits["train"][0][:n], LtpConstraints(LtpSchema(), ctx.out_spec)
+    ys = ctx.norm["train"][1][:n] + np.random.default_rng(0).normal(0.0, sigma, (n, 17))
+    return ys, ctx.splits["train"][0][:n], LtpConstraints(LtpSchema(), ctx.out_spec)
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.8])
+def test_a_block_keeps_its_memory_budget(sigma):
+    """The tracemalloc peak of a 300-point LTP batch, one block, stays within
+    the _POINT_MATRICES saddle-point matrices per point that size its blocks."""
+    import tracemalloc
+
+    ys, xs, cs = _far_ltp_starts(300, sigma)
+    project_batch(ys[:8], cs, xs[:8], ProjectionSpec())  # one-time costs, such as lazy imports, stay out of the peak
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        project_batch(ys, cs, xs, ProjectionSpec())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / 300 <= projector._POINT_MATRICES * 8 * (17 + 3) ** 2
 
 
 _BACKTRACK = 0.5
