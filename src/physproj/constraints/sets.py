@@ -134,11 +134,23 @@ class _PhysicalLaws(ConstraintSet):
         return self._phys_residual(q), self._scaled_jacobian(q)
 
 
+class _EnergyRows(NamedTuple):
+    """What one energy-law call (residual, Jacobian, both or curvature) reads at a batch of
+    points; its energies and gradients come from one ``springmass.energy_and_gradient`` call."""
+
+    phys: np.ndarray  # de-normalized states, (n, 4)
+    energy: np.ndarray  # their mechanical energies, (n,)
+    grad: np.ndarray  # their energy gradients dE/d[x1, v1, x2, v2], (n, 4)
+    anchor: np.ndarray | float  # per point, or one for the batch
+    scale: np.ndarray | float  # max(anchor, 1 J), per point as a column (n, 1)
+
+
 class EnergyConstraint(_PhysicalLaws):
     """Single residual: mechanical energy of the de-normalized state vs anchor.
 
     The anchor is ``anchor_energy``, or per point the first column of the
     constraint input ``x``, so one object serves a batch of trajectories.
+    Each call checks the anchors once and reads one ``_EnergyRows``.
     """
 
     residual_dim = 1
@@ -152,42 +164,27 @@ class EnergyConstraint(_PhysicalLaws):
         self.scale = None if anchor_energy is None else max(self.anchor, 1.0)
         self.output_spec = state_spec
 
-    def _shared(self, x, phys: np.ndarray):
-        """The states, their anchors and the residual scale max(anchor, 1 J), per point when x is given."""
-        if x is None:
-            if self.anchor is None:
-                raise ValidationError("energy constraint needs an anchor energy or per-point anchors in x")
-            return phys, self.anchor, self.scale
-        anchor = np.asarray(x, dtype=np.float64)[:, 0]
-        if np.any(anchor < 0.0):
-            raise ValidationError("anchor energy must be non-negative")
-        return phys, anchor, np.maximum(anchor, 1.0)
+    def _shared(self, x, phys: np.ndarray) -> _EnergyRows:
+        anchor, scale = self.anchor, self.scale
+        if x is not None:
+            anchor = np.asarray(x, dtype=np.float64)[:, 0]
+            if np.any(anchor < 0.0):
+                raise ValidationError("anchor energy must be non-negative")
+            scale = np.maximum(anchor, 1.0)[:, None]
+        elif anchor is None:
+            raise ValidationError("energy constraint needs an anchor energy or per-point anchors in x")
+        return _EnergyRows(phys, *springmass.energy_and_gradient(phys, self.params), anchor, scale)
 
-    def _phys_residual(self, q, energy=None) -> np.ndarray:
-        phys, anchor, scale = q
-        if energy is None:
-            energy = springmass.energy(phys, self.params)
-        return ((np.asarray(energy) - anchor) / scale)[:, None]
+    def _phys_residual(self, q: _EnergyRows) -> np.ndarray:
+        return (q.energy - q.anchor)[:, None] / q.scale
 
-    def _scaled_jacobian(self, q, grad_phys=None) -> np.ndarray:
-        phys, _, scale = q
-        if grad_phys is None:
-            grad_phys = springmass.energy_gradient(phys, self.params)
-        grad = grad_phys / np.reshape(scale, (-1, 1))
-        return (grad * jacobian_diag_from_physical(phys, self.output_spec))[:, None, :]
-
-    def _residual_and_jacobian(self, x, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both from one ``springmass.energy_and_gradient`` call, bit for bit the separate ones."""
-        q = self._shared_at(x, p)
-        energy, grad_phys = springmass.energy_and_gradient(q[0], self.params)
-        return self._phys_residual(q, energy), self._scaled_jacobian(q, grad_phys)
+    def _scaled_jacobian(self, q: _EnergyRows) -> np.ndarray:
+        return (q.grad / q.scale * jacobian_diag_from_physical(q.phys, self.output_spec))[:, None, :]
 
     def _lagrangian_hessian(self, x, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        phys, _, scale = self._shared_at(x, p)
-        scale = np.reshape(scale, (-1, 1))
-        hess_phys = self._hessian / scale[:, :, None]
-        grad_phys = springmass.energy_gradient(phys, self.params) / scale
-        return lam[:, :1, None] * _chain_rule(phys, self.output_spec, hess_phys, grad_phys)
+        q = self._shared_at(x, p)
+        hess_phys = self._hessian / np.reshape(q.scale, (-1, 1, 1))
+        return lam[:, :1, None] * _chain_rule(q.phys, self.output_spec, hess_phys, q.grad / q.scale)
 
 
 class _LtpRows(NamedTuple):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from physproj.errors import TrainingDivergedError, ValidationError
+from physproj.nn.losses import mean_square
 from physproj.nn.network import Network, _forward_into, _layer_arrays, backward, forward_cached
 from physproj.nn.optimizer import AdamState, adam_step
 from physproj.nn.schedule import plateau_lr, pq_alpha_should_stop
@@ -65,19 +66,12 @@ class TrainHistory:
         return len(self.train_loss)
 
 
-def _mse(diff: np.ndarray) -> float:
-    """Mean of ``diff ** 2``, summed in np.mean's order, so bit-equal to losses.mse."""
-    return float(np.add.reduce(diff * diff, axis=None) / diff.size)
-
-
 def _evaluate(net: Network, x: np.ndarray, y: np.ndarray, physics, feats, lam: float, layers) -> float:
     """Total loss on a dataset whose physics inputs are ``feats``, without gradients; the
     forward pass writes into ``layers``, the arrays ``_layer_arrays`` made for its rows."""
     pred = _forward_into(net, x, *layers)
-    data = _mse(pred - y)
-    if physics is None:
-        return data
-    return (1.0 - lam) * data + physics.loss(feats, pred)
+    data = mean_square(pred - y)
+    return data if physics is None else (1.0 - lam) * data + physics.loss(feats, pred)
 
 
 def train(
@@ -167,7 +161,7 @@ def train(
             rows = slice(start, start + batch)
             cache = forward_cached(work, x_epoch[rows])
             diff = cache.output - y_epoch[rows]
-            data = _mse(diff)
+            data = mean_square(diff)
             out_grad = diff  # mse_gradient, 2 * diff / diff.size, in place
             out_grad *= 2.0
             out_grad /= diff.size

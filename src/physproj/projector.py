@@ -8,8 +8,8 @@ iteration on the first-order optimality system
 The points of a batch iterate in lockstep, in blocks whose temporaries fit a
 memory budget in bytes (a 300-point batch of 17-dimensional points is one
 block). A block is one record with a row per point. Each lockstep iteration
-makes two passes over it, each stacked over the points in its phase, and a
-pass's temporaries are freed when it returns:
+makes two passes over it, each stacked over the points in its phase (a phase
+with no points is skipped); a pass's temporaries are freed when it returns:
 
 1. Restoration: a point far from the manifold takes Gauss-Newton steps on
    ||g||^2 alone, at most half of ``max_iterations`` (``iterations`` counts
@@ -241,12 +241,11 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
     """Lockstep solve of one block: points, multipliers, iterations, KKT norms, statuses."""
     b = _Block(ys, xs, constraint_set, spec)
     while b.running.any():
-        rows = np.flatnonzero(b.running & b.restoring)
-        if rows.size:
-            _restoration_pass(b, rows)
-        # every other point takes its KKT check and Newton step, also in the
-        # pass its restoration ends: waiting a pass would put it out of lockstep
-        _newton_pass(b, np.flatnonzero(b.running & ~b.restoring))
+        # restoration first, so a point whose restoration ends takes its Newton step in the same iteration
+        for run_pass, restoring in ((_restoration_pass, True), (_newton_pass, False)):
+            rows = np.flatnonzero(b.running & (b.restoring == restoring))
+            if rows.size:
+                run_pass(b, rows)
     # a point whose y is not finite, or whose own constraint calls raised, comes back unchanged
     b.best_p[b.broken], b.best_lam[b.broken], b.best_kkt[b.broken] = ys[b.broken], 0.0, np.inf
     b.iterations[b.broken], b.status[b.broken] = 0, SINGULAR_SYSTEM

@@ -13,23 +13,6 @@ import physproj
 SRC = os.path.dirname(os.path.dirname(physproj.__file__))
 
 
-@pytest.mark.parametrize(
-    "module",
-    [
-        "physproj.springmass",
-        "physproj.constraints.sets",
-        "physproj.nn.losses",
-        "physproj.nn.network",
-        "physproj.projector",
-        "physproj.cli",
-    ],
-)
-def test_module_imports_first_in_a_fresh_interpreter(module):
-    env = {**os.environ, "PYTHONPATH": SRC}
-    done = subprocess.run([sys.executable, "-c", f"import {module}"], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-
-
 def _modules():
     """(path, source) of every physproj source file."""
     for root, _, files in os.walk(os.path.join(SRC, "physproj")):
@@ -38,6 +21,19 @@ def _modules():
                 path = os.path.join(root, name)
                 with open(path, encoding="utf-8") as fh:
                     yield path, fh.read()
+
+
+def _module_name(path):
+    """The dotted name of the physproj source file ``path``; a package's ``__init__.py`` names the package."""
+    name = os.path.splitext(os.path.relpath(path, SRC))[0].replace(os.sep, ".")
+    return name.removesuffix(".__init__")
+
+
+@pytest.mark.parametrize("module", sorted(_module_name(path) for path, _ in _modules()))
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", f"import {module}"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_no_function_level_physproj_import():

@@ -1,4 +1,5 @@
 import ctypes
+import itertools
 import json
 import os
 import signal
@@ -20,7 +21,7 @@ from physproj.pipeline.experiments import (
 )
 from physproj.pipeline.csvio import load_spring_dataset_csv, write_spring_dataset_csv
 from physproj.pipeline.metrics import improvement_rates, rmse, rmse_variation_rate, split_dataset
-from physproj.projector import CONVERGED
+from physproj.projector import CONVERGED, MAX_ITERATIONS
 
 TINY_SPRING = dict(
     seed=3,
@@ -293,6 +294,37 @@ def test_spring_many_artifacts(tmp_path):
     assert len(rates) == 3
 
 
+def test_spring_many_leaves_out_a_failed_projected_trajectory(tmp_path, monkeypatch):
+    """Trajectory 1 of the NN's projected rollout fails at step 3: it gets one failed row,
+    the rates and the summary leave it out, and the nonconverged count counts it."""
+    _force_cpus(monkeypatch, 1)  # the tasks run inline, the NN's first
+    real, made = experiments.energy_projector, itertools.count()
+
+    def energy_projector(out_spec, anchors, tol):
+        project, steps, nn = real(out_spec, anchors, tol), itertools.count(1), next(made) == 0
+
+        def projector(ys, rows):
+            result = project(ys, rows)
+            if nn and next(steps) == 3:
+                result.status[rows == 1] = MAX_ITERATIONS
+            return result
+
+        return projector
+
+    monkeypatch.setattr(experiments, "energy_projector", energy_projector)
+    out = tmp_path / "many"
+    report = run_experiment(ExperimentConfig(kind="spring-many", out_dir=str(out), **TINY_SPRING))
+    assert report.n_nonconverged == 1
+    read = lambda name: [line.split(",") for line in (out / name).read_text().strip().splitlines()[1:]]
+    rows = read("trajectories.csv")
+    assert [row for row in rows if row[:2] == ["1", "nn_projection"]] == [["1", "nn_projection", "failed", "nan"]]
+    assert len(rows) == TINY_SPRING["spring_n_trajectories"] * 4 * 5 - 4
+    assert {row[0]: row[-1] for row in read("rates.csv")} == {"nn->projection": "2", "pinn->projection": "3"}
+    used = {row[0]: row[-1] for row in read("summary.csv")}
+    assert used == {"nn": "3", "pinn": "3", "nn_projection": "2", "pinn_projection": "3"}
+    assert read("nonconverged.csv") == [["1"]]
+
+
 def test_ltp_compare_artifacts(tmp_path):
     out = _run_twice_and_compare("ltp-compare", TINY_LTP, tmp_path, ("data_generation", "training", "projection"))
     with open(out / "per_output_rmse.csv") as fh:
@@ -366,6 +398,17 @@ def test_small_samples_sweep(tmp_path):
     with open(out / "sweep.csv") as fh:
         rows = fh.read().strip().splitlines()
     assert len(rows) == 3
+
+
+def test_small_samples_marks_a_size_above_the_pool(tmp_path):
+    """A pool of 100 splits off fewer than 90 training rows: size 90 gets one
+    failed replicate row and no sweep row, and size 20 runs as usual."""
+    extra = {**TINY_LTP, "pool_size": 100, "sizes": (20, 90), "n_resamples": 1}
+    out = tmp_path / "small"
+    run_experiment(ExperimentConfig(kind="small-samples", out_dir=str(out), **extra))
+    resamples = (out / "resamples.csv").read_text().strip().splitlines()[1:]
+    assert resamples[1:] == ["90,all,failed:pool_too_small,nan,nan"] and resamples[0].startswith("20,0,ok,")
+    assert [line.split(",")[0] for line in (out / "sweep.csv").read_text().strip().splitlines()[1:]] == ["20"]
 
 
 def test_small_samples_writes_trend_slices_only_for_swept_sizes(tmp_path):

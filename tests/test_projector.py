@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -486,6 +487,24 @@ def test_a_block_keeps_its_memory_budget(sigma):
     finally:
         tracemalloc.stop()
     assert peak / 300 <= projector._POINT_MATRICES * 8 * (17 + 3) ** 2
+
+
+def test_no_kkt_check_runs_on_zero_points(monkeypatch):
+    """A lockstep iteration whose running points all restore skips the Newton pass. Noisy
+    energy-shell batches at noise 1 and 2 and the LTP stress set each reach such an iteration."""
+    sizes = []
+    kkt_check = projector._Block.kkt_check
+    monkeypatch.setattr(projector._Block, "kkt_check", lambda b, rows: sizes.append(rows.size) or kkt_check(b, rows))
+    _, spec = energy_constraint()
+    states, _ = sm.generate_dataset(PARAMS, 5.0, 400, 0.05, 10, seed=2)
+    for sigma, seed in itertools.product((1.0, 2.0), range(10)):
+        rng = np.random.default_rng(seed)
+        clean = states[rng.choice(len(states), 100, replace=False)]
+        ys = normalize(clean, spec) + rng.normal(0.0, sigma, (100, 4))
+        project_batch(ys, EnergyConstraint(PARAMS, None, spec), sm.energy(clean, PARAMS)[:, None], ProjectionSpec(tolerance=1e-4))
+    ys, xs, cs = _far_ltp_starts(200)
+    project_batch(ys, cs, xs, ProjectionSpec())
+    assert len(sizes) > 200 and 0 not in sizes
 
 
 _BACKTRACK = 0.5
