@@ -21,7 +21,7 @@ EXPERIMENT_KINDS = (
 # 18 roughly log-spaced hidden widths from 1 to 1000; includes the 8, 26 and
 # 1000 used for the pressure-trend snapshots.
 DEFAULT_ARCHITECTURES = (1, 2, 3, 5, 8, 12, 18, 26, 38, 56, 82, 120, 177, 260, 381, 560, 822, 1000)
-DEFAULT_SIZES = (20, 50, 100, 200, 400, 600, 900, 1300, 1800, 2200, 2500)
+DEFAULT_SIZES = (20, 50, 100, 200, 400, 600, 900, 1300, 1800, 2200, 2400)  # 2400: the default pool's training split
 
 
 @dataclass
@@ -75,7 +75,7 @@ class ExperimentConfig:
     trend_current: float = 0.030  # A
     trend_radius: float = 0.012  # m
     trend_architectures: tuple[int, ...] = (8, 26, 1000)  # on synthetic data, a slice per entry also in architectures
-    trend_sizes: tuple[int, ...] = (200, 600, 2500)  # on synthetic data, a slice per entry also in sizes
+    trend_sizes: tuple[int, ...] = (200, 600, 2400)  # on synthetic data, a slice per entry also in sizes
 
     # timing experiment
     timing_n_test: int = 500
@@ -91,9 +91,14 @@ class ExperimentConfig:
             raise ValidationError("spring_initial_state must be finite")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9 or not all(0.0 <= f <= 1.0 for f in self.split_fractions):
             raise ValidationError("split_fractions must lie in [0, 1] and sum to 1")
+        if not self.kind.startswith("spring") and not min(self.split_fractions[1:]) > 0.0:  # early stopping, test scores
+            raise ValidationError("split_fractions must give plasma experiments validation and test fractions above 0")
         for name in ("architectures", "sizes"):
             if not getattr(self, name) or min(getattr(self, name)) < 1:
                 raise ValidationError(f"{name} must be a nonempty list of integers >= 1")
+        for name in ("spring_hidden", "ltp_hidden"):
+            if min(getattr(self, name), default=1) < 1:
+                raise ValidationError(f"{name} widths must be >= 1")
         if self.ltp_dataset_csv is not None and not os.path.exists(self.ltp_dataset_csv):
             raise ValidationError(f"dataset csv not found: {self.ltp_dataset_csv}")
         if self.spring_dataset_csv is not None and not os.path.exists(self.spring_dataset_csv):
@@ -103,7 +108,7 @@ class ExperimentConfig:
         for name in (
             "spring_n_samples", "spring_n_trajectories", "spring_steps_single", "spring_steps_many", "spring_batch",
             "ltp_n_samples", "ltp_batch", "n_resamples", "pool_size", "trend_n_points",
-            "plateau_patience", "early_stop_strip", "timing_n_test",
+            "plateau_patience", "early_stop_strip", "timing_n_test", "spring_n_substeps",
         ):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
@@ -113,7 +118,7 @@ class ExperimentConfig:
         for name in ("spring_projection_tol", "ltp_projection_tol", "trend_current", "trend_radius"):
             if not getattr(self, name) > 0.0:  # NaN fails too
                 raise ValidationError(f"{name} must be positive")
-        for name in ("spring_lr", "ltp_lr", "spring_delta_t"):
+        for name in ("spring_lr", "ltp_lr", "spring_delta_t", "spring_e_max"):
             if not 0.0 < getattr(self, name) < float("inf"):
                 raise ValidationError(f"{name} must be positive and finite")
         if self.ltp_skew_threshold != self.ltp_skew_threshold:  # NaN would switch log scaling off silently

@@ -1,14 +1,14 @@
 """CSV and manifest writing with reproducible formatting, and the dataset CSV format.
 
-Experiment CSVs render floats as the shortest decimal that round-trips the
-64-bit value (Python repr), with LF endings, so identical runs produce
-byte-identical files. Columns whose name ends in ``_seconds`` hold wall
-clock measurements and are the only ones allowed to differ between reruns.
+Every CSV goes through ``write_csv``, which renders floats with ``fmt``: the
+shortest decimal that round-trips the 64-bit value (Python repr), with LF
+endings, so identical runs produce byte-identical files. Columns whose name
+ends in ``_seconds`` hold wall clock measurements and are the only ones
+allowed to differ between reruns.
 
 Dataset CSVs, spring-mass transitions and plasma samples, hold one header
-line of column names and one row of 17-significant-digit values per sample,
-inputs first; their loaders raise ValidationError on an unreadable file or
-one without data rows.
+line of column names and one row per sample, inputs first; their loaders
+raise ValidationError on an unreadable file or one without data rows.
 """
 
 from __future__ import annotations
@@ -46,15 +46,6 @@ def write_manifest(out_dir, config_items: dict) -> None:
             fh.write(f"{key}={config_items[key]}\n")
 
 
-def _write_dataset_csv(path, names, inputs: np.ndarray, targets: np.ndarray) -> None:
-    """Rows of inputs then targets under the header ``names``, 17 significant digits."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in np.hstack([np.atleast_2d(inputs), np.atleast_2d(targets)]):
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
-
 def _read_dataset_csv(path) -> tuple[list[str], np.ndarray]:
     """(header names, data rows) of a dataset CSV, with at least one data row."""
     try:
@@ -71,7 +62,8 @@ def _read_dataset_csv(path) -> tuple[list[str], np.ndarray]:
 
 def write_spring_dataset_csv(path, inputs: np.ndarray, targets: np.ndarray) -> None:
     """Transition samples in physical units: state, then the state one step later."""
-    _write_dataset_csv(path, ("x1", "v1", "x2", "v2", "x1_next", "v1_next", "x2_next", "v2_next"), inputs, targets)
+    header = ["x1", "v1", "x2", "v2", "x1_next", "v1_next", "x2_next", "v2_next"]
+    write_csv(path, header, np.hstack([np.atleast_2d(inputs), np.atleast_2d(targets)]))
 
 
 def load_spring_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +75,7 @@ def load_spring_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_ltp_csv(path, inputs: np.ndarray, outputs: np.ndarray) -> None:
     """Plasma samples in schema order and SI units."""
-    _write_dataset_csv(path, INPUT_NAMES + OUTPUT_NAMES, inputs, outputs)
+    write_csv(path, INPUT_NAMES + OUTPUT_NAMES, np.hstack([np.atleast_2d(inputs), np.atleast_2d(outputs)]))
 
 
 def load_ltp_csv(path, column_map: dict | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -510,13 +510,12 @@ def run_ltp_compare(cfg: ExperimentConfig) -> MetricsReport:
         status_rows,
     )
 
-    rmse_rows = []
+    rmse_rows = {}  # model -> its per_output_rmse.csv rows
     constraint_rows = []
     all_laws = LtpConstraints(SCHEMA, ctx.out_spec)
     for name in ("nn", "pinn", "nn_projection", "pinn_projection"):
         mask = masks[name]
-        rows, by_output = _per_output_rmse_rows(name, preds[name], yn_test, y_test, ctx.out_spec, mask)
-        rmse_rows.extend(rows)
+        rmse_rows[name], by_output = _per_output_rmse_rows(name, preds[name], yn_test, y_test, ctx.out_spec, mask)
         report.per_output_rmse[name] = by_output
         residuals = all_laws.residual(x_test[mask], preds[name][mask])
         law_rmse = np.sqrt(np.mean(residuals**2, axis=0))
@@ -525,7 +524,7 @@ def run_ltp_compare(cfg: ExperimentConfig) -> MetricsReport:
     write_csv(
         os.path.join(cfg.out_dir, "per_output_rmse.csv"),
         ["model", "output", "rmse_normalized", "rmse_physical"],
-        rmse_rows,
+        [row for rows in rmse_rows.values() for row in rows],
     )
     write_csv(
         os.path.join(cfg.out_dir, "constraint_rmse.csv"),
@@ -534,9 +533,7 @@ def run_ltp_compare(cfg: ExperimentConfig) -> MetricsReport:
     )
 
     # per-law ablation of the projection applied to the plain NN predictions
-    ablation_rows = []
-    nn_rows, _ = _per_output_rmse_rows("nn", preds["nn"], yn_test, y_test, ctx.out_spec, masks["nn"])
-    ablation_rows.extend(("nn", output, value_norm) for _, output, value_norm, _ in nn_rows)
+    ablation_rows = [("nn", output, value_norm) for _, output, value_norm, _ in rmse_rows["nn"]]
     for variant, laws in LAW_VARIANTS:
         result, converged, _ = outcomes["nn"][1][laws]
         rows, _ = _per_output_rmse_rows(variant, result.projected, yn_test, y_test, ctx.out_spec, converged)

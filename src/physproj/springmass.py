@@ -9,10 +9,10 @@ State vectors are laid out as [x1, v1, x2, v2]; every function here accepts
 either a single state (4,) or a batch (n, 4), except ``rollout``, which
 takes a batch only.
 
-``rk4_step``, ``integrate``, ``true_trajectory`` and ``generate_dataset``
-share one RK4 kernel that reuses its buffers: blocks of up to 2,048 states
-are advanced, every substep and trajectory step, inside one workspace made
-once per call (393 KB at most), bit for bit the textbook formulas.
+``integrate``, ``true_trajectory`` and ``generate_dataset`` share one RK4
+kernel that reuses its buffers: blocks of up to 2,048 states are advanced,
+every substep and trajectory step, inside one workspace made once per call
+(393 KB at most), bit for bit the textbook formulas.
 """
 
 from __future__ import annotations
@@ -113,20 +113,15 @@ def energy(state: np.ndarray, params: SpringParams) -> np.ndarray | float:
     return float(e) if e.ndim == 0 else e
 
 
-def energy_gradient(state: np.ndarray, params: SpringParams) -> np.ndarray:
-    """dE/d[x1, v1, x2, v2]; vanishes exactly at the equilibrium state."""
-    return _energy_gradient(_coordinates(np.asarray(state, dtype=np.float64), params), params)
-
-
 def energy_hessian(params: SpringParams) -> np.ndarray:
     """d²E/d[x1, v1, x2, v2]², (4, 4): the same at every state, since the energy is quadratic in it."""
     return _energy_gradient(_coordinates(np.eye(4), None), params)  # the gradient is linear in the stretches
 
 
 def energy_and_gradient(states: np.ndarray, params: SpringParams) -> tuple[np.ndarray, np.ndarray]:
-    """``energy`` and ``energy_gradient`` of a batch (n, 4), from one computation of each spring's stretch.
+    """``energy`` and dE/d[x1, v1, x2, v2], from one computation of each spring's stretch.
 
-    Both are bit-identical to the separate calls.
+    The energy is bit-identical to ``energy``'s; the gradient vanishes exactly at the equilibrium state.
     """
     u = _coordinates(np.asarray(states, dtype=np.float64), params)
     return _energy(u, params), _energy_gradient(u, params)
@@ -187,13 +182,6 @@ def _rk4_path(states: np.ndarray, params: SpringParams, horizon: float, n_subste
                 _rk4_into(s, params, dt, w)
             path[i, start:stop] = s.T
     return path.reshape(n_steps, *states.shape)
-
-
-def rk4_step(state: np.ndarray, params: SpringParams, dt: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step of size ``dt``."""
-    if not 0.0 < dt < np.inf:
-        raise ValidationError("dt must be positive and finite")
-    return _rk4_path(np.asarray(state, dtype=np.float64), params, dt, 1, 1)[0]
 
 
 def integrate(state: np.ndarray, params: SpringParams, horizon: float, n_substeps: int) -> np.ndarray:

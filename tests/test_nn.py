@@ -378,7 +378,7 @@ def test_spring_energy_term_equals_the_energy_law_calls_bit_for_bit(log_flagged)
     y = rng.uniform(-0.8, 0.8, size=(64, 4))
     y_phys = denormalize(y, spec)
     diff = sm.energy(y_phys, params) - e_in
-    grad = 0.4 * (2.0 / diff.size) * diff[:, None] * sm.energy_gradient(y_phys, params) * jacobian_diag_from_physical(y_phys, spec)
+    grad = 0.4 * (2.0 / diff.size) * diff[:, None] * sm.energy_and_gradient(y_phys, params)[1] * jacobian_diag_from_physical(y_phys, spec)
     loss, got = term.loss_and_output_grad(e_in, y)
     assert loss == 0.4 * float(np.mean(diff**2))
     assert np.array_equal(got, grad)
@@ -710,90 +710,29 @@ def _seed_train_cases():
     yield "ltp", xavier_init([3, 12, 17], seed=5), (xn[:160], yn[:160]), (xn[160:], yn[160:]), cfg, term
 
 
-@pytest.mark.parametrize("case", list(_seed_train_cases()), ids=lambda case: case[0])
-def test_train_matches_the_seed_loop_bit_for_bit(case):
-    _, net, train_set, val_set, cfg, term = case
-    trained, history = train(net, train_set, val_set, cfg, physics=term)
-    expected, expected_history = _seed_train(net, train_set, val_set, cfg, term)
-    assert np.array_equal(trained.theta, expected.theta)
-    for name in ("train_loss", "val_loss", "data_loss", "physics_loss", "learning_rate"):
-        assert np.array_equal(getattr(history, name), getattr(expected_history, name)), name
-    if cfg.early_stop is not None:  # both schedules took effect
-        assert history.n_epochs() < cfg.max_epochs and len(set(history.learning_rate)) > 1
-
-
-def _parent_train(net, train_set, val_set, config, physics):
-    """The loop before the per-epoch gather and the persistent buffers, from
-    public pieces: per-step fancy indexing, np.mean, mse_gradient, a fresh
-    backward and adam_step on one AdamState."""
-    lam = physics.weight if physics is not None else 0.0
-    x, y = train_set
-    n = len(x)
-    batch = min(config.batch_size, n)
-    rng = np.random.default_rng(config.seed)
-    work = net.copy()
-    state = AdamState.initialize(work.theta)
-    feats = physics.inputs(x) if physics is not None else None
-    val_feats = physics.inputs(val_set[0]) if physics is not None else None
-
-    def evaluate(model):
-        pred = forward(model, val_set[0])
-        data = mse(pred, val_set[1])
-        return data if physics is None else (1.0 - lam) * data + physics.loss(val_feats, pred)
-
-    history = TrainHistory()
-    best, best_val = net.copy(), evaluate(net)
-    lr, since_drop = config.learning_rate, 0
-    for _ in range(config.max_epochs):
-        order = rng.permutation(n)
-        sums = [0.0, 0.0, 0.0]  # data, physics, total
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            cache = forward_cached(work, x[idx])
-            diff = cache.output - y[idx]
-            data = float(np.mean(diff**2))
-            out_grad = mse_gradient(cache.output, y[idx])
-            phys = 0.0
-            if physics is not None:
-                out_grad *= 1.0 - lam
-                phys, phys_grad = physics.loss_and_output_grad(feats[idx], cache.output)
-                out_grad += phys_grad
-            total = (1.0 - lam) * data + phys if physics is not None else data
-            adam_step(work.theta, backward(work, cache, out_grad)[0].base, state, lr)
-            sums = [sums[0] + data, sums[1] + phys, sums[2] + total]
-        n_batches = len(range(0, n, batch))
-        history.train_loss.append(sums[2] / n_batches)
-        history.data_loss.append(sums[0] / n_batches)
-        history.physics_loss.append(sums[1] / n_batches)
-        history.learning_rate.append(lr)
-        history.val_loss.append(evaluate(work))
-        if history.val_loss[-1] < best_val:
-            best, best_val = work.copy(), history.val_loss[-1]
-        if config.lr_plateau is not None:
-            since_drop += 1
-            plateau = config.lr_plateau
-            new_lr = plateau_lr(history.val_loss[-since_drop:], plateau.patience, plateau.factor, lr)
-            if new_lr != lr:
-                lr, since_drop = new_lr, 0
-        stop = config.early_stop
-        if stop is not None and pq_alpha_should_stop(history.train_loss, history.val_loss, stop.alpha, stop.strip_length):
-            break
-    return best, history
-
-
-@pytest.mark.parametrize("case", list(_seed_train_cases()), ids=lambda case: case[0])
-def test_train_matches_the_parent_loop_bit_for_bit(case):
-    _, net, train_set, val_set, cfg, term = case
+def _ragged_case(case):
+    """``case`` for 3 epochs of batch 24 with a validation set, so the last batch of every epoch is ragged."""
+    name, net, train_set, val_set, cfg, term = case
     if val_set is None:
         val_set = train_set[0][-12:], train_set[1][-12:]
-    cfg = replace(cfg, max_epochs=3, batch_size=24)
-    assert len(train_set[0]) % cfg.batch_size  # the last batch of every epoch is ragged
+    return name + "-ragged", net, train_set, val_set, replace(cfg, max_epochs=3, batch_size=24), term
+
+
+_TRAIN_CASES = list(_seed_train_cases())
+
+
+@pytest.mark.parametrize("case", _TRAIN_CASES + [_ragged_case(c) for c in _TRAIN_CASES], ids=lambda case: case[0])
+def test_train_matches_the_seed_loop_bit_for_bit(case):
+    name, net, train_set, val_set, cfg, term = case
     trained, history = train(net, train_set, val_set, cfg, physics=term)
-    expected, expected_history = _parent_train(net, train_set, val_set, cfg, term)
+    expected, expected_history = _seed_train(net, train_set, val_set, cfg, term)
     assert trained.theta.tobytes() == expected.theta.tobytes()
-    assert history.n_epochs() == 3
-    for name in ("train_loss", "val_loss", "data_loss", "physics_loss", "learning_rate"):
-        assert np.array_equal(getattr(history, name), getattr(expected_history, name)), name
+    for key in ("train_loss", "val_loss", "data_loss", "physics_loss", "learning_rate"):
+        assert np.array_equal(getattr(history, key), getattr(expected_history, key)), key
+    if name.endswith("-ragged"):
+        assert len(train_set[0]) % cfg.batch_size and history.n_epochs() == 3
+    elif cfg.early_stop is not None:  # both schedules took effect
+        assert history.n_epochs() < cfg.max_epochs and len(set(history.learning_rate)) > 1
 
 
 def test_train_returns_an_interior_best_epoch_as_its_own_copy():
@@ -802,7 +741,7 @@ def test_train_returns_an_interior_best_epoch_as_its_own_copy():
     train_set = x[:-6], y[:-6]
     cfg = replace(cfg, learning_rate=3e-2, max_epochs=8)
     trained, history = train(net, train_set, val_set, cfg)
-    expected, _ = _parent_train(net, train_set, val_set, cfg, None)
+    expected, _ = _seed_train(net, train_set, val_set, cfg, None)
     best = int(np.argmin(history.val_loss))
     # the checkpoint is neither the initial net nor the last epoch's
     assert 0 < best < history.n_epochs() - 1

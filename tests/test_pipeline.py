@@ -176,6 +176,12 @@ def test_config_validation_errors(tmp_path, capsys):
         ("early_stop_alpha", float("nan")),
         *((key, value) for key in ("spring_lr", "ltp_lr") for value in (float("nan"), float("inf"), 0.0, -1.0)),
         *(("spring_delta_t", value) for value in (float("nan"), float("inf"), 0.0, -0.05)),
+        *(("spring_e_max", value) for value in (float("nan"), float("inf"), 0.0, -1.0)),
+        ("spring_n_substeps", 0),
+        ("spring_n_substeps", -2),
+        ("spring_hidden", (0,)),
+        ("spring_hidden", (22, -1, 9)),
+        ("ltp_hidden", (50, 0)),
         ("ltp_skew_threshold", float("nan")),
         ("split_fractions", (0.9, 0.2, -0.1)),
         ("split_fractions", (1.2, -0.1, -0.1)),
@@ -192,6 +198,9 @@ def test_config_validation_errors(tmp_path, capsys):
         {"spring_delta_t": float("inf")},
         {"ltp_batch": -3},
         {"spring_initial_state": [float("nan"), 0, 0, 0]},
+        {"spring_e_max": -1},
+        {"spring_n_substeps": 0},
+        {"spring_hidden": [0]},
         {"ltp_n_members": 2},  # not an ExperimentConfig key
     ):
         path = tmp_path / "cfg.json"
@@ -200,6 +209,21 @@ def test_config_validation_errors(tmp_path, capsys):
         assert cli_main(["gen-data", "spring", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and next(iter(values)) in err and "Traceback" not in err
+    ExperimentConfig(spring_hidden=(), ltp_hidden=()).validate()  # no hidden layer: a linear map
+
+
+@pytest.mark.parametrize("fractions", [(0.9, 0.0, 0.1), (0.9, 0.1, 0.0)], ids=["no_validation", "no_test"])
+def test_plasma_experiments_reject_an_empty_validation_or_test_fraction(tmp_path, capsys, fractions):
+    for kind in ("ltp-compare", "ablation-arch", "small-samples", "timing"):
+        with pytest.raises(ValidationError, match="split_fractions"):
+            ExperimentConfig(kind=kind, split_fractions=fractions).validate()
+    for kind in ("spring-single", "spring-many"):
+        ExperimentConfig(kind=kind, split_fractions=fractions).validate()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"split_fractions": fractions}))
+    assert cli_main(["experiment", "ablation-arch", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "split_fractions" in err and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -411,9 +435,19 @@ def test_small_samples_marks_a_size_above_the_pool(tmp_path):
     assert [line.split(",")[0] for line in (out / "sweep.csv").read_text().strip().splitlines()[1:]] == ["20"]
 
 
+def test_default_sizes_fit_the_training_split_of_the_default_pool():
+    """Every default size can be drawn from the default pool's training split,
+    and every default trend size is swept, so each writes its slice."""
+    cfg = ExperimentConfig()
+    pool = np.zeros((cfg.pool_size, 1)), np.zeros((cfg.pool_size, 1))
+    n_train = len(split_dataset(pool, cfg.split_fractions, cfg.seed)[0][0])
+    assert max(cfg.sizes) <= n_train
+    assert set(cfg.trend_sizes) <= set(cfg.sizes)
+
+
 def test_small_samples_writes_trend_slices_only_for_swept_sizes(tmp_path):
-    """The benchmark's sizes with the default trend_sizes (200, 600, 2500):
-    600 and 2500 are not swept, so they write no slice and raise nothing."""
+    """The benchmark's sizes with the default trend_sizes (200, 600, 2400):
+    600 and 2400 are not swept, so they write no slice and raise nothing."""
     extra = {**TINY_LTP, "pool_size": 300, "sizes": (20, 200), "n_resamples": 2}
     out = tmp_path / "small"
     run_experiment(ExperimentConfig(kind="small-samples", out_dir=str(out), **extra))

@@ -52,7 +52,7 @@ def test_energy_gradient_matches_finite_differences():
     h = 1e-6
     for _ in range(50):
         state = rng.uniform(-2.0, 2.0, size=4)
-        grad = sm.energy_gradient(state, PARAMS)
+        grad = sm.energy_and_gradient(state, PARAMS)[1]
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
@@ -65,14 +65,14 @@ def test_energy_hessian_matches_central_differences_of_the_gradient():
     hess = sm.energy_hessian(params)
     assert np.array_equal(hess, hess.T)
     h = 1e-4
+    steps = h * np.eye(4)  # row j moves coordinate j
     for state in np.random.default_rng(2).uniform(-2.0, 2.0, size=(20, 4)):
-        fd = np.stack([(sm.energy_gradient(state + e, params) - sm.energy_gradient(state - e, params)) / (2 * h)
-                       for e in h * np.eye(4)])
+        fd = (sm.energy_and_gradient(state + steps, params)[1] - sm.energy_and_gradient(state - steps, params)[1]) / (2 * h)
         assert np.allclose(fd, hess, rtol=1e-9, atol=1e-9)
 
 
 def test_energy_law_equals_its_term_by_term_formula_bit_for_bit():
-    """energy, energy_gradient, energy_and_gradient and energy_hessian round exactly as the law written out term by term."""
+    """energy, energy_and_gradient and energy_hessian round exactly as the law written out term by term."""
     params = sm.SpringParams(m1=1.3, m2=0.7, k1=4.1, k2=2.9, L1=0.45, L2=0.6)
     states = sm.sample_states(params, 5.0, 200, np.random.default_rng(4))
     x1, v1, x2, v2 = states.T
@@ -88,11 +88,10 @@ def test_energy_law_equals_its_term_by_term_formula_bit_for_bit():
         axis=-1,
     )
     assert np.array_equal(sm.energy(states, params), energy)
-    assert np.array_equal(sm.energy_gradient(states, params), grad)
     joint_energy, joint_grad = sm.energy_and_gradient(states, params)
     assert np.array_equal(joint_energy, energy) and np.array_equal(joint_grad, grad)
     assert sm.energy(states[7], params) == energy[7]
-    assert np.array_equal(sm.energy_gradient(states[7], params), grad[7])
+    assert np.array_equal(sm.energy_and_gradient(states[7], params)[1], grad[7])
     k1, k2, m1, m2 = params.k1, params.k2, params.m1, params.m2
     hess = np.array([[k1 + k2, 0.0, -k2, 0.0], [0.0, m1, 0.0, 0.0], [-k2, 0.0, k2, 0.0], [0.0, 0.0, 0.0, m2]])
     assert sm.energy_hessian(params).tobytes() == hess.tobytes()
@@ -147,7 +146,7 @@ def test_integrator_equals_the_parent_integrator_bit_for_bit(rows):
     states = sm.sample_states(params, 5.0, rows or 1, np.random.default_rng(6))
     states = states[0] if rows is None else states
     assert _same(sm.rhs(states, params), _parent_rhs(states, params))
-    assert _same(sm.rk4_step(states, params, 0.01), _parent_rk4_step(states, params, 0.01))
+    assert _same(sm.integrate(states, params, 0.01, 1), _parent_rk4_step(states, params, 0.01))
     assert _same(sm.integrate(states, params, 0.05, 50), _parent_integrate(states, params, 0.05, 50))
     expected = [states]
     for _ in range(3):
@@ -164,7 +163,7 @@ def test_generate_dataset_equals_the_parent_integrator_bit_for_bit(rows):
 
 def test_rk4_equilibrium_fixed_point():
     eq = PARAMS.equilibrium()
-    assert np.allclose(sm.rk4_step(eq, PARAMS, 0.1), eq)
+    assert np.allclose(sm.integrate(eq, PARAMS, 0.1, 1), eq)
 
 
 def test_rk4_convergence_order():
@@ -193,11 +192,6 @@ def test_rk4_ten_second_energy_drift():
     assert drift < 1e-6
 
 
-def test_integrate_single_substep_equals_rk4_step():
-    state = PAPER_IC
-    assert np.array_equal(sm.integrate(state, PARAMS, 0.05, 1), sm.rk4_step(state, PARAMS, 0.05))
-
-
 def test_integrate_substep_convergence():
     a = sm.integrate(PAPER_IC, PARAMS, 0.05, 50)
     b = sm.integrate(PAPER_IC, PARAMS, 0.05, 500)
@@ -211,9 +205,7 @@ def test_sample_states_respect_energy_threshold():
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.05, np.inf, np.nan])
-def test_rk4_step_and_integrate_reject_step_sizes_that_are_not_positive_and_finite(dt):
-    with pytest.raises(ValidationError, match="dt"):
-        sm.rk4_step(PAPER_IC, PARAMS, dt)
+def test_integrate_rejects_step_sizes_that_are_not_positive_and_finite(dt):
     with pytest.raises(ValidationError, match="horizon"):
         sm.integrate(PAPER_IC, PARAMS, dt, 10)
 
