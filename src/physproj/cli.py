@@ -2,8 +2,9 @@
 
 Subcommands: gen-data, train, project, rollout, experiment. Every command
 accepts --config (flat JSON with ExperimentConfig keys), --seed and
---out-dir overrides. Exit codes: 0 success, 1 configuration/validation
-error or an output path that cannot be written, 2 numerical failure.
+--out-dir; main checks and echoes that config once, as the experiment the
+command belongs to (plasma data: ltp-compare, else spring-single). Exit
+codes: 0 success, 1 invalid config or unwritable output, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from physproj.pipeline.config import EXPERIMENT_KINDS, load_config
 from physproj.pipeline.csvio import write_csv, write_ltp_csv, write_manifest, write_spring_dataset_csv, write_trajectory_csv
 from physproj.pipeline.experiments import (
     PARAMS,
+    RUNNERS,
     energy_projector,
     load_ltp_data,
     load_spring_data,
@@ -29,7 +31,6 @@ from physproj.pipeline.experiments import (
     prepare_spring,
     project_predictions,
     projection_rows,
-    run_experiment,
     timed,
     train_ltp_net,
     train_spring_net,
@@ -38,7 +39,6 @@ from physproj.springmass import STATE_NAMES
 
 
 def cmd_gen_data(args, cfg) -> int:
-    write_manifest(cfg.out_dir, cfg.items())
     if args.system == "spring":
         (inputs, targets), _ = load_spring_data(cfg)
         write_spring_dataset_csv(os.path.join(cfg.out_dir, "spring_dataset.csv"), inputs, targets)
@@ -49,7 +49,6 @@ def cmd_gen_data(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
-    write_manifest(cfg.out_dir, cfg.items())
     if args.system == "spring":
         ctx = prepare_spring(cfg)
         net, history = train_spring_net(ctx, cfg, args.physics)
@@ -71,7 +70,6 @@ def cmd_train(args, cfg) -> int:
 
 
 def cmd_project(args, cfg) -> int:
-    write_manifest(cfg.out_dir, cfg.items())
     net, out_spec = load_network(args.model)
     # the test split is the experiments'; the transforms are the ones saved with the model
     seconds = {}
@@ -104,7 +102,6 @@ def cmd_project(args, cfg) -> int:
 
 
 def cmd_rollout(args, cfg) -> int:
-    write_manifest(cfg.out_dir, cfg.items())
     net, spec = load_network(args.model)
     ic = np.asarray(cfg.spring_initial_state, dtype=np.float64)[None]
     projector = energy_projector(spec, springmass.energy(ic, PARAMS), cfg.spring_projection_tol) if args.project else None
@@ -119,8 +116,7 @@ def cmd_rollout(args, cfg) -> int:
 
 
 def cmd_experiment(args, cfg) -> int:
-    cfg.kind = args.kind
-    run_experiment(cfg)
+    RUNNERS[cfg.kind](cfg)
     return 0
 
 
@@ -170,7 +166,10 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out_dir})
+        # a command is checked and echoed as the experiment whose data and networks it builds
+        kind = getattr(args, "kind", "spring-single" if getattr(args, "system", "spring") == "spring" else "ltp-compare")
+        cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out_dir, "kind": kind})
+        write_manifest(cfg.out_dir, cfg.items())
         return COMMANDS[args.command](args, cfg)
     except (ValidationError, OSError) as exc:  # OSError: an output path that cannot be made or written
         print(f"error: {exc}", file=sys.stderr)

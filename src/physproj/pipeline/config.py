@@ -83,8 +83,6 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.kind not in EXPERIMENT_KINDS:
             raise ValidationError(f"unknown experiment kind '{self.kind}'; choose from {EXPERIMENT_KINDS}")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
         if len(self.split_fractions) != 3 or len(self.spring_initial_state) != 4:
             raise ValidationError("split_fractions needs 3 values and spring_initial_state 4")
         if not all(abs(v) < float("inf") for v in self.spring_initial_state):  # NaN fails too
@@ -99,12 +97,11 @@ class ExperimentConfig:
         for name in ("spring_hidden", "ltp_hidden"):
             if min(getattr(self, name), default=1) < 1:
                 raise ValidationError(f"{name} widths must be >= 1")
-        if self.ltp_dataset_csv is not None and not os.path.exists(self.ltp_dataset_csv):
-            raise ValidationError(f"dataset csv not found: {self.ltp_dataset_csv}")
-        if self.spring_dataset_csv is not None and not os.path.exists(self.spring_dataset_csv):
-            raise ValidationError(f"dataset csv not found: {self.spring_dataset_csv}")
-        if self.ltp_column_map is not None and not os.path.exists(self.ltp_column_map):
-            raise ValidationError(f"column map not found: {self.ltp_column_map}")
+        for name in ("spring_dataset_csv", "ltp_dataset_csv", "ltp_column_map"):
+            if getattr(self, name) is not None and not os.path.exists(getattr(self, name)):
+                raise ValidationError(f"{name} not found: {getattr(self, name)}")
+        if self.ltp_column_map is not None and self.ltp_dataset_csv is None:  # the map renames that file's columns
+            raise ValidationError("ltp_column_map needs an ltp_dataset_csv to map")
         for name in (
             "spring_n_samples", "spring_n_trajectories", "spring_steps_single", "spring_steps_many", "spring_batch",
             "ltp_n_samples", "ltp_batch", "n_resamples", "pool_size", "trend_n_points",
@@ -112,14 +109,14 @@ class ExperimentConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
-        for name in ("spring_epochs", "ltp_max_epochs"):
+        for name in ("seed", "spring_epochs", "ltp_max_epochs"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
-        for name in ("spring_projection_tol", "ltp_projection_tol", "trend_current", "trend_radius"):
-            if not getattr(self, name) > 0.0:  # NaN fails too
-                raise ValidationError(f"{name} must be positive")
-        for name in ("spring_lr", "ltp_lr", "spring_delta_t", "spring_e_max"):
-            if not 0.0 < getattr(self, name) < float("inf"):
+        for name in (
+            "spring_lr", "ltp_lr", "spring_delta_t", "spring_e_max",
+            "spring_projection_tol", "ltp_projection_tol", "trend_current", "trend_radius",
+        ):
+            if not 0.0 < getattr(self, name) < float("inf"):  # NaN fails too
                 raise ValidationError(f"{name} must be positive and finite")
         if self.ltp_skew_threshold != self.ltp_skew_threshold:  # NaN would switch log scaling off silently
             raise ValidationError("ltp_skew_threshold must not be NaN; inf switches log scaling off")

@@ -709,7 +709,7 @@ def run_timing(cfg: ExperimentConfig) -> MetricsReport:
     base = seconds["data_generation_seconds"] + seconds["training_seconds"] + seconds["inference_seconds"]
     overhead_pct = 100.0 * seconds["projection_seconds"] / base if base > 0 else float("inf")
     n_points = {
-        "data_generation": cfg.ltp_n_samples,
+        "data_generation": sum(len(x) for x, _ in ctx.splits.values()),
         "training": len(ctx.norm["train"][0]),
         "inference": len(xn_test),
         "projection": len(extra),

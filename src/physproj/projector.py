@@ -66,8 +66,8 @@ class ProjectionSpec:
     max_iterations: int = 100
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:  # NaN too: no point could ever converge
-            raise ValidationError("tolerance must be positive")
+        if not 0.0 < self.tolerance < float("inf"):  # NaN: no point could converge; inf: every point would, unmoved
+            raise ValidationError("tolerance must be positive and finite")
         # a fractional budget is never reached exactly, so its solves would never end
         if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
             raise ValidationError("max_iterations must be an integer >= 1")

@@ -140,6 +140,8 @@ def test_config_missing_file():
 
 
 def test_config_validation_errors(tmp_path, capsys):
+    column_map = tmp_path / "map.json"
+    column_map.write_text("{}")
     with pytest.raises(ValidationError):
         ExperimentConfig(kind="bogus").validate()
     with pytest.raises(ValidationError):
@@ -188,6 +190,9 @@ def test_config_validation_errors(tmp_path, capsys):
         *((key, value) for key in ("pool_size", "timing_n_test", "spring_batch", "ltp_batch") for value in (0, -3)),
         ("spring_initial_state", (float("nan"), 0.0, 0.0, 0.0)),
         ("spring_initial_state", (-0.16, float("inf"), 0.09, -0.16)),
+        *((key, float("inf")) for key in ("spring_projection_tol", "ltp_projection_tol", "trend_current", "trend_radius")),
+        *((key, str(tmp_path / "missing")) for key in ("spring_dataset_csv", "ltp_dataset_csv", "ltp_column_map")),
+        ("ltp_column_map", str(column_map)),  # a map without the dataset CSV it would rename
     ):
         with pytest.raises(ValidationError, match=key):
             ExperimentConfig(**{key: value}).validate()
@@ -201,6 +206,8 @@ def test_config_validation_errors(tmp_path, capsys):
         {"spring_e_max": -1},
         {"spring_n_substeps": 0},
         {"spring_hidden": [0]},
+        {"ltp_projection_tol": float("inf")},
+        {"ltp_column_map": str(column_map)},
         {"ltp_n_members": 2},  # not an ExperimentConfig key
     ):
         path = tmp_path / "cfg.json"
@@ -221,9 +228,12 @@ def test_plasma_experiments_reject_an_empty_validation_or_test_fraction(tmp_path
         ExperimentConfig(kind=kind, split_fractions=fractions).validate()
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"split_fractions": fractions}))
-    assert cli_main(["experiment", "ablation-arch", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "split_fractions" in err and not (tmp_path / "o").exists()
+    # train and project build the ltp-compare data, so they are checked as ltp-compare
+    for argv in (["experiment", "ablation-arch"], ["train", "ltp"], ["project", "ltp", "--model", str(tmp_path / "m.txt")]):
+        capsys.readouterr()
+        assert cli_main([*argv, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "split_fractions" in err and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -556,6 +566,18 @@ def test_timing_artifacts(tmp_path):
     assert all(float(r.split(",")[2]) >= 0.0 for r in rows[1:])
 
 
+def test_timing_counts_the_rows_of_a_dataset_csv(tmp_path):
+    from physproj.constraints import generate_synthetic_ltp
+    from physproj.pipeline.csvio import write_ltp_csv
+
+    write_ltp_csv(tmp_path / "ltp.csv", *generate_synthetic_ltp(60, 0))
+    cfg = ExperimentConfig(kind="timing", out_dir=str(tmp_path / "t"), **{**TINY_LTP, "ltp_dataset_csv": str(tmp_path / "ltp.csv")})
+    run_experiment(cfg)
+    with open(tmp_path / "t" / "timing.csv") as fh:
+        n_points = {row.split(",")[0]: row.split(",")[1] for row in fh.read().strip().splitlines()[1:]}
+    assert n_points == {"data_generation": "60", "training": "48", "inference": "6", "projection": "6"}
+
+
 def test_spring_dataset_csv_round_trip(tmp_path):
     from physproj import springmass as sm
 
@@ -595,6 +617,7 @@ def test_cli_full_round_trip(tmp_path):
     assert cli_main(["gen-data", "ltp-synthetic", "--config", cfg, "--out-dir", str(tmp_path / "gl")]) == 0
     assert cli_main(["train", "spring", "--config", cfg, "--out-dir", str(tmp_path / "ms")]) == 0
     assert cli_main(["train", "ltp", "--physics", "--config", cfg, "--out-dir", str(tmp_path / "ml")]) == 0
+    assert "kind=ltp-compare\n" in (tmp_path / "ml" / "manifest.txt").read_text()
     model = str(tmp_path / "ms" / "model.txt")
     assert cli_main(["rollout", "--model", model, "--project", "--config", cfg, "--out-dir", str(tmp_path / "r")]) == 0
     with open(tmp_path / "r" / "trajectory.csv") as fh:

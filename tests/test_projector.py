@@ -170,7 +170,7 @@ def test_rejects_nonfinite_input():
 
 
 def test_spec_validation():
-    for bad in (dict(tolerance=0.0), dict(tolerance=float("nan")), dict(max_iterations=0)):
+    for bad in (dict(tolerance=0.0), dict(tolerance=float("nan")), dict(tolerance=float("inf")), dict(max_iterations=0)):
         with pytest.raises(ValidationError):
             ProjectionSpec(**bad)
     # a non-integer budget is rejected before any solve could run forever on it
