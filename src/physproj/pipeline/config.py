@@ -153,8 +153,9 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Build a config from defaults, an optional JSON file, and CLI overrides.
 
     The JSON file is a flat object whose keys are ExperimentConfig field
-    names; list values become tuples. Unknown keys and values of another
-    type than the field's default are rejected.
+    names; list values become tuples. Unknown keys, values of another type
+    than the field's default, and a file ``kind`` that contradicts the
+    overrides' ``kind`` are rejected.
     """
     values: dict = {}
     if path is not None:
@@ -175,5 +176,7 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     for key, value in [*values.items(), *overrides.items()]:  # an overridden file value is checked too
         if not _fits(value, defaults[key]):
             raise ValidationError(f"config key '{key}' must have the type of its default {defaults[key]!r}, got {value!r}")
+    if "kind" in values and values["kind"] != overrides.get("kind", values["kind"]):
+        raise ValidationError(f"config key 'kind' is {values['kind']!r} in the file, but the command runs {overrides['kind']!r}")
     values = {k: tuple(v) if isinstance(v, list) else v for k, v in {**values, **overrides}.items()}
     return ExperimentConfig(**values).validate()

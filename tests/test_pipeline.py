@@ -362,12 +362,16 @@ def test_spring_many_leaves_out_a_failed_projected_trajectory(tmp_path, monkeypa
 def test_ltp_compare_artifacts(tmp_path):
     out = _run_twice_and_compare("ltp-compare", TINY_LTP, tmp_path, ("data_generation", "training", "projection"))
     with open(out / "per_output_rmse.csv") as fh:
-        rows = fh.read().strip().splitlines()
-    assert len(rows) == 1 + 4 * 17
+        scores = [line.split(",") for line in fh.read().strip().splitlines()]
+    assert len(scores) == 1 + 4 * 17
     with open(out / "ablation.csv") as fh:
-        rows = fh.read().strip().splitlines()
+        ablation = [line.split(",") for line in fh.read().strip().splitlines()]
     # nn + all + 3 singles + 3 pairs, 17 outputs each
-    assert len(rows) == 1 + 8 * 17
+    assert len(ablation) == 1 + 8 * 17
+    # the plain NN and the full law set are scored once: ablation's nn and all rows are those normalized cells
+    for variant, model in (("nn", "nn"), ("all", "nn_projection")):
+        expected = [[output, value] for name, output, value, _ in scores[1:] if name == model]
+        assert len(expected) == 17 and [cells[1:] for cells in ablation[1:] if cells[0] == variant] == expected
     with open(out / "constraint_rmse.csv") as fh:
         rows = fh.read().strip().splitlines()
     assert len(rows) == 1 + 4 * 3
@@ -671,6 +675,22 @@ def test_cli_experiment_and_manifest(tmp_path):
         manifest = fh.read()
     assert "ltp_n_samples=120" in manifest
     assert "kind=timing" in manifest
+
+
+def test_cli_rejects_a_config_kind_that_contradicts_the_command(tmp_path, capsys):
+    # the command names the kind: a file kind that differs is an error, not silently overridden
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps({"kind": "timing", "spring_n_samples": 50}))
+    for command in (["gen-data", "spring"], ["experiment", "ltp-compare"]):
+        out = tmp_path / command[0]
+        capsys.readouterr()
+        assert cli_main([*command, "--config", str(path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'kind'" in err and "Traceback" not in err
+        assert not out.exists()
+    cfg = _write_cfg(tmp_path, {"kind": "timing", "timing_n_test": 10})  # a file kind that agrees is kept
+    assert cli_main(["experiment", "timing", "--config", cfg, "--out-dir", str(tmp_path / "t")]) == 0
+    assert "kind=timing\n" in (tmp_path / "t" / "manifest.txt").read_text()
 
 
 @pytest.mark.filterwarnings("error::UserWarning")  # no numpy warning above the error line

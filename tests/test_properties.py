@@ -1,5 +1,6 @@
 """Property tests: solver invariants on random spheres and hyperplane sets,
-results independent of the batch and block a point is solved in, bit-exact
+results independent of the batch and block a point is solved in, spring
+energy-shell projections against the exact nearest point, bit-exact
 model files for random architectures, the leaky ReLU against its np.where
 form on special values, backward's flat gradient against its per-layer
 formula, and loaders that meet malformed model files, dataset CSVs, column
@@ -19,8 +20,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from physproj import projector
-from physproj.constraints import INPUT_NAMES, OUTPUT_NAMES, ConstraintSet, TransformSpec, fit_transform
+from physproj import projector, springmass
+from physproj.constraints import (
+    INPUT_NAMES,
+    OUTPUT_NAMES,
+    ConstraintSet,
+    EnergyConstraint,
+    TransformSpec,
+    denormalize,
+    fit_transform,
+    normalize,
+)
 from physproj.errors import ValidationError
 from physproj.nn import Network, backward, forward_cached, load_network, save_network, xavier_init
 from physproj.nn.network import _leaky_relu_backprop
@@ -127,6 +137,57 @@ def test_result_is_independent_of_batch_and_block(problem, data):
             assert batch.multipliers[row].tobytes() == alone[i].multipliers.tobytes()
             assert (batch.iterations[row], batch.status[row]) == (alone[i].iterations, alone[i].status)
             assert batch.kkt_norm[row].tobytes() == np.float64(alone[i].kkt_norm).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the spring energy shell, whose nearest point is known exactly
+
+SPRING = springmass.SpringParams()
+SPRING_SPEC = fit_transform(  # min-max, as the spring experiments fit it
+    springmass.sample_states(SPRING, 5.0, 2000, np.random.default_rng(0)), springmass.STATE_NAMES, skew_threshold=np.inf
+)
+
+
+def nearest_on_energy_shell(ys, anchors, spec):
+    """The exact nearest points to the normalized ``ys`` on the energy shells E = ``anchors`` (J).
+
+    With min-max scaling, phys = c + D z, so the energy is 0.5 (z - z_c)' Q (z - z_c)
+    with Q = D H D, H the energy Hessian and z_c the normalized equilibrium: the shell
+    is an ellipsoid. In Q's eigenbasis, Q = V diag(s) V' and a = V'(y - z_c), the nearest
+    point is a_i / (1 + mu s_i), where mu is the one root with 1 + mu max(s) > 0 of the
+    secular equation 0.5 sum(s_i a_i^2 / (1 + mu s_i)^2) = E0 (More and Sorensen, SIAM
+    J. Sci. Stat. Comput. 4, 1983). The left side falls in mu there, so bisection finds
+    mu to rounding; mu > 0 outside the shell and mu < 0 inside.
+    """
+    half = spec.width / 2.0
+    s, v = np.linalg.eigh(half[:, None] * springmass.energy_hessian(SPRING) * half)
+    centre = normalize(SPRING.equilibrium(), spec)
+    a = (ys - centre) @ v
+    lo = np.full(len(ys), -1.0 / s.max())  # the left side is infinite here
+    hi = np.linalg.norm(a, axis=1) / np.sqrt(2.0 * anchors * s.min())  # and at most E0 here
+    with np.errstate(divide="ignore"):
+        for _ in range(200):  # past the last halving the bracket holds two adjacent floats
+            mid = 0.5 * (lo + hi)
+            above = 0.5 * np.sum(s * (a / (1.0 + mid[:, None] * s)) ** 2, axis=1) > anchors
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return centre + (a / (1.0 + hi[:, None] * s)) @ v.T
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1))
+def test_energy_shell_projection_is_the_exact_nearest_point(seed):
+    # 40 noisy normalized states and anchors from 0.2 to 5 J put points inside and outside their shells;
+    # at tolerance 1e-10 every converged point is the global nearest one to 1e-9 (max-norm)
+    rng = np.random.default_rng(seed)
+    ys = normalize(springmass.sample_states(SPRING, 5.0, 40, rng), SPRING_SPEC) + rng.normal(0.0, 0.3, (40, 4))
+    anchors = rng.uniform(0.2, 5.0, 40)
+    exact = nearest_on_energy_shell(ys, anchors, SPRING_SPEC)
+    assert np.allclose(springmass.energy(denormalize(exact, SPRING_SPEC), SPRING), anchors, rtol=1e-10, atol=0.0)
+    result = project_batch(ys, EnergyConstraint(SPRING, None, SPRING_SPEC), anchors[:, None], ProjectionSpec(tolerance=1e-10))
+    converged = result.status == CONVERGED
+    inside = springmass.energy(denormalize(ys, SPRING_SPEC), SPRING) < anchors
+    assert inside[converged].any() and not inside[converged].all()
+    assert np.abs(result.projected[converged] - exact[converged]).max() <= 1e-9
 
 
 @st.composite
