@@ -153,8 +153,8 @@ def fit_transform(
 
     A feature gets a log10 transform when its sample skewness exceeds
     ``skew_threshold`` and all its values are strictly positive; bounds are
-    then computed in log space. Pass ``skew_threshold=inf`` to disable the
-    log transform entirely. Fit on the training split only.
+    then computed in log space. ``skew_threshold=inf`` (or NaN) flags no
+    feature, and ``-inf`` flags every strictly positive one. Fit on the training split only.
     """
     x = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if x.shape[0] == 0:
@@ -167,7 +167,7 @@ def fit_transform(
     maxs = np.empty(dim)
     for j in range(dim):
         col = x[:, j]
-        if np.isfinite(skew_threshold) and sample_skewness(col) > skew_threshold and np.all(col > 0.0):
+        if skew_threshold < np.inf and sample_skewness(col) > skew_threshold and np.all(col > 0.0):
             flags[j] = True
             col = np.log10(col)
         lo, hi = float(col.min()), float(col.max())

@@ -91,9 +91,9 @@ class ExperimentConfig:
             raise ValidationError("split_fractions must lie in [0, 1] and sum to 1")
         if not self.kind.startswith("spring") and not min(self.split_fractions[1:]) > 0.0:  # early stopping, test scores
             raise ValidationError("split_fractions must give plasma experiments validation and test fractions above 0")
-        for name in ("architectures", "sizes"):
-            if not getattr(self, name) or min(getattr(self, name)) < 1:
-                raise ValidationError(f"{name} must be a nonempty list of integers >= 1")
+        for name, values in (("architectures", self.architectures), ("sizes", self.sizes)):
+            if not values or min(values) < 1 or len(set(values)) < len(values):  # a repeat would train and write twice
+                raise ValidationError(f"{name} must be a nonempty list of distinct integers >= 1")
         for name in ("spring_hidden", "ltp_hidden"):
             if min(getattr(self, name), default=1) < 1:
                 raise ValidationError(f"{name} widths must be >= 1")
@@ -119,7 +119,7 @@ class ExperimentConfig:
             if not 0.0 < getattr(self, name) < float("inf"):  # NaN fails too
                 raise ValidationError(f"{name} must be positive and finite")
         if self.ltp_skew_threshold != self.ltp_skew_threshold:  # NaN would switch log scaling off silently
-            raise ValidationError("ltp_skew_threshold must not be NaN; inf switches log scaling off")
+            raise ValidationError("ltp_skew_threshold must not be NaN; inf log-scales no output, -inf every positive one")
         if not 0.0 <= self.spring_lambda <= 1.0 or not 0.0 <= self.ltp_lambda <= 1.0:
             raise ValidationError("physics weights must lie in [0, 1]")
         if not 0.0 < self.plateau_factor <= 1.0:

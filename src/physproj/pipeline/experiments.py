@@ -296,18 +296,18 @@ def projection_rows(result, seconds: float):
 # spring-mass experiments
 
 
-def _spring_task(ctx: DataContext, cfg: ExperimentConfig, physics: bool, initial_states: np.ndarray, n_steps: int):
+def _spring_task(ctx: DataContext, cfg: ExperimentConfig, physics: bool, initial_states: np.ndarray, anchors, n_steps: int):
     """Train the NN (the PINN with ``physics``), then roll it out from ``initial_states``, plain and projected.
 
-    The projected rollout keeps each trajectory on its own initial energy
-    shell and records a failed projection in its RolloutResult instead of
-    raising. Returns ((plain, projected), training seconds, rollout seconds).
+    The projected rollout keeps trajectory i on the energy shell of ``anchors[i]``, its initial
+    energy (J), and records a failed projection in its RolloutResult instead of raising.
+    Returns ((plain, projected), training seconds, rollout seconds).
     """
     seconds = {}
     with timed(seconds, "training"):
         net, _ = train_spring_net(ctx, cfg, physics)
     with timed(seconds, "rollout"):
-        projector = energy_projector(ctx.out_spec, springmass.energy(initial_states, PARAMS), cfg.spring_projection_tol)
+        projector = energy_projector(ctx.out_spec, anchors, cfg.spring_projection_tol)
         model_fn = lambda z: forward(net, z)
         plain = springmass.rollout(model_fn, initial_states, n_steps, ctx.out_spec, params=PARAMS)
         projected = springmass.rollout(model_fn, initial_states, n_steps, ctx.out_spec, projector=projector, params=PARAMS)
@@ -323,41 +323,41 @@ def _truth_task(cfg: ExperimentConfig, initial_states: np.ndarray, n_steps: int)
 
 
 def _spring_runs(cfg: ExperimentConfig, initial_states: np.ndarray, n_steps: int, seconds: dict):
-    """The data context, the rollouts {"nn", "nn_projection", "pinn", "pinn_projection"} and the true trajectories.
+    """(out_spec, anchors, rollouts, truth): the state transform, the initial energies (J) computed
+    once for both nets, the rollouts {"nn", "nn_projection", "pinn", "pinn_projection"} and the
+    true trajectories. The data splits stay here; callers keep only what they score with.
 
-    One task per net trains it and runs both its rollouts; the ground truth
-    is the last task, so with two workers it runs in the one that frees
-    first, the NN's, while the PINN still trains. ``seconds`` gets the
-    tasks' own training and rollout times, each summed over the tasks.
+    One task per net trains it and runs both its rollouts; the ground truth is the last task, so
+    with two workers it runs in the one that frees first, the NN's, while the PINN still trains.
+    ``seconds`` gets the tasks' own training and rollout times, each summed over the tasks.
     """
     with timed(seconds, "data_generation_seconds"):
         ctx = prepare_spring(cfg)
-    tasks = [partial(_spring_task, ctx, cfg, physics, initial_states, n_steps) for physics in (False, True)]
+    anchors = springmass.energy(initial_states, PARAMS)
+    tasks = [partial(_spring_task, ctx, cfg, physics, initial_states, anchors, n_steps) for physics in (False, True)]
     (nn, nn_train, nn_rollout), (pinn, pinn_train, pinn_rollout), (truth, truth_seconds) = run_parallel(
         [*tasks, partial(_truth_task, cfg, initial_states, n_steps)]
     )
     seconds["training_seconds"] = nn_train + pinn_train
     seconds["rollout_seconds"] = nn_rollout + pinn_rollout + truth_seconds
     rollouts = {"nn": nn[0], "nn_projection": nn[1], "pinn": pinn[0], "pinn_projection": pinn[1]}
-    return ctx, rollouts, truth
+    return ctx.out_spec, anchors, rollouts, truth
 
 
 def _trajectory_rmses(states, energies, truth_norm: np.ndarray, spec, anchors) -> np.ndarray:
     """Per-variable normalized RMSE (x1, v1, x2, v2) then energy RMSE in J, per trajectory."""
-    pred_norm = normalize(states, spec)
-    state_rmse = np.sqrt(np.mean((pred_norm[1:] - truth_norm[1:]) ** 2, axis=0))
-    energy_rmse = np.sqrt(np.mean((energies[1:] - anchors) ** 2, axis=0))
+    state_rmse = rmse(normalize(states, spec)[1:], truth_norm[1:])
+    energy_rmse = rmse(energies[1:], np.broadcast_to(anchors, energies[1:].shape))
     return np.concatenate([state_rmse, energy_rmse[..., None]], axis=-1)
 
 
 def run_spring_single(cfg: ExperimentConfig) -> MetricsReport:
     report = MetricsReport()
     ic = np.asarray(cfg.spring_initial_state, dtype=np.float64)
-    ctx, rollouts, truths = _spring_runs(cfg, ic[None], cfg.spring_steps_single, report.phase_seconds)
-    anchor = springmass.energy(ic, PARAMS)
+    spec, anchors, rollouts, truths = _spring_runs(cfg, ic[None], cfg.spring_steps_single, report.phase_seconds)
 
     truth = truths[:, 0]
-    truth_norm = normalize(truth, ctx.out_spec)
+    truth_norm = normalize(truth, spec)
     write_trajectory_csv(
         os.path.join(cfg.out_dir, "trajectory_truth.csv"),
         truth,
@@ -370,7 +370,7 @@ def run_spring_single(cfg: ExperimentConfig) -> MetricsReport:
         result.raise_failure()  # single-trajectory run has nothing to fall back on
         states, energies = result.states[:, 0], result.energies[:, 0]
         write_trajectory_csv(os.path.join(cfg.out_dir, f"trajectory_{name}.csv"), states, energies, cfg.spring_delta_t)
-        rmses = _trajectory_rmses(states, energies, truth_norm, ctx.out_spec, anchor)
+        rmses = _trajectory_rmses(states, energies, truth_norm, spec, anchors[0])
         report.per_output_rmse[name] = dict(zip((*STATE_NAMES, "energy_J"), rmses))
         rows.append((name, *rmses))
     write_csv(
@@ -385,12 +385,11 @@ def run_spring_many(cfg: ExperimentConfig) -> MetricsReport:
     report = MetricsReport()
     rng = np.random.default_rng(cfg.seed + 4)
     initial_states = springmass.sample_states(PARAMS, cfg.spring_e_max, cfg.spring_n_trajectories, rng)
-    ctx, rollouts, truths = _spring_runs(cfg, initial_states, cfg.spring_steps_many, report.phase_seconds)
+    spec, anchors, rollouts, truths = _spring_runs(cfg, initial_states, cfg.spring_steps_many, report.phase_seconds)
 
     model_names = ("nn", "pinn", "nn_projection", "pinn_projection")
-    truth_norm = normalize(truths, ctx.out_spec)
-    anchors = springmass.energy(initial_states, PARAMS)
-    rmses = {name: _trajectory_rmses(r.states, r.energies, truth_norm, ctx.out_spec, anchors) for name, r in rollouts.items()}
+    truth_norm = normalize(truths, spec)
+    rmses = {name: _trajectory_rmses(r.states, r.energies, truth_norm, spec, anchors) for name, r in rollouts.items()}
     done = {name: result.failed_step == 0 for name, result in rollouts.items()}  # False: projection failed
     report.n_nonconverged = sum(int((~ok).sum()) for ok in done.values())
 

@@ -174,6 +174,8 @@ def test_config_validation_errors(tmp_path, capsys):
         ("architectures", (-2,)),
         ("sizes", (0,)),
         ("sizes", (20, -3)),
+        ("architectures", (4, 4)),  # a repeated width would train and write its trend slice twice
+        ("sizes", (20, 50, 20)),
         ("early_stop_alpha", -1.0),
         ("early_stop_alpha", float("nan")),
         *((key, value) for key in ("spring_lr", "ltp_lr") for value in (float("nan"), float("inf"), 0.0, -1.0)),
@@ -209,6 +211,8 @@ def test_config_validation_errors(tmp_path, capsys):
         {"ltp_projection_tol": float("inf")},
         {"ltp_column_map": str(column_map)},
         {"ltp_n_members": 2},  # not an ExperimentConfig key
+        {"architectures": [4, 4]},
+        {"sizes": [20, 20]},
     ):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(values))

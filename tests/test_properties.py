@@ -1,5 +1,6 @@
-"""Property tests: solver invariants on random spheres and hyperplane sets,
-results independent of the batch and block a point is solved in, spring
+"""Property tests: solver invariants on random spheres, hyperplane sets and
+plasma-law subsets near synthetic samples, results independent of the batch
+and block a point is solved in, spring
 energy-shell projections against the exact nearest point, bit-exact
 model files for random architectures, the leaky ReLU against its np.where
 form on special values, backward's flat gradient against its per-layer
@@ -26,9 +27,12 @@ from physproj.constraints import (
     OUTPUT_NAMES,
     ConstraintSet,
     EnergyConstraint,
+    LtpConstraints,
+    LtpSchema,
     TransformSpec,
     denormalize,
     fit_transform,
+    generate_synthetic_ltp,
     normalize,
 )
 from physproj.errors import ValidationError
@@ -76,43 +80,57 @@ class Hyperplanes(ConstraintSet):
         return np.broadcast_to(self.a, (len(p), *self.a.shape)).copy()
 
 
+LTP_X, LTP_Y = generate_synthetic_ltp(200, 0)  # inputs and outputs that satisfy all three laws exactly
+LTP_SPEC = fit_transform(LTP_Y, OUTPUT_NAMES, skew_threshold=2.0)  # log-scaled where skewed, as the experiments fit it
+LAW_SUBSETS = [(0, 1, 2), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+
+
 @st.composite
 def problems(draw):
-    """(constraint set, start point) in dimension 2-6."""
+    """(constraint set, x, start point): a sphere or hyperplanes in dimension 2-6 with no x, or
+    a subset of the plasma laws at a synthetic sample's (P, I, R), from its outputs perturbed
+    by N(0, sigma^2), 0.01 <= sigma <= 0.2, in normalized space."""
+    kind = draw(st.sampled_from(["ltp", "sphere", "planes"]))
+    if kind == "ltp":
+        i = draw(st.integers(0, len(LTP_X) - 1))
+        sigma = draw(st.floats(0.01, 0.2))
+        noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(0.0, sigma, len(OUTPUT_NAMES))
+        laws = draw(st.sampled_from(LAW_SUBSETS))
+        return LtpConstraints(LtpSchema(), LTP_SPEC, laws=laws), LTP_X[i], normalize(LTP_Y[i], LTP_SPEC) + noise
     dim = draw(st.integers(2, 6))
     coord = st.floats(-1.0, 1.0, allow_nan=False)
 
     def vector():
         return np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
 
-    if draw(st.booleans()):
+    if kind == "sphere":
         centre, radius = vector(), draw(st.floats(0.5, 2.0))
         direction = vector()
         assume(np.linalg.norm(direction) > 0.1)  # keep clear of the centre, where every direction is nearest
         distance = draw(st.floats(0.2, 3.0)) * radius
-        return Sphere(centre, radius), centre + distance * direction / np.linalg.norm(direction)
+        return Sphere(centre, radius), None, centre + distance * direction / np.linalg.norm(direction)
     a = np.array([vector() for _ in range(draw(st.integers(1, 2)))])
     assume(np.linalg.svd(a, compute_uv=False).min() > 0.1)  # independent planes
-    return Hyperplanes(a, vector()[: len(a)]), 2.0 * vector()
+    return Hyperplanes(a, vector()[: len(a)]), None, 2.0 * vector()
 
 
 @PROPERTY_SETTINGS
 @given(problems())
 def test_converged_projection_meets_kkt_tolerance(problem):
-    cs, y = problem
-    result = project(y, cs, None, SPEC)
+    cs, x, y = problem
+    result = project(y, cs, x, SPEC)
     if result.status == CONVERGED:
-        stat, feas = kkt_residual(result.projected, result.multipliers, y, cs, None, SPEC)
+        stat, feas = kkt_residual(result.projected, result.multipliers, y, cs, x, SPEC)
         assert max(stat, feas) <= SPEC.tolerance
 
 
 @PROPERTY_SETTINGS
 @given(problems())
 def test_projection_is_idempotent(problem):
-    cs, y = problem
-    first = project(y, cs, None, SPEC)
+    cs, x, y = problem
+    first = project(y, cs, x, SPEC)
     assume(first.status == CONVERGED)
-    again = project(first.projected, cs, None, SPEC)
+    again = project(first.projected, cs, x, SPEC)
     assert again.status == CONVERGED and again.iterations == 0
     assert np.array_equal(again.projected, first.projected)
 
@@ -120,17 +138,18 @@ def test_projection_is_idempotent(problem):
 @PROPERTY_SETTINGS
 @given(problems(), st.data())
 def test_result_is_independent_of_batch_and_block(problem, data):
-    cs, y = problem
+    cs, x, y = problem
     dim = len(y)
     offsets = data.draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim), min_size=1, max_size=6))
     ys = np.concatenate([y[None, :], y + np.array(offsets)])
+    xs = None if x is None else np.tile(x, (len(ys), 1))  # every point at the same inputs
     order = data.draw(st.permutations(range(len(ys))))
     per_block = data.draw(st.integers(1, 3))
-    alone = [project(row, cs, None, SPEC) for row in ys]
+    alone = [project(row, cs, x, SPEC) for row in ys]
     point_bytes = projector._POINT_MATRICES * 8 * (dim + cs.residual_dim) ** 2
     with mock.patch.object(projector, "_BLOCK_BYTES", per_block * point_bytes):
-        blocked = project_batch(ys[order], cs, None, SPEC)
-    whole = project_batch(ys, cs, None, SPEC)
+        blocked = project_batch(ys[order], cs, xs, SPEC)
+    whole = project_batch(ys, cs, xs, SPEC)
     for batch, rows in ((blocked, order), (whole, range(len(ys)))):
         for row, i in enumerate(rows):
             assert batch.projected[row].tobytes() == alone[i].projected.tobytes()

@@ -136,6 +136,19 @@ def test_fit_transform_flags_lognormal_feature():
     assert list(spec.log_flags) == [False, True]
 
 
+def test_fit_transform_infinite_thresholds_flag_every_positive_column_or_none():
+    rng = np.random.default_rng(7)
+    # symmetric and left-skewed positive columns, a lognormal one, and one that touches 0 and one below it
+    positive = np.stack([rng.uniform(1.0, 2.0, 500), 100.0 - np.exp(rng.normal(size=500)), np.exp(rng.normal(size=500))], axis=-1)
+    data = np.concatenate([positive, rng.uniform(0.0, 1.0, (500, 1)), rng.normal(size=(500, 1))], axis=-1)
+    data[0, 3] = 0.0
+    names = ("a", "b", "c", "d", "e")
+    assert list(fit_transform(data, names, skew_threshold=-np.inf).log_flags) == [True, True, True, False, False]
+    assert list(fit_transform(data, names, skew_threshold=-1e9).log_flags) == [True, True, True, False, False]
+    for threshold in (np.inf, np.nan):
+        assert not fit_transform(data, names, skew_threshold=threshold).log_flags.any()
+
+
 def test_fit_transform_constant_feature_raises():
     data = np.stack([np.ones(10), np.arange(10.0)], axis=-1)
     with pytest.raises(DegenerateFeatureError):
