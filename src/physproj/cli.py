@@ -17,7 +17,7 @@ import numpy as np
 
 from physproj import springmass
 from physproj.constraints import OUTPUT_NAMES, TransformSpec, normalize
-from physproj.errors import PhysprojError, ProjectionError, TrainingDivergedError, ValidationError
+from physproj.errors import DenormalizationOverflowError, PhysprojError, ProjectionError, TrainingDivergedError, ValidationError
 from physproj.nn import forward, load_network, save_network
 from physproj.pipeline.config import EXPERIMENT_KINDS, load_config
 from physproj.pipeline.csvio import write_csv, write_ltp_csv, write_manifest, write_spring_dataset_csv, write_trajectory_csv
@@ -171,12 +171,13 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out_dir, "kind": kind})
         write_manifest(cfg.out_dir, cfg.items())
         return COMMANDS[args.command](args, cfg)
+    # ahead of ValidationError, which DenormalizationOverflowError subclasses: its values came out of a numerical failure
+    except (TrainingDivergedError, ProjectionError, DenormalizationOverflowError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (ValidationError, OSError) as exc:  # OSError: an output path that cannot be made or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TrainingDivergedError, ProjectionError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     except PhysprojError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from physproj.errors import DegenerateFeatureError, ValidationError
+from physproj.errors import DegenerateFeatureError, DenormalizationOverflowError, ValidationError
 
 LN10 = float(np.log(10.0))
 
@@ -52,6 +52,9 @@ class TransformSpec:
         flags = np.asarray(flags, dtype=bool)
         if not (len(self.names) == mins.size == maxs.size == flags.size):
             raise ValidationError("TransformSpec field lengths disagree")
+        finite = np.isfinite(mins) & np.isfinite(maxs)  # a NaN bound would pass the max <= min check below
+        if not finite.all():
+            raise ValidationError(f"non-finite min or max for feature(s) {[self.names[i] for i in np.flatnonzero(~finite)]}")
         if np.any(maxs <= mins):
             bad = [self.names[i] for i in np.nonzero(maxs <= mins)[0]]
             raise DegenerateFeatureError(f"max <= min for feature(s) {bad}")
@@ -117,7 +120,7 @@ def denormalize(z: np.ndarray, spec: TransformSpec) -> np.ndarray:
         with np.errstate(over="ignore"):  # overflow is raised as an error below
             u[..., spec.log_flags] = np.power(10.0, u[..., spec.log_flags])
     if not np.isfinite(u).all():
-        raise ValidationError("denormalization overflowed to a non-finite value")
+        raise DenormalizationOverflowError("denormalization overflowed to a non-finite value")
     return u
 
 

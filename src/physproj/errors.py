@@ -9,6 +9,11 @@ class ValidationError(PhysprojError):
     """Invalid configuration, shapes, or argument values."""
 
 
+class DenormalizationOverflowError(ValidationError):
+    """De-normalizing gave a non-finite value: the values came out of a numerical
+    failure (a diverged network, say), so the CLI exits 2 on it, not 1."""
+
+
 class DegenerateFeatureError(ValidationError):
     """A feature is constant (max == min) and cannot be min-max scaled."""
 

@@ -197,7 +197,8 @@ def save_network(path, net: Network, transform: TransformSpec) -> None:
 def load_network(path):
     """Inverse of :func:`save_network`; returns (Network, TransformSpec).
 
-    A missing, unreadable, truncated or unparsable file raises ValidationError.
+    A missing, unreadable, truncated or unparsable file, or one holding a
+    non-finite weight, bias or transform bound, raises ValidationError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -219,6 +220,9 @@ def load_network(path):
             bvals = np.array([float(v) for v in lines[row + 1].split(" ")[1:]])
             if wvals.size != fan_in * fan_out or bvals.size != fan_out:
                 raise ValidationError(f"layer size mismatch at line {row} of {path}")
+            for at, vals in ((row, wvals), (row + 1, bvals)):
+                if not np.all(np.isfinite(vals)):
+                    raise ValidationError(f"malformed model file {path}: line {at + 1} ({lines[at].split(' ')[0]}) holds a non-finite value")
             weights.append(wvals.reshape(fan_out, fan_in))
             biases.append(bvals)
             row += 2

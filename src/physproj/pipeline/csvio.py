@@ -8,7 +8,8 @@ allowed to differ between reruns.
 
 Dataset CSVs, spring-mass transitions and plasma samples, hold one header
 line of column names and one row per sample, inputs first; their loaders
-raise ValidationError on an unreadable file or one without data rows.
+raise ValidationError on an unreadable file, one without data rows, or one
+with a cell that is not a finite number.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def write_manifest(out_dir, config_items: dict) -> None:
 
 
 def _read_dataset_csv(path) -> tuple[list[str], np.ndarray]:
-    """(header names, data rows) of a dataset CSV, with at least one data row."""
+    """(header names, data rows) of a dataset CSV: at least one data row, every cell finite."""
     try:
         with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -57,6 +58,11 @@ def _read_dataset_csv(path) -> tuple[list[str], np.ndarray]:
         raise ValidationError(f"malformed dataset csv {path}: {exc}") from exc
     if not len(data):
         raise ValidationError(f"dataset csv {path} has no data rows")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        name = header[col] if col < len(header) else f"#{col + 1}"
+        raise ValidationError(f"dataset csv {path} holds {data[row, col]} in column '{name}' (data row {row + 1})")
     return header, data
 
 
@@ -103,6 +109,8 @@ def load_ltp_csv(path, column_map: dict | None = None) -> tuple[np.ndarray, np.n
         scale = float(entry.get("scale", 1.0))
         if source not in columns:
             raise ValidationError(f"column '{source}' (for '{name}') missing from {path}")
+        if not np.isfinite(scale):  # JSON takes NaN and Infinity
+            raise ValidationError(f"column map scale {scale} for column '{source}' of {path} is not finite")
         return data[:, columns[source]] * scale
 
     inputs = np.stack([pull(n) for n in INPUT_NAMES], axis=-1)

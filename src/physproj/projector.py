@@ -29,7 +29,8 @@ Each iterate is evaluated once: its residual comes from the line-search
 trial that found it, its Jacobian from one call when it is accepted, and the
 start's both from one ``residual_and_jacobian`` call. A line search tries all
 its step lengths in two constraint calls (``_backtrack``). Problems are tiny
-(<= 17 variables, <= 3 constraints): dense algebra is plenty.
+(<= 17 variables, <= 3 constraints): dense algebra is plenty. A failed row
+is NaN and passes no test; a point whose own call raised stops at once.
 
 Starting from p0 = y means an already-feasible prediction is returned
 unchanged in zero iterations, and the solver finds the local solution on
@@ -128,8 +129,8 @@ def _rows(fn, shape, error, *args):
 
 
 def _solve(a, b):
-    """Stacked a x = b, with the mask of exactly singular systems."""
-    return _rows(lambda a_, b_: np.linalg.solve(a_, b_[..., None])[..., 0], b.shape[1:], np.linalg.LinAlgError, a, b)
+    """Stacked a x = b, NaN in the rows whose system is exactly singular."""
+    return _rows(lambda a_, b_: np.linalg.solve(a_, b_[..., None])[..., 0], b.shape[1:], np.linalg.LinAlgError, a, b)[0]
 
 
 def _matvec(a, v):
@@ -191,8 +192,8 @@ def _convexify(hessian, svals, vt):
 
 def _newton_steps(hessian, jac, g, grad_obj, delta):
     """Primal parts dp of [[H + delta I, J^T], [J, -delta I]] [dp; dlam] = -[grad_obj; g],
-    assembled in place. A singular system, or a solution that is not finite, gives a
-    zero step; a step beyond the cap is clipped onto it, keeping its direction."""
+    assembled in place. A solution that is not finite (a singular system's is NaN) gives
+    a zero step; a step beyond the cap is clipped onto it, keeping its direction."""
     k, m, dim = jac.shape
     diag = np.arange(dim)
     kkt_matrix = np.empty((k, dim + m, dim + m))
@@ -201,8 +202,8 @@ def _newton_steps(hessian, jac, g, grad_obj, delta):
     kkt_matrix[:, :dim, dim:] = jac.transpose(0, 2, 1)
     kkt_matrix[:, dim:, :dim] = jac
     kkt_matrix[:, dim:, dim:] = -delta[:, None, None] * np.eye(m)
-    sol, singular = _solve(kkt_matrix, np.concatenate([-grad_obj, -g], axis=1))
-    sol[singular | ~np.all(np.isfinite(sol), axis=1)] = 0.0
+    sol = _solve(kkt_matrix, np.concatenate([-grad_obj, -g], axis=1))
+    sol[~np.all(np.isfinite(sol), axis=1)] = 0.0
     return _capped(sol[:, :dim])[0]
 
 
@@ -246,7 +247,7 @@ def _project_block(ys, xs, constraint_set, spec: ProjectionSpec):
             rows = np.flatnonzero(b.running & (b.restoring == restoring))
             if rows.size:
                 run_pass(b, rows)
-    # a point whose y is not finite, or whose own constraint calls raised, comes back unchanged
+    # a point whose y is not finite, or whose own constraint call raised, comes back unchanged, whatever it did since
     b.best_p[b.broken], b.best_lam[b.broken], b.best_kkt[b.broken] = ys[b.broken], 0.0, np.inf
     b.iterations[b.broken], b.status[b.broken] = 0, SINGULAR_SYSTEM
     b.status[~np.all(np.isfinite(ys), axis=1)] = NONFINITE_INPUT
@@ -258,7 +259,7 @@ class _Block:
     residuals ``g_at`` and Jacobians ``jac_at`` (NaN where a call raised), the
     multipliers, the best iterate (what a point returns), ``delta``, status and
     iterations. A point is ``running`` until it converges or fails, ``restoring``
-    while in restoration, and ``broken`` once its own constraint calls raised."""
+    while in restoration, and ``broken`` (stopped at once) when its own call raised."""
 
     def __init__(self, ys, xs, constraint_set, spec: ProjectionSpec):
         (n, dim), m = ys.shape, constraint_set.residual_dim
@@ -268,31 +269,31 @@ class _Block:
         self.delta, self.iterations = np.zeros(n), np.zeros(n, dtype=int)
         self.status = np.full(n, MAX_ITERATIONS, dtype=object)  # kept by a point that spends its budget
         self.broken = ~np.all(np.isfinite(ys), axis=1)
+        self.running = ~self.broken  # before the start is evaluated: a raise there stops its point
         self.g_at, self.jac_at = np.full((n, m), np.nan), np.full((n, m, dim), np.nan)  # at p
-        rows = np.flatnonzero(~self.broken)
-        (self.g_at[rows], self.jac_at[rows]), _ = self.evaluate(constraint_set.residual_and_jacobian, [(m,), (m, dim)], rows, self.p[rows])
-        self.running = ~self.broken
+        rows = np.flatnonzero(self.running)
+        self.g_at[rows], self.jac_at[rows] = self.evaluate(constraint_set.residual_and_jacobian, [(m,), (m, dim)], rows, self.p[rows])
         self.target, self.budget = max(1e-3, 10.0 * spec.tolerance), spec.max_iterations // 2  # of restoration
         self.restoring = self.running & (np.abs(self.g_at).max(axis=1) > self.target) & (self.budget > 0)  # far from the manifold
 
     def evaluate(self, fn, shape, rows, *args, breaks=True):
-        """``fn(x, *args)`` on the points ``rows``: the values, and the mask of points it did not raise on."""
+        """``fn(x, *args)`` on the points ``rows``, NaN where it raised: a point it raised on breaks and stops at once."""
         out, raised = _rows(fn, shape, PhysprojError, None if self.xs is None else self.xs[rows], *args)
-        self.broken[rows[raised & breaks]] = True  # breaks=False: a raise rejects a trial, not its point
-        return out, ~raised
+        failed = rows[raised & breaks]  # breaks=False: a raise rejects a trial, not its point
+        self.broken[failed], self.running[failed] = True, False
+        return out
 
     def move(self, rows, to, g_to):
-        """Points ``rows`` to ``to`` (residuals ``g_to``): their Jacobians there, and the mask of calls that did not raise."""
+        """Points ``rows`` to ``to`` (residuals ``g_to``), with their Jacobians there."""
         self.p[rows], self.g_at[rows] = to, g_to
-        self.jac_at[rows], ok = self.evaluate(self.cs.jacobian, self.jac_at.shape[1:], rows, to)
-        return ok
+        self.jac_at[rows] = self.evaluate(self.cs.jacobian, self.jac_at.shape[1:], rows, to)
 
     def kkt_check(self, rows):
         """Multipliers and KKT norms of the points ``rows``, which stop running if done: the
         rows, g, J, singular values, V^T and objective gradients of the others."""
         g, jac = self.g_at[rows], self.jac_at[rows]
         ok = np.all(np.isfinite(g), axis=1) & np.all(np.isfinite(jac), axis=(1, 2))
-        self.status[rows[~ok]], self.running[rows[~ok]] = SINGULAR_SYSTEM, False  # a broken point returns y anyway
+        self.status[rows[~ok]], self.running[rows[~ok]] = SINGULAR_SYSTEM, False  # a call may return NaN or inf without raising
         rows, g, jac = rows[ok], g[ok], jac[ok]
         # multipliers are always the least-squares estimate for the current point, so the
         # dual never lags behind partial primal steps; the minimum-norm solution of
@@ -325,18 +326,18 @@ def _restoration_pass(b: _Block, rows):
     row_scale = 1.0 / np.maximum(np.linalg.norm(b.jac_at[rows], axis=2), 1e-300)
     jac_eq = b.jac_at[rows] * row_scale[:, :, None]
     b.iterations[rows] += 1
-    sol, singular = _solve(jac_eq @ jac_eq.transpose(0, 2, 1), b.g_at[rows] * row_scale)
+    sol = _solve(jac_eq @ jac_eq.transpose(0, 2, 1), b.g_at[rows] * row_scale)
     dp, step_len = _capped(-_matvec(jac_eq.transpose(0, 2, 1), sol))
     psi0 = np.sum(b.g_at[rows] * b.g_at[rows], axis=1)
 
-    def decrease(pending, at, _):  # the line search: strict decrease of ||g||^2
-        g_trial, ok = b.evaluate(b.cs.residual, b.g_at.shape[1:], rows[pending], at, breaks=False)
-        return ok & np.all(np.isfinite(g_trial), axis=1) & (np.sum(g_trial * g_trial, axis=1) < psi0[pending]), at, g_trial
+    def decrease(pending, at, _):  # the line search: strict decrease of ||g||^2, which no NaN or inf trial passes
+        g_trial = b.evaluate(b.cs.residual, b.g_at.shape[1:], rows[pending], at, breaks=False)
+        return np.sum(g_trial * g_trial, axis=1) < psi0[pending], at, g_trial
 
-    live = np.flatnonzero(~singular & np.isfinite(step_len) & (step_len > 1e-15))
+    live = np.flatnonzero(np.isfinite(step_len) & (step_len > 1e-15))  # a singular Gram system's step is NaN
     alpha, new_p, new_g = _backtrack(b.p[rows], b.g_at[rows], dp, live, decrease)
     moved = alpha > 0.0
-    moved[moved] = b.move(rows[moved], new_p[moved], new_g[moved])
+    b.move(rows[moved], new_p[moved], new_g[moved])  # a point whose Jacobian call raised stops running there
     b.restoring[rows] = moved & (b.iterations[rows] < b.budget) & (np.abs(b.g_at[rows]).max(axis=1) > b.target)
     b.best_p[rows] = b.p[rows]  # a point's result until its first KKT check
 
@@ -348,10 +349,7 @@ def _newton_pass(b: _Block, rows):
         return
     # Lagrangian curvature for true Newton steps; harmless zeros at lam=0
     dim = b.p.shape[1]
-    curvature, ok = b.evaluate(b.cs.lagrangian_hessian, (dim, dim), rows, b.p[rows], b.lam[rows])
-    if not ok.all():
-        b.running[rows[~ok]] = False
-        rows, g, jac, svals, vt, grad_obj, curvature = (a[ok] for a in (rows, g, jac, svals, vt, grad_obj, curvature))
+    curvature = b.evaluate(b.cs.lagrangian_hessian, (dim, dim), rows, b.p[rows], b.lam[rows])
     curvature[~np.all(np.isfinite(curvature), axis=(1, 2))] = 0.0
     hessian = np.add(curvature, 2.0 * np.eye(dim), out=curvature)
     if jac.shape[1] < dim:
@@ -367,14 +365,13 @@ def _newton_pass(b: _Block, rows):
     jd = _matvec(jac, dp)
     descent = np.sum(grad_obj * dp, axis=1) + mu * np.where(g == 0.0, np.abs(jd), np.sign(g) * jd).sum(axis=1)
     d0 = p - b.ys[rows]
-    bar0 = np.sum(d0 * d0, axis=1) + mu * np.abs(g).sum(axis=1)  # merit at p
+    bar0 = np.sum(d0 * d0, axis=1) + mu * np.abs(g).sum(axis=1)  # merit at p, finite: no NaN or inf trial merit meets the bound built on it
 
-    def armijo(pending, at, length):  # the line search: sufficient decrease of the merit
-        g_trial, ok = b.evaluate(b.cs.residual, b.g_at.shape[1:], rows[pending], at, breaks=False)
-        ok &= np.all(np.isfinite(g_trial), axis=1)
+    def armijo(pending, at, length):  # the line search: sufficient decrease of the merit, which no NaN or inf trial passes
+        g_trial = b.evaluate(b.cs.residual, b.g_at.shape[1:], rows[pending], at, breaks=False)
         d = at - b.ys[rows[pending]]
-        phi = np.where(ok, np.sum(d * d, axis=1) + mu[pending] * np.abs(g_trial).sum(axis=1), np.inf)
-        return phi <= bar0[pending] + _ARMIJO_C1 * length * descent[pending], at, np.where(ok[:, None], g_trial, np.nan)
+        phi = np.sum(d * d, axis=1) + mu[pending] * np.abs(g_trial).sum(axis=1)
+        return phi <= bar0[pending] + _ARMIJO_C1 * length * descent[pending], at, g_trial
 
     # a rejected full step first gets a second-order correction, which
     # cancels the constraint curvature picked up over the step
@@ -382,9 +379,9 @@ def _newton_pass(b: _Block, rows):
         ok, at, g_trial = armijo(pending, at, length)
         soc = np.flatnonzero(~ok & np.all(np.isfinite(g_trial), axis=1))
         j_soc = jac[pending[soc]]
-        correction, singular = _solve(j_soc @ j_soc.transpose(0, 2, 1), g_trial[soc])
+        correction = _solve(j_soc @ j_soc.transpose(0, 2, 1), g_trial[soc])
         dq = -_matvec(j_soc.transpose(0, 2, 1), correction)
-        valid = ~singular & np.all(np.isfinite(dq), axis=1)
+        valid = np.all(np.isfinite(dq), axis=1)  # a singular system's correction is NaN
         soc = soc[valid]
         good, corrected, g_soc = armijo(pending[soc], at[soc] + dq[valid], length[soc])
         ok[soc[good]], at[soc[good]], g_trial[soc[good]] = True, corrected[good], g_soc[good]
@@ -393,7 +390,8 @@ def _newton_pass(b: _Block, rows):
     # a step too small to matter means no usable primal direction at
     # this regularization: it goes straight to the delta bump below
     idle = np.abs(dp).max(axis=1) <= 1e-14 * (1.0 + np.abs(p).max(axis=1))
-    alpha, new_p, new_g = _backtrack(p, g, dp, np.flatnonzero(~idle & (descent <= -1e-16)), armijo, full_step)
+    # a point whose curvature call raised has stopped: it tries no step, and what it computed here is reset
+    alpha, new_p, new_g = _backtrack(p, g, dp, np.flatnonzero(~idle & (descent <= -1e-16) & b.running[rows]), armijo, full_step)
     moved = alpha > 0.0
     b.move(rows[moved], new_p[moved], new_g[moved])
     shrink = rows[alpha >= 0.5]

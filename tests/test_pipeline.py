@@ -19,7 +19,7 @@ from physproj.pipeline.experiments import (
     run_parallel,
     train_ltp_net,
 )
-from physproj.pipeline.csvio import load_spring_dataset_csv, write_spring_dataset_csv
+from physproj.pipeline.csvio import load_ltp_csv, load_spring_dataset_csv, write_spring_dataset_csv
 from physproj.pipeline.metrics import improvement_rates, rmse, rmse_variation_rate, split_dataset
 from physproj.projector import CONVERGED, MAX_ITERATIONS
 
@@ -740,11 +740,18 @@ def test_cli_unreadable_config_or_unwritable_out_dir_exit_code(tmp_path, capsys,
 @pytest.mark.filterwarnings("error::UserWarning")  # no numpy warning above the error line
 @pytest.mark.parametrize(
     "case, column_map",
-    [("no_rows", None), ("map_list", [1]), ("map_of_number", {"P": 3}), ("map_text_scale", {"P": {"scale": "x"}})],
+    [
+        ("no_rows", None),
+        ("map_list", [1]),
+        ("map_of_number", {"P": 3}),
+        ("map_text_scale", {"P": {"scale": "x"}}),
+        ("map_nan_scale", {"P": {"scale": float("nan")}}),  # JSON takes NaN and Infinity
+        ("map_infinite_scale", {"ne": {"column": "ne", "scale": float("-inf")}}),
+    ],
 )
 def test_malformed_ltp_csv_or_column_map_exit_code(tmp_path, capsys, case, column_map):
     from physproj.constraints import generate_synthetic_ltp
-    from physproj.pipeline.csvio import load_ltp_csv, write_ltp_csv
+    from physproj.pipeline.csvio import write_ltp_csv
 
     csv = tmp_path / "ltp.csv"
     write_ltp_csv(csv, *generate_synthetic_ltp(20, 0))
@@ -754,7 +761,8 @@ def test_malformed_ltp_csv_or_column_map_exit_code(tmp_path, capsys, case, colum
     if column_map is not None:
         (tmp_path / "map.json").write_text(json.dumps(column_map))
         extra["ltp_column_map"] = str(tmp_path / "map.json")
-    with pytest.raises(ValidationError, match="no data rows" if case == "no_rows" else None):
+    match = {"no_rows": "no data rows", "map_nan_scale": "scale nan for column 'P'", "map_infinite_scale": "scale -inf for column 'ne'"}
+    with pytest.raises(ValidationError, match=match.get(case)):
         load_ltp_csv(csv, column_map)
     cfg = _write_cfg(tmp_path, extra)
     capsys.readouterr()
@@ -788,17 +796,53 @@ def test_failed_projected_rollout_ends_spring_single(tmp_path, monkeypatch, caps
     assert f"projection failed at rollout step 1 with status '{info.value.status}'" in capsys.readouterr().err
 
 
-def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
-    # a dataset with non-finite values makes training diverge -> exit code 2
+def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # a physics-regularized plasma net that diverges: its outputs overflow on de-normalization -> exit code 2
     _force_cpus(monkeypatch, 2)  # the experiment trains in workers; their error keeps its type
-    ds = tmp_path / "broken.csv"
-    header = "x1,v1,x2,v2,x1_next,v1_next,x2_next,v2_next"
-    rows = [",".join(["nan"] * 8) for _ in range(50)]
-    ds.write_text(header + "\n" + "\n".join(rows) + "\n")
-    cfg = _write_cfg(tmp_path, {"spring_dataset_csv": str(ds)})
-    assert cli_main(["train", "spring", "--config", cfg, "--out-dir", str(tmp_path / "m")]) == 2
-    # the experiments load the same dataset as 'train'
-    assert cli_main(["experiment", "spring-single", "--config", cfg, "--out-dir", str(tmp_path / "e")]) == 2
+    cfg = _write_cfg(tmp_path, {"ltp_lr": 5, "ltp_max_epochs": 20, "ltp_n_samples": 300})
+    for command in (["train", "ltp", "--physics"], ["experiment", "ltp-compare"]):
+        capsys.readouterr()
+        assert cli_main([*command, "--config", cfg, "--out-dir", str(tmp_path / command[0])]) == 2
+        assert capsys.readouterr().err == "numerical failure: denormalization overflowed to a non-finite value\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the weights below overflow the forward pass on purpose
+def test_cli_rollout_of_an_overflowing_network_exit_code(tmp_path, capsys):
+    """Finite weights whose outputs overflow: a numerical failure (exit 2), with or without projection."""
+    cfg = _write_cfg(tmp_path, {"spring_epochs": 1, "spring_steps_single": 5})
+    assert cli_main(["train", "spring", "--config", cfg, "--out-dir", str(tmp_path / "m")]) == 0
+    model = tmp_path / "m" / "model.txt"
+    lines = model.read_text().splitlines()
+    lines[4] = "W0 " + " ".join(repr(float(v) * 1e200) for v in lines[4].split(" ")[1:])
+    model.write_text("\n".join(lines) + "\n")
+    for flags, message in (([], "denormalization overflowed"), (["--project"], "projection failed at rollout step")):
+        capsys.readouterr()
+        assert cli_main(["rollout", "--model", str(model), *flags, "--config", cfg, "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("system, cell", [("spring", 1), ("spring", 6), ("ltp", 2), ("ltp", 12)], ids=["spring-in", "spring-out", "ltp-in", "ltp-out"])
+def test_dataset_csv_with_a_non_finite_cell_exit_code(tmp_path, capsys, system, cell, value):
+    """A NaN or infinite input or output cell is rejected when the dataset is read, before any training."""
+    cfg = _write_cfg(tmp_path)
+    assert cli_main(["gen-data", system if system == "spring" else "ltp-synthetic", "--config", cfg, "--out-dir", str(tmp_path / "g")]) == 0
+    csv = tmp_path / "g" / f"{system}_dataset.csv"
+    lines = csv.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[cell] = value
+    lines[3] = ",".join(cells)
+    csv.write_text("\n".join(lines) + "\n")
+    column = lines[0].split(",")[cell]
+    with pytest.raises(ValidationError, match=f"dataset csv {csv} holds {value} in column '{column}' \\(data row 3\\)"):
+        (load_spring_dataset_csv if system == "spring" else load_ltp_csv)(csv)
+    cfg = _write_cfg(tmp_path, {f"{system}_dataset_csv": str(csv)})
+    commands = [["train", "spring"], ["experiment", "spring-single"]] if system == "spring" else [["experiment", "ltp-compare"]]
+    for command in commands:
+        capsys.readouterr()
+        assert cli_main([*command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(csv) in err and "Traceback" not in err
 
 
 def test_spring_experiment_reads_generated_dataset_csv(tmp_path):
@@ -867,6 +911,14 @@ def _model_file(tmp_path, case):
         lines[2] = "activation identity 0.01"
     elif case == "no_transform":
         lines[3] = "transform none"
+    elif case == "nan_bias":  # every prediction of the network would be NaN
+        lines[5] = "b0 nan " + lines[5].split(" ", 2)[2]
+    elif case == "infinite_weight":
+        lines[4] = "W0 -inf " + lines[4].split(" ", 2)[2]
+    elif case == "nan_bound":  # a NaN min would pass the max <= min check
+        transform = json.loads(lines[3].split(" ", 1)[1])
+        transform["mins"][0] = float("nan")
+        lines[3] = "transform " + json.dumps(transform)
     else:  # unparsable weight
         lines[4] = lines[4].replace(" ", " x", 1)
     path.write_text("\n".join(lines) + "\n")
@@ -876,7 +928,19 @@ def _model_file(tmp_path, case):
 @pytest.mark.parametrize("command", [["project", "spring"], ["rollout"]], ids=["project", "rollout"])
 @pytest.mark.parametrize(
     "case",
-    ["missing", "truncated", "unparsable", "single_width", "zero_slope", "other_slope", "identity_activation", "no_transform"],
+    [
+        "missing",
+        "truncated",
+        "unparsable",
+        "single_width",
+        "zero_slope",
+        "other_slope",
+        "identity_activation",
+        "no_transform",
+        "nan_bias",
+        "infinite_weight",
+        "nan_bound",
+    ],
 )
 def test_cli_malformed_model_exit_code(tmp_path, capsys, command, case):
     model = _model_file(tmp_path, case)
@@ -887,6 +951,7 @@ def test_cli_malformed_model_exit_code(tmp_path, capsys, command, case):
     assert cli_main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert {"nan_bias": "line 6 (b0)", "infinite_weight": "line 5 (W0)", "nan_bound": "['x1']"}.get(case, "") in err
 
 
 def test_cli_project_ltp_without_input_transform_exit_code(tmp_path):
@@ -895,6 +960,19 @@ def test_cli_project_ltp_without_input_transform_exit_code(tmp_path):
     os.remove(tmp_path / "ml" / "input_transform.json")
     model = str(tmp_path / "ml" / "model.txt")
     assert cli_main(["project", "ltp", "--model", model, "--config", cfg, "--out-dir", str(tmp_path / "pl")]) == 1
+
+
+def test_cli_project_ltp_with_a_non_finite_input_transform_exit_code(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    assert cli_main(["train", "ltp", "--config", cfg, "--out-dir", str(tmp_path / "ml")]) == 0
+    saved = tmp_path / "ml" / "input_transform.json"
+    transform = json.loads(saved.read_text())
+    transform["maxs"][2] = float("inf")
+    saved.write_text(json.dumps(transform) + "\n")
+    model = str(tmp_path / "ml" / "model.txt")
+    capsys.readouterr()
+    assert cli_main(["project", "ltp", "--model", model, "--config", cfg, "--out-dir", str(tmp_path / "pl")]) == 1
+    assert capsys.readouterr().err == "error: non-finite min or max for feature(s) ['R']\n"
 
 
 def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):

@@ -223,6 +223,29 @@ def test_singular_constraint_reports_status():
         assert (result.status, result.iterations) == expected
 
 
+def test_singular_stacked_solve_loses_only_its_own_row(monkeypatch):
+    """At the origin the circle's Gram and saddle-point systems are exactly singular, so
+    every stacked solve that holds it raises and is repeated row by row: the origin's
+    row alone is NaN, and each point ends as it would in a batch of its own."""
+    sizes, solve = [], np.linalg.solve
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            sizes.append(len(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    ys = np.array([[0.3, -0.2], [0.0, 0.0], [1.7, 0.4], [-0.5, 0.5]])
+    pspec = ProjectionSpec(tolerance=1e-10)
+    batch = project_batch(ys, Circle(), None, pspec)
+    assert max(sizes) > 1  # a stacked solve raised
+    assert list(batch.status) == [CONVERGED, SINGULAR_SYSTEM, CONVERGED, CONVERGED] and batch.iterations[1] == 18
+    for i, y in enumerate(ys):
+        _assert_same_result(project(y, Circle(), None, pspec), batch, i)
+
+
 def test_converged_kkt_norm_below_tolerance():
     cs, _ = energy_constraint()
     rng = np.random.default_rng(4)
