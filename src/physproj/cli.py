@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from physproj import springmass
-from physproj.constraints import OUTPUT_NAMES, TransformSpec, normalize
+from physproj.constraints import OUTPUT_NAMES, normalize
 from physproj.errors import DenormalizationOverflowError, PhysprojError, ProjectionError, TrainingDivergedError, ValidationError
 from physproj.nn import forward, load_network, save_network
 from physproj.pipeline.config import EXPERIMENT_KINDS, load_config
@@ -55,9 +55,7 @@ def cmd_train(args, cfg) -> int:
     else:
         ctx = prepare_ltp(cfg)
         net, history = train_ltp_net(ctx, cfg, cfg.seed + 2, args.physics)
-        with open(os.path.join(cfg.out_dir, "input_transform.json"), "w", encoding="utf-8") as fh:
-            fh.write(ctx.in_spec.to_json() + "\n")
-    save_network(os.path.join(cfg.out_dir, "model.txt"), net, transform=ctx.out_spec)
+    save_network(os.path.join(cfg.out_dir, "model.txt"), net, ctx.out_spec, ctx.in_spec)
     write_csv(
         os.path.join(cfg.out_dir, "history.csv"),
         ["epoch", "train_loss", "val_loss", "data_loss", "physics_loss", "learning_rate", "epoch_seconds"],
@@ -70,28 +68,18 @@ def cmd_train(args, cfg) -> int:
 
 
 def cmd_project(args, cfg) -> int:
-    net, out_spec = load_network(args.model)
-    # the test split is the experiments'; the transforms are the ones saved with the model
-    seconds = {}
-    if args.system == "spring":
-        x_test = prepare_spring(cfg).splits["test"][0]
-        preds = forward(net, normalize(x_test, out_spec))
+    net, out_spec, in_spec = load_network(args.model)
+    # the test split is the experiments'; the transforms are the ones saved in the model file
+    x_test = (prepare_spring if args.system == "spring" else prepare_ltp)(cfg).splits["test"][0]
+    preds = forward(net, normalize(x_test, in_spec))
+    if args.system == "spring":  # each point onto the shell of its input's energy
         projector = energy_projector(out_spec, springmass.energy(x_test, PARAMS), cfg.spring_projection_tol)
-        with timed(seconds, "projection_seconds"):  # each point onto the shell of its input's energy
-            result = projector(preds, slice(None))
-        names = STATE_NAMES
+        project, names = (lambda: projector(preds, slice(None))), STATE_NAMES
     else:
-        path = os.path.join(os.path.dirname(os.path.abspath(args.model)), "input_transform.json")
-        try:
-            with open(path, encoding="utf-8") as fh:
-                in_spec = TransformSpec.from_json(fh.read())
-        except (OSError, KeyError, ValueError) as exc:
-            raise ValidationError(f"cannot read the input transform saved with the model, {path}: {exc}") from exc
-        x_test = prepare_ltp(cfg).splits["test"][0]
-        preds = forward(net, normalize(x_test, in_spec))
-        with timed(seconds, "projection_seconds"):
-            result, _ = project_predictions(out_spec, preds, x_test, cfg.ltp_projection_tol)
-        names = OUTPUT_NAMES
+        project, names = (lambda: project_predictions(out_spec, preds, x_test, cfg.ltp_projection_tol)[0]), OUTPUT_NAMES
+    seconds = {}
+    with timed(seconds, "projection_seconds"):
+        result = project()
     rows = ((*row, *p) for row, p in zip(projection_rows(result, seconds["projection_seconds"]), result.projected))
     write_csv(
         os.path.join(cfg.out_dir, "projected.csv"),
@@ -102,7 +90,7 @@ def cmd_project(args, cfg) -> int:
 
 
 def cmd_rollout(args, cfg) -> int:
-    net, spec = load_network(args.model)
+    net, spec, _ = load_network(args.model)  # a spring model's input transform is its state transform
     ic = np.asarray(cfg.spring_initial_state, dtype=np.float64)[None]
     projector = energy_projector(spec, springmass.energy(ic, PARAMS), cfg.spring_projection_tol) if args.project else None
     result = springmass.rollout(

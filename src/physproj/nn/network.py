@@ -17,7 +17,7 @@ import numpy as np
 from physproj.constraints.transform import TransformSpec
 from physproj.errors import ValidationError
 
-MAGIC_HEADER = "PHYSPROJ-NET-v1"
+MAGIC_HEADER = "PHYSPROJ-NET-v2"
 LEAKY_SLOPE = 0.01  # every hidden layer's leaky ReLU slope
 _ACTIVATION_LINE = f"activation leaky_relu {LEAKY_SLOPE!r}"
 
@@ -176,17 +176,15 @@ def backward(
     return grads
 
 
-def save_network(path, net: Network, transform: TransformSpec) -> None:
-    """Write a network and the TransformSpec of its outputs as versioned text.
+def save_network(path, net: Network, transform: TransformSpec, input_transform: TransformSpec) -> None:
+    """Write a network and the TransformSpecs of its outputs and inputs as versioned text.
 
     Format: magic header, layer dims, the activation line 'activation
-    leaky_relu 0.01', a transform line holding the spec's JSON, then
-    row-major weights and biases with full round-trip precision.
+    leaky_relu 0.01', transform and input_transform lines holding the two
+    specs' JSON, then row-major weights and biases with full round-trip precision.
     """
-    lines = [MAGIC_HEADER]
-    lines.append("layer_dims " + ",".join(str(d) for d in net.layer_dims))
-    lines.append(_ACTIVATION_LINE)
-    lines.append("transform " + transform.to_json())
+    lines = [MAGIC_HEADER, "layer_dims " + ",".join(str(d) for d in net.layer_dims), _ACTIVATION_LINE]
+    lines += ["transform " + transform.to_json(), "input_transform " + input_transform.to_json()]
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         lines.append(f"W{i} " + " ".join(repr(float(v)) for v in w.ravel()))
         lines.append(f"b{i} " + " ".join(repr(float(v)) for v in b))
@@ -195,10 +193,12 @@ def save_network(path, net: Network, transform: TransformSpec) -> None:
 
 
 def load_network(path):
-    """Inverse of :func:`save_network`; returns (Network, TransformSpec).
+    """Inverse of :func:`save_network`; returns (Network, output TransformSpec, input TransformSpec).
 
-    A missing, unreadable, truncated or unparsable file, or one holding a
-    non-finite weight, bias or transform bound, raises ValidationError.
+    A missing, unreadable, truncated or unparsable file, one with another
+    header (a PHYSPROJ-NET-v1 file's included), or one holding a non-finite
+    weight, bias or transform bound, or a transform not as wide as the layer
+    it scales, raises ValidationError; a transform's message names its line.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -211,21 +211,29 @@ def load_network(path):
         dims = _check_layer_dims(lines[1].split(" ", 1)[1].split(","))
         if lines[2] != _ACTIVATION_LINE:
             raise ValidationError(f"{path} line 3 is not '{_ACTIVATION_LINE}'")
-        transform = TransformSpec.from_json(lines[3].split(" ", 1)[1])
-        weights = []
-        biases = []
-        row = 4
+        specs = []  # the outputs' transform, then the inputs'
+        for at, key, width in ((3, "transform", dims[-1]), (4, "input_transform", dims[0])):
+            found, text = lines[at].split(" ", 1)
+            try:
+                if found != key:
+                    raise ValidationError(f"the line starts '{found}'")
+                specs.append(TransformSpec.from_json(text))
+                if specs[-1].dim != width:
+                    raise ValidationError(f"{specs[-1].dim} features for a layer of width {width}")
+            except ValidationError as exc:
+                raise ValidationError(f"malformed model file {path}: line {at + 1} ({key}): {exc}") from exc
+        params = []  # W0, b0, W1, ...
+        row = 5
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             wvals = np.array([float(v) for v in lines[row].split(" ")[1:]])
             bvals = np.array([float(v) for v in lines[row + 1].split(" ")[1:]])
             if wvals.size != fan_in * fan_out or bvals.size != fan_out:
-                raise ValidationError(f"layer size mismatch at line {row} of {path}")
+                raise ValidationError(f"layer size mismatch at line {row + 1} of {path}")
             for at, vals in ((row, wvals), (row + 1, bvals)):
                 if not np.all(np.isfinite(vals)):
                     raise ValidationError(f"malformed model file {path}: line {at + 1} ({lines[at].split(' ')[0]}) holds a non-finite value")
-            weights.append(wvals.reshape(fan_out, fan_in))
-            biases.append(bvals)
+            params += [wvals.reshape(fan_out, fan_in), bvals]
             row += 2
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from exc
-    return Network(layer_dims=dims, weights=weights, biases=biases), transform
+    return Network(layer_dims=dims, weights=params[0::2], biases=params[1::2]), *specs

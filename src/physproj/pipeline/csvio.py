@@ -87,8 +87,8 @@ def write_ltp_csv(path, inputs: np.ndarray, outputs: np.ndarray) -> None:
 def load_ltp_csv(path, column_map: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Load a plasma dataset CSV, optionally remapping third-party column layouts.
 
-    ``column_map`` translates external files: for each schema name it may
-    give {"column": source-column-name, "scale": unit-conversion-factor}.
+    ``column_map`` translates external files: for each schema name (and no
+    other key) it may give {"column": source-column-name, "scale": unit-conversion-factor}.
     Missing map entries fall back to the schema name with scale 1, so files
     written by :func:`write_ltp_csv` load with no map at all.
     """
@@ -101,6 +101,9 @@ def load_ltp_csv(path, column_map: dict | None = None) -> tuple[np.ndarray, np.n
         for e in column_map.values()
     ):
         raise ValidationError('column map must be an object of {"column": name, "scale": number} objects')
+    unknown = [key for key in column_map if key not in INPUT_NAMES + OUTPUT_NAMES]
+    if unknown:  # a misspelt name would silently keep the default column and scale
+        raise ValidationError(f"column map key(s) {unknown} for {path} are not schema names {INPUT_NAMES + OUTPUT_NAMES}")
     columns = {name: i for i, name in enumerate(header)}
 
     def pull(name: str) -> np.ndarray:

@@ -797,21 +797,32 @@ def test_pickled_network_keeps_theta_and_its_views():
 
 def test_save_load_round_trip(tmp_path):
     net = xavier_init([3, 8, 2], seed=13)
-    x, _ = generate_synthetic_ltp(50, 0)
-    spec = fit_transform(x, INPUT_NAMES, skew_threshold=np.inf)
+    x, y = generate_synthetic_ltp(50, 0)
+    spec = fit_transform(y[:, :2], OUTPUT_NAMES[:2], skew_threshold=np.inf)
+    in_spec = fit_transform(x, INPUT_NAMES, skew_threshold=-np.inf)  # every input log-flagged
     path = tmp_path / "model.txt"
-    save_network(path, net, transform=spec)
+    save_network(path, net, spec, in_spec)
     assert path.read_text().splitlines()[2] == "activation leaky_relu 0.01"
-    loaded, loaded_spec = load_network(path)
+    loaded, loaded_spec, loaded_in_spec = load_network(path)
     assert loaded.layer_dims == net.layer_dims
     for a, b in zip(net.parameters(), loaded.parameters()):
         assert np.array_equal(a, b)
-    assert loaded_spec.names == spec.names
-    assert np.array_equal(loaded_spec.mins, spec.mins)
+    for got, saved in ((loaded_spec, spec), (loaded_in_spec, in_spec)):
+        assert got.names == saved.names
+        for field in ("mins", "maxs", "log_flags"):
+            assert getattr(got, field).tobytes() == getattr(saved, field).tobytes()
+    assert loaded_in_spec.log_flags.all() and not loaded_spec.log_flags.any()
 
 
 def test_load_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("NOT-A-MODEL\n")
     with pytest.raises(ValidationError):
+        load_network(path)
+    # the previous format, which had no input_transform line, is not read
+    spec = fit_transform(generate_synthetic_ltp(50, 0)[0], INPUT_NAMES)
+    save_network(path, xavier_init([3, 4, 3], seed=0), spec, spec)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(["PHYSPROJ-NET-v1", *lines[1:4], *lines[5:]]) + "\n")
+    with pytest.raises(ValidationError, match="is not a PHYSPROJ-NET-v2 file"):
         load_network(path)

@@ -626,6 +626,7 @@ def test_cli_full_round_trip(tmp_path):
     assert cli_main(["train", "spring", "--config", cfg, "--out-dir", str(tmp_path / "ms")]) == 0
     assert cli_main(["train", "ltp", "--physics", "--config", cfg, "--out-dir", str(tmp_path / "ml")]) == 0
     assert "kind=ltp-compare\n" in (tmp_path / "ml" / "manifest.txt").read_text()
+    assert sorted(os.listdir(tmp_path / "ml")) == ["history.csv", "manifest.txt", "model.txt"]  # the model file stands alone
     model = str(tmp_path / "ms" / "model.txt")
     assert cli_main(["rollout", "--model", model, "--project", "--config", cfg, "--out-dir", str(tmp_path / "r")]) == 0
     with open(tmp_path / "r" / "trajectory.csv") as fh:
@@ -642,11 +643,12 @@ def test_cli_full_round_trip(tmp_path):
 def _assert_projected_csv_is_a_direct_projection(tmp_path, cfg, spring_model, ltp_model):
     """Every cell of the CLI's projected.csv files outside item_seconds is the row of a direct project_batch call."""
     from physproj import springmass as sm
-    from physproj.constraints import OUTPUT_NAMES, EnergyConstraint, LtpConstraints, LtpSchema, TransformSpec, normalize
+    from physproj.constraints import OUTPUT_NAMES, EnergyConstraint, LtpConstraints, LtpSchema, normalize
     from physproj.pipeline.csvio import fmt
     from physproj.projector import ProjectionSpec, project_batch
 
-    net, spec = load_network(spring_model)
+    net, spec, spring_in_spec = load_network(spring_model)
+    assert spring_in_spec.to_json() == spec.to_json()  # a spring model's one state transform, on both lines
     x_test = prepare_spring(cfg).splits["test"][0]
     params = sm.SpringParams()
     spring = project_batch(
@@ -655,8 +657,7 @@ def _assert_projected_csv_is_a_direct_projection(tmp_path, cfg, spring_model, lt
         sm.energy(x_test, params)[:, None],
         ProjectionSpec(tolerance=cfg.spring_projection_tol),
     )
-    net, out_spec = load_network(ltp_model)
-    in_spec = TransformSpec.from_json((tmp_path / "ml" / "input_transform.json").read_text())
+    net, out_spec, in_spec = load_network(ltp_model)
     x_test = prepare_ltp(cfg).splits["test"][0]
     ltp = project_batch(
         forward(net, normalize(x_test, in_spec)),
@@ -747,6 +748,7 @@ def test_cli_unreadable_config_or_unwritable_out_dir_exit_code(tmp_path, capsys,
         ("map_text_scale", {"P": {"scale": "x"}}),
         ("map_nan_scale", {"P": {"scale": float("nan")}}),  # JSON takes NaN and Infinity
         ("map_infinite_scale", {"ne": {"column": "ne", "scale": float("-inf")}}),
+        ("map_unknown_key", {"Pressure": {"column": "P", "scale": 2.0}}),  # P's name misspelt
     ],
 )
 def test_malformed_ltp_csv_or_column_map_exit_code(tmp_path, capsys, case, column_map):
@@ -761,7 +763,12 @@ def test_malformed_ltp_csv_or_column_map_exit_code(tmp_path, capsys, case, colum
     if column_map is not None:
         (tmp_path / "map.json").write_text(json.dumps(column_map))
         extra["ltp_column_map"] = str(tmp_path / "map.json")
-    match = {"no_rows": "no data rows", "map_nan_scale": "scale nan for column 'P'", "map_infinite_scale": "scale -inf for column 'ne'"}
+    match = {
+        "no_rows": "no data rows",
+        "map_nan_scale": "scale nan for column 'P'",
+        "map_infinite_scale": "scale -inf for column 'ne'",
+        "map_unknown_key": r"column map key\(s\) \['Pressure'\]",
+    }
     with pytest.raises(ValidationError, match=match.get(case)):
         load_ltp_csv(csv, column_map)
     cfg = _write_cfg(tmp_path, extra)
@@ -813,7 +820,7 @@ def test_cli_rollout_of_an_overflowing_network_exit_code(tmp_path, capsys):
     assert cli_main(["train", "spring", "--config", cfg, "--out-dir", str(tmp_path / "m")]) == 0
     model = tmp_path / "m" / "model.txt"
     lines = model.read_text().splitlines()
-    lines[4] = "W0 " + " ".join(repr(float(v) * 1e200) for v in lines[4].split(" ")[1:])
+    lines[5] = "W0 " + " ".join(repr(float(v) * 1e200) for v in lines[5].split(" ")[1:])
     model.write_text("\n".join(lines) + "\n")
     for flags, message in (([], "denormalization overflowed"), (["--project"], "projection failed at rollout step")):
         capsys.readouterr()
@@ -870,7 +877,7 @@ def test_cli_train_ltp_saves_the_experiments_network(tmp_path):
     cfg = load_config(cfg_path)
     ctx = prepare_ltp(cfg)
     net, _ = train_ltp_net(ctx, cfg, cfg.seed + 2, physics=False)
-    save_network(str(tmp_path / "direct.txt"), net, transform=ctx.out_spec)
+    save_network(str(tmp_path / "direct.txt"), net, ctx.out_spec, ctx.in_spec)
     assert (out / "model.txt").read_bytes() == (tmp_path / "direct.txt").read_bytes()
 
 
@@ -884,7 +891,7 @@ def test_ltp_compare_scores_the_networks_train_ltp_saves(tmp_path):
     xn_test, yn_test = prepare_ltp(load_config(cfg_path)).norm["test"]
     for name, flags in (("nn", []), ("pinn", ["--physics"])):
         assert cli_main(["train", "ltp", *flags, "--config", cfg_path, "--out-dir", str(tmp_path / name)]) == 0
-        net, _ = load_network(str(tmp_path / name / "model.txt"))
+        net = load_network(str(tmp_path / name / "model.txt"))[0]
         scored = [float(value) for model, _, value, _ in rows if model == name]
         assert scored == list(rmse(forward(net, xn_test), yn_test))
 
@@ -897,7 +904,8 @@ def _model_file(tmp_path, case):
     if case == "missing":
         return str(path)
     inputs, _ = sm.generate_dataset(sm.SpringParams(), 5.0, 50, 0.05, 10, seed=0)
-    save_network(str(path), xavier_init((4, 3, 4), seed=0), transform=fit_transform(inputs, sm.STATE_NAMES))
+    spec = fit_transform(inputs, sm.STATE_NAMES)
+    save_network(str(path), xavier_init((4, 3, 4), seed=0), spec, spec)
     lines = path.read_text().splitlines()
     if case == "truncated":
         lines = lines[:2]
@@ -912,15 +920,19 @@ def _model_file(tmp_path, case):
     elif case == "no_transform":
         lines[3] = "transform none"
     elif case == "nan_bias":  # every prediction of the network would be NaN
-        lines[5] = "b0 nan " + lines[5].split(" ", 2)[2]
+        lines[6] = "b0 nan " + lines[6].split(" ", 2)[2]
     elif case == "infinite_weight":
-        lines[4] = "W0 -inf " + lines[4].split(" ", 2)[2]
-    elif case == "nan_bound":  # a NaN min would pass the max <= min check
-        transform = json.loads(lines[3].split(" ", 1)[1])
+        lines[5] = "W0 -inf " + lines[5].split(" ", 2)[2]
+    elif case in ("nan_bound", "nan_input_bound"):  # a NaN min would pass the max <= min check
+        at = 3 if case == "nan_bound" else 4
+        key, text = lines[at].split(" ", 1)
+        transform = json.loads(text)
         transform["mins"][0] = float("nan")
-        lines[3] = "transform " + json.dumps(transform)
+        lines[at] = f"{key} {json.dumps(transform)}"
+    elif case == "input_width_mismatch":  # the network takes 4 inputs
+        lines[4] = "input_transform " + fit_transform(inputs[:, :3], sm.STATE_NAMES[:3]).to_json()
     else:  # unparsable weight
-        lines[4] = lines[4].replace(" ", " x", 1)
+        lines[5] = lines[5].replace(" ", " x", 1)
     path.write_text("\n".join(lines) + "\n")
     return str(path)
 
@@ -940,6 +952,8 @@ def _model_file(tmp_path, case):
         "nan_bias",
         "infinite_weight",
         "nan_bound",
+        "nan_input_bound",
+        "input_width_mismatch",
     ],
 )
 def test_cli_malformed_model_exit_code(tmp_path, capsys, command, case):
@@ -951,28 +965,41 @@ def test_cli_malformed_model_exit_code(tmp_path, capsys, command, case):
     assert cli_main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    assert {"nan_bias": "line 6 (b0)", "infinite_weight": "line 5 (W0)", "nan_bound": "['x1']"}.get(case, "") in err
+    where = {
+        "nan_bias": "line 7 (b0)",
+        "infinite_weight": "line 6 (W0)",
+        "nan_bound": "line 4 (transform): non-finite min or max for feature(s) ['x1']",
+        "nan_input_bound": "line 5 (input_transform): non-finite min or max for feature(s) ['x1']",
+        "input_width_mismatch": "line 5 (input_transform): 3 features for a layer of width 4",
+    }
+    assert (f"malformed model file {model}: " + where[case] if case in where else "") in err
 
 
-def test_cli_project_ltp_without_input_transform_exit_code(tmp_path):
+def test_cli_project_ltp_without_input_transform_exit_code(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     assert cli_main(["train", "ltp", "--config", cfg, "--out-dir", str(tmp_path / "ml")]) == 0
-    os.remove(tmp_path / "ml" / "input_transform.json")
-    model = str(tmp_path / "ml" / "model.txt")
-    assert cli_main(["project", "ltp", "--model", model, "--config", cfg, "--out-dir", str(tmp_path / "pl")]) == 1
+    model = tmp_path / "ml" / "model.txt"
+    lines = model.read_text().splitlines()
+    assert lines[4].startswith("input_transform ")
+    model.write_text("\n".join(lines[:4] + lines[5:]) + "\n")
+    capsys.readouterr()
+    assert cli_main(["project", "ltp", "--model", str(model), "--config", cfg, "--out-dir", str(tmp_path / "pl")]) == 1
+    assert capsys.readouterr().err == f"error: malformed model file {model}: line 5 (input_transform): the line starts 'W0'\n"
 
 
 def test_cli_project_ltp_with_a_non_finite_input_transform_exit_code(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     assert cli_main(["train", "ltp", "--config", cfg, "--out-dir", str(tmp_path / "ml")]) == 0
-    saved = tmp_path / "ml" / "input_transform.json"
-    transform = json.loads(saved.read_text())
+    model = tmp_path / "ml" / "model.txt"
+    lines = model.read_text().splitlines()
+    transform = json.loads(lines[4].removeprefix("input_transform "))
     transform["maxs"][2] = float("inf")
-    saved.write_text(json.dumps(transform) + "\n")
-    model = str(tmp_path / "ml" / "model.txt")
+    lines[4] = "input_transform " + json.dumps(transform)
+    model.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert cli_main(["project", "ltp", "--model", model, "--config", cfg, "--out-dir", str(tmp_path / "pl")]) == 1
-    assert capsys.readouterr().err == "error: non-finite min or max for feature(s) ['R']\n"
+    assert cli_main(["project", "ltp", "--model", str(model), "--config", cfg, "--out-dir", str(tmp_path / "pl")]) == 1
+    expected = f"error: malformed model file {model}: line 5 (input_transform): non-finite min or max for feature(s) ['R']\n"
+    assert capsys.readouterr().err == expected
 
 
 def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):

@@ -223,11 +223,20 @@ def networks(draw):
 def test_saved_network_reloads_bit_for_bit(net):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.txt")
-        width = net.layer_dims[-1]
+        width, in_width = net.layer_dims[-1], net.layer_dims[0]
         spec = TransformSpec(names=tuple("abcdef"[:width]), mins=-np.arange(1.0, width + 1), maxs=np.full(width, 0.1))
-        save_network(path, net, spec)
-        loaded, transform = load_network(path)
-    assert transform.to_json() == spec.to_json() and loaded.layer_dims == net.layer_dims
+        in_spec = TransformSpec(
+            names=tuple("uvwxyz"[:in_width]),
+            mins=np.full(in_width, -0.3),
+            maxs=np.arange(1.0, in_width + 1) / 3,
+            log_flags=np.arange(in_width) % 2 == 1,
+        )
+        save_network(path, net, spec, in_spec)
+        loaded, transform, input_transform = load_network(path)
+    for got, saved in ((transform, spec), (input_transform, in_spec)):
+        assert got.names == saved.names
+        assert all(getattr(got, f).tobytes() == getattr(saved, f).tobytes() for f in ("mins", "maxs", "log_flags"))
+    assert loaded.layer_dims == net.layer_dims
     assert loaded.theta.tobytes() == net.theta.tobytes()
 
 
@@ -301,7 +310,8 @@ def _loads_or_rejects(load, *args):
 def test_malformed_model_file_is_rejected_with_validation_error(dims, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.txt")
-        save_network(path, xavier_init(dims), transform=fit_transform(np.eye(dims[-1] + 1)[:, :-1], list("abcd")[: dims[-1]]))
+        specs = [fit_transform(np.eye(d + 1)[:, :-1], list("abcd")[:d]) for d in (dims[-1], dims[0])]
+        save_network(path, xavier_init(dims), *specs)
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         row = data.draw(st.integers(1, len(lines) - 1), label="line")  # the header stays, so parsing is reached

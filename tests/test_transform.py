@@ -184,8 +184,8 @@ def test_degenerate_spec_rejected():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["mins", "maxs"])
 def test_spec_with_a_non_finite_bound_rejected(field, bad):
-    # a NaN bound passes max <= min; a saved transform (a model file's, or
-    # input_transform.json) is JSON, which takes NaN and Infinity
+    # a NaN bound passes max <= min; a saved transform (a model file's
+    # transform and input_transform lines) is JSON, which takes NaN and Infinity
     obj = json.loads(TransformSpec(names=("x", "y"), mins=np.array([0.0, 1.0]), maxs=np.array([1.0, 2.0])).to_json())
     obj[field][1] = bad
     with pytest.raises(ValidationError, match=r"non-finite min or max for feature\(s\) \['y'\]"):
