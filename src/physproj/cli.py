@@ -71,15 +71,16 @@ def cmd_project(args, cfg) -> int:
     net, out_spec, in_spec = load_network(args.model)
     # the test split is the experiments'; the transforms are the ones saved in the model file
     x_test = (prepare_spring if args.system == "spring" else prepare_ltp)(cfg).splits["test"][0]
-    preds = forward(net, normalize(x_test, in_spec))
-    if args.system == "spring":  # each point onto the shell of its input's energy
-        projector = energy_projector(out_spec, springmass.energy(x_test, PARAMS), cfg.spring_projection_tol)
-        project, names = (lambda: projector(preds, slice(None))), STATE_NAMES
-    else:
-        project, names = (lambda: project_predictions(out_spec, preds, x_test, cfg.ltp_projection_tol)[0]), OUTPUT_NAMES
-    seconds = {}
-    with timed(seconds, "projection_seconds"):
-        result = project()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing model fails by status or named error
+        preds = forward(net, normalize(x_test, in_spec))
+        if args.system == "spring":  # each point onto the shell of its input's energy
+            projector = energy_projector(out_spec, springmass.energy(x_test, PARAMS), cfg.spring_projection_tol)
+            project, names = (lambda: projector(preds, slice(None))), STATE_NAMES
+        else:
+            project, names = (lambda: project_predictions(out_spec, preds, x_test, cfg.ltp_projection_tol)[0]), OUTPUT_NAMES
+        seconds = {}
+        with timed(seconds, "projection_seconds"):
+            result = project()
     rows = ((*row, *p) for row, p in zip(projection_rows(result, seconds["projection_seconds"]), result.projected))
     write_csv(
         os.path.join(cfg.out_dir, "projected.csv"),
@@ -93,9 +94,8 @@ def cmd_rollout(args, cfg) -> int:
     net, spec, _ = load_network(args.model)  # a spring model's input transform is its state transform
     ic = np.asarray(cfg.spring_initial_state, dtype=np.float64)[None]
     projector = energy_projector(spec, springmass.energy(ic, PARAMS), cfg.spring_projection_tol) if args.project else None
-    result = springmass.rollout(
-        lambda z: forward(net, z), ic, cfg.spring_steps_single, spec, projector=projector, params=PARAMS
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing model fails by status or named error
+        result = springmass.rollout(lambda z: forward(net, z), ic, cfg.spring_steps_single, spec, projector=projector, params=PARAMS)
     result.raise_failure()
     write_trajectory_csv(
         os.path.join(cfg.out_dir, "trajectory.csv"), result.states[:, 0], result.energies[:, 0], cfg.spring_delta_t

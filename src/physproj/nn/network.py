@@ -10,7 +10,8 @@ explicit about what is cached and when parameters change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, count
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from physproj.errors import ValidationError
 
 MAGIC_HEADER = "PHYSPROJ-NET-v2"
 LEAKY_SLOPE = 0.01  # every hidden layer's leaky ReLU slope
-_ACTIVATION_LINE = f"activation leaky_relu {LEAKY_SLOPE!r}"
+_ACTIVATION = f"leaky_relu {LEAKY_SLOPE!r}"
 
 
 def _leaky_relu_backprop(delta: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -176,18 +177,18 @@ def backward(
     return grads
 
 
-def save_network(path, net: Network, transform: TransformSpec, input_transform: TransformSpec) -> None:
-    """Write a network and the TransformSpecs of its outputs and inputs as versioned text.
+def _line_keys(n_layers: int) -> list[str]:
+    """The key of each line after the header, in file order, for a network of ``n_layers`` weight layers."""
+    return ["layer_dims", "activation", "transform", "input_transform", *(f"{p}{i}" for i in range(n_layers) for p in "Wb")]
 
-    Format: magic header, layer dims, the activation line 'activation
-    leaky_relu 0.01', transform and input_transform lines holding the two
-    specs' JSON, then row-major weights and biases with full round-trip precision.
-    """
-    lines = [MAGIC_HEADER, "layer_dims " + ",".join(str(d) for d in net.layer_dims), _ACTIVATION_LINE]
-    lines += ["transform " + transform.to_json(), "input_transform " + input_transform.to_json()]
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        lines.append(f"W{i} " + " ".join(repr(float(v)) for v in w.ravel()))
-        lines.append(f"b{i} " + " ".join(repr(float(v)) for v in b))
+
+def save_network(path, net: Network, transform: TransformSpec, input_transform: TransformSpec) -> None:
+    """Write a network and the TransformSpecs of its outputs and inputs as versioned text: the magic
+    header, then a 'key value' line per ``_line_keys`` key: layer dims, the activation 'leaky_relu 0.01',
+    the two specs' JSON, and row-major weights and biases with full round-trip precision."""
+    values = [",".join(str(d) for d in net.layer_dims), _ACTIVATION, transform.to_json(), input_transform.to_json()]
+    values += [" ".join(repr(float(v)) for v in p.ravel()) for p in net.parameters()]
+    lines = [MAGIC_HEADER, *(f"{key} {value}" for key, value in zip(_line_keys(len(net.weights)), values))]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -195,11 +196,9 @@ def save_network(path, net: Network, transform: TransformSpec, input_transform: 
 def load_network(path):
     """Inverse of :func:`save_network`; returns (Network, output TransformSpec, input TransformSpec).
 
-    A missing, unreadable, truncated or unparsable file, one with another
-    header (a PHYSPROJ-NET-v1 file's included), or one holding a non-finite
-    weight, bias or transform bound, or a transform not as wide as the layer
-    it scales, raises ValidationError; a transform's message names its line.
-    """
+    A missing or unreadable file, or another header (a PHYSPROJ-NET-v1 file's too), raises ValidationError,
+    as does a later line that is missing, has another key or holds a value that does not parse, is not
+    finite or does not fit the layer dims; that message names the file, the line and its key."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -207,33 +206,34 @@ def load_network(path):
         raise ValidationError(f"cannot read model file {path}: {exc}") from exc
     if not lines or lines[0] != MAGIC_HEADER:
         raise ValidationError(f"{path} is not a {MAGIC_HEADER} file")
-    try:
-        dims = _check_layer_dims(lines[1].split(" ", 1)[1].split(","))
-        if lines[2] != _ACTIVATION_LINE:
-            raise ValidationError(f"{path} line 3 is not '{_ACTIVATION_LINE}'")
-        specs = []  # the outputs' transform, then the inputs'
-        for at, key, width in ((3, "transform", dims[-1]), (4, "input_transform", dims[0])):
-            found, text = lines[at].split(" ", 1)
-            try:
-                if found != key:
-                    raise ValidationError(f"the line starts '{found}'")
-                specs.append(TransformSpec.from_json(text))
-                if specs[-1].dim != width:
-                    raise ValidationError(f"{specs[-1].dim} features for a layer of width {width}")
-            except ValidationError as exc:
-                raise ValidationError(f"malformed model file {path}: line {at + 1} ({key}): {exc}") from exc
-        params = []  # W0, b0, W1, ...
-        row = 5
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            wvals = np.array([float(v) for v in lines[row].split(" ")[1:]])
-            bvals = np.array([float(v) for v in lines[row + 1].split(" ")[1:]])
-            if wvals.size != fan_in * fan_out or bvals.size != fan_out:
-                raise ValidationError(f"layer size mismatch at line {row + 1} of {path}")
-            for at, vals in ((row, wvals), (row + 1, bvals)):
-                if not np.all(np.isfinite(vals)):
-                    raise ValidationError(f"malformed model file {path}: line {at + 1} ({lines[at].split(' ')[0]}) holds a non-finite value")
-            params += [wvals.reshape(fan_out, fan_in), bvals]
-            row += 2
-    except (IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from exc
-    return Network(layer_dims=dims, weights=params[0::2], biases=params[1::2]), *specs
+
+    def parse(at, key, read):  # ``read`` of the value on line ``at`` (1-based), which must start with ``key``
+        try:
+            if at > len(lines):
+                raise ValidationError(f"the file ends at line {len(lines)}")
+            found, _, text = lines[at - 1].partition(" ")
+            if found != key:
+                raise ValidationError(f"the line starts '{found}'")
+            return read(text)
+        except (ValidationError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+            reason = exc if isinstance(exc, ValidationError) else f"{type(exc).__name__}: {exc}"
+            raise ValidationError(f"malformed model file {path}: line {at} ({key}): {reason}") from exc
+
+    def read_activation(text):
+        if text != _ACTIVATION:
+            raise ValidationError(f"'{text}' is not '{_ACTIVATION}'")
+
+    def read_spec(text, width):
+        spec = TransformSpec.from_json(text)
+        if spec.dim != width:
+            raise ValidationError(f"{spec.dim} features for a layer of width {width}")
+        return spec
+
+    def read_values(text, shape):
+        return np.asarray_chkfinite([float(v) for v in text.split(" ")]).reshape(shape)
+
+    dims = parse(2, "layer_dims", lambda text: _check_layer_dims(text.split(",")))
+    readers = [read_activation, partial(read_spec, width=dims[-1]), partial(read_spec, width=dims[0])]
+    readers += [partial(read_values, shape=s) for fan_in, fan_out in zip(dims, dims[1:]) for s in ((fan_out, fan_in), (fan_out,))]
+    _, spec, in_spec, *params = [parse(at, key, read) for at, key, read in zip(count(3), _line_keys(len(dims) - 1)[1:], readers)]
+    return Network(layer_dims=dims, weights=params[0::2], biases=params[1::2]), spec, in_spec

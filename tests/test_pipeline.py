@@ -813,19 +813,37 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err == "numerical failure: denormalization overflowed to a non-finite value\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the weights below overflow the forward pass on purpose
-def test_cli_rollout_of_an_overflowing_network_exit_code(tmp_path, capsys):
-    """Finite weights whose outputs overflow: a numerical failure (exit 2), with or without projection."""
-    cfg = _write_cfg(tmp_path, {"spring_epochs": 1, "spring_steps_single": 5})
+def _overflowing_spring_model(tmp_path, cfg):
+    """A trained spring model with W0 scaled by 1e200: finite weights whose outputs overflow."""
     assert cli_main(["train", "spring", "--config", cfg, "--out-dir", str(tmp_path / "m")]) == 0
     model = tmp_path / "m" / "model.txt"
     lines = model.read_text().splitlines()
     lines[5] = "W0 " + " ".join(repr(float(v) * 1e200) for v in lines[5].split(" ")[1:])
     model.write_text("\n".join(lines) + "\n")
+    return str(model)
+
+
+def test_cli_rollout_of_an_overflowing_network_exit_code(tmp_path, capsys):
+    """A numerical failure (exit 2), with or without projection, reported on one stderr line and no warning."""
+    cfg = _write_cfg(tmp_path, {"spring_epochs": 1, "spring_steps_single": 5})
+    model = _overflowing_spring_model(tmp_path, cfg)
     for flags, message in (([], "denormalization overflowed"), (["--project"], "projection failed at rollout step")):
         capsys.readouterr()
-        assert cli_main(["rollout", "--model", str(model), *flags, "--config", cfg, "--out-dir", str(tmp_path / "r")]) == 2
-        assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
+        assert cli_main(["rollout", "--model", model, *flags, "--config", cfg, "--out-dir", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {message}") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_cli_project_spring_of_an_overflowing_network(tmp_path, capsys):
+    """Each point's status says the projection failed; numpy prints no warning."""
+    cfg = _write_cfg(tmp_path, {"spring_epochs": 1, "spring_steps_single": 5})
+    model = _overflowing_spring_model(tmp_path, cfg)
+    capsys.readouterr()
+    assert cli_main(["project", "spring", "--model", model, "--config", cfg, "--out-dir", str(tmp_path / "p")]) == 0
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "p" / "projected.csv") as fh:
+        statuses = [line.split(",")[1] for line in fh.readlines()[1:]]
+    assert statuses and CONVERGED not in statuses
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -929,6 +947,12 @@ def _model_file(tmp_path, case):
         transform = json.loads(text)
         transform["mins"][0] = float("nan")
         lines[at] = f"{key} {json.dumps(transform)}"
+    elif case == "huge_int_bound":  # JSON reads the integer, which no float can hold
+        transform = json.loads(lines[3].removeprefix("transform "))
+        transform["mins"][0] = 10**400
+        lines[3] = "transform " + json.dumps(transform)
+    elif case == "deep_transform":  # too deep for the JSON decoder's recursion
+        lines[3] = "transform " + "[" * 100_000 + "]" * 100_000
     elif case == "input_width_mismatch":  # the network takes 4 inputs
         lines[4] = "input_transform " + fit_transform(inputs[:, :3], sm.STATE_NAMES[:3]).to_json()
     else:  # unparsable weight
@@ -953,6 +977,8 @@ def _model_file(tmp_path, case):
         "infinite_weight",
         "nan_bound",
         "nan_input_bound",
+        "huge_int_bound",
+        "deep_transform",
         "input_width_mismatch",
     ],
 )
@@ -966,10 +992,19 @@ def test_cli_malformed_model_exit_code(tmp_path, capsys, command, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     where = {
+        "truncated": "line 3 (activation)",
+        "unparsable": "line 6 (W0)",
+        "single_width": "line 2 (layer_dims)",
+        "zero_slope": "line 3 (activation)",
+        "other_slope": "line 3 (activation)",
+        "identity_activation": "line 3 (activation)",
+        "no_transform": "line 4 (transform)",
         "nan_bias": "line 7 (b0)",
         "infinite_weight": "line 6 (W0)",
         "nan_bound": "line 4 (transform): non-finite min or max for feature(s) ['x1']",
         "nan_input_bound": "line 5 (input_transform): non-finite min or max for feature(s) ['x1']",
+        "huge_int_bound": "line 4 (transform): OverflowError: int too large to convert to float",
+        "deep_transform": "line 4 (transform): RecursionError: ",
         "input_width_mismatch": "line 5 (input_transform): 3 features for a layer of width 4",
     }
     assert (f"malformed model file {model}: " + where[case] if case in where else "") in err

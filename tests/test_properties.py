@@ -325,7 +325,18 @@ def test_malformed_model_file_is_rejected_with_validation_error(dims, data):
             lines = lines[:row]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        _loads_or_rejects(load_network, path)
+        try:
+            load_network(path)
+        except ValidationError as exc:
+            message = str(exc)
+        else:  # a new value can be a valid one; a replaced line or a cut file cannot
+            assert edit == "value"
+            return
+        # the message names the edited line, or for a new value a later line that it no longer fits
+        prefix = f"malformed model file {path}: line "
+        assert message.startswith(prefix), message
+        at = int(message.removeprefix(prefix).split(" ", 1)[0])
+        assert (at == row + 1) if edit != "value" else (at >= row + 1), message
 
 
 @pytest.mark.filterwarnings("error::UserWarning")  # no numpy warning on a CSV without data rows
